@@ -39,8 +39,8 @@ from .gaussmath import (
     expect2_pairs,
 )
 
-_S_RELU = 2.0 * np.sqrt(2.0) / (3.0 * np.pi)   # (1-c)^{3/2} Taylor coefficient
-_B_RELU = np.sqrt(2.0) / (30.0 * np.pi)        # (1-c)^{5/2} Taylor coefficient
+S_RELU = 2.0 * np.sqrt(2.0) / (3.0 * np.pi)   # (1-c)^{3/2} Taylor coefficient
+B_RELU = np.sqrt(2.0) / (30.0 * np.pi)        # (1-c)^{5/2} Taylor coefficient
 
 #: Below this 1-c, arcsin/sqrt cancellation dominates; use the series.
 _RELU_SERIES_THRESHOLD = 1e-4
@@ -116,7 +116,7 @@ def relu_one_minus_f(gamma):
     out = np.empty_like(gamma)
     small = gamma < _RELU_SERIES_THRESHOLD
     g_s = gamma[small]
-    out[small] = g_s - _S_RELU * g_s**1.5 - _B_RELU * g_s**2.5
+    out[small] = g_s - S_RELU * g_s**1.5 - B_RELU * g_s**2.5
     g_b = gamma[~small]
     c = 1.0 - g_b
     out[~small] = g_b / 2.0 + (

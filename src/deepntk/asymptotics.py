@@ -23,6 +23,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .activations import (
+    B_RELU,
+    S_RELU,
     ActivationModel,
     CorrelationMap,
     relu_one_minus_f,
@@ -31,8 +33,6 @@ from .activations import (
 )
 from .phase import InitParams, classify, variance_fixed_point
 
-S_RELU = 2.0 * np.sqrt(2.0) / (3.0 * np.pi)
-B_RELU = np.sqrt(2.0) / (30.0 * np.pi)
 KAPPA_RELU = 9.0 * np.pi**2 / 2.0
 
 

@@ -16,8 +16,9 @@ columns.  Outputs are written atomically (temp file + rename).  Exit codes:
 0 ok, 2 config error, 3 numeric error, 4 io error.
 
 Config precedence: command-line flags > --config file (flat ``key = value``
-lines, keys matching long option names) > built-in defaults.  The
-environment variable DEEPNTK_THREADS caps BLAS/OpenMP thread counts.
+lines, keys matching long option names) > built-in defaults.  BLAS thread
+counts follow the standard OPENBLAS_NUM_THREADS / OMP_NUM_THREADS variables,
+which numpy reads at import: set them before the process starts.
 """
 from __future__ import annotations
 
@@ -36,9 +37,8 @@ from .asymptotics import default_depth_grid, fit_rate
 from .errors import NumericError
 from .gaussmath import gauss_hermite
 from .kernels import (Architecture, InputPair, dense_layer_arrays,
-                      first_layer_dense, limiting_kernel, normalize,
-                      ntk_cnn, ntk_ffnn, ntk_resnet_conv, ntk_resnet_dense,
-                      ntk_scaled_resnet)
+                      first_layer_cov, limiting_kernel, log_alpha, normalize,
+                      ntk_trace)
 from .phase import InitParams, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
                          one_hot, predict)
@@ -136,6 +136,8 @@ def load_dataset(path: str, normalize_mode: str = "none") -> Dataset:
             vals = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"{path}:{idx}: malformed number ({exc})") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{path}:{idx}: non-finite value")
         features.append(vals[:-1])
         labels.append(vals[-1])
     X = np.asarray(features, dtype=np.float64)
@@ -254,30 +256,11 @@ def cmd_kernel(args) -> int:
     pair = _kernel_pair(args)
     arch = _architecture_from(args)
     L = args.depth
-    if arch.kind == "ffnn":
-        trace = ntk_ffnn(pair, act, params, L)
-        scheme = "average"
-    elif arch.kind == "cnn":
-        trace = ntk_cnn(pair, act, params, arch.positions, arch.filter_half_width,
-                        L, assumption1=arch.assumption1)
-        scheme = "average"
-    elif arch.kind == "resnet_dense":
-        trace = ntk_resnet_dense(pair, act, params, L)
-        scheme = "resnet"
-    elif arch.kind == "resnet_conv":
-        trace = ntk_resnet_conv(pair, params, arch.positions, arch.filter_half_width,
-                                L, assumption1=arch.assumption1, activation=act)
-        scheme = "resnet"
-    elif arch.kind == "scaled_resnet_dense":
-        trace = ntk_scaled_resnet(pair, params, L, activation=act)
-        scheme = "scaled"
-    else:
-        trace = ntk_scaled_resnet(pair, params, L, activation=act, conv=arch)
-        scheme = "scaled"
+    trace = ntk_trace(arch, pair, act, params, L)
     if trace.ntk.ndim > 1:
         raise ConfigError("full-grid conv traces are not CSV-serializable; "
                           "run with Assumption 1 inputs")
-    normalized = normalize(trace, scheme)
+    normalized = normalize(trace, arch.scheme)
     rows = [(l + 1, trace.qx[l], trace.qxp[l], trace.corr[l], trace.qdot[l],
              trace.ntk[l], normalized[l]) for l in range(L)]
     write_csv(args.output, args,
@@ -288,7 +271,7 @@ def cmd_kernel(args) -> int:
                   "c": "field correlation",
                   "qdot": "kernel multiplier sigma_w^2 E[phi' phi'] (NaN at l=1)",
                   "K": "kernel value",
-                  "K_normalized": f"K / alpha_l for the '{scheme}' scheme",
+                  "K_normalized": f"K / alpha_l for the '{arch.scheme}' scheme",
               })
     return EXIT_OK
 
@@ -303,10 +286,9 @@ def cmd_rates(args) -> int:
     # pairs with first-layer correlations spread across [-0.9, 0.9]: a max
     # over them approximates the sup over non-degenerate input pairs
     targets = rng.uniform(-0.9, 0.9, args.pairs)
-    qdiag = params.sigma_b**2 + params.sigma_w**2 / d
-    qcov0 = params.sigma_b**2 + params.sigma_w**2 * targets / d
-    arrays = dense_layer_arrays("ffnn" if args.arch == "cnn" else args.arch,
-                                act, params,
+    qdiag = first_layer_cov(params, 1.0, d)
+    qcov0 = first_layer_cov(params, targets, d)
+    arrays = dense_layer_arrays(args.arch, act, params,
                                 np.full(args.pairs, qdiag),
                                 np.full(args.pairs, qdiag), qcov0, L)
     x0 = synthetic_sphere(d, 2, args.seed)
@@ -320,9 +302,8 @@ def cmd_rates(args) -> int:
         values = arrays["ntk"] / ls
         model = "power"
     elif args.arch == "resnet_dense":
-        beta = 1.0 + params.sigma_w**2 / 2.0
         values = arrays["ntk_sign"] * np.exp(
-            arrays["ntk_log"] - np.log(ls) - (ls - 1.0) * np.log(beta))
+            arrays["ntk_log"] - log_alpha("resnet", params.sigma_w, ls))
         model = "power"
     elif args.arch == "scaled_resnet_dense":
         half = params.sigma_w**2 / 2.0
@@ -361,12 +342,13 @@ def cmd_spectrum(args) -> int:
     act = _activation_from(args)
     params = _params_from(args)
     arch = Architecture(args.arch)
+    # feedforward kernels only need a depth normalisation on the critical curve
     if args.scheme:
         scheme = args.scheme
-    elif arch.is_residual:
-        scheme = "scaled" if arch.is_scaled else "resnet"
+    elif arch.is_residual or classify(act, params).phase == "eoc":
+        scheme = arch.scheme
     else:
-        scheme = "average" if classify(act, params).phase == "eoc" else "none"
+        scheme = "none"
     config = KernelConfig(arch, act, params, scheme)
     depths = [int(v) for v in args.depths.split(",")]
     table = eigen_trend(config, args.d, depths, args.kmax)
@@ -587,10 +569,6 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 
 def main(argv: list[str] | None = None) -> int:
-    threads = os.environ.get("DEEPNTK_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -180,12 +180,10 @@ def mean_field_reference(arch: str, activation: ActivationModel,
                          params: InitParams, x: np.ndarray, xp: np.ndarray,
                          depth: int) -> float:
     """Infinite-width kernel value from the exact recursions."""
-    from .kernels import InputPair, ntk_ffnn, ntk_resnet_dense
+    from .kernels import Architecture, InputPair, ntk_trace
     pair = InputPair(np.asarray(x, dtype=np.float64),
                      np.asarray(xp, dtype=np.float64))
-    if arch == "ffnn":
-        return float(ntk_ffnn(pair, activation, params, depth).ntk[-1])
-    return float(ntk_resnet_dense(pair, activation, params, depth).ntk[-1])
+    return float(ntk_trace(Architecture(arch), pair, activation, params, depth).ntk[-1])
 
 
 def width_convergence_study(arch: str, activation: ActivationModel,

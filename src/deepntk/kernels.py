@@ -43,6 +43,8 @@ from .gaussmath import clamp_correlation
 from .phase import InitParams, classify
 
 _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
+#: same order as _DENSE_KINDS: under Assumption 1 each conv kind runs the
+#: recursion of the dense kind at its index
 _CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 
 #: variances beyond this flag the trace as overflowed (chaotic ReLU)
@@ -92,6 +94,13 @@ class Architecture:
     @property
     def is_scaled(self) -> bool:
         return self.kind.startswith("scaled")
+
+    @property
+    def scheme(self) -> str:
+        """Depth normalisation of this kind (see ``log_alpha``)."""
+        if not self.is_residual:
+            return "average"
+        return "scaled" if self.is_scaled else "resnet"
 
 
 @dataclass(frozen=True)
@@ -158,14 +167,27 @@ class KernelTrace:
     extras: dict = field(default_factory=dict)
 
 
+def first_layer_cov(params: InitParams, inner, dim):
+    """First-layer covariance sigma_b^2 + sigma_w^2 inner / dim.
+
+    ``inner`` is an inner product (scalar or array) of two inputs and
+    ``dim`` its normalising fan-in: d for dense inputs, n0 (2k+1) for conv
+    windows.
+    """
+    return params.sigma_b**2 + params.sigma_w**2 * inner / dim
+
+
 def first_layer_dense(pair: InputPair, params: InitParams):
-    """q^1 triplet for a dense first layer: sigma_b^2 + sigma_w^2 (u.v)/d."""
-    d = pair.dim
-    sb2, sw2 = params.sigma_b**2, params.sigma_w**2
-    qx = sb2 + sw2 * float(pair.x @ pair.x) / d
-    qxp = sb2 + sw2 * float(pair.xp @ pair.xp) / d
-    qcov = sb2 + sw2 * float(pair.x @ pair.xp) / d
-    return qx, qxp, qcov
+    """q^1 triplet (x.x, x'.x', x.x') for a dense first layer."""
+    x, xp, d = pair.x, pair.xp, pair.dim
+    return (first_layer_cov(params, float(x @ x), d),
+            first_layer_cov(params, float(xp @ xp), d),
+            first_layer_cov(params, float(x @ xp), d))
+
+
+def _require_relu(kind: str, activation: ActivationModel) -> None:
+    if "resnet" in kind and activation.kind != "relu":
+        raise ValueError("residual kernels are defined for relu only")
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +205,7 @@ def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParam
     """
     if kind not in _DENSE_KINDS:
         raise ValueError(f"not a dense kind: {kind}")
-    if kind != "ffnn" and activation.kind != "relu":
-        raise ValueError("residual kernels are defined for relu only")
+    _require_relu(kind, activation)
     qx0 = np.atleast_1d(np.asarray(qx0, dtype=np.float64))
     qxp0 = np.atleast_1d(np.asarray(qxp0, dtype=np.float64))
     qcov0 = np.atleast_1d(np.asarray(qcov0, dtype=np.float64))
@@ -282,48 +303,23 @@ def _trace_from_arrays(arch: Architecture, activation: ActivationModel,
     )
 
 
-def ntk_ffnn(pair: InputPair, activation: ActivationModel, params: InitParams,
-             L: int) -> KernelTrace:
-    """Depth-L feedforward NTK trace for one input pair."""
+def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
+              params: InitParams, L: int) -> KernelTrace:
+    """Depth-L NTK trace of one input pair for any architecture kind.
+
+    Dense kinds take vector inputs and return length-L arrays.  Conv kinds
+    take (n0, M) inputs; under ``arch.assumption1`` they reduce to the
+    matching dense recursion, otherwise they return (L, M, M) grids.
+    """
     if L < 1:
         raise ValueError("depth must be >= 1")
+    if arch.is_conv:
+        return _conv_trace(pair, activation, params, arch, L)
     if pair.is_conv:
-        raise ValueError("ntk_ffnn expects dense inputs")
-    qx, qxp, qcov = first_layer_dense(pair, params)
-    arrays = dense_layer_arrays("ffnn", activation, params, qx, qxp, qcov, L)
-    arch = Architecture(kind="ffnn")
+        raise ValueError(f"{arch.kind} expects dense inputs")
+    arrays = dense_layer_arrays(arch.kind, activation, params,
+                                *first_layer_dense(pair, params), L)
     return _trace_from_arrays(arch, activation, params, L, arrays, squeeze=True)
-
-
-def ntk_resnet_dense(pair: InputPair, activation: ActivationModel,
-                     params: InitParams, L: int) -> KernelTrace:
-    """Depth-L residual NTK trace (dense blocks, first layer without skip)."""
-    if L < 1:
-        raise ValueError("depth must be >= 1")
-    qx, qxp, qcov = first_layer_dense(pair, params)
-    arrays = dense_layer_arrays("resnet_dense", activation, params, qx, qxp, qcov, L)
-    arch = Architecture(kind="resnet_dense")
-    return _trace_from_arrays(arch, activation, params, L, arrays, squeeze=True)
-
-
-def ntk_scaled_resnet(pair: InputPair, params: InitParams, L: int,
-                      activation: ActivationModel | None = None,
-                      conv: Architecture | None = None) -> KernelTrace:
-    """Depth-L NTK of the 1/sqrt(l)-scaled residual network (ReLU blocks)."""
-    from .gaussmath import default_hermite
-    act = activation or ActivationModel("relu", default_hermite())
-    if act.kind != "relu":
-        raise ValueError("scaled residual kernels are defined for relu only")
-    if conv is not None:
-        return _conv_trace(pair, act, params,
-                           conv.positions, conv.filter_half_width, L,
-                           kind="scaled_resnet_conv", assumption1=conv.assumption1)
-    if L < 1:
-        raise ValueError("depth must be >= 1")
-    qx, qxp, qcov = first_layer_dense(pair, params)
-    arrays = dense_layer_arrays("scaled_resnet_dense", act, params, qx, qxp, qcov, L)
-    arch = Architecture(kind="scaled_resnet_dense")
-    return _trace_from_arrays(arch, act, params, L, arrays, squeeze=True)
 
 
 # ---------------------------------------------------------------------------
@@ -350,38 +346,35 @@ def _grid_expectations(activation: ActivationModel, varx: np.ndarray,
 
 
 def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams,
-                M: int, k: int, L: int, kind: str, assumption1: bool) -> KernelTrace:
+                arch: Architecture, L: int) -> KernelTrace:
     from .errors import AssumptionViolatedError
 
     if not pair.is_conv:
         raise ValueError("conv kernels need (n0, M) inputs")
+    M, k = arch.positions, arch.filter_half_width
     n0, m = pair.x.shape
     if m != M:
         raise ValueError(f"input has {m} positions, architecture expects {M}")
-    arch = Architecture(kind=kind, positions=M, filter_half_width=k,
-                        assumption1=assumption1)
+    _require_relu(arch.kind, activation)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     norm = n0 * (2 * k + 1)
 
     # first-layer covariance grids for the three input combinations
-    Cxx = sb2 + sw2 * InputPair(pair.x, pair.x).conv_inner(k) / norm
-    Cpp = sb2 + sw2 * InputPair(pair.xp, pair.xp).conv_inner(k) / norm
-    Cxp = sb2 + sw2 * pair.conv_inner(k) / norm
+    Cxx = first_layer_cov(params, InputPair(pair.x, pair.x).conv_inner(k), norm)
+    Cpp = first_layer_cov(params, InputPair(pair.xp, pair.xp).conv_inner(k), norm)
+    Cxp = first_layer_cov(params, pair.conv_inner(k), norm)
 
-    if assumption1:
+    if arch.assumption1:
         for name, g in (("q1(x,x)", Cxx), ("q1(x',x')", Cpp), ("q1(x,x')", Cxp)):
             if np.ptp(g) > 1e-9:
                 raise AssumptionViolatedError(
                     f"first-layer grid {name} varies by {np.ptp(g):.2e} > 1e-9"
                 )
-        dense_kind = {"cnn": "ffnn", "resnet_conv": "resnet_dense",
-                      "scaled_resnet_conv": "scaled_resnet_dense"}[kind]
-        arrays = dense_layer_arrays(dense_kind, activation, params,
+        arrays = dense_layer_arrays(_DENSE_KINDS[_CONV_KINDS.index(arch.kind)],
+                                    activation, params,
                                     Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
         return _trace_from_arrays(arch, activation, params, L, arrays, squeeze=True)
 
-    residual = kind in ("resnet_conv", "scaled_resnet_conv")
-    scaled = kind == "scaled_resnet_conv"
     K = Cxp.copy()
 
     shape = (L, M, M)
@@ -404,12 +397,12 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
 
     record(0, np.full((M, M), np.nan))
     for layer in range(2, L + 1):
-        scale = 1.0 / layer if scaled else 1.0
+        scale = 1.0 / layer if arch.is_scaled else 1.0
         qhat_xx, _, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cxx), Cxx, sb2, sw2)
         qhat_pp, _, _ = _grid_expectations(activation, np.diag(Cpp), np.diag(Cpp), Cpp, sb2, sw2)
         qhat_xp, qdot_xp, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cpp), Cxp, sb2, sw2)
         psi = qdot_xp * scale * K + qhat_xp * scale
-        if residual:
+        if arch.is_residual:
             K = K + _circulant_average(psi, k)
             Cxx = Cxx + scale * _circulant_average(qhat_xx, k)
             Cpp = Cpp + scale * _circulant_average(qhat_pp, k)
@@ -422,52 +415,31 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
         record(layer - 1, qdot_xp * scale)
 
     out["overflow"] = False
-    trace = KernelTrace(
-        architecture=arch, activation=activation.kind, params=params, depth=L,
-        qx=out["qx"], qxp=out["qxp"], qcov=out["qcov"], corr=out["corr"],
-        qdot=out["qdot"], ntk=out["ntk"], log_qx=out["log_qx"],
-        log_qxp=out["log_qxp"], ntk_log=out["ntk_log"], ntk_sign=out["ntk_sign"],
-    )
-    return trace
-
-
-def ntk_cnn(pair: InputPair, activation: ActivationModel, params: InitParams,
-            M: int, k: int, L: int, assumption1: bool = False) -> KernelTrace:
-    """Depth-L convolutional NTK trace (circular 1D geometry)."""
-    return _conv_trace(pair, activation, params, M, k, L, "cnn", assumption1)
-
-
-def ntk_resnet_conv(pair: InputPair, params: InitParams, M: int, k: int, L: int,
-                    assumption1: bool = False,
-                    activation: ActivationModel | None = None) -> KernelTrace:
-    """Depth-L convolutional residual NTK trace (ReLU blocks)."""
-    from .gaussmath import default_hermite
-    act = activation or ActivationModel("relu", default_hermite())
-    if act.kind != "relu":
-        raise ValueError("residual kernels are defined for relu only")
-    return _conv_trace(pair, act, params, M, k, L, "resnet_conv", assumption1)
+    return _trace_from_arrays(arch, activation, params, L, out, squeeze=False)
 
 
 # ---------------------------------------------------------------------------
 # normalization and limits
 # ---------------------------------------------------------------------------
 
-_SCHEMES = {
-    "average": ("ffnn", "cnn"),
-    "resnet": ("resnet_dense", "resnet_conv"),
-    "scaled": ("scaled_resnet_dense", "scaled_resnet_conv"),
-}
+def log_alpha(scheme: str, sigma_w: float, ls) -> np.ndarray:
+    """log of the depth normalisation alpha_l at depths ``ls``.
+
+    alpha_l is l (average), l (1+sigma_w^2/2)^{l-1} (resnet, kept in log
+    space because it overflows), or l^{1+sigma_w^2/2} (scaled).
+    """
+    if scheme == "average":
+        return np.log(ls)
+    if scheme == "resnet":
+        return np.log(ls) + (ls - 1.0) * np.log(1.0 + sigma_w**2 / 2.0)
+    if scheme == "scaled":
+        return (1.0 + sigma_w**2 / 2.0) * np.log(ls)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def normalize(trace: KernelTrace, scheme: str) -> np.ndarray:
-    """Per-layer normalized kernel K^l / alpha_l.
-
-    alpha_l is l (average), l (1+sigma_w^2/2)^{l-1} (resnet, computed in
-    log space), or l^{1+sigma_w^2/2} (scaled).
-    """
-    if scheme not in _SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if trace.architecture.kind not in _SCHEMES[scheme]:
+    """Per-layer normalized kernel K^l / alpha_l (see ``log_alpha``)."""
+    if scheme != trace.architecture.scheme:
         raise ValueError(
             f"scheme {scheme!r} does not apply to {trace.architecture.kind!r}"
         )
@@ -475,14 +447,8 @@ def normalize(trace: KernelTrace, scheme: str) -> np.ndarray:
     ls = np.arange(1, L + 1, dtype=np.float64)
     if trace.ntk_log.ndim > 1:
         ls = ls.reshape((L,) + (1,) * (trace.ntk_log.ndim - 1))
-    if scheme == "average":
-        log_alpha = np.log(ls)
-    elif scheme == "resnet":
-        beta = 1.0 + trace.params.sigma_w**2 / 2.0
-        log_alpha = np.log(ls) + (ls - 1.0) * np.log(beta)
-    else:
-        log_alpha = (1.0 + trace.params.sigma_w**2 / 2.0) * np.log(ls)
-    return trace.ntk_sign * np.exp(trace.ntk_log - log_alpha)
+    return trace.ntk_sign * np.exp(
+        trace.ntk_log - log_alpha(scheme, trace.params.sigma_w, ls))
 
 
 def scaled_resnet_growth_constant(params: InitParams, depth: int = 10**6) -> float:
@@ -515,7 +481,7 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
     if pair.is_conv:
         raise ValueError("limiting_kernel expects dense inputs (use Assumption 1)")
     same = np.array_equal(pair.x, pair.xp)
-    qx1, qxp1, _ = first_layer_dense(pair, params)
+    qx1, qxp1, qcov1 = first_layer_dense(pair, params)
     sw2 = params.sigma_w**2
     alpha = sw2 / 2.0
     d = pair.dim
@@ -559,8 +525,7 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
             raise DivergenceError(
                 "chaotic diagonal kernel grows like chi^L; no finite limit"
             )
-        qx1_, qxp1_, qcov1_ = first_layer_dense(pair, params)
-        c1 = qcov1_ / np.sqrt(qx1_ * qxp1_)
+        c1 = qcov1 / np.sqrt(qx1 * qxp1)
         if c1 > 1.0 - 1e-3:
             raise ValueError(
                 "chaotic-phase limit needs first-layer correlation <= 1 - 1e-3"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .activations import ActivationModel
 from .errors import InvalidDatasetError, SingularMatrixError
-from .kernels import Architecture, dense_layer_arrays
+from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
 
 _PINV_RTOL = 1e-12
@@ -111,11 +111,9 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     """
     X = dataset.X
     n, d = X.shape
-    p = spec.params
-    sb2, sw2 = p.sigma_b**2, p.sigma_w**2
-    sq = sb2 + sw2 * np.sum(X * X, axis=1) / d
+    sq = first_layer_cov(spec.params, np.sum(X * X, axis=1), d)
     iu, ju = np.triu_indices(n)
-    qcov = sb2 + sw2 * (X[iu] * X[ju]).sum(axis=1) / d
+    qcov = first_layer_cov(spec.params, (X[iu] * X[ju]).sum(axis=1), d)
     vals = kernel_values(spec, sq[iu], sq[ju], qcov)
     gram = np.zeros((n, n))
     gram[iu, ju] = vals
@@ -180,10 +178,9 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
     X = dataset.X
     n, d = X.shape
     p = spec.params
-    sb2, sw2 = p.sigma_b**2, p.sigma_w**2
-    qx = np.full(n, sb2 + sw2 * float(x_new @ x_new) / d)
-    qxp = sb2 + sw2 * np.sum(X * X, axis=1) / d
-    qcov = sb2 + sw2 * (X @ x_new) / d
+    qx = np.full(n, first_layer_cov(p, float(x_new @ x_new), d))
+    qxp = first_layer_cov(p, np.sum(X * X, axis=1), d)
+    qcov = first_layer_cov(p, X @ x_new, d)
     k_vec = kernel_values(spec, qx, qxp, qcov)
     U = state.eigenvectors
     h = _response_factors(state, t)

@@ -156,7 +156,8 @@ def checks_kernels():
 
     # ReLU critical diagonal is exactly linear in depth
     xd = np.full(4, 1.0)
-    tr = ker.ntk_ffnn(ker.InputPair(xd, xd), relu, InitParams(0.0, np.sqrt(2)), 32)
+    ffnn = ker.Architecture("ffnn")
+    tr = ker.ntk_trace(ffnn, ker.InputPair(xd, xd), relu, InitParams(0.0, np.sqrt(2)), 32)
     dev = np.abs(tr.ntk - 2.0 * np.arange(1, 33)).max()
     out.append(("kernels.relu_eoc_diag_linear", dev < 1e-10, f"{dev:.2e}"))
 
@@ -165,8 +166,8 @@ def checks_kernels():
     pt = InitParams(0.2, sw)
     xs = x / np.linalg.norm(x)
     dpair = ker.InputPair(xs, xs)
-    trt = ker.ntk_ffnn(dpair, tanh, pt, 1024)
-    lim = ker.limiting_kernel(ker.Architecture("ffnn"), tanh, pt, dpair)
+    trt = ker.ntk_trace(ffnn, dpair, tanh, pt, 1024)
+    lim = ker.limiting_kernel(ffnn, tanh, pt, dpair)
     grid = [2**j for j in range(5, 11)]
     resid = np.abs(trt.ntk[np.array(grid) - 1] / np.array(grid) - lim)
     slope = np.polyfit(np.log(grid), np.log(resid), 1)[0]
@@ -174,8 +175,8 @@ def checks_kernels():
 
     # ordered phase: successive-ratio test of |K - lambda| converges below 1
     po = InitParams(0.3, np.sqrt(2 * 0.9))
-    tro = ker.ntk_ffnn(pair, relu, po, 200)
-    lam = ker.limiting_kernel(ker.Architecture("ffnn"), relu, po, pair)
+    tro = ker.ntk_trace(ffnn, pair, relu, po, 200)
+    lam = ker.limiting_kernel(ffnn, relu, po, pair)
     r = np.abs(tro.ntk - lam)
     ratios = r[100:180] / r[99:179]
     out.append(("kernels.ordered_geometric_ratio",
@@ -183,8 +184,8 @@ def checks_kernels():
                 f"ratio~{ratios[-1]:.4f}"))
 
     # symmetry under swapping the pair
-    t1 = ker.ntk_ffnn(pair, relu, po, 16).ntk
-    t2 = ker.ntk_ffnn(swapped, relu, po, 16).ntk
+    t1 = ker.ntk_trace(ffnn, pair, relu, po, 16).ntk
+    t2 = ker.ntk_trace(ffnn, swapped, relu, po, 16).ntk
     out.append(("kernels.pair_swap_symmetry", bool(np.array_equal(t1, t2)), ""))
 
     # Assumption-1 CNN trace equals the FFNN trace with matched first layer
@@ -193,12 +194,12 @@ def checks_kernels():
     cx = np.repeat(base[:, None], M, axis=1)
     cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
     cpair = ker.InputPair(cx, cxp)
-    tr_c = ker.ntk_cnn(cpair, relu, po, M, kf, 20, assumption1=True)
+    tr_c = ker.ntk_trace(ker.Architecture("cnn", M, kf, True), cpair, relu, po, 20)
     # matched dense recursion from the conv first-layer covariances
     norm = n0 * (2 * kf + 1)
-    g_xp = (po.sigma_b**2 + po.sigma_w**2 * cpair.conv_inner(kf) / norm)[0, 0]
-    g_xx = (po.sigma_b**2 + po.sigma_w**2 * ker.InputPair(cx, cx).conv_inner(kf) / norm)[0, 0]
-    g_pp = (po.sigma_b**2 + po.sigma_w**2 * ker.InputPair(cxp, cxp).conv_inner(kf) / norm)[0, 0]
+    g_xp = ker.first_layer_cov(po, cpair.conv_inner(kf), norm)[0, 0]
+    g_xx = ker.first_layer_cov(po, ker.InputPair(cx, cx).conv_inner(kf), norm)[0, 0]
+    g_pp = ker.first_layer_cov(po, ker.InputPair(cxp, cxp).conv_inner(kf), norm)[0, 0]
     arrays = ker.dense_layer_arrays("ffnn", relu, po, g_xx, g_pp, g_xp, 20)
     dev = np.abs(arrays["ntk"][:, 0] - tr_c.ntk).max()
     out.append(("kernels.assumption1_matches_ffnn", dev < 1e-10, f"{dev:.2e}"))
@@ -206,7 +207,7 @@ def checks_kernels():
     # PSD of the Gram over 10 random inputs
     X = rng.standard_normal((10, d))
     ds = reg.Dataset(X, np.zeros((10, 1)))
-    spec_k = reg.KernelSpec(ker.Architecture("ffnn"), relu, po, 5)
+    spec_k = reg.KernelSpec(ffnn, relu, po, 5)
     state = reg.build_gram(ds, spec_k)
     out.append(("kernels.gram_psd",
                 state.min_eig >= -1e-8 * state.max_eig,
@@ -227,9 +228,9 @@ def checks_asymptotics():
     # whole depth range in the exponential regime; see notes on criterion 5)
     po = InitParams(0.0, np.sqrt(2 * 0.99))
     grid = asy.default_depth_grid()
-    qd = po.sigma_b**2 + po.sigma_w**2 / d
+    qd = ker.first_layer_cov(po, 1.0, d)
     arrays = ker.dense_layer_arrays("ffnn", relu, po, np.full(4, qd), np.full(4, qd),
-                                    (qd - po.sigma_b**2) * c1 + po.sigma_b**2, grid[-1])
+                                    ker.first_layer_cov(po, c1, d), grid[-1])
     lam = ker.limiting_kernel(
         ker.Architecture("ffnn"), relu, po,
         ker.InputPair(X[0], X[1]))
@@ -242,7 +243,7 @@ def checks_asymptotics():
 
     # critical phase: power fit is excellent and exp-rate shrinks with depth
     pe = InitParams(0.0, np.sqrt(2))
-    qd = pe.sigma_w**2 / d
+    qd = ker.first_layer_cov(pe, 1.0, d)
     c1e = np.array([-0.5, 0.1, 0.6, 0.9])
     arrays = ker.dense_layer_arrays("ffnn", relu, pe, np.full(4, qd), np.full(4, qd),
                                     qd * c1e, grid[-1])
@@ -374,7 +375,7 @@ def checks_empirical():
     # layer variance statistics match the covariance chain at width 1024
     p = InitParams(0.3, 1.2)
     xs = x / np.linalg.norm(x)
-    qx = p.sigma_b**2 + p.sigma_w**2 / 4
+    qx = ker.first_layer_cov(p, 1.0, xs.size)
     for _ in range(2):
         qx, _, _ = act.covariance_step(tanh, p.sigma_b, p.sigma_w, qx, qx, qx)
     samples = []

@@ -26,7 +26,7 @@ import numpy as np
 from .activations import ActivationModel
 from .errors import ResolutionError
 from .gaussmath import QuadratureRule, gauss_jacobi
-from .kernels import Architecture, dense_layer_arrays
+from .kernels import Architecture, dense_layer_arrays, first_layer_cov, log_alpha
 from .phase import InitParams
 
 #: Gauss-Jacobi nodes used for the Funk-Hecke integrals.
@@ -141,8 +141,8 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
     """
     grid = np.asarray(grid, dtype=np.float64)
     p = config.params
-    qdiag = p.sigma_b**2 + p.sigma_w**2 / d
-    qcov = p.sigma_b**2 + p.sigma_w**2 * grid / d
+    qdiag = first_layer_cov(p, 1.0, d)
+    qcov = first_layer_cov(p, grid, d)
     kind = config.architecture.kind
     arrays = dense_layer_arrays(kind, config.activation, p,
                                 np.full_like(grid, qdiag),
@@ -150,14 +150,8 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
     if config.scheme == "none":
         return arrays["ntk"][-1]
     ls = np.arange(1, depth + 1, dtype=np.float64)[:, None]
-    if config.scheme == "average":
-        log_alpha = np.log(ls)
-    elif config.scheme == "resnet":
-        beta = 1.0 + p.sigma_w**2 / 2.0
-        log_alpha = np.log(ls) + (ls - 1.0) * np.log(beta)
-    else:  # scaled
-        log_alpha = (1.0 + p.sigma_w**2 / 2.0) * np.log(ls)
-    normalized = arrays["ntk_sign"] * np.exp(arrays["ntk_log"] - log_alpha)
+    normalized = arrays["ntk_sign"] * np.exp(
+        arrays["ntk_log"] - log_alpha(config.scheme, p.sigma_w, ls))
     return normalized[-1]
 
 

@@ -20,7 +20,7 @@ from deepntk.asymptotics import (ExpansionConstants,
                                  iterate_tanh_correlation)
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, limiting_kernel, normalize,
-                             ntk_cnn, ntk_resnet_dense)
+                             ntk_trace)
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 from deepntk.regression import KernelSpec, accuracy, build_gram, evolve
 from deepntk.spectral import (KernelConfig, decompose, decompose_kernel,
@@ -184,7 +184,7 @@ def test_criterion_06_resnet_normalization():
     d = 6
     x = np.full(d, 1.0)
     pair = InputPair(x, x)
-    tr = ntk_resnet_dense(pair, RELU, EOC_RELU, 8192)
+    tr = ntk_trace(Architecture("resnet_dense"), pair, RELU, EOC_RELU, 8192)
     nk = normalize(tr, "resnet")
     lim = limiting_kernel(Architecture("resnet_dense"), RELU, EOC_RELU, pair)
     grid = default_depth_grid()
@@ -297,7 +297,7 @@ def test_criterion_10_assumption1_reduction():
     cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
     pair = InputPair(cx, cxp)
     p = InitParams(0.3, 1.2)
-    full = ntk_cnn(pair, RELU, p, M, k, L, assumption1=False)
+    full = ntk_trace(Architecture("cnn", M, k, False), pair, RELU, p, L)
     norm = n0 * (2 * k + 1)
     g_xp = (p.sigma_b**2 + p.sigma_w**2 * pair.conv_inner(k) / norm)[0, 0]
     g_xx = (p.sigma_b**2 + p.sigma_w**2

@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
+from deepntk.activations import make_activation
 from deepntk.cli import ConfigError, load_dataset, main, synthetic_sphere
 from deepntk.errors import InvalidDatasetError
+from deepntk.kernels import Architecture, InputPair, normalize, ntk_trace
+from deepntk.phase import InitParams
 
 
 def write(tmp_path, name, text):
@@ -31,6 +34,12 @@ class TestLoadDataset:
     def test_malformed_row_has_line_number(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b,label\n1,0,0\n1,oops,1\n")
         with pytest.raises(ConfigError, match=":3"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_has_line_number(self, tmp_path, cell):
+        path = write(tmp_path, "d.csv", f"a,b,label\n1,0,0\n1,{cell},1\n")
+        with pytest.raises(ConfigError, match=":3: non-finite"):
             load_dataset(path)
 
     def test_colinear_pair_reported(self, tmp_path):
@@ -103,6 +112,33 @@ class TestOutputs:
         assert payload["train_acc"] == 1.0
         assert payload["min_eig"] > 0
 
+    @pytest.mark.parametrize("arch", [
+        Architecture("ffnn"), Architecture("cnn", 4, 1),
+        Architecture("resnet_dense"), Architecture("resnet_conv", 4, 1),
+        Architecture("scaled_resnet_dense"), Architecture("scaled_resnet_conv", 4, 1),
+    ], ids=lambda a: a.kind)
+    def test_kernel_every_architecture(self, tmp_path, arch):
+        # two channels, each constant over M = 4 positions: translation
+        # invariant, so conv kinds reduce to a per-depth scalar trace
+        x = np.repeat([0.7, -0.4], 4)
+        xp = np.repeat([0.2, 0.9], 4)
+        rows = [",".join(map(str, v.tolist())) + f",{lab}"
+                for lab, v in enumerate((x, xp))]
+        data = write(tmp_path, "pair.csv", ",".join(["f"] * 8) + ",label\n"
+                     + "\n".join(rows) + "\n")
+        out = str(tmp_path / "k.csv")
+        rc = main(["kernel", "--arch", arch.kind, "--activation", "relu",
+                   "--sigma-b", "0.2", "--sigma-w", "1.1", "--depth", "5",
+                   "--input", data, "--channels", "2", "-o", out])
+        assert rc == 0
+        body = [ln.split(",") for ln in open(out).read().splitlines()
+                if not ln.startswith("#")]
+        got = [float(r[body[0].index("K_normalized")]) for r in body[1:]]
+        pair = (InputPair(x.reshape(2, 4), xp.reshape(2, 4)) if arch.is_conv
+                else InputPair(x, xp))
+        trace = ntk_trace(arch, pair, make_activation("relu"), InitParams(0.2, 1.1), 5)
+        np.testing.assert_allclose(got, normalize(trace, arch.scheme), rtol=1e-15)
+
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         cfg = write(tmp_path, "cfg.txt", "depth = 4\nsphere-d = 8\n")
         out = str(tmp_path / "k.csv")
@@ -131,6 +167,23 @@ class TestExitCodes:
                    "--sigma-b", "0.0", "--sigma-w", "1.9",
                    "-o", str(tmp_path / "r.csv")])
         assert rc == 3
+
+    def test_kernel_input_with_inf_is_config_error(self, tmp_path, capsys):
+        data = write(tmp_path, "pair.csv", "a,b,label\n1,0,0\n0,inf,1\n")
+        rc = main(["kernel", "--activation", "relu", "--phase", "eoc",
+                   "--depth", "3", "--input", data, "-o", str(tmp_path / "k.csv")])
+        assert rc == 2
+        assert f"{data}:3: non-finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "k.csv")
+
+    def test_train_data_with_nan_names_the_line(self, tmp_path, capsys):
+        rows = "".join(f"{np.cos(a)},{np.sin(a)},{i % 2}\n"
+                       for i, a in enumerate(np.linspace(0.1, 3.0, 8)))
+        data = write(tmp_path, "d.csv", "a,b,label\n" + rows + "nan,1,0\n")
+        rc = main(["train", "--activation", "relu", "--phase", "eoc",
+                   "--depth", "3", "--data", data, "-o", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert f"{data}:10: non-finite" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         rc = main(["phase", "--activation", "relu", "--sigma-b-grid", "0,1",

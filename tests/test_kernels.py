@@ -6,14 +6,16 @@ from deepntk.activations import make_activation, relu_f, relu_f_prime
 from deepntk.errors import AssumptionViolatedError, DivergenceError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, limiting_kernel, normalize,
-                             ntk_cnn, ntk_ffnn, ntk_resnet_conv,
-                             ntk_resnet_dense, ntk_scaled_resnet,
-                             scaled_resnet_growth_constant)
+                             ntk_trace, scaled_resnet_growth_constant)
 from deepntk.phase import InitParams, eoc_curve
+from deepntk.spectral import KernelConfig, zonal_profile
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
 EOC_RELU = InitParams(0.0, np.sqrt(2.0))
+FFNN = Architecture("ffnn")
+RESNET = Architecture("resnet_dense")
+SCALED = Architecture("scaled_resnet_dense")
 
 
 @pytest.fixture(scope="module")
@@ -82,20 +84,20 @@ class TestFfnn:
     def test_relu_critical_diagonal_linear(self):
         d = 4
         x = np.full(d, 1.0)  # ||x||^2 = d
-        tr = ntk_ffnn(InputPair(x, x), RELU, EOC_RELU, 10)
+        tr = ntk_trace(FFNN, InputPair(x, x), RELU, EOC_RELU, 10)
         assert abs(tr.ntk[-1] - 20.0) < 1e-12
         np.testing.assert_allclose(tr.ntk, 2.0 * np.arange(1, 11), rtol=1e-14)
 
     def test_first_layer_orthogonal_inputs(self):
         x = np.array([1.0, 0.0])
         xp = np.array([0.0, 1.0])
-        tr = ntk_ffnn(InputPair(x, xp), RELU, InitParams(0.0, 1.0), 1)
+        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 1.0), 1)
         assert tr.ntk[0] == 0.0
 
     def test_first_layer_value(self, rng):
         x, xp = rng.standard_normal((2, 5))
         p = InitParams(0.4, 1.1)
-        tr = ntk_ffnn(InputPair(x, xp), TANH, p, 3)
+        tr = ntk_trace(FFNN, InputPair(x, xp), TANH, p, 3)
         expect = p.sigma_b**2 + p.sigma_w**2 * (x @ xp) / 5
         assert abs(tr.ntk[0] - expect) < 1e-14
 
@@ -105,27 +107,27 @@ class TestFfnn:
         pair = InputPair(x, xp)
         lam = limiting_kernel(Architecture("ffnn"), RELU, p, pair)
         # oracle: run the recursion itself to depth 500 (geometric tail)
-        deep = ntk_ffnn(pair, RELU, p, 500)
+        deep = ntk_trace(FFNN, pair, RELU, p, 500)
         assert abs(deep.ntk[-1] - lam) < 1e-12
-        tr = ntk_ffnn(pair, RELU, p, 60)
+        tr = ntk_trace(FFNN, pair, RELU, p, 60)
         assert abs(tr.ntk[-1] - lam) < 1e-6
 
     def test_chaotic_relu_overflow_flagged(self, rng):
         x, xp = rng.standard_normal((2, 6))
-        tr = ntk_ffnn(InputPair(x, xp), RELU, InitParams(0.0, 2.0), 3000)
+        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 2.0), 3000)
         assert tr.overflow
         assert np.all(np.isfinite(tr.log_qx))
         assert np.isinf(tr.qx[-1])
 
     def test_trace_correlations_bounded(self, rng):
         x, xp = rng.standard_normal((2, 6))
-        tr = ntk_ffnn(InputPair(x, xp), TANH, InitParams(0.3, 1.5), 100)
+        tr = ntk_trace(FFNN, InputPair(x, xp), TANH, InitParams(0.3, 1.5), 100)
         assert np.all(np.abs(tr.corr) <= 1.0)
 
     def test_pair_swap_symmetry(self, rng):
         x, xp = rng.standard_normal((2, 6))
-        a = ntk_ffnn(InputPair(x, xp), RELU, InitParams(0.5, 1.2), 25).ntk
-        b = ntk_ffnn(InputPair(xp, x), RELU, InitParams(0.5, 1.2), 25).ntk
+        a = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.5, 1.2), 25).ntk
+        b = ntk_trace(FFNN, InputPair(xp, x), RELU, InitParams(0.5, 1.2), 25).ntk
         assert np.array_equal(a, b)
 
 
@@ -136,8 +138,8 @@ class TestCnn:
         cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
         pair = InputPair(cx, cxp)
         p = InitParams(0.3, 1.2)
-        full = ntk_cnn(pair, RELU, p, M, k, 50, assumption1=False)
-        scalar = ntk_cnn(pair, RELU, p, M, k, 50, assumption1=True)
+        full = ntk_trace(Architecture("cnn", M, k, False), pair, RELU, p, 50)
+        scalar = ntk_trace(Architecture("cnn", M, k, True), pair, RELU, p, 50)
         dev = np.abs(full.ntk - scalar.ntk[:, None, None]).max()
         assert dev < 1e-10
 
@@ -146,7 +148,7 @@ class TestCnn:
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         p = InitParams(0.4, 1.3)
-        tr = ntk_cnn(InputPair(x, xp), RELU, p, M, k, 1, assumption1=False)
+        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU, p, 1)
         expected = (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
                     / (n0 * (2 * k + 1)) + p.sigma_b**2)
         np.testing.assert_allclose(tr.ntk[0], expected, atol=1e-14)
@@ -157,8 +159,8 @@ class TestCnn:
         n0, M, k = 2, 5, 2
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
-        tr = ntk_cnn(InputPair(x, xp), RELU, InitParams(0.2, 1.1), M, k, 4,
-                     assumption1=False)
+        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU,
+                       InitParams(0.2, 1.1), 4)
         K2 = tr.ntk[1]
         for off in range(M):
             diag = [K2[a, (a + off) % M] for a in range(M)]
@@ -169,7 +171,7 @@ class TestCnn:
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         p = InitParams(0.3, 1.1)
-        tr = ntk_cnn(InputPair(x, xp), RELU, p, M, k, L, assumption1=False)
+        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU, p, L)
         oracle = brute_force_conv_ntk(x, xp, p, M, k, L, residual=False)
         np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
 
@@ -178,8 +180,8 @@ class TestCnn:
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         with pytest.raises(AssumptionViolatedError):
-            ntk_cnn(InputPair(x, xp), RELU, InitParams(0.3, 1.1), M, k, 3,
-                    assumption1=True)
+            ntk_trace(Architecture("cnn", M, k, True), InputPair(x, xp), RELU,
+                      InitParams(0.3, 1.1), 3)
 
     def test_filter_width_validation(self):
         with pytest.raises(ValueError):
@@ -190,14 +192,14 @@ class TestResnetDense:
     def test_variance_growth_closed_form(self):
         d = 6
         x = np.full(d, 1.0)
-        tr = ntk_resnet_dense(InputPair(x, x), RELU, EOC_RELU, 12)
+        tr = ntk_trace(RESNET, InputPair(x, x), RELU, EOC_RELU, 12)
         expect = (1.0 + 1.0) ** np.arange(12) * 2.0  # (1+sw^2/2)^{l-1} sw^2 ||x||^2/d
         np.testing.assert_allclose(tr.qx, expect, rtol=1e-13)
 
     def test_first_layer_matches_dense(self, rng):
         x, xp = rng.standard_normal((2, 5))
         p = InitParams(0.3, 1.0)
-        tr = ntk_resnet_dense(InputPair(x, xp), RELU, p, 1)
+        tr = ntk_trace(RESNET, InputPair(x, xp), RELU, p, 1)
         assert abs(tr.ntk[0] - (p.sigma_b**2 + p.sigma_w**2 * (x @ xp) / 5)) < 1e-14
 
     def test_normalized_diagonal_limit_and_rate(self):
@@ -207,7 +209,7 @@ class TestResnetDense:
         d = 6
         x = np.full(d, 1.0)
         pair = InputPair(x, x)
-        tr = ntk_resnet_dense(pair, RELU, EOC_RELU, 4096)
+        tr = ntk_trace(RESNET, pair, RELU, EOC_RELU, 4096)
         nk = normalize(tr, "resnet")
         lim = limiting_kernel(Architecture("resnet_dense"), RELU, EOC_RELU, pair)
         assert abs(lim - 1.0) < 1e-14  # (1/2) * 2.0
@@ -220,12 +222,12 @@ class TestResnetDense:
     def test_exact_small_depth_values(self):
         # hand-computed: K^1..K^4 = 2, 6, 16, 40 at sigma_w = sqrt(2), q1 = 2
         x = np.full(4, 1.0)
-        tr = ntk_resnet_dense(InputPair(x, x), RELU, EOC_RELU, 4)
+        tr = ntk_trace(RESNET, InputPair(x, x), RELU, EOC_RELU, 4)
         np.testing.assert_allclose(tr.ntk, [2.0, 6.0, 16.0, 40.0], rtol=1e-14)
 
     def test_log_representation_survives_great_depth(self):
         x = np.full(4, 1.0)
-        tr = ntk_resnet_dense(InputPair(x, x), RELU, EOC_RELU, 2000)
+        tr = ntk_trace(RESNET, InputPair(x, x), RELU, EOC_RELU, 2000)
         assert np.isinf(tr.ntk[-1])  # raw value overflows past ~1000 layers
         assert np.isfinite(tr.ntk_log[-1])
         nk = normalize(tr, "resnet")
@@ -234,7 +236,7 @@ class TestResnetDense:
     def test_tanh_rejected(self, rng):
         x, xp = rng.standard_normal((2, 5))
         with pytest.raises(ValueError):
-            ntk_resnet_dense(InputPair(x, xp), TANH, InitParams(0.1, 1.0), 4)
+            ntk_trace(RESNET, InputPair(x, xp), TANH, InitParams(0.1, 1.0), 4)
 
 
 class TestResnetConv:
@@ -244,8 +246,8 @@ class TestResnetConv:
         cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
         pair = InputPair(cx, cxp)
         p = InitParams(0.2, 1.2)
-        full = ntk_resnet_conv(pair, p, M, k, 30, assumption1=False)
-        dense = ntk_resnet_dense(InputPair(cx[:, 0], cxp[:, 0]), RELU, p, 30)
+        full = ntk_trace(Architecture("resnet_conv", M, k, False), pair, RELU, p, 30)
+        dense = ntk_trace(RESNET, InputPair(cx[:, 0], cxp[:, 0]), RELU, p, 30)
         # first-layer covariances coincide for constant channels, so the
         # scalar recursions must agree at every position pair; kernels grow
         # geometrically here, so compare relative to the depth scale
@@ -258,7 +260,8 @@ class TestResnetConv:
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         p = InitParams(0.5, 0.9)
-        tr = ntk_resnet_conv(InputPair(x, xp), p, M, k, 1, assumption1=False)
+        tr = ntk_trace(Architecture("resnet_conv", M, k, False), InputPair(x, xp),
+                       RELU, p, 1)
         expected = (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
                     / (n0 * (2 * k + 1)) + p.sigma_b**2)
         np.testing.assert_allclose(tr.ntk[0], expected, atol=1e-14)
@@ -268,7 +271,8 @@ class TestResnetConv:
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         p = InitParams(0.3, 1.1)
-        tr = ntk_resnet_conv(InputPair(x, xp), p, M, k, L, assumption1=False)
+        tr = ntk_trace(Architecture("resnet_conv", M, k, False), InputPair(x, xp),
+                       RELU, p, L)
         oracle = brute_force_conv_ntk(x, xp, p, M, k, L, residual=True)
         np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
 
@@ -277,7 +281,7 @@ class TestScaledResnet:
     def test_variance_product_formula(self):
         d = 6
         x = np.full(d, 1.0)
-        tr = ntk_scaled_resnet(InputPair(x, x), EOC_RELU, 50)
+        tr = ntk_trace(SCALED, InputPair(x, x), RELU, EOC_RELU, 50)
         ls = np.arange(2, 51)
         expect = 2.0 * np.concatenate(([1.0], np.cumprod(1.0 + 1.0 / ls)))
         np.testing.assert_allclose(tr.qx, expect, rtol=1e-13)
@@ -285,8 +289,8 @@ class TestScaledResnet:
     def test_first_layer_matches_resnet(self, rng):
         x, xp = rng.standard_normal((2, 5))
         p = InitParams(0.2, 1.3)
-        a = ntk_scaled_resnet(InputPair(x, xp), p, 1)
-        b = ntk_resnet_dense(InputPair(x, xp), RELU, p, 1)
+        a = ntk_trace(SCALED, InputPair(x, xp), RELU, p, 1)
+        b = ntk_trace(RESNET, InputPair(x, xp), RELU, p, 1)
         assert a.ntk[0] == b.ntk[0]
 
     def test_growth_envelope(self):
@@ -296,7 +300,7 @@ class TestScaledResnet:
         # sequence is bounded and slowly varying over two decades of depth
         d = 6
         x = np.full(d, 1.0)
-        tr = ntk_scaled_resnet(InputPair(x, x), EOC_RELU, 10**4)
+        tr = ntk_trace(SCALED, InputPair(x, x), RELU, EOC_RELU, 10**4)
         ls = np.arange(1, 10**4 + 1, dtype=np.float64)
         comp = tr.ntk / (ls * np.log(np.maximum(ls, 2.0)))
         window = comp[100:]
@@ -318,8 +322,8 @@ class TestScaledResnet:
         p = InitParams(0.2, 1.2)
         arch = Architecture("scaled_resnet_conv", positions=M,
                             filter_half_width=k, assumption1=False)
-        full = ntk_scaled_resnet(pair, p, 25, conv=arch)
-        dense = ntk_scaled_resnet(InputPair(cx[:, 0], cxp[:, 0]), p, 25)
+        full = ntk_trace(arch, pair, RELU, p, 25)
+        dense = ntk_trace(SCALED, InputPair(cx[:, 0], cxp[:, 0]), RELU, p, 25)
         rel = (np.abs(full.ntk - dense.ntk[:, None, None])
                / np.abs(dense.ntk)[:, None, None]).max()
         assert rel < 1e-12
@@ -328,7 +332,7 @@ class TestScaledResnet:
 class TestNormalize:
     def test_average_critical_diagonal_constant(self):
         x = np.full(4, 1.0)
-        tr = ntk_ffnn(InputPair(x, x), RELU, EOC_RELU, 64)
+        tr = ntk_trace(FFNN, InputPair(x, x), RELU, EOC_RELU, 64)
         nk = normalize(tr, "average")
         np.testing.assert_allclose(nk, 2.0, rtol=1e-13)
 
@@ -339,17 +343,30 @@ class TestNormalize:
         p = InitParams(0.2, 1.1)
         pairs = InputPair(x, xp)
         for trace, scheme in (
-                (ntk_ffnn(pairs, RELU, p, 1), "average"),
-                (ntk_resnet_dense(pairs, RELU, p, 1), "resnet"),
-                (ntk_scaled_resnet(pairs, p, 1), "scaled")):
+                (ntk_trace(FFNN, pairs, RELU, p, 1), "average"),
+                (ntk_trace(RESNET, pairs, RELU, p, 1), "resnet"),
+                (ntk_trace(SCALED, pairs, RELU, p, 1), "scaled")):
             assert normalize(trace, scheme)[0] == pytest.approx(
                 trace.ntk[0], rel=1e-14)
 
     def test_scheme_architecture_mismatch(self, rng):
         x, xp = rng.standard_normal((2, 5))
-        tr = ntk_ffnn(InputPair(x, xp), RELU, InitParams(0.2, 1.1), 4)
+        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.2, 1.1), 4)
         with pytest.raises(ValueError):
             normalize(tr, "resnet")
+
+    @pytest.mark.parametrize("arch", [FFNN, RESNET, SCALED], ids=lambda a: a.kind)
+    def test_zonal_profile_matches_normalized_trace(self, arch):
+        # zonal_profile and normalize must apply the same alpha_L
+        d, L, t = 5, 40, 0.3
+        p = InitParams(0.2, 1.1)
+        x = np.zeros(d); x[0] = 1.0
+        xp = np.zeros(d); xp[0] = t; xp[1] = np.sqrt(1.0 - t * t)
+        profile = zonal_profile(KernelConfig(arch, RELU, p, arch.scheme), d, L,
+                                np.array([t]))
+        trace = ntk_trace(arch, InputPair(x, xp), RELU, p, L)
+        np.testing.assert_allclose(profile[0], normalize(trace, arch.scheme)[-1],
+                                   rtol=1e-13)
 
 
 class TestLimitingKernel:
@@ -391,7 +408,7 @@ class TestLimitingKernel:
         x, xp = rng.standard_normal((2, 9))
         pair = InputPair(x, xp)
         lam = limiting_kernel(Architecture("ffnn"), TANH, p, pair)
-        deep = ntk_ffnn(pair, TANH, p, 400)
+        deep = ntk_trace(FFNN, pair, TANH, p, 400)
         assert abs(deep.ntk[-1] - lam) < 1e-8
 
     def test_chaotic_tanh_diagonal_diverges(self, rng):
