@@ -16,9 +16,10 @@ columns.  Outputs are written atomically (temp file + rename).  Exit codes:
 0 ok, 2 config error, 3 numeric error, 4 io error.
 
 Config precedence: command-line flags > --config file (flat ``key = value``
-lines, keys matching long option names) > built-in defaults.  BLAS thread
-counts follow the standard OPENBLAS_NUM_THREADS / OMP_NUM_THREADS variables,
-which numpy reads at import: set them before the process starts.
+lines, keys matching the subcommand's long option names) > built-in
+defaults.  BLAS thread counts follow the standard OPENBLAS_NUM_THREADS /
+OMP_NUM_THREADS variables, which numpy reads at import: set them before
+the process starts.
 """
 from __future__ import annotations
 
@@ -37,8 +38,7 @@ from .asymptotics import default_depth_grid, fit_rate
 from .errors import NumericError
 from .gaussmath import gauss_hermite
 from .kernels import (Architecture, InputPair, dense_layer_arrays,
-                      first_layer_cov, limiting_kernel, log_alpha, normalize,
-                      ntk_trace)
+                      first_layer_cov, limiting_kernel, normalize, ntk_trace)
 from .phase import InitParams, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
                          one_hot, predict)
@@ -115,16 +115,20 @@ def write_json(path: str, args: argparse.Namespace, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def load_dataset(path: str, normalize_mode: str = "none") -> Dataset:
-    """CSV with a header row, numeric feature columns, final label column."""
+    """CSV with a header row, numeric feature columns, final label column.
+
+    Blank and ``#`` lines are skipped; messages name the line of the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    rows = [ln for ln in lines if ln.strip() and not ln.startswith("#")]
+    rows = [(idx, ln) for idx, ln in enumerate(lines, start=1)
+            if ln.strip() and not ln.startswith("#")]
     if len(rows) < 2:
         raise ConfigError(f"{path}: need a header row and at least one data row")
     features = []
     labels = []
     width = None
-    for idx, line in enumerate(rows[1:], start=2):
+    for idx, line in rows[1:]:
         parts = line.split(",")
         if width is None:
             width = len(parts)
@@ -145,7 +149,7 @@ def load_dataset(path: str, normalize_mode: str = "none") -> Dataset:
         norms = np.linalg.norm(X, axis=1)
         zero = np.nonzero(norms == 0)[0]
         if zero.size:
-            raise ConfigError(f"{path}: row {zero[0] + 2} has zero norm")
+            raise ConfigError(f"{path}: row {rows[zero[0] + 1][0]} has zero norm")
         X = X / norms[:, None]
     Z = one_hot(np.asarray(labels))
     return Dataset(X, Z)
@@ -191,8 +195,7 @@ def _architecture_from(args) -> Architecture:
     kind = args.arch
     if kind in ("cnn", "resnet_conv", "scaled_resnet_conv"):
         return Architecture(kind, positions=args.positions,
-                            filter_half_width=args.filter_k,
-                            assumption1=not args.no_assumption1)
+                            filter_half_width=args.filter_k)
     return Architecture(kind)
 
 
@@ -257,9 +260,6 @@ def cmd_kernel(args) -> int:
     arch = _architecture_from(args)
     L = args.depth
     trace = ntk_trace(arch, pair, act, params, L)
-    if trace.ntk.ndim > 1:
-        raise ConfigError("full-grid conv traces are not CSV-serializable; "
-                          "run with Assumption 1 inputs")
     normalized = normalize(trace, arch.scheme)
     rows = [(l + 1, trace.qx[l], trace.qxp[l], trace.corr[l], trace.qdot[l],
              trace.ntk[l], normalized[l]) for l in range(L)]
@@ -288,9 +288,9 @@ def cmd_rates(args) -> int:
     targets = rng.uniform(-0.9, 0.9, args.pairs)
     qdiag = first_layer_cov(params, 1.0, d)
     qcov0 = first_layer_cov(params, targets, d)
-    arrays = dense_layer_arrays(args.arch, act, params,
-                                np.full(args.pairs, qdiag),
-                                np.full(args.pairs, qdiag), qcov0, L)
+    trace = dense_layer_arrays(args.arch, act, params,
+                               np.full(args.pairs, qdiag),
+                               np.full(args.pairs, qdiag), qcov0, L)
     x0 = synthetic_sphere(d, 2, args.seed)
     lim = limiting_kernel(Architecture(args.arch), act, params,
                           InputPair(x0[0], x0[1]))
@@ -299,19 +299,18 @@ def cmd_rates(args) -> int:
     report = classify(act, params) if args.arch == "ffnn" else None
     ls = np.arange(1, L + 1, dtype=np.float64)[:, None]
     if args.arch == "ffnn" and report.phase == "eoc":
-        values = arrays["ntk"] / ls
+        values = trace.ntk / ls
         model = "power"
     elif args.arch == "resnet_dense":
-        values = arrays["ntk_sign"] * np.exp(
-            arrays["ntk_log"] - log_alpha("resnet", params.sigma_w, ls))
+        values = normalize(trace, "resnet")
         model = "power"
     elif args.arch == "scaled_resnet_dense":
         half = params.sigma_w**2 / 2.0
         envelope = ls**half * np.log(np.maximum(ls, 2.0))
-        values = arrays["ntk"] / envelope
+        values = trace.ntk / envelope
         model = "inv_log"
     else:
-        values = arrays["ntk"]
+        values = trace.ntk
         model = "exp"
     resid = np.maximum(np.abs(values - lim), 1e-300)
     r = resid[np.asarray(grid) - 1].max(axis=1)
@@ -483,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=1, help="n0 for conv inputs")
     p.add_argument("--positions", type=int, default=None)
     p.add_argument("--filter-k", type=int, default=1)
-    p.add_argument("--no-assumption1", action="store_true")
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_kernel)
 
@@ -536,8 +534,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject config-file values as defaults (flags still win)."""
+def _apply_config_file(argv: list[str]) -> list[str]:
+    """Insert config-file values as ``--key=value`` right after the subcommand.
+
+    Flags given on the command line come later, so they win; argparse
+    converts the values and rejects keys the subcommand does not have.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -545,7 +547,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         path = argv[idx + 1]
     except IndexError:
         raise ConfigError("--config needs a path") from None
-    defaults = {}
+    tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for ln, line in enumerate(fh, start=1):
@@ -555,24 +557,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
                 if "=" not in line:
                     raise ConfigError(f"{path}:{ln}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
-                defaults[key.replace("-", "_")] = value
+                tokens.append(f"--{key.replace('_', '-')}={value}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
-    for sub in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        for action in sub._actions:  # noqa: SLF001
-            if action.dest in defaults:
-                raw = defaults[action.dest]
-                value = action.type(raw) if action.type else raw
-                sub.set_defaults(**{action.dest: value})
-                action.required = False
-    return argv
+    # the subcommand is the first token that is neither an option nor the path
+    command = next((i for i, tok in enumerate(argv)
+                    if i != idx + 1 and not tok.startswith("-")), len(argv) - 1)
+    return argv[:command + 1] + tokens + argv[command + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
     except ConfigError as exc:
         print(f"deepntk: config error: {exc}", file=sys.stderr)

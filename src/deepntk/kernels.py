@@ -20,13 +20,23 @@ q^l = q^{l-1} + qhat^l is what propagates forward).  Scaled residual
 blocks carry a 1/sqrt(l) factor, so their kernel contributions scale
 by 1/l.
 
-Residual variances grow like (1 + sigma_w^2/2)^L; those recursions run in
-a rescaled representation and the trace stores log-magnitudes alongside
-(possibly overflowed) raw values.
+Every dense kind runs one layer step.  With the layer weight w_l (1/l for
+scaled residual kinds, 1 otherwise) the block covariance and the kernel
+multiplier are
+
+    block^l = w_l (sigma_b^2 + sigma_w^2 E[phi phi]),   qdot^l = w_l sigma_w^2 E[phi' phi'];
+
+a feedforward layer replaces the state by the block, a residual layer adds
+it.  Residual variances grow like (1 + sigma_w^2/2)^L and ReLU ones with
+sigma_b = 0 like (sigma_w^2/2)^L, so the state is renormalised: when the
+largest variance leaves [1e-150, 1e150] (_RENORM_LIMIT) the whole state is
+divided by it and its log is added to a per-layer ``scale_log``.  Raw values
+are state * exp(scale_log); the log fields of ``KernelTrace`` stay finite
+at any depth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,10 +45,8 @@ from .activations import (
     _diag_expectation,
     phiphi_expectation,
     phiprime_expectation,
-    relu_f,
-    relu_f_prime,
 )
-from .errors import DivergenceError
+from .errors import AssumptionViolatedError, DivergenceError
 from .gaussmath import clamp_correlation
 from .phase import InitParams, classify
 
@@ -47,8 +55,10 @@ _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
 #: recursion of the dense kind at its index
 _CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 
-#: variances beyond this flag the trace as overflowed (chaotic ReLU)
-_OVERFLOW_LIMIT = 1e300
+#: a variance above this or below its inverse is divided out of the
+#: recursion state; sqrt(float max) bounds it, so that qx * qxp in the
+#: correlation neither overflows nor underflows
+_RENORM_LIMIT = 1e150
 
 
 def _layer_correlation(qcov, qx, qxp):
@@ -141,30 +151,78 @@ class InputPair:
 
 @dataclass
 class KernelTrace:
-    """Per-depth record of one kernel recursion.
+    """Per-depth state of one kernel recursion.
 
-    Arrays have length L for dense kernels and shape (L, M, M) for full-grid
-    conv kernels.  ``qdot`` at layer 1 is NaN (there is no previous layer).
-    ``ntk_log``/``ntk_sign`` and ``log_qx``/``log_qxp`` stay finite even when
-    the raw values overflow (residual kernels grow geometrically).
+    State arrays have shape (L,) + the input shape: (L,) for one dense pair,
+    (L, P) for P pairs given as arrays, (L, M, M) for full-grid conv
+    kernels, whose ``vx``/``vxp`` are per-position variance grids.  The
+    stored state is the raw value divided by exp(scale_log[l]); scale_log
+    changes only when a variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT]
+    (see the module docstring).  ``qdot`` at layer 1 is NaN (there is no
+    previous layer).  The raw values ``qx``, ``qxp``, ``qcov`` and ``ntk`` overflow to inf (or
+    underflow to 0) once exp(scale_log) does; ``log_qx``, ``log_qxp``,
+    ``ntk_log``/``ntk_sign`` and ``corr`` stay finite.
     """
 
     architecture: Architecture
     activation: str
     params: InitParams
     depth: int
-    qx: np.ndarray
-    qxp: np.ndarray
-    qcov: np.ndarray
-    corr: np.ndarray
+    vx: np.ndarray
+    vxp: np.ndarray
+    vcov: np.ndarray
+    wK: np.ndarray
     qdot: np.ndarray
-    ntk: np.ndarray
-    log_qx: np.ndarray
-    log_qxp: np.ndarray
-    ntk_log: np.ndarray
-    ntk_sign: np.ndarray
-    overflow: bool = False
-    extras: dict = field(default_factory=dict)
+    scale_log: np.ndarray
+
+    def _log_scale(self) -> np.ndarray:
+        return self.scale_log.reshape((-1,) + (1,) * (self.vx.ndim - 1))
+
+    def _raw(self, state: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return state * np.exp(self._log_scale())
+
+    @property
+    def qx(self) -> np.ndarray:
+        return self._raw(self.vx)
+
+    @property
+    def qxp(self) -> np.ndarray:
+        return self._raw(self.vxp)
+
+    @property
+    def qcov(self) -> np.ndarray:
+        return self._raw(self.vcov)
+
+    @property
+    def ntk(self) -> np.ndarray:
+        return self._raw(self.wK)
+
+    @property
+    def corr(self) -> np.ndarray:
+        return _layer_correlation(self.vcov, self.vx, self.vxp)
+
+    @property
+    def log_qx(self) -> np.ndarray:
+        return np.log(self.vx) + self._log_scale()
+
+    @property
+    def log_qxp(self) -> np.ndarray:
+        return np.log(self.vxp) + self._log_scale()
+
+    @property
+    def ntk_log(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.wK)) + self._log_scale()
+
+    @property
+    def ntk_sign(self) -> np.ndarray:
+        return np.sign(self.wK)
+
+    @property
+    def overflow(self) -> bool:
+        """Whether the recursion was renormalised at some layer."""
+        return bool(np.any(self.scale_log))
 
 
 def first_layer_cov(params: InitParams, inner, dim):
@@ -195,112 +253,51 @@ def _require_relu(kind: str, activation: ActivationModel) -> None:
 # ---------------------------------------------------------------------------
 
 def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParams,
-                       qx0, qxp0, qcov0, L: int) -> dict:
+                       qx0, qxp0, qcov0, L: int) -> KernelTrace:
     """Run a dense kernel recursion from first-layer covariances.
 
-    Returns per-layer arrays of shape (L, P): qx, qxp, qcov, corr, qdot, ntk,
-    log_qx, log_qxp, ntk_log, ntk_sign, plus an ``overflow`` flag.  Residual
-    recursions are computed in a rescaled space so the log outputs remain
-    finite at any depth.
+    The first-layer variances and covariances may be scalars or arrays of
+    one shape (one entry per input pair); the trace arrays have shape
+    (L,) + that shape.  One layer step serves all dense kinds (see the
+    module docstring).
     """
     if kind not in _DENSE_KINDS:
         raise ValueError(f"not a dense kind: {kind}")
     _require_relu(kind, activation)
-    qx0 = np.atleast_1d(np.asarray(qx0, dtype=np.float64))
-    qxp0 = np.atleast_1d(np.asarray(qxp0, dtype=np.float64))
-    qcov0 = np.atleast_1d(np.asarray(qcov0, dtype=np.float64))
-    P = qx0.size
+    arch = Architecture(kind)
+    first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                  for a in (qx0, qxp0, qcov0)))
+    shape = first[0].shape
+    vx, vxp, vcov = (a.ravel() for a in first)
+    wK = vcov
+    qdot = np.full(vx.size, np.nan)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
-    alpha = sw2 / 2.0
-    beta = 1.0 + alpha  # residual per-layer variance growth factor
+    skip = 1.0 if arch.is_residual else 0.0
+    weights = 1.0 / np.arange(1, L + 1) if arch.is_scaled else np.ones(L)
+    hist = np.empty((5, L, vx.size))
+    scale_log = np.zeros(L)
+    log_scale = 0.0
 
-    out = {name: np.empty((L, P)) for name in
-           ("qx", "qxp", "qcov", "corr", "qdot", "ntk",
-            "log_qx", "log_qxp", "ntk_log", "ntk_sign")}
-    overflow = False
-
-    # scaled-space state: raw = value * exp(scale_log)
-    vx, vxp, vcov = qx0.copy(), qxp0.copy(), qcov0.copy()
-    wK = qcov0.copy()
-    scale_log = 0.0
-
-    def record(layer_idx, qdot_vals):
-        s = np.exp(scale_log) if scale_log < 700 else np.inf
-        c = _layer_correlation(vcov, vx, vxp)
-        out["qx"][layer_idx] = vx * s
-        out["qxp"][layer_idx] = vxp * s
-        out["qcov"][layer_idx] = vcov * s
-        out["corr"][layer_idx] = c
-        out["qdot"][layer_idx] = qdot_vals
-        out["ntk"][layer_idx] = wK * s
-        out["log_qx"][layer_idx] = np.log(vx) + scale_log
-        out["log_qxp"][layer_idx] = np.log(vxp) + scale_log
-        out["ntk_log"][layer_idx] = np.log(np.abs(wK)) + scale_log
-        out["ntk_sign"][layer_idx] = np.sign(wK)
-
-    # the chaotic-ReLU regime deliberately saturates raw values to inf once
-    # the 1e300 flag trips (the log-space fields stay exact); silence the
-    # resulting IEEE warnings for the recursion
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        record(0, np.full(P, np.nan))
-        for layer in range(2, L + 1):
+    for i in range(L):
+        if i:
+            w = weights[i]
             c = _layer_correlation(vcov, vx, vxp)
-            sb2_scaled = sb2 * np.exp(-scale_log) if scale_log < 700 else 0.0
-            if kind == "ffnn":
-                qdot = sw2 * phiprime_expectation(activation, vx, vxp, c)
-                cov_new = sb2_scaled + sw2 * phiphi_expectation(activation, vx, vxp, c)
-                vx_new = sb2_scaled + sw2 * _diag_expectation(activation, vx)
-                vxp_new = sb2_scaled + sw2 * _diag_expectation(activation, vxp)
-                wK = qdot * wK + cov_new
-                vx, vxp, vcov = vx_new, vxp_new, cov_new
-                if np.max(vx) > _OVERFLOW_LIMIT or np.max(vxp) > _OVERFLOW_LIMIT:
-                    # chaotic ReLU: renormalize so the recursion keeps running
-                    overflow = True
-                    shift = float(np.log(max(np.max(vx), np.max(vxp))))
-                    scale_log += shift
-                    f = np.exp(-shift)
-                    vx, vxp, vcov, wK = vx * f, vxp * f, vcov * f, wK * f
-            elif kind == "resnet_dense":
-                # state is raw/beta^{l-2}; a layer multiplies the scale by beta
-                qdot = alpha * relu_f_prime(c)
-                block = sb2_scaled / beta + (alpha / beta) * np.sqrt(vx * vxp) * relu_f(c)
-                wK = wK * (1.0 + qdot) / beta + block
-                vcov = vcov / beta + block
-                vx = vx + sb2_scaled / beta
-                vxp = vxp + sb2_scaled / beta
-                scale_log += np.log(beta)
-            else:  # scaled_resnet_dense
-                al = sw2 / (2.0 * layer)
-                qdot = al * relu_f_prime(c)
-                block = (sb2_scaled + alpha * np.sqrt(vx * vxp) * relu_f(c)) / layer
-                wK = wK * (1.0 + qdot) + block
-                vcov = vcov + block
-                vx = vx * (1.0 + al) + sb2_scaled / layer
-                vxp = vxp * (1.0 + al) + sb2_scaled / layer
-            record(layer - 1, qdot)
+            sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0  # rescaled bias
+            qdot = w * sw2 * phiprime_expectation(activation, vx, vxp, c)
+            block = w * (sb2_l + sw2 * phiphi_expectation(activation, vx, vxp, c))
+            vx = skip * vx + w * (sb2_l + sw2 * _diag_expectation(activation, vx))
+            vxp = skip * vxp + w * (sb2_l + sw2 * _diag_expectation(activation, vxp))
+            vcov = skip * vcov + block
+            wK = wK * (skip + qdot) + block
+            top = max(np.max(vx), np.max(vxp))
+            if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
+                vx, vxp, vcov, wK = vx / top, vxp / top, vcov / top, wK / top
+                log_scale += float(np.log(top))
+        hist[:, i] = vx, vxp, vcov, wK, qdot
+        scale_log[i] = log_scale
 
-    out["overflow"] = overflow
-    return out
-
-
-def _trace_from_arrays(arch: Architecture, activation: ActivationModel,
-                       params: InitParams, L: int, arrays: dict,
-                       squeeze: bool) -> KernelTrace:
-    def pick(name):
-        a = arrays[name]
-        return a[:, 0] if squeeze else a
-
-    return KernelTrace(
-        architecture=arch,
-        activation=activation.kind,
-        params=params,
-        depth=L,
-        qx=pick("qx"), qxp=pick("qxp"), qcov=pick("qcov"),
-        corr=pick("corr"), qdot=pick("qdot"), ntk=pick("ntk"),
-        log_qx=pick("log_qx"), log_qxp=pick("log_qxp"),
-        ntk_log=pick("ntk_log"), ntk_sign=pick("ntk_sign"),
-        overflow=arrays["overflow"],
-    )
+    return KernelTrace(arch, activation.kind, params, L,
+                       *hist.reshape((5, L) + shape), scale_log)
 
 
 def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
@@ -317,9 +314,8 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
         return _conv_trace(pair, activation, params, arch, L)
     if pair.is_conv:
         raise ValueError(f"{arch.kind} expects dense inputs")
-    arrays = dense_layer_arrays(arch.kind, activation, params,
-                                *first_layer_dense(pair, params), L)
-    return _trace_from_arrays(arch, activation, params, L, arrays, squeeze=True)
+    return dense_layer_arrays(arch.kind, activation, params,
+                              *first_layer_dense(pair, params), L)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +338,11 @@ def _grid_expectations(activation: ActivationModel, varx: np.ndarray,
     c = _layer_correlation(cov, v1, v2)
     qhat = sb2 + sw2 * phiphi_expectation(activation, v1, v2, c)
     qdot = sw2 * phiprime_expectation(activation, v1, v2, c)
-    return qhat, qdot, c
+    return qhat, qdot
 
 
 def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams,
                 arch: Architecture, L: int) -> KernelTrace:
-    from .errors import AssumptionViolatedError
-
     if not pair.is_conv:
         raise ValueError("conv kernels need (n0, M) inputs")
     M, k = arch.positions, arch.filter_half_width
@@ -370,52 +364,32 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
                 raise AssumptionViolatedError(
                     f"first-layer grid {name} varies by {np.ptp(g):.2e} > 1e-9"
                 )
-        arrays = dense_layer_arrays(_DENSE_KINDS[_CONV_KINDS.index(arch.kind)],
-                                    activation, params,
-                                    Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
-        return _trace_from_arrays(arch, activation, params, L, arrays, squeeze=True)
+        trace = dense_layer_arrays(_DENSE_KINDS[_CONV_KINDS.index(arch.kind)],
+                                   activation, params,
+                                   Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
+        return replace(trace, architecture=arch)
 
-    K = Cxp.copy()
-
-    shape = (L, M, M)
-    out = {name: np.empty(shape) for name in
-           ("qx", "qxp", "qcov", "corr", "qdot", "ntk",
-            "log_qx", "log_qxp", "ntk_log", "ntk_sign")}
-
-    def record(i, qdotg):
-        out["qx"][i], out["qxp"][i], out["qcov"][i] = Cxx, Cpp, Cxp
-        vx = np.diag(Cxx)[:, None] * np.ones((M, M))
-        vp = np.ones((M, M)) * np.diag(Cpp)[None, :]
-        out["corr"][i] = _layer_correlation(Cxp, vx, vp)
-        out["qdot"][i] = qdotg
-        out["ntk"][i] = K
-        out["log_qx"][i] = np.log(vx)
-        out["log_qxp"][i] = np.log(vp)
-        with np.errstate(divide="ignore"):
-            out["ntk_log"][i] = np.log(np.abs(K))
-        out["ntk_sign"][i] = np.sign(K)
-
-    record(0, np.full((M, M), np.nan))
-    for layer in range(2, L + 1):
-        scale = 1.0 / layer if arch.is_scaled else 1.0
-        qhat_xx, _, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cxx), Cxx, sb2, sw2)
-        qhat_pp, _, _ = _grid_expectations(activation, np.diag(Cpp), np.diag(Cpp), Cpp, sb2, sw2)
-        qhat_xp, qdot_xp, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cpp), Cxp, sb2, sw2)
-        psi = qdot_xp * scale * K + qhat_xp * scale
-        if arch.is_residual:
-            K = K + _circulant_average(psi, k)
-            Cxx = Cxx + scale * _circulant_average(qhat_xx, k)
-            Cpp = Cpp + scale * _circulant_average(qhat_pp, k)
-            Cxp = Cxp + scale * _circulant_average(qhat_xp, k)
-        else:
-            K = _circulant_average(psi, k)
-            Cxx = _circulant_average(qhat_xx, k)
-            Cpp = _circulant_average(qhat_pp, k)
-            Cxp = _circulant_average(qhat_xp, k)
-        record(layer - 1, qdot_xp * scale)
-
-    out["overflow"] = False
-    return _trace_from_arrays(arch, activation, params, L, out, squeeze=False)
+    K = Cxp
+    skip = 1.0 if arch.is_residual else 0.0
+    qdot = np.full((M, M), np.nan)
+    hist = np.empty((5, L, M, M))
+    for i in range(L):
+        if i:
+            scale = 1.0 / (i + 1) if arch.is_scaled else 1.0
+            qhat_xx, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cxx), Cxx, sb2, sw2)
+            qhat_pp, _ = _grid_expectations(activation, np.diag(Cpp), np.diag(Cpp), Cpp, sb2, sw2)
+            qhat_xp, qdot_xp = _grid_expectations(activation, np.diag(Cxx), np.diag(Cpp), Cxp, sb2, sw2)
+            qdot = qdot_xp * scale
+            psi = qdot * K + qhat_xp * scale
+            K = skip * K + _circulant_average(psi, k)
+            Cxx = skip * Cxx + scale * _circulant_average(qhat_xx, k)
+            Cpp = skip * Cpp + scale * _circulant_average(qhat_pp, k)
+            Cxp = skip * Cxp + scale * _circulant_average(qhat_xp, k)
+        # per-position variances broadcast over the (alpha, alpha') grid
+        state = (np.diag(Cxx)[:, None], np.diag(Cpp)[None, :], Cxp, K, qdot)
+        for h, v in zip(hist, state):
+            h[i] = v
+    return KernelTrace(arch, activation.kind, params, L, *hist, np.zeros(L))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationModel
-from .errors import InvalidDatasetError, SingularMatrixError
+from .errors import DivergenceError, InvalidDatasetError, SingularMatrixError
 from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
 
@@ -97,9 +97,8 @@ class TrainingState:
 
 def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
     """Depth-L kernel values from first-layer covariances (vectorized)."""
-    arrays = dense_layer_arrays(spec.architecture.kind, spec.activation,
-                                spec.params, qx, qxp, qcov, spec.depth)
-    return arrays["ntk"][-1]
+    return dense_layer_arrays(spec.architecture.kind, spec.activation,
+                              spec.params, qx, qxp, qcov, spec.depth).ntk[-1]
 
 
 def build_gram(dataset: Dataset, spec: KernelSpec,
@@ -115,6 +114,9 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     iu, ju = np.triu_indices(n)
     qcov = first_layer_cov(spec.params, (X[iu] * X[ju]).sum(axis=1), d)
     vals = kernel_values(spec, sq[iu], sq[ju], qcov)
+    if not np.all(np.isfinite(vals)):
+        raise DivergenceError(
+            f"Gram matrix has non-finite entries at depth {spec.depth}")
     gram = np.zeros((n, n))
     gram[iu, ju] = vals
     gram = gram + gram.T - np.diag(np.diag(gram))

@@ -200,8 +200,8 @@ def checks_kernels():
     g_xp = ker.first_layer_cov(po, cpair.conv_inner(kf), norm)[0, 0]
     g_xx = ker.first_layer_cov(po, ker.InputPair(cx, cx).conv_inner(kf), norm)[0, 0]
     g_pp = ker.first_layer_cov(po, ker.InputPair(cxp, cxp).conv_inner(kf), norm)[0, 0]
-    arrays = ker.dense_layer_arrays("ffnn", relu, po, g_xx, g_pp, g_xp, 20)
-    dev = np.abs(arrays["ntk"][:, 0] - tr_c.ntk).max()
+    dense = ker.dense_layer_arrays("ffnn", relu, po, g_xx, g_pp, g_xp, 20)
+    dev = np.abs(dense.ntk - tr_c.ntk).max()
     out.append(("kernels.assumption1_matches_ffnn", dev < 1e-10, f"{dev:.2e}"))
 
     # PSD of the Gram over 10 random inputs
@@ -229,12 +229,12 @@ def checks_asymptotics():
     po = InitParams(0.0, np.sqrt(2 * 0.99))
     grid = asy.default_depth_grid()
     qd = ker.first_layer_cov(po, 1.0, d)
-    arrays = ker.dense_layer_arrays("ffnn", relu, po, np.full(4, qd), np.full(4, qd),
-                                    ker.first_layer_cov(po, c1, d), grid[-1])
+    trace = ker.dense_layer_arrays("ffnn", relu, po, np.full(4, qd), np.full(4, qd),
+                                   ker.first_layer_cov(po, c1, d), grid[-1])
     lam = ker.limiting_kernel(
         ker.Architecture("ffnn"), relu, po,
         ker.InputPair(X[0], X[1]))
-    resid = np.abs(arrays["ntk"] - lam)[np.array(grid) - 1].max(axis=1)
+    resid = np.abs(trace.ntk - lam)[np.array(grid) - 1].max(axis=1)
     fe = asy.fit_rate(grid, resid, "exp")
     fp = asy.fit_rate(grid, resid, "power")
     out.append(("asymptotics.ordered_exp_beats_power",
@@ -245,9 +245,9 @@ def checks_asymptotics():
     pe = InitParams(0.0, np.sqrt(2))
     qd = ker.first_layer_cov(pe, 1.0, d)
     c1e = np.array([-0.5, 0.1, 0.6, 0.9])
-    arrays = ker.dense_layer_arrays("ffnn", relu, pe, np.full(4, qd), np.full(4, qd),
-                                    qd * c1e, grid[-1])
-    ak = arrays["ntk"] / np.arange(1, grid[-1] + 1)[:, None]
+    trace = ker.dense_layer_arrays("ffnn", relu, pe, np.full(4, qd), np.full(4, qd),
+                                   qd * c1e, grid[-1])
+    ak = trace.ntk / np.arange(1, grid[-1] + 1)[:, None]
     resid = np.abs(ak - qd / 4.0)[np.array(grid) - 1].max(axis=1)
     fp = asy.fit_rate(grid, resid, "power")
     dense1024 = np.unique(np.geomspace(32, 1024, 12).astype(int))
@@ -264,13 +264,13 @@ def checks_asymptotics():
     # against the depth-compensated reference (growth L^{sw^2/2} log L)
     ps = InitParams(0.0, np.sqrt(2))
     depths = np.unique(np.geomspace(100, 10000, 10).astype(int))
-    arrays = ker.dense_layer_arrays("scaled_resnet_dense", relu, ps,
-                                    np.full(4, qd), np.full(4, qd), qd * c1e,
-                                    int(depths[-1]))
+    trace = ker.dense_layer_arrays("scaled_resnet_dense", relu, ps,
+                                   np.full(4, qd), np.full(4, qd), qd * c1e,
+                                   int(depths[-1]))
     ls = np.arange(1, depths[-1] + 1, dtype=np.float64)
     half_sw2 = ps.sigma_w**2 / 2.0
     alpha_l = ls**half_sw2 * np.log(np.maximum(ls, 2.0))  # corrected growth envelope
-    comp = arrays["ntk"] / alpha_l[:, None]
+    comp = trace.ntk / alpha_l[:, None]
     c_pi = ker.scaled_resnet_growth_constant(ps)
     limit = half_sw2 * c_pi * qd / 4.0
     resid = np.abs(comp - limit)[depths - 1].max(axis=1)

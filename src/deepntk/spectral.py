@@ -26,7 +26,7 @@ import numpy as np
 from .activations import ActivationModel
 from .errors import ResolutionError
 from .gaussmath import QuadratureRule, gauss_jacobi
-from .kernels import Architecture, dense_layer_arrays, first_layer_cov, log_alpha
+from .kernels import Architecture, dense_layer_arrays, first_layer_cov, normalize
 from .phase import InitParams
 
 #: Gauss-Jacobi nodes used for the Funk-Hecke integrals.
@@ -144,15 +144,12 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
     qdiag = first_layer_cov(p, 1.0, d)
     qcov = first_layer_cov(p, grid, d)
     kind = config.architecture.kind
-    arrays = dense_layer_arrays(kind, config.activation, p,
-                                np.full_like(grid, qdiag),
-                                np.full_like(grid, qdiag), qcov, depth)
+    trace = dense_layer_arrays(kind, config.activation, p,
+                               np.full_like(grid, qdiag),
+                               np.full_like(grid, qdiag), qcov, depth)
     if config.scheme == "none":
-        return arrays["ntk"][-1]
-    ls = np.arange(1, depth + 1, dtype=np.float64)[:, None]
-    normalized = arrays["ntk_sign"] * np.exp(
-        arrays["ntk_log"] - log_alpha(config.scheme, p.sigma_w, ls))
-    return normalized[-1]
+        return trace.ntk[-1]
+    return normalize(trace, config.scheme)[-1]
 
 
 def decompose(profile: np.ndarray, d: int, k_max: int,

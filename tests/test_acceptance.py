@@ -141,7 +141,7 @@ def test_criterion_05_rate_discrimination(tanh_eoc):
         pairs = spread_sphere_pairs(d, 10, seed=11)
         arrays = sweep_pairs("ffnn", act, p, pairs, L)
         lam = limiting_kernel(Architecture("ffnn"), act, p, pairs[0])
-        resid = np.abs(arrays["ntk"] - lam)[gi].max(axis=1)
+        resid = np.abs(arrays.ntk - lam)[gi].max(axis=1)
         fe = fit_rate(grid, resid, "exp")
         fp = fit_rate(grid, resid, "power")
         this = fe.r_squared > 0.99 and fe.r_squared > fp.r_squared
@@ -158,7 +158,7 @@ def test_criterion_05_rate_discrimination(tanh_eoc):
         arrays = sweep_pairs("ffnn", act, params, pairs, L)
         lims = np.array([limiting_kernel(Architecture("ffnn"), act, params, p)
                          for p in pairs])
-        ak = arrays["ntk"] / np.arange(1, L + 1)[:, None]
+        ak = arrays.ntk / np.arange(1, L + 1)[:, None]
         resid_all = np.abs(ak - lims[None, :])
         resid = resid_all[gi].max(axis=1)
         fpow = fit_rate(grid, resid, "power")
@@ -305,7 +305,7 @@ def test_criterion_10_assumption1_reduction():
     g_pp = (p.sigma_b**2 + p.sigma_w**2
             * InputPair(cxp, cxp).conv_inner(k) / norm)[0, 0]
     dense = dense_layer_arrays("ffnn", RELU, p, g_xx, g_pp, g_xp, L)
-    dev = np.abs(full.ntk - dense["ntk"][:, 0][:, None, None]).max()
+    dev = np.abs(full.ntk - dense.ntk[:, None, None]).max()
     ok = dev < 1e-10
     report(10, ok, f"translation-invariant conv grid vs dense recursion: "
                    f"max dev {dev:.2e} (< 1e-10, every (a,a'), L = {L})")

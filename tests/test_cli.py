@@ -42,6 +42,18 @@ class TestLoadDataset:
         with pytest.raises(ConfigError, match=":3: non-finite"):
             load_dataset(path)
 
+    def test_malformed_row_after_comments_has_file_line(self, tmp_path):
+        path = write(tmp_path, "d.csv",
+                     "# comment\n\na,b,label\n1,0,0\n\n1,oops,1\n")
+        with pytest.raises(ConfigError, match=r"d\.csv:6: malformed"):
+            load_dataset(path)
+
+    def test_zero_row_after_comments_has_file_line(self, tmp_path):
+        path = write(tmp_path, "d.csv",
+                     "# comment\n\na,b,label\n1,0,0\n\n0,0,1\n")
+        with pytest.raises(ConfigError, match="row 6 has zero norm"):
+            load_dataset(path, "unit_sphere")
+
     def test_colinear_pair_reported(self, tmp_path):
         path = write(tmp_path, "d.csv", "a,b,label\n1,0,0\n2,0,1\n0,1,0\n")
         with pytest.raises(InvalidDatasetError, match="rows 0 and 1"):
@@ -154,6 +166,33 @@ class TestOutputs:
         rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert len(rows) == 1 + 2  # explicit flag wins
 
+    def test_config_file_unknown_key_is_config_error(self, tmp_path):
+        cfg = write(tmp_path, "cfg.txt", "depht = 4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "kernel", "--arch", "ffnn", "--activation",
+                  "relu", "--phase", "eoc", "--depth", "3",
+                  "-o", str(tmp_path / "k.csv")])
+        assert exc.value.code == 2
+        assert not os.path.exists(tmp_path / "k.csv")
+
+    @pytest.mark.parametrize("sigma_w,depth", [("2", 600), ("1", 3000)],
+                             ids=["chaotic", "ordered"])
+    def test_relu_kernel_without_bias_has_no_nan(self, tmp_path, sigma_w, depth):
+        # variances grow (chaotic) or shrink (ordered) like (sigma_w^2/2)^l
+        out = str(tmp_path / "k.csv")
+        rc = main(["kernel", "--activation", "relu", "--sigma-b", "0",
+                   "--sigma-w", sigma_w, "--depth", str(depth), "-o", out])
+        assert rc == 0
+        body = [ln.split(",") for ln in open(out).read().splitlines()
+                if not ln.startswith("#")]
+        cols = body[0]
+        values = np.array([[float(v) for v in row] for row in body[1:]])
+        assert values.shape == (depth, len(cols))
+        nan = np.isnan(values)
+        assert nan[0, cols.index("qdot")]
+        nan[0, cols.index("qdot")] = False
+        assert not nan.any()
+
 
 class TestExitCodes:
     def test_missing_sigma_is_config_error(self, tmp_path):
@@ -184,6 +223,20 @@ class TestExitCodes:
                    "--depth", "3", "--data", data, "-o", str(tmp_path / "t.json")])
         assert rc == 2
         assert f"{data}:10: non-finite" in capsys.readouterr().err
+
+    def test_spectrum_scheme_of_another_architecture_is_config_error(self, tmp_path):
+        rc = main(["spectrum", "--arch", "ffnn", "--activation", "relu",
+                   "--phase", "eoc", "--scheme", "resnet", "--depths", "3",
+                   "--kmax", "4", "-o", str(tmp_path / "s.csv")])
+        assert rc == 2
+
+    def test_non_finite_gram_is_numeric_error(self, tmp_path, capsys):
+        # chaotic ReLU: raw kernel values pass float max before depth 1100
+        rc = main(["train", "--activation", "relu", "--sigma-b", "0",
+                   "--sigma-w", "2", "--depth", "1100", "--sphere-n", "20",
+                   "-o", str(tmp_path / "t.json")])
+        assert rc == 3
+        assert "depth 1100" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, tmp_path):
         rc = main(["phase", "--activation", "relu", "--sigma-b-grid", "0,1",

@@ -119,6 +119,25 @@ class TestFfnn:
         assert np.all(np.isfinite(tr.log_qx))
         assert np.isinf(tr.qx[-1])
 
+    def test_chaotic_relu_renormalised_state_stays_finite(self, rng):
+        # variances double per layer; without renormalising below
+        # sqrt(float max) the correlation's qx * qxp overflows near 1e154
+        x, xp = rng.standard_normal((2, 6))
+        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 2.0), 3000)
+        assert tr.overflow
+        assert np.all(np.isfinite(tr.corr))
+        assert np.all(np.isfinite(tr.qdot[1:]))
+        assert np.all(np.isfinite(tr.ntk_log))
+
+    def test_ordered_relu_variance_log_exact_past_underflow(self, rng):
+        # sigma_b = 0: q^l = (sigma_w^2/2)^{l-1} q^1 drops below 1e-308
+        x, xp = rng.standard_normal((2, 6))
+        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 1.0), 3000)
+        ls = np.arange(3000)
+        np.testing.assert_allclose(tr.log_qx, np.log(x @ x / 6) + ls * np.log(0.5),
+                                   rtol=1e-12)
+        assert np.all(np.isfinite(tr.corr)) and np.all(np.isfinite(tr.ntk_log))
+
     def test_trace_correlations_bounded(self, rng):
         x, xp = rng.standard_normal((2, 6))
         tr = ntk_trace(FFNN, InputPair(x, xp), TANH, InitParams(0.3, 1.5), 100)
@@ -394,7 +413,7 @@ class TestLimitingKernel:
         lim = limiting_kernel(Architecture("ffnn"), TANH, p, pair)
         qx, qxp, qcov = first_layer_dense(pair, p)
         arrays = dense_layer_arrays("ffnn", TANH, p, qx, qxp, qcov, 10**5)
-        ak = arrays["ntk"][-1, 0] / 10**5
+        ak = arrays.ntk[-1] / 10**5
         assert abs(ak / lim - 1.0) < 1e-3
 
     def test_chaotic_relu_diverges(self, rng):
