@@ -246,11 +246,17 @@ def covariance_step(activation: ActivationModel, sigma_b: float, sigma_w: float,
     return qx_next, qxp_next, qcov_next
 
 
+def _tanh_squared(u):
+    return np.tanh(u) ** 2
+
+
 def _diag_expectation(activation: ActivationModel, q) -> np.ndarray:
-    """E[phi(sqrt(q) Z)^2]: q/2 for ReLU, quadrature for Tanh."""
+    """E[phi(sqrt(q) Z)^2]: q/2 for ReLU, one 1D quadrature per distinct
+    variance for Tanh."""
     q = np.asarray(q, dtype=np.float64)
     if activation.kind == "relu":
         return q / 2.0
-    if q.ndim == 0:
-        return expect1(lambda u: np.tanh(u) ** 2, float(q), activation.quadrature)
-    return expect2_pairs(np.tanh, q, q, np.ones_like(q), activation.quadrature)
+    values, inverse = np.unique(q, return_inverse=True)
+    diag = np.array([expect1(_tanh_squared, float(v), activation.quadrature)
+                     for v in values])
+    return diag[inverse].reshape(q.shape)

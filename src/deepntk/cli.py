@@ -386,8 +386,7 @@ def cmd_train(args) -> int:
     train_acc = accuracy(train_pred, ds.Z)
     test_rows = []
     if n_test:
-        preds = np.vstack([predict(state, ds, spec, ds_full.X[i], t)
-                           for i in test_idx])
+        preds = predict(state, ds, spec, ds_full.X[test_idx], t)
         test_acc = accuracy(preds, ds_full.Z[test_idx])
         test_rows = [(int(i), int(np.argmax(p)), int(np.argmax(ds_full.Z[i])))
                      for i, p in zip(test_idx, preds)]
@@ -540,13 +539,17 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     Flags given on the command line come later, so they win; argparse
     converts the values and rejects keys the subcommand does not have.
     """
-    if "--config" not in argv:
+    idx = next((i for i, tok in enumerate(argv)
+                if tok == "--config" or tok.startswith("--config=")), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        raise ConfigError("--config needs a path") from None
+    if argv[idx] == "--config":  # "--config PATH": the path is the next token
+        idx += 1
+        if idx == len(argv):
+            raise ConfigError("--config needs a path")
+        path = argv[idx]
+    else:
+        path = argv[idx].partition("=")[2]
     tokens = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -562,7 +565,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise ConfigError(f"cannot read config file: {exc}") from None
     # the subcommand is the first token that is neither an option nor the path
     command = next((i for i, tok in enumerate(argv)
-                    if i != idx + 1 and not tok.startswith("-")), len(argv) - 1)
+                    if i != idx and not tok.startswith("-")), len(argv) - 1)
     return argv[:command + 1] + tokens + argv[command + 1:]
 
 

@@ -23,8 +23,13 @@ from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import NumericError
 
-#: Default 1D order; 64x64 tensor grids in 2D keep Tanh map errors < 1e-10.
+#: Default 1D order.  The 64x64 tensor grid is accurate for small
+#: variances only: E[tanh tanh] at c = 0.999 differs from order 256 by
+#: 6.2e-13 at q = 0.512, 1.7e-5 at q = 3, 2.8e-3 at q = 10, 2.5e-2 at q = 30.
 DEFAULT_ORDER = 64
+
+#: grid points per block of :func:`expect2_pairs` (256 KB per temporary)
+_BLOCK_POINTS = 2**15
 
 #: Correlations within this distance above 1 in absolute value are clamped.
 CORRELATION_SLACK = 1e-12
@@ -143,7 +148,11 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
     """Vectorized :func:`expect2` over arrays of (q1, q2, c) triples.
 
     Returns an array of the same shape as the broadcast inputs.  Used by the
-    kernel recursions, which propagate many input pairs per layer.
+    kernel recursions, which propagate many input pairs per layer.  The grid
+    is laid out as (pair, i, j) and evaluated in blocks of
+    max(1, _BLOCK_POINTS // order^2) pairs (8 at order 64), so temporaries
+    stay cache-sized at any number of pairs; each block is reduced by
+    (vals @ w) @ w.
     """
     if rule.kind != "hermite":
         raise ValueError("expect2_pairs requires a hermite rule")
@@ -157,19 +166,20 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
     c = clamp_correlation(c)
     q1, q2 = np.maximum(q1, q2), np.minimum(q1, q2)  # canonical order
     shape = q1.shape
-    q1f, q2f, cf = q1.ravel(), q2.ravel(), np.atleast_1d(c).ravel()
+    cf = np.atleast_1d(c).ravel()
+    s1, s2, sc = np.sqrt(q1.ravel()), np.sqrt(q2.ravel()), np.sqrt(1.0 - cf * cf)
     z = rule.nodes
     w = rule.weights
-    # grid axes: (i, j, pair)
-    u1 = np.sqrt(q1f)[None, :] * z[:, None]                       # (n, P)
-    mix = cf[None, None, :] * z[:, None, None] + np.sqrt(
-        1.0 - cf * cf
-    )[None, None, :] * z[None, :, None]                            # (n, n, P)
-    u2 = np.sqrt(q2f)[None, None, :] * mix
-    vals = g(u1)[:, None, :] * g(u2)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("integrand evaluated to a non-finite value")
-    out = np.einsum("i,j,ijp->p", w, w, vals)
+    out = np.empty(cf.size)
+    block = max(1, _BLOCK_POINTS // z.size**2)
+    for start in range(0, cf.size, block):
+        b = slice(start, start + block)
+        u1 = s1[b, None] * z                                        # (B, i)
+        mix = cf[b, None, None] * z[:, None] + sc[b, None, None] * z  # (B, i, j)
+        vals = g(u1)[:, :, None] * g(s2[b, None, None] * mix)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("integrand evaluated to a non-finite value")
+        out[b] = (vals @ w) @ w
     return out.reshape(shape)
 
 

@@ -97,8 +97,10 @@ class TrainingState:
 
 def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
     """Depth-L kernel values from first-layer covariances (vectorized)."""
-    return dense_layer_arrays(spec.architecture.kind, spec.activation,
-                              spec.params, qx, qxp, qcov, spec.depth).ntk[-1]
+    trace = dense_layer_arrays(spec.architecture.kind, spec.activation,
+                               spec.params, qx, qxp, qcov, spec.depth)
+    with np.errstate(over="ignore"):
+        return trace.wK[-1] * np.exp(trace.scale_log[-1])
 
 
 def build_gram(dataset: Dataset, spec: KernelSpec,
@@ -168,7 +170,14 @@ def _response_factors(state: TrainingState, t: float) -> np.ndarray:
 def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
             x_new: np.ndarray, t: float, f0_new: np.ndarray | None = None,
             allow_singular: bool = True) -> np.ndarray:
-    """f_t at a new input via the closed-form generalization formula."""
+    """f_t at new inputs via the closed-form generalization formula.
+
+    ``x_new`` is one input (d,) or a batch (m, d); the result is (o,) or
+    (m, o), and ``f0_new`` has the same shape.  The kernel rows
+    K^L(x_new, X) come from one recursion over the m*n cross pairs, run in
+    chunks of (n+1)//2 rows so that a chunk never holds more pairs than the
+    Gram's n(n+1)/2.
+    """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if state.rank_deficient and not allow_singular:
@@ -177,20 +186,27 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
             "for the minimum-norm solution"
         )
     x_new = np.asarray(x_new, dtype=np.float64)
+    X_new = np.atleast_2d(x_new)
     X = dataset.X
     n, d = X.shape
     p = spec.params
-    qx = np.full(n, first_layer_cov(p, float(x_new @ x_new), d))
-    qxp = first_layer_cov(p, np.sum(X * X, axis=1), d)
-    qcov = first_layer_cov(p, X @ x_new, d)
-    k_vec = kernel_values(spec, qx, qxp, qcov)
+    sq = first_layer_cov(p, np.sum(X * X, axis=1), d)
+    sq_new = first_layer_cov(p, np.sum(X_new * X_new, axis=1), d)
+    rows = (n + 1) // 2
+    K = np.empty((len(X_new), n))
+    for start in range(0, len(X_new), rows):
+        chunk = slice(start, start + rows)
+        part = X_new[chunk]
+        K[chunk] = kernel_values(
+            spec, np.repeat(sq_new[chunk], n), np.tile(sq, len(part)),
+            first_layer_cov(p, part @ X.T, d).ravel()).reshape(-1, n)
     U = state.eigenvectors
     h = _response_factors(state, t)
     B = U.T @ (dataset.Z - state.f0_train)
-    out = (k_vec @ U) @ (h[:, None] * B)
+    out = (K @ U) @ (h[:, None] * B)
     if f0_new is not None:
         out = out + np.asarray(f0_new, dtype=np.float64)
-    return out
+    return out[0] if x_new.ndim == 1 else out
 
 
 def rkhs_residual_coeffs(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:

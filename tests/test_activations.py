@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from deepntk.activations import (CorrelationMap, covariance_step,
-                                 make_activation, relu, relu_f,
-                                 relu_f_prime, relu_one_minus_f, tanh_f,
-                                 tanh_f_deriv)
+from deepntk.activations import (CorrelationMap, _diag_expectation,
+                                 covariance_step, make_activation, relu,
+                                 relu_f, relu_f_prime, relu_one_minus_f,
+                                 tanh_f, tanh_f_deriv)
+from deepntk.gaussmath import expect1
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
@@ -148,6 +149,13 @@ class TestCovarianceStep:
     def test_cauchy_schwarz_violation_rejected(self):
         with pytest.raises(ValueError):
             covariance_step(RELU, 0.0, 1.0, 1.0, 1.0, 1.1)
+
+    def test_tanh_diagonal_is_expect1_per_variance(self):
+        q = np.array([[0.5, 2.0, 0.5], [1.25, 2.0, 0.5]])
+        diag = _diag_expectation(TANH, q)
+        assert diag.shape == q.shape
+        for v, e in zip(q.ravel(), diag.ravel()):
+            assert e == expect1(lambda u: np.tanh(u) ** 2, v, TANH.quadrature)
 
 
 class TestInvariants:

@@ -166,6 +166,15 @@ class TestOutputs:
         rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert len(rows) == 1 + 2  # explicit flag wins
 
+    def test_config_file_with_equals_form(self, tmp_path):
+        cfg = write(tmp_path, "cfg.txt", "depth = 4\n")
+        out = str(tmp_path / "k.csv")
+        rc = main([f"--config={cfg}", "kernel", "--arch", "ffnn",
+                   "--activation", "relu", "--phase", "eoc", "-o", out])
+        assert rc == 0
+        rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
+        assert len(rows) == 1 + 4
+
     def test_config_file_unknown_key_is_config_error(self, tmp_path):
         cfg = write(tmp_path, "cfg.txt", "depht = 4\n")
         with pytest.raises(SystemExit) as exc:

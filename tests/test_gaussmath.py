@@ -90,6 +90,29 @@ class TestExpect2:
         for i in range(3):
             assert abs(vec[i] - expect2(np.tanh, qs[i], qs[::-1][i], cs[i], RULE)) < 1e-15
 
+    @pytest.mark.parametrize("order", [64, 256])
+    @pytest.mark.parametrize("P", [1, 8, 9, 17])
+    def test_pairs_blocks_match_scalar(self, P, order):
+        # 8 pairs per block at order 64, 1 at order 256
+        rule = gauss_hermite(order)
+        rng = np.random.default_rng(P)
+        q1, q2 = rng.uniform(0.1, 3.0, (2, P))
+        cs = rng.uniform(-1.0, 1.0, P)
+        vec = expect2_pairs(np.tanh, q1, q2, cs, rule)
+        for i in range(P):
+            assert abs(vec[i] - expect2(np.tanh, q1[i], q2[i], cs[i], rule)) < 1e-15
+
+    def test_pairs_keep_input_shape(self):
+        rng = np.random.default_rng(5)
+        q = rng.uniform(0.1, 3.0, (3, 3))
+        cs = rng.uniform(-1.0, 1.0, (3, 3))
+        vec = expect2_pairs(np.tanh, q, q.T, cs, RULE)
+        assert vec.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert abs(vec[i, j] - expect2(np.tanh, q[i, j], q[j, i],
+                                               cs[i, j], RULE)) < 1e-15
+
 
 class TestInvariants:
     def test_diag_reduces_to_expect1(self):

@@ -166,6 +166,38 @@ class TestPredict:
         k = kernel_values(spec, qx, qxp, qcov)
         np.testing.assert_allclose(pred, k @ coeffs, atol=1e-8)
 
+    @pytest.mark.parametrize("act,depth", [("relu", 40), ("tanh", 5)])
+    def test_batch_matches_single_points(self, act, depth):
+        # 11 probes against 8 training points: (8+1)//2 = 4 rows per chunk,
+        # so the batch runs three recursions
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((8, 5))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
+        spec = KernelSpec(FFNN, make_activation(act), InitParams(0.2, 1.3), depth)
+        state = build_gram(ds, spec)
+        probes = rng.standard_normal((11, 5))
+        f0 = rng.standard_normal((11, 2))
+        for t in (0.7, np.inf):
+            batch = predict(state, ds, spec, probes, t, f0_new=f0)
+            single = np.array([predict(state, ds, spec, probes[i], t, f0_new=f0[i])
+                               for i in range(11)])
+            assert batch.shape == (11, 2)
+            np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+    def test_batch_matches_single_points_rank_deficient(self):
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((5, 4))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
+        spec = KernelSpec(FFNN, RELU, InitParams(1.0, 0.1), 120)
+        state = build_gram(ds, spec)
+        assert state.rank_deficient
+        probes = rng.standard_normal((7, 4))
+        batch = predict(state, ds, spec, probes, np.inf)
+        single = np.array([predict(state, ds, spec, x, np.inf) for x in probes])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
 
 class TestRkhsCoefficients:
     def test_zero_at_time_zero(self, small):
