@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussmath import (
+    CORRELATION_SLACK,
     QuadratureRule,
     clamp_correlation,
     default_hermite,
@@ -102,6 +103,34 @@ def make_activation(kind: str, rule: QuadratureRule | None = None) -> Activation
     return ActivationModel(kind=kind, quadrature=rule or default_hermite())
 
 
+def _relu_series(g):
+    """1 - f(1-g) = g - s g^{3/2} - b g^{5/2} + O(g^{7/2}), for small g."""
+    return g - S_RELU * np.power(g, 1.5) - B_RELU * np.power(g, 2.5)
+
+
+def _relu_deficit(g):
+    """1 - f(1-g) = g/2 + (arccos(c) + g asin(c) - sqrt(1-c^2)) / pi, c = 1-g."""
+    c = 1.0 - g
+    return g / 2.0 + (
+        np.arccos(c) + g * np.arcsin(c) - np.sqrt(g * (2.0 - g))
+    ) / np.pi
+
+
+def _relu_maps(c):
+    """(f(c), f'(c)) on correlations in [-1, 1], from one arcsin.
+
+    f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
+    the closed form loses its increment over c to cancellation.
+    """
+    asin = np.arcsin(c)
+    f = np.where(
+        c > 1.0 - _RELU_SERIES_THRESHOLD,
+        1.0 - _relu_series(1.0 - c),
+        (c * asin + np.sqrt(np.maximum(1.0 - c * c, 0.0))) / np.pi + c / 2.0,
+    )
+    return f, asin / np.pi + 0.5
+
+
 def relu_one_minus_f(gamma):
     """1 - f_relu(1 - gamma), accurate for small gamma.
 
@@ -112,51 +141,32 @@ def relu_one_minus_f(gamma):
     above it, the bracketed exact form
         1 - f(c) = gamma/2 + (arccos(c) + gamma asin(c) - sqrt(1-c^2)) / pi.
     """
+    if isinstance(gamma, float):
+        # Scalar path of the gamma iterators.  It stays on numpy ufuncs over
+        # np.float64: math.acos and np.float64 ** 1.5 differ from the array
+        # loops in the last ulp on a few percent of inputs, and the
+        # iterators must give the array path's values bit for bit.
+        g = np.float64(gamma)
+        return float(_relu_series(g) if g < _RELU_SERIES_THRESHOLD
+                     else _relu_deficit(g))
     gamma = np.asarray(gamma, dtype=np.float64)
     out = np.empty_like(gamma)
     small = gamma < _RELU_SERIES_THRESHOLD
-    g_s = gamma[small]
-    out[small] = g_s - S_RELU * g_s**1.5 - B_RELU * g_s**2.5
-    g_b = gamma[~small]
-    c = 1.0 - g_b
-    out[~small] = g_b / 2.0 + (
-        np.arccos(c) + g_b * np.arcsin(c) - np.sqrt(g_b * (2.0 - g_b))
-    ) / np.pi
+    out[small] = _relu_series(gamma[small])
+    out[~small] = _relu_deficit(gamma[~small])
     return out if out.ndim else float(out)
 
 
 def relu_f(c):
     """ReLU correlation map f(c) = (c asin c + sqrt(1-c^2))/pi + c/2."""
-    c = clamp_correlation(c)
-    carr = np.asarray(c, dtype=np.float64)
-    out = (carr * np.arcsin(carr) + np.sqrt(np.maximum(1.0 - carr * carr, 0.0))
-           ) / np.pi + carr / 2.0
-    near_one = carr > 1.0 - _RELU_SERIES_THRESHOLD
-    if np.any(near_one):
-        if carr.ndim:
-            out[near_one] = 1.0 - relu_one_minus_f(1.0 - carr[near_one])
-        else:
-            out = np.float64(1.0 - relu_one_minus_f(1.0 - carr))
+    out = _relu_maps(clamp_correlation(c))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def relu_f_prime(c):
     """Derivative f'(c) = asin(c)/pi + 1/2; equals 1 at c = 1 (EOC)."""
-    c = clamp_correlation(c)
-    carr = np.asarray(c, dtype=np.float64)
-    out = np.arcsin(carr) / np.pi + 0.5
+    out = _relu_maps(clamp_correlation(c))[1]
     return float(out) if out.ndim == 0 else out
-
-
-def relu_one_minus_f_prime(gamma):
-    """1 - f_relu'(1 - gamma) = sqrt(2 gamma)(1 + gamma/12 + 3 gamma^2/160)/pi."""
-    gamma = np.asarray(gamma, dtype=np.float64)
-    out = np.where(
-        gamma < _RELU_SERIES_THRESHOLD,
-        np.sqrt(2.0 * gamma) * (1.0 + gamma / 12.0 + 3.0 * gamma**2 / 160.0) / np.pi,
-        np.arccos(1.0 - gamma) / np.pi,
-    )
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -205,20 +215,55 @@ def tanh_f_deriv(corr_map: CorrelationMap, c: float, order: int) -> float:
     return corr_map.sigma_w**2 * corr_map.q ** (order - 1) * e
 
 
+def layer_correlation(qcov, root):
+    """Correlation qcov / root with rounding guards, root = sqrt(qx qxp).
+
+    Rejects correlations that are not finite or lie more than
+    CORRELATION_SLACK outside [-1, 1]; clamps the rest to [-1, 1] and snaps
+    values within 1e-12 of +-1 to exactly +-1: the kernel multiplier f'(c)
+    has square-root sensitivity at |c| = 1, so last-ulp noise in the
+    variances would otherwise contaminate self-pairs.  Genuinely distinct
+    pairs sit far from the snap zone (the dataset colinearity gate keeps
+    |cos| below 1 - 1e-9).
+    """
+    c = qcov / root
+    size = np.abs(c)
+    if not (size <= 1.0 + CORRELATION_SLACK).all():
+        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
+    return np.where(1.0 - size < 1e-12, np.sign(c), c)
+
+
+def _pair_expectations(activation: ActivationModel, qx, qxp, root, c):
+    if activation.kind == "relu":
+        f, f_prime = _relu_maps(c)
+        return 0.5 * root * f, 0.5 * f_prime
+    rule = activation.quadrature
+    return (expect2_pairs(np.tanh, qx, qxp, c, rule),
+            expect2_pairs(tanh_prime, qx, qxp, c, rule))
+
+
+def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
+    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of one layer, vectorized.
+
+    (u1, u2) has variances qx, qxp and covariance qcov; the correlation
+    goes through :func:`layer_correlation`.  ReLU evaluates both closed
+    forms from one arcsin, Tanh makes one quadrature per expectation.
+    """
+    root = np.sqrt(qx * qxp)
+    return _pair_expectations(activation, qx, qxp, root,
+                              layer_correlation(qcov, root))
+
+
 def phiphi_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi(u1) phi(u2)] for variances qx, qxp and correlation c (vectorized)."""
-    c = clamp_correlation(c)
-    if activation.kind == "relu":
-        return 0.5 * np.sqrt(np.asarray(qx) * np.asarray(qxp)) * relu_f(c)
-    return expect2_pairs(np.tanh, qx, qxp, c, activation.quadrature)
+    root = np.sqrt(np.asarray(qx) * np.asarray(qxp))
+    return _pair_expectations(activation, qx, qxp, root, clamp_correlation(c))[0]
 
 
 def phiprime_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi'(u1) phi'(u2)] for variances qx, qxp and correlation c."""
-    c = clamp_correlation(c)
-    if activation.kind == "relu":
-        return 0.5 * relu_f_prime(c)
-    return expect2_pairs(tanh_prime, qx, qxp, c, activation.quadrature)
+    root = np.sqrt(np.asarray(qx) * np.asarray(qxp))
+    return _pair_expectations(activation, qx, qxp, root, clamp_correlation(c))[1]
 
 
 def covariance_step(activation: ActivationModel, sigma_b: float, sigma_w: float,

@@ -98,12 +98,12 @@ def clamp_correlation(c, slack: float = CORRELATION_SLACK):
     """Clamp correlations to [-1, 1], rejecting violations beyond ``slack``.
 
     Long kernel recursions accumulate floating-point drift that can push a
-    correlation marginally past 1; anything worse than ``slack`` is a caller
-    bug and raises.
+    correlation marginally past 1; anything worse than ``slack``, and any
+    NaN, is a caller bug and raises.
     """
     c_arr = np.asarray(c, dtype=np.float64)
-    if np.any(np.abs(c_arr) > 1.0 + slack):
-        raise ValueError(f"correlation out of range [-1,1]: {c!r}")
+    if not np.all(np.abs(c_arr) <= 1.0 + slack):
+        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
     clipped = np.clip(c_arr, -1.0, 1.0)
     return float(clipped) if np.isscalar(c) or c_arr.ndim == 0 else clipped
 

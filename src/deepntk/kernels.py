@@ -43,6 +43,8 @@ import numpy as np
 from .activations import (
     ActivationModel,
     _diag_expectation,
+    layer_correlation,
+    layer_expectations,
     phiphi_expectation,
     phiprime_expectation,
 )
@@ -59,20 +61,6 @@ _CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 #: recursion state; sqrt(float max) bounds it, so that qx * qxp in the
 #: correlation neither overflows nor underflows
 _RENORM_LIMIT = 1e150
-
-
-def _layer_correlation(qcov, qx, qxp):
-    """Correlation with rounding guards.
-
-    Clamps to [-1, 1] and snaps values within 1e-12 of +-1 to exactly +-1:
-    the kernel multiplier f'(c) has square-root sensitivity at |c| = 1, so
-    last-ulp noise in the variances would otherwise contaminate self-pairs.
-    Genuinely distinct pairs sit far from the snap zone (the dataset
-    colinearity gate keeps |cos| below 1 - 1e-9).
-    """
-    c = clamp_correlation(qcov / np.sqrt(qx * qxp))
-    snapped = np.where(1.0 - np.abs(c) < 1e-12, np.sign(c), c)
-    return snapped if isinstance(c, np.ndarray) else float(snapped)
 
 
 @dataclass(frozen=True)
@@ -153,9 +141,11 @@ class InputPair:
 class KernelTrace:
     """Per-depth state of one kernel recursion.
 
-    State arrays have shape (L,) + the input shape: (L,) for one dense pair,
-    (L, P) for P pairs given as arrays, (L, M, M) for full-grid conv
-    kernels, whose ``vx``/``vxp`` are per-position variance grids.  The
+    State arrays have shape (n,) + the input shape for the last n layers,
+    ``layers``, of the depth-L recursion: n = L, or 1 for a last-layer
+    trace.  The input shape is () for one dense pair, (P,) for P pairs
+    given as arrays, (M, M) for full-grid conv kernels, whose ``vx``/``vxp``
+    are per-position variance grids.  The
     stored state is the raw value divided by exp(scale_log[l]); scale_log
     changes only when a variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT]
     (see the module docstring).  ``qdot`` at layer 1 is NaN (there is no
@@ -200,7 +190,7 @@ class KernelTrace:
 
     @property
     def corr(self) -> np.ndarray:
-        return _layer_correlation(self.vcov, self.vx, self.vxp)
+        return layer_correlation(self.vcov, np.sqrt(self.vx * self.vxp))
 
     @property
     def log_qx(self) -> np.ndarray:
@@ -218,6 +208,12 @@ class KernelTrace:
     @property
     def ntk_sign(self) -> np.ndarray:
         return np.sign(self.wK)
+
+    @property
+    def layers(self) -> np.ndarray:
+        """Depths l of the stored layers, as floats."""
+        return np.arange(self.depth - self.scale_log.size + 1, self.depth + 1,
+                         dtype=np.float64)
 
     @property
     def overflow(self) -> bool:
@@ -253,13 +249,15 @@ def _require_relu(kind: str, activation: ActivationModel) -> None:
 # ---------------------------------------------------------------------------
 
 def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParams,
-                       qx0, qxp0, qcov0, L: int) -> KernelTrace:
+                       qx0, qxp0, qcov0, L: int,
+                       last_only: bool = False) -> KernelTrace:
     """Run a dense kernel recursion from first-layer covariances.
 
     The first-layer variances and covariances may be scalars or arrays of
     one shape (one entry per input pair); the trace arrays have shape
-    (L,) + that shape.  One layer step serves all dense kinds (see the
-    module docstring).
+    (L,) + that shape, or (1,) + that shape with ``last_only``, which keeps
+    layer L alone.  One layer step serves all dense kinds (see the module
+    docstring).
     """
     if kind not in _DENSE_KINDS:
         raise ValueError(f"not a dense kind: {kind}")
@@ -272,32 +270,36 @@ def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParam
     wK = vcov
     qdot = np.full(vx.size, np.nan)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
+    sb2_l = sb2  # the bias in units of the renormalised state
     skip = 1.0 if arch.is_residual else 0.0
     weights = 1.0 / np.arange(1, L + 1) if arch.is_scaled else np.ones(L)
-    hist = np.empty((5, L, vx.size))
-    scale_log = np.zeros(L)
+    kept = 1 if last_only else L
+    hist = np.empty((5, kept, vx.size))
+    scale_log = np.zeros(kept)
     log_scale = 0.0
 
     for i in range(L):
         if i:
             w = weights[i]
-            c = _layer_correlation(vcov, vx, vxp)
-            sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0  # rescaled bias
-            qdot = w * sw2 * phiprime_expectation(activation, vx, vxp, c)
-            block = w * (sb2_l + sw2 * phiphi_expectation(activation, vx, vxp, c))
+            phiphi, phiprime = layer_expectations(activation, vx, vxp, vcov)
+            qdot = w * sw2 * phiprime
+            block = w * (sb2_l + sw2 * phiphi)
             vx = skip * vx + w * (sb2_l + sw2 * _diag_expectation(activation, vx))
             vxp = skip * vxp + w * (sb2_l + sw2 * _diag_expectation(activation, vxp))
             vcov = skip * vcov + block
             wK = wK * (skip + qdot) + block
-            top = max(np.max(vx), np.max(vxp))
+            top = max(vx.max(), vxp.max())
             if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
                 vx, vxp, vcov, wK = vx / top, vxp / top, vcov / top, wK / top
                 log_scale += float(np.log(top))
-        hist[:, i] = vx, vxp, vcov, wK, qdot
-        scale_log[i] = log_scale
+                sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
+        j = i - (L - kept)
+        if j >= 0:
+            hist[:, j] = vx, vxp, vcov, wK, qdot
+            scale_log[j] = log_scale
 
     return KernelTrace(arch, activation.kind, params, L,
-                       *hist.reshape((5, L) + shape), scale_log)
+                       *hist.reshape((5, kept) + shape), scale_log)
 
 
 def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
@@ -335,10 +337,8 @@ def _grid_expectations(activation: ActivationModel, varx: np.ndarray,
     """qhat and qdot grids from position variances and a covariance grid."""
     v1 = varx[:, None] * np.ones_like(cov)
     v2 = np.ones_like(cov) * varxp[None, :]
-    c = _layer_correlation(cov, v1, v2)
-    qhat = sb2 + sw2 * phiphi_expectation(activation, v1, v2, c)
-    qdot = sw2 * phiprime_expectation(activation, v1, v2, c)
-    return qhat, qdot
+    phiphi, phiprime = layer_expectations(activation, v1, v2, cov)
+    return sb2 + sw2 * phiphi, sw2 * phiprime
 
 
 def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams,
@@ -417,10 +417,7 @@ def normalize(trace: KernelTrace, scheme: str) -> np.ndarray:
         raise ValueError(
             f"scheme {scheme!r} does not apply to {trace.architecture.kind!r}"
         )
-    L = trace.depth
-    ls = np.arange(1, L + 1, dtype=np.float64)
-    if trace.ntk_log.ndim > 1:
-        ls = ls.reshape((L,) + (1,) * (trace.ntk_log.ndim - 1))
+    ls = trace.layers.reshape((-1,) + (1,) * (trace.wK.ndim - 1))
     return trace.ntk_sign * np.exp(
         trace.ntk_log - log_alpha(scheme, trace.params.sigma_w, ls))
 

@@ -98,9 +98,9 @@ class TrainingState:
 def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
     """Depth-L kernel values from first-layer covariances (vectorized)."""
     trace = dense_layer_arrays(spec.architecture.kind, spec.activation,
-                               spec.params, qx, qxp, qcov, spec.depth)
-    with np.errstate(over="ignore"):
-        return trace.wK[-1] * np.exp(trace.scale_log[-1])
+                               spec.params, qx, qxp, qcov, spec.depth,
+                               last_only=True)
+    return trace.ntk[-1]
 
 
 def build_gram(dataset: Dataset, spec: KernelSpec,

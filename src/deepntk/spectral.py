@@ -146,7 +146,8 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
     kind = config.architecture.kind
     trace = dense_layer_arrays(kind, config.activation, p,
                                np.full_like(grid, qdiag),
-                               np.full_like(grid, qdiag), qcov, depth)
+                               np.full_like(grid, qdiag), qcov, depth,
+                               last_only=True)
     if config.scheme == "none":
         return trace.ntk[-1]
     return normalize(trace, config.scheme)[-1]

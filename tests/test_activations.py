@@ -4,10 +4,10 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (CorrelationMap, _diag_expectation,
-                                 covariance_step, make_activation, relu,
-                                 relu_f, relu_f_prime, relu_one_minus_f,
-                                 tanh_f, tanh_f_deriv)
-from deepntk.gaussmath import expect1
+                                 covariance_step, layer_expectations,
+                                 make_activation, relu, relu_f, relu_f_prime,
+                                 relu_one_minus_f, tanh_f, tanh_f_deriv)
+from deepntk.gaussmath import expect1, expect2
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
@@ -156,6 +156,33 @@ class TestCovarianceStep:
         assert diag.shape == q.shape
         for v, e in zip(q.ravel(), diag.ravel()):
             assert e == expect1(lambda u: np.tanh(u) ** 2, v, TANH.quadrature)
+
+
+class TestLayerExpectations:
+    def test_relu_snaps_near_one_correlations(self):
+        # f'(c) has square-root sensitivity at 1: within 1e-12 it is f'(1)
+        qx = np.array([2.0, 2.0, 0.5])
+        qcov = qx * np.array([1.0 - 1e-13, 1.0 + 1e-13, -1.0 + 1e-13])
+        phiphi, phiprime = layer_expectations(RELU, qx, qx, qcov)
+        np.testing.assert_array_equal(phiprime, [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(phiphi, [1.0, 1.0, 0.0])
+
+    def test_tanh_matches_scalar_quadrature(self):
+        qx = np.array([0.4, 1.3, 2.0])
+        qxp = np.array([0.9, 1.3, 0.3])
+        c = np.array([-0.7, 0.2, 0.95])
+        phiphi, phiprime = layer_expectations(TANH, qx, qxp, c * np.sqrt(qx * qxp))
+        for i in range(3):
+            args = (qx[i], qxp[i], c[i], TANH.quadrature)
+            assert abs(phiphi[i] - expect2(np.tanh, *args)) < 1e-15
+            assert abs(phiprime[i] - expect2(lambda u: 1 - np.tanh(u) ** 2,
+                                             *args)) < 1e-15
+
+    @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
+    def test_zero_variance_rejected(self, activation):
+        with pytest.raises(ValueError, match="not finite"):
+            with np.errstate(invalid="ignore"):
+                layer_expectations(activation, np.zeros(2), np.ones(2), np.zeros(2))
 
 
 class TestInvariants:

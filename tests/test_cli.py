@@ -233,6 +233,15 @@ class TestExitCodes:
         assert rc == 2
         assert f"{data}:10: non-finite" in capsys.readouterr().err
 
+    def test_vanishing_variance_is_config_error(self, tmp_path, capsys):
+        # sigma_w^2 = 1e-400 underflows: every correlation is 0/0
+        rc = main(["kernel", "--activation", "relu", "--sigma-b", "0",
+                   "--sigma-w", "1e-200", "--depth", "5",
+                   "-o", str(tmp_path / "k.csv")])
+        assert rc == 2
+        assert "correlation not finite" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "k.csv")
+
     def test_spectrum_scheme_of_another_architecture_is_config_error(self, tmp_path):
         rc = main(["spectrum", "--arch", "ffnn", "--activation", "relu",
                    "--phase", "eoc", "--scheme", "resnet", "--depths", "3",

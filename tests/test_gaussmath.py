@@ -78,6 +78,10 @@ class TestExpect2:
         with pytest.raises(ValueError):
             expect2(np.tanh, 1.0, 1.0, 1.0 + 1e-11, RULE)
 
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            clamp_correlation(np.array([0.3, np.nan]))
+
     def test_correlation_within_slack_clamped(self):
         a = expect2(np.tanh, 1.0, 1.0, 1.0 + 1e-13, RULE)
         b = expect2(np.tanh, 1.0, 1.0, 1.0, RULE)

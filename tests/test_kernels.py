@@ -387,6 +387,20 @@ class TestNormalize:
         np.testing.assert_allclose(profile[0], normalize(trace, arch.scheme)[-1],
                                    rtol=1e-13)
 
+    @pytest.mark.parametrize("arch", [FFNN, RESNET, SCALED], ids=lambda a: a.kind)
+    def test_last_layer_trace_is_the_last_row(self, arch, rng):
+        # sigma_w = 2 renormalises the ffnn and resnet states on the way
+        q = rng.uniform(0.5, 2.0, (2, 6))
+        qcov = rng.uniform(-0.9, 0.9, 6) * np.sqrt(q[0] * q[1])
+        args = (arch.kind, RELU, InitParams(0.0, 2.0), q[0], q[1], qcov, 700)
+        full = dense_layer_arrays(*args)
+        last = dense_layer_arrays(*args, last_only=True)
+        for name in ("vx", "vxp", "vcov", "wK", "qdot", "scale_log", "layers"):
+            np.testing.assert_array_equal(getattr(last, name),
+                                          getattr(full, name)[-1:])
+        np.testing.assert_array_equal(normalize(last, arch.scheme),
+                                      normalize(full, arch.scheme)[-1:])
+
 
 class TestLimitingKernel:
     def test_relu_critical_off_diagonal(self):

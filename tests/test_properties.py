@@ -1,0 +1,93 @@
+"""Property tests: the scalar gamma path, the layer step's invariants."""
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from deepntk.activations import make_activation, relu_one_minus_f
+from deepntk.asymptotics import (iterate_relu_correlation,
+                                 iterate_resnet_correlation,
+                                 iterate_scaled_resnet_correlation)
+from deepntk.kernels import dense_layer_arrays
+from deepntk.phase import InitParams
+
+RELU = make_activation("relu")
+TANH = make_activation("tanh")
+DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
+
+#: deterministic draws, no example database on disk
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+gammas = st.one_of(st.floats(1e-14, 1e-4), st.floats(1e-4, 2.0))
+
+
+@PROPERTY
+@given(st.lists(gammas, min_size=1, max_size=50))
+def test_scalar_one_minus_f_is_the_array_path(gs):
+    array = relu_one_minus_f(np.array(gs))
+    for g, a in zip(gs, array):
+        assert relu_one_minus_f(g) == a
+
+
+def _array_iteration(step, gamma0, depth):
+    """The gamma recursion on 1-element arrays, through the array path."""
+    g = np.array([gamma0])
+    for l in range(2, depth + 1):
+        g = step(g, l)
+    return g[0]
+
+
+# no shrinking: each example runs 10^4 steps of both paths
+@pytest.mark.parametrize("kind", ["relu", "resnet", "scaled"])
+@settings(PROPERTY, max_examples=3, phases=[Phase.generate])
+@given(gamma0=st.floats(1e-3, 1.0), sigma_w=st.floats(0.5, 2.0))
+def test_gamma_iterators_match_array_path(kind, gamma0, sigma_w):
+    depth = 10**4
+    alpha = sigma_w**2 / 2.0
+    if kind == "relu":
+        got = iterate_relu_correlation(gamma0, depth)[0]
+        step = lambda g, l: relu_one_minus_f(g)  # noqa: E731
+    elif kind == "resnet":
+        got = iterate_resnet_correlation(gamma0, depth, sigma_w)[0]
+        step = lambda g, l: (g + alpha * relu_one_minus_f(g)) / (1.0 + alpha)  # noqa: E731
+    else:
+        got = iterate_scaled_resnet_correlation(gamma0, depth, sigma_w)[0]
+
+        def step(g, l):
+            al = alpha / l
+            return (g + al * relu_one_minus_f(g)) / (1.0 + al)
+    assert got == _array_iteration(step, gamma0, depth)
+
+
+def _first_layer(seed, pairs):
+    rng = np.random.default_rng(seed)
+    qx, qxp = rng.uniform(0.05, 3.0, (2, pairs))
+    c = rng.uniform(-1.0, 1.0, pairs)
+    c[0] = 1.0  # one self-pair
+    qxp[0] = qx[0]
+    return qx, qxp, c * np.sqrt(qx * qxp)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+@settings(PROPERTY, max_examples=20)
+@given(sigma_b=st.floats(0.0, 1.0), sigma_w=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_layer_keeps_cauchy_schwarz(kind, sigma_b, sigma_w, seed):
+    tr = dense_layer_arrays(kind, RELU, InitParams(sigma_b, sigma_w),
+                            *_first_layer(seed, 8), 60)
+    assert np.all(np.abs(tr.vcov) <= np.sqrt(tr.vx * tr.vxp) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("kind,activation,depth", [
+    pytest.param(kind, RELU, 60, id=f"relu-{kind}") for kind in DENSE_KINDS]
+    + [pytest.param("ffnn", TANH, 3, id="tanh-ffnn")])
+@settings(PROPERTY, max_examples=10)
+@given(sigma_b=st.floats(0.0, 1.0), sigma_w=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_swapping_the_variances_keeps_the_kernel(kind, activation, depth,
+                                                 sigma_b, sigma_w, seed):
+    qx, qxp, qcov = _first_layer(seed, 4)
+    p = InitParams(sigma_b, sigma_w)
+    a = dense_layer_arrays(kind, activation, p, qx, qxp, qcov, depth)
+    b = dense_layer_arrays(kind, activation, p, qxp, qx, qcov, depth)
+    assert np.array_equal(a.wK, b.wK)
