@@ -17,27 +17,51 @@ ReLU admits closed forms (positive homogeneity):
     f_relu(c)    = (c asin(c) + sqrt(1-c^2)) / pi + c / 2,
     f_relu'(c)   = asin(c) / pi + 1/2.
 
-Tanh goes through Gauss-Hermite quadrature only; its derivatives are
+Tanh uses the dual-activation (Mehler) series.  With the orthonormal
+Hermite functions h_k = He_k / sqrt(k!) and the coefficients
+a_k(q) = E[g(sqrt(q) Z) h_k(Z)] of g = tanh or tanh',
+
+    E[g(u1) g(u2)] = sum_k a_k(q1) a_k(q2) c^k,   E[g(u)^2] = sum_k a_k(q)^2.
+
+One 1D projection per distinct variance (``gaussmath.hermite_projection``)
+gives a_k for k <= SERIES_DEGREE and the Parseval remainders
+R_K(q) = E[g^2] - sum_{k<=K} a_k^2.  The activation model keeps them in a
+``TanhSeriesTable``, because deep recursions repeat their variances bit
+for bit.  Each variance keeps the
+first degree K at which the remainders of both maps are at most
+SERIES_TOLERANCE E[g^2] (else SERIES_DEGREE).  A pair sums to the larger K
+of its two variances, so the series at (q, q, 1) is exactly the diagonal.
+By Cauchy-Schwarz the omitted tail is at most
+|c|^{K+1} sqrt(R_K(q1) R_K(q2)).  A pair whose bound exceeds
+SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
+1) goes to ``expect2_pairs`` at the activation's rule instead, and an
+uncertified diagonal to ``expect1``.  The correlation map ``tanh_f`` uses
+the same coefficients.
+
+The derivatives of the Tanh map stay on the quadrature: phi^(j) is
 analytic (phi' = 1 - tanh^2, phi'' = -2 tanh phi',
-phi''' = -2 phi'^2 - 2 tanh phi'') so that f', f'', f''' come out of the
-same bivariate expectation with phi replaced by phi^(j):
+phi''' = -2 phi'^2 - 2 tanh phi'') and f', f'', f''' come out of the
+bivariate expectation with phi replaced by phi^(j):
 
     f^(j)(c) = sigma_w^2 q^(j-1) E[phi^(j)(sqrt(q) Z1) phi^(j)(sqrt(q) U2)].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .gaussmath import (
     CORRELATION_SLACK,
+    SERIES_DEGREE,
     QuadratureRule,
     clamp_correlation,
     default_hermite,
     expect1,
     expect2,
     expect2_pairs,
+    hermite_projection,
 )
 
 S_RELU = 2.0 * np.sqrt(2.0) / (3.0 * np.pi)   # (1-c)^{3/2} Taylor coefficient
@@ -45,6 +69,19 @@ B_RELU = np.sqrt(2.0) / (30.0 * np.pi)        # (1-c)^{5/2} Taylor coefficient
 
 #: Below this 1-c, arcsin/sqrt cancellation dominates; use the series.
 _RELU_SERIES_THRESHOLD = 1e-4
+
+#: A Tanh series value is used where its tail bound is at most this times
+#: sqrt(E[g(u1)^2] E[g(u2)^2]).  The computed Parseval remainders have a
+#: rounding floor near 1e-14 E[g^2] (the order-256 basis is orthonormal to
+#: about 1e-13), one decade below.
+SERIES_TOLERANCE = 1e-13
+
+#: rows of a TanhSeriesTable, one per variance (about 4 KB each)
+_SERIES_TABLE_ROWS = 256
+
+#: table lookups of at most this many variances skip np.unique, whose fixed
+#: cost (about 20 us) dominates a one-pair layer
+_SMALL_LOOKUP = 16
 
 
 def relu(u):
@@ -79,12 +116,15 @@ _TANH_DERIVS = {0: np.tanh, 1: tanh_prime, 2: tanh_second, 3: tanh_third}
 class ActivationModel:
     """An activation plus the quadrature backing its expectation maps.
 
-    ReLU ignores the rule entirely (closed forms only); Tanh uses it for
-    every expectation.
+    ReLU ignores the rule entirely (closed forms only); Tanh uses it for the
+    expectations its series cannot certify, and keeps the series of the
+    variances it met in ``series``.
     """
 
     kind: str
     quadrature: QuadratureRule
+    series: TanhSeriesTable = field(default_factory=lambda: TanhSeriesTable(),
+                                    compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("relu", "tanh"):
@@ -169,6 +209,138 @@ def relu_f_prime(c):
     return float(out) if out.ndim == 0 else out
 
 
+class TanhSeriesTable:
+    """Tanh series data of the variances seen last, one row per variance.
+
+    Row r holds the coefficients ``coef[r]`` (row 0 tanh, row 1 tanh'), the
+    Parseval remainders ``remainder[r]`` (clipped at 0), the second moments
+    ``second[r]``, the degree K and the tanh diagonal sum_{k<=K} a_k^2 (NaN
+    where its remainder is not certified).  Unseen variances are projected
+    in one batch; when the table is full it starts over.  Every
+    :class:`ActivationModel` owns one, which only Tanh fills.
+    """
+
+    def __init__(self):
+        self.index: dict[float, int] = {}
+        self._allocate(0)
+
+    def _allocate(self, capacity: int) -> None:
+        self.coef = np.empty((capacity, 2, SERIES_DEGREE + 1))
+        self.remainder = np.empty_like(self.coef)
+        self.second = np.empty((capacity, 2))
+        self.degree = np.empty(capacity, dtype=np.intp)
+        self.diagonal = np.empty(capacity)
+
+    def rows(self, q: np.ndarray) -> np.ndarray:
+        """The row of each entry of the 1D variance array q.  May replace
+        the table's arrays: read them after the lookup."""
+        inverse = None
+        if q.size > _SMALL_LOOKUP:
+            q, inverse = np.unique(q, return_inverse=True)
+        keys = q.tolist()
+        missing = {v for v in keys if v not in self.index}
+        if len(self.index) + len(missing) > self.degree.size:
+            self.index.clear()  # start over, with every variance of q
+            missing = set(keys)
+            if len(missing) > self.degree.size:
+                self._allocate(max(len(missing), _SERIES_TABLE_ROWS))
+        if missing:
+            self._add(sorted(missing))
+        rows = np.array([self.index[v] for v in keys])
+        return rows if inverse is None else rows[inverse]
+
+    def _add(self, missing: list[float]) -> None:
+        m = len(missing)
+        new = slice(len(self.index), len(self.index) + m)
+        q = np.array(missing)
+        a, s = hermite_projection(np.tanh, q)
+        b, t = hermite_projection(tanh_prime, q)
+        coef = self.coef[new]
+        coef[:, 0], coef[:, 1] = a, b
+        second = self.second[new]
+        second[:, 0], second[:, 1] = s, t
+        remainder = self.remainder[new]
+        np.maximum(second[:, :, None] - np.cumsum(coef * coef, axis=2), 0.0,
+                   out=remainder)
+        certified = (remainder <= SERIES_TOLERANCE * second[:, :, None]).all(axis=1)
+        degree = np.where(certified.any(axis=1), certified.argmax(axis=1),
+                          SERIES_DEGREE)
+        self.degree[new] = degree
+        rows = np.arange(m)
+        squares = np.cumsum(a * a, axis=1)[rows, degree]
+        self.diagonal[new] = np.where(
+            remainder[rows, 0, degree] <= SERIES_TOLERANCE * s, squares, np.nan)
+        self.index.update(zip(missing, range(new.start, new.stop)))
+
+    def pairs(self, q1: np.ndarray, q2: np.ndarray, c: np.ndarray):
+        """Series values of (E[tanh tanh], E[tanh' tanh']) for 1D arrays of
+        n pairs, shape (n, 2), and a same-shaped mask of the certified ones."""
+        n = c.size
+        rows = self.rows(np.concatenate((q1, q2)))
+        r1, r2 = rows[:n], rows[n:]
+        k = np.maximum(self.degree[r1], self.degree[r2])
+        width = int(k.max()) + 1
+        powers = np.empty((n, width))
+        powers[:, 0] = 1.0
+        powers[:, 1:] = c[:, None]
+        powers.cumprod(axis=1, out=powers)
+        terms = self.coef[r1, :, :width]
+        terms *= self.coef[r2, :, :width]
+        terms *= powers[:, None, :]
+        terms.cumsum(axis=2, out=terms)
+        at = np.arange(n)
+        tail = (np.abs(powers[at, k] * c)[:, None]
+                * np.sqrt(self.remainder[r1, :, k] * self.remainder[r2, :, k]))
+        bound = SERIES_TOLERANCE * np.sqrt(self.second[r1] * self.second[r2])
+        return terms[at, :, k], tail <= bound
+
+    def map_series(self, q: float) -> _MapSeries:
+        """The tanh series of one variance, copied out of the table."""
+        r = self.rows(np.array([q]))[0]
+        k = self.degree[r]
+        a = self.coef[r, 0, :k + 1]
+        return _MapSeries(a * a, float(self.remainder[r, 0, k]),
+                          float(self.second[r, 0]))
+
+
+@dataclass(frozen=True)
+class _MapSeries:
+    """The tanh series of one variance: a_k^2 for k <= K, R_K and E[tanh^2]."""
+
+    squares: np.ndarray
+    remainder: float
+    second: float
+
+    def phiphi(self, c: float) -> float | None:
+        """E[tanh(u1) tanh(u2)] at equal variances and correlation c, or
+        None where the tail bound does not certify it.  The operations are
+        those of one pair of :meth:`TanhSeriesTable.pairs`, and so is the
+        value."""
+        k = self.squares.size - 1
+        powers = np.full(k + 1, c)
+        powers[0] = 1.0
+        powers = powers.cumprod()
+        if abs(powers[k] * c) * self.remainder > SERIES_TOLERANCE * self.second:
+            return None
+        return float((self.squares * powers).cumsum()[k])
+
+
+def _tanh_pairs(activation: ActivationModel, qx, qxp, c):
+    """(E[tanh tanh], E[tanh' tanh']) per pair: the certified series, and
+    ``expect2_pairs`` at the activation's rule for the pairs it cannot
+    certify."""
+    q1, q2, c = np.broadcast_arrays(np.asarray(qx, dtype=np.float64),
+                                    np.asarray(qxp, dtype=np.float64), c)
+    shape = c.shape
+    q1, q2, c = q1.ravel(), q2.ravel(), c.ravel()
+    out, certified = activation.series.pairs(q1, q2, c)
+    for j, g in enumerate((np.tanh, tanh_prime)):
+        m = ~certified[:, j]
+        if m.any():
+            out[m, j] = expect2_pairs(g, q1[m], q2[m], c[m], activation.quadrature)
+    return out[:, 0].reshape(shape), out[:, 1].reshape(shape)
+
+
 @dataclass(frozen=True)
 class CorrelationMap:
     """Correlation function f at a variance fixed point q.
@@ -195,10 +367,18 @@ class CorrelationMap:
             )
         return tanh_f(self, c)
 
+    @cached_property
+    def _tanh_series(self) -> _MapSeries:
+        return self.activation.series.map_series(float(self.q))
+
 
 def tanh_f(corr_map: CorrelationMap, c: float) -> float:
-    """Tanh correlation map via the bivariate quadrature expectation."""
-    e = expect2(np.tanh, corr_map.q, corr_map.q, c, corr_map.activation.quadrature)
+    """Tanh correlation map: the certified series at the map's variance,
+    else the bivariate quadrature."""
+    c = clamp_correlation(c)
+    e = corr_map._tanh_series.phiphi(c)
+    if e is None:
+        e = expect2(np.tanh, corr_map.q, corr_map.q, c, corr_map.activation.quadrature)
     return (corr_map.sigma_b**2 + corr_map.sigma_w**2 * e) / corr_map.q
 
 
@@ -224,8 +404,12 @@ def layer_correlation(qcov, root):
     has square-root sensitivity at |c| = 1, so last-ulp noise in the
     variances would otherwise contaminate self-pairs.  Genuinely distinct
     pairs sit far from the snap zone (the dataset colinearity gate keeps
-    |cos| below 1 - 1e-9).
+    |cos| below 1 - 1e-9).  A root that is zero or not finite (variances
+    underflowed, overflowed or NaN) is rejected before the division.
     """
+    if not ((root > 0.0) & (root < np.inf)).all():
+        raise ValueError("correlation not finite: the variances must be "
+                         f"positive and finite, got sqrt(qx qxp) = {root!r}")
     c = qcov / root
     size = np.abs(c)
     if not (size <= 1.0 + CORRELATION_SLACK).all():
@@ -237,9 +421,7 @@ def _pair_expectations(activation: ActivationModel, qx, qxp, root, c):
     if activation.kind == "relu":
         f, f_prime = _relu_maps(c)
         return 0.5 * root * f, 0.5 * f_prime
-    rule = activation.quadrature
-    return (expect2_pairs(np.tanh, qx, qxp, c, rule),
-            expect2_pairs(tanh_prime, qx, qxp, c, rule))
+    return _tanh_pairs(activation, qx, qxp, c)
 
 
 def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
@@ -247,7 +429,8 @@ def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
 
     (u1, u2) has variances qx, qxp and covariance qcov; the correlation
     goes through :func:`layer_correlation`.  ReLU evaluates both closed
-    forms from one arcsin, Tanh makes one quadrature per expectation.
+    forms from one arcsin, Tanh sums both certified series (see the module
+    docstring).
     """
     root = np.sqrt(qx * qxp)
     return _pair_expectations(activation, qx, qxp, root,
@@ -296,12 +479,17 @@ def _tanh_squared(u):
 
 
 def _diag_expectation(activation: ActivationModel, q) -> np.ndarray:
-    """E[phi(sqrt(q) Z)^2]: q/2 for ReLU, one 1D quadrature per distinct
-    variance for Tanh."""
+    """E[phi(sqrt(q) Z)^2]: q/2 for ReLU; for Tanh, per distinct variance,
+    the series at c = 1 where certified, else one 1D quadrature."""
     q = np.asarray(q, dtype=np.float64)
     if activation.kind == "relu":
         return q / 2.0
-    values, inverse = np.unique(q, return_inverse=True)
-    diag = np.array([expect1(_tanh_squared, float(v), activation.quadrature)
-                     for v in values])
-    return diag[inverse].reshape(q.shape)
+    flat = q.ravel()
+    rows = activation.series.rows(flat)
+    diag = activation.series.diagonal[rows]
+    uncertified = np.isnan(diag)
+    if uncertified.any():
+        values, inverse = np.unique(flat[uncertified], return_inverse=True)
+        diag[uncertified] = np.array([expect1(_tanh_squared, v, activation.quadrature)
+                                      for v in values.tolist()])[inverse]
+    return diag.reshape(q.shape)

@@ -134,7 +134,7 @@ def iterate_scaled_resnet_correlation(gamma0: float, depth: int, sigma_w: float,
 
 def iterate_tanh_correlation(corr_map: CorrelationMap, c0: float, depth: int,
                              record_at: list[int] | None = None):
-    """Iterate the Tanh correlation map by quadrature; returns 1 - c values."""
+    """Iterate the Tanh correlation map :func:`tanh_f`; returns 1 - c values."""
     record = sorted(set(record_at or [depth]))
     out = {}
     c = float(c0)

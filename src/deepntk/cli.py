@@ -106,8 +106,13 @@ def write_csv(path: str, args: argparse.Namespace, columns: list[str],
 
 
 def write_json(path: str, args: argparse.Namespace, payload: dict) -> None:
+    """Write payload as JSON; a NaN or infinity in it is a numeric error."""
     payload = {"version": __version__, "config": _config_echo(args), **payload}
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from None
+    _atomic_write(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +162,8 @@ def load_dataset(path: str, normalize_mode: str = "none") -> Dataset:
 
 def synthetic_sphere(d: int, n: int, seed: int) -> np.ndarray:
     """n deterministic points on S^{d-1}."""
+    if d < 1:
+        raise ConfigError(f"--sphere-d must be at least 1, got {d}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
@@ -283,6 +290,7 @@ def cmd_rates(args) -> int:
     L = grid[-1]
     rng = np.random.default_rng(args.seed)
     d = args.sphere_d
+    x0 = synthetic_sphere(d, 2, args.seed)
     # pairs with first-layer correlations spread across [-0.9, 0.9]: a max
     # over them approximates the sup over non-degenerate input pairs
     targets = rng.uniform(-0.9, 0.9, args.pairs)
@@ -291,7 +299,6 @@ def cmd_rates(args) -> int:
     trace = dense_layer_arrays(args.arch, act, params,
                                np.full(args.pairs, qdiag),
                                np.full(args.pairs, qdiag), qcov0, L)
-    x0 = synthetic_sphere(d, 2, args.seed)
     lim = limiting_kernel(Architecture(args.arch), act, params,
                           InputPair(x0[0], x0[1]))
     # residual architectures have depth laws for every sigma_w; only the
@@ -377,6 +384,10 @@ def cmd_train(args) -> int:
     n = ds_full.n
     perm = rng.permutation(n)
     n_test = int(round(args.test_fraction * n))
+    for split, size in (("train", n - n_test), ("test", n_test)):
+        if size < 1:
+            raise ConfigError(f"the {split} split is empty ({n} examples, "
+                              f"--test-fraction {args.test_fraction})")
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     ds = Dataset(ds_full.X[train_idx], ds_full.Z[train_idx])
     spec = KernelSpec(_architecture_from(args), act, params, args.depth)
@@ -384,14 +395,10 @@ def cmd_train(args) -> int:
     t = np.inf if args.time == "infinity" else float(args.time)
     train_pred = evolve(state, ds.Z, t)
     train_acc = accuracy(train_pred, ds.Z)
-    test_rows = []
-    if n_test:
-        preds = predict(state, ds, spec, ds_full.X[test_idx], t)
-        test_acc = accuracy(preds, ds_full.Z[test_idx])
-        test_rows = [(int(i), int(np.argmax(p)), int(np.argmax(ds_full.Z[i])))
-                     for i, p in zip(test_idx, preds)]
-    else:
-        test_acc = float("nan")
+    preds = predict(state, ds, spec, ds_full.X[test_idx], t)
+    test_acc = accuracy(preds, ds_full.Z[test_idx])
+    test_rows = [(int(i), int(np.argmax(p)), int(np.argmax(ds_full.Z[i])))
+                 for i, p in zip(test_idx, preds)]
     write_json(args.output, args, {
         "min_eig": state.min_eig,
         "max_eig": state.max_eig,
@@ -401,7 +408,7 @@ def cmd_train(args) -> int:
         "n_train": int(n - n_test),
         "n_test": int(n_test),
     })
-    if args.predictions and test_rows:
+    if args.predictions:
         write_csv(args.predictions, args, ["index", "predicted", "label"],
                   test_rows, {
                       "index": "row index in the input dataset",

@@ -196,6 +196,8 @@ def width_convergence_study(arch: str, activation: ActivationModel,
     log(width); the Monte-Carlo error of one sampled network decays like
     width^{-1/2}.
     """
+    if seeds < 2:
+        raise ValueError(f"need at least 2 seeds for the seed standard deviation, got {seeds}")
     reference = mean_field_reference(arch, activation, params, x, xp, depth)
     deviations = []
     means = []

@@ -11,6 +11,11 @@ Var(u1)=q1, Var(u2)=q2 and Corr(u1,u2)=c.  Hermite rules integrate against
 the standard normal density; Jacobi rules integrate against
 (1-t^2)^alpha on [-1,1] and are used by the spherical-spectrum code.
 
+The dual-activation (Mehler) series of the Tanh maps needs the Hermite
+coefficients a_k(q) = E[g(sqrt(q) Z) h_k(Z)] in the orthonormal basis
+h_k = He_k / sqrt(k!); :func:`hermite_projection` computes them, for k up
+to SERIES_DEGREE, with one fixed rule of order PROJECTION_ORDER.
+
 Everything here is plain 64-bit floating point; rules are immutable and
 safe to share between threads.
 """
@@ -23,10 +28,22 @@ from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import NumericError
 
-#: Default 1D order.  The 64x64 tensor grid is accurate for small
-#: variances only: E[tanh tanh] at c = 0.999 differs from order 256 by
-#: 6.2e-13 at q = 0.512, 1.7e-5 at q = 3, 2.8e-3 at q = 10, 2.5e-2 at q = 30.
+#: Default 1D order: the 1D expectations of ``phase`` and the Tanh pairs the
+#: series cannot certify (see ``activations``) use it.  The 64x64 tensor
+#: grid is accurate for small variances only: E[tanh tanh] at c = 0.999
+#: differs from order 256 by 6.2e-13 at q = 0.512, 1.7e-5 at q = 3,
+#: 2.8e-3 at q = 10, 2.5e-2 at q = 30.
 DEFAULT_ORDER = 64
+
+#: Order of the rule behind :func:`hermite_projection`.  Its weights stay
+#: normal; ``gauss_hermite(400)`` already fails on underflowing weights.
+PROJECTION_ORDER = 256
+
+#: Highest degree k of the projection, half the rule's order.  An n-point
+#: rule makes h_0..h_{n-1} discretely orthonormal, so the discrete
+#: remainder sum_{k>K} a_k^2 vanishes at K = n - 1 whatever g is; below
+#: n/2 the aliasing onto a_k comes from degrees past 3n/2 only.
+SERIES_DEGREE = PROJECTION_ORDER // 2
 
 #: grid points per block of :func:`expect2_pairs` (256 KB per temporary)
 _BLOCK_POINTS = 2**15
@@ -181,6 +198,58 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
             raise NumericError("integrand evaluated to a non-finite value")
         out[b] = (vals @ w) @ w
     return out.reshape(shape)
+
+
+def _orthonormal_hermite(z: np.ndarray, degree: int) -> np.ndarray:
+    """Columns h_k(z) = He_k(z) / sqrt(k!), k = 0..degree, at the points z.
+
+    Uses the three-term recurrence
+    h_{k+1} = (z h_k - sqrt(k) h_{k-1}) / sqrt(k+1), which stays in range
+    where He_k itself overflows.
+    """
+    h = np.empty((z.size, degree + 1))
+    h[:, 0] = 1.0
+    h[:, 1] = z
+    for k in range(1, degree):
+        h[:, k + 1] = (z * h[:, k] - np.sqrt(k) * h[:, k - 1]) / np.sqrt(k + 1)
+    return h
+
+
+_PROJECTION: tuple[QuadratureRule, np.ndarray] | None = None
+
+
+def _projection_basis() -> tuple[QuadratureRule, np.ndarray]:
+    """The projection rule and its weighted basis w_i h_k(z_i), built on first use."""
+    global _PROJECTION
+    if _PROJECTION is None:
+        rule = gauss_hermite(PROJECTION_ORDER)
+        basis = _orthonormal_hermite(rule.nodes, SERIES_DEGREE)
+        basis *= rule.weights[:, None]
+        basis.setflags(write=False)
+        _PROJECTION = rule, basis
+    return _PROJECTION
+
+
+def hermite_projection(g, q) -> tuple[np.ndarray, np.ndarray]:
+    """Hermite coefficients and second moments of g(sqrt(q) Z), per variance.
+
+    For a 1D array q of V variances returns ``(a, s)``: a has shape
+    (V, SERIES_DEGREE + 1) with a[v, k] = E[g(sqrt(q_v) Z) h_k(Z)], and
+    s[v] = E[g(sqrt(q_v) Z)^2], both from the order-PROJECTION_ORDER rule.
+    Then E[g(u1) g(u2)] = sum_k a_k(q1) a_k(q2) c^k (Mehler) and
+    s - sum_{k<=K} a_k^2 is the Parseval remainder of the first K + 1 terms.
+    The sums run in ``einsum``'s own loops, not BLAS, whose results depend
+    on the number of rows: a variance gets the same bits in any batch.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    if np.any(q < 0):
+        raise ValueError("variances must be nonnegative")
+    rule, basis = _projection_basis()
+    vals = g(np.sqrt(q)[:, None] * rule.nodes)
+    if not np.all(np.isfinite(vals)):
+        raise NumericError("integrand evaluated to a non-finite value")
+    return (np.einsum("vn,nk->vk", vals, basis),
+            np.einsum("vn,n->v", vals * vals, rule.weights))
 
 
 _DEFAULT_HERMITE: QuadratureRule | None = None

@@ -148,8 +148,8 @@ def _decay_factors(state: TrainingState, t: float, n: int) -> np.ndarray:
 
 def evolve(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
     """Training-set outputs f_t(X); t may be inf for the t -> oo limit."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     Z = np.asarray(Z, dtype=np.float64)
     U = state.eigenvectors
     decay = _decay_factors(state, t, state.n)

@@ -111,6 +111,24 @@ def checks_activations():
     worst = max(abs(2.0 * _relu_quadrant_oracle(c) - act.relu_f(c))
                 for c in (-0.8, -0.3, 0.2, 0.7))
     out.append(("activations.relu_f_vs_adaptive_oracle", worst < 1e-8, f"{worst:.2e}"))
+    # the Mehler series of the tanh maps against order-256 quadrature: every
+    # certified pair within its bound SERIES_TOLERANCE sqrt(E[g1^2] E[g2^2])
+    oracle = gm.gauss_hermite(256)
+    qs = (0.21, 0.512, 1.0)
+    cs = (-1.0 + 1e-12, -0.5, 0.3, 0.9, 1.0 - 1e-12)
+    q1, q2, c = (np.array(v, dtype=np.float64).ravel()
+                 for v in np.meshgrid(qs, qs, cs, indexing="ij"))
+    values, certified = tanh.series.pairs(q1, q2, c)
+    worst, ok = 0.0, True
+    for j, g in enumerate((np.tanh, act.tanh_prime)):
+        second = {q: gm.expect1(lambda u: g(u) ** 2, q, oracle) for q in qs}
+        for i in np.flatnonzero(certified[:, j]):
+            err = abs(values[i, j] - gm.expect2(g, q1[i], q2[i], c[i], oracle))
+            bound = act.SERIES_TOLERANCE * np.sqrt(second[q1[i]] * second[q2[i]])
+            worst = max(worst, err)
+            ok = ok and err <= bound
+    out.append(("activations.tanh_series_vs_order256", bool(ok),
+                f"worst {worst:.1e}, {int(certified.sum())}/{certified.size} certified"))
     return out
 
 

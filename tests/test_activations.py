@@ -3,15 +3,25 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
-from deepntk.activations import (CorrelationMap, _diag_expectation,
-                                 covariance_step, layer_expectations,
-                                 make_activation, relu, relu_f, relu_f_prime,
-                                 relu_one_minus_f, tanh_f, tanh_f_deriv)
-from deepntk.gaussmath import expect1, expect2
+from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
+                                 _diag_expectation, covariance_step,
+                                 layer_expectations, make_activation,
+                                 phiphi_expectation, phiprime_expectation,
+                                 relu, relu_f, relu_f_prime, relu_one_minus_f,
+                                 tanh_f, tanh_f_deriv, tanh_prime)
+from deepntk.gaussmath import expect1, expect2, expect2_pairs, gauss_hermite
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
+ORACLE = gauss_hermite(256)
+
+
+def series_bound(g, q1, q2):
+    """The certificate's bound SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]),
+    second moments by the order-256 rule."""
+    s1, s2 = (expect1(lambda u: g(u) ** 2, q, ORACLE) for q in (q1, q2))
+    return SERIES_TOLERANCE * np.sqrt(s1 * s2)
 
 
 def relu_phiphi_oracle(c: float) -> float:
@@ -150,12 +160,21 @@ class TestCovarianceStep:
         with pytest.raises(ValueError):
             covariance_step(RELU, 0.0, 1.0, 1.0, 1.0, 1.1)
 
-    def test_tanh_diagonal_is_expect1_per_variance(self):
+    def test_tanh_diagonal_is_the_series_at_one_per_variance(self):
+        # certified variances take the series at c = 1, the others expect1
         q = np.array([[0.5, 2.0, 0.5], [1.25, 2.0, 0.5]])
         diag = _diag_expectation(TANH, q)
         assert diag.shape == q.shape
+        kinds = set()
         for v, e in zip(q.ravel(), diag.ravel()):
-            assert e == expect1(lambda u: np.tanh(u) ** 2, v, TANH.quadrature)
+            one = np.array([v])
+            series, certified = TANH.series.pairs(one, one, np.ones(1))
+            kinds.add(bool(certified[0, 0]))
+            if certified[0, 0]:
+                assert e == series[0, 0]
+            else:
+                assert e == expect1(lambda u: np.tanh(u) ** 2, v, TANH.quadrature)
+        assert kinds == {True, False}
 
 
 class TestLayerExpectations:
@@ -168,21 +187,92 @@ class TestLayerExpectations:
         np.testing.assert_array_equal(phiphi, [1.0, 1.0, 0.0])
 
     def test_tanh_matches_scalar_quadrature(self):
+        # order-256 oracle; the tolerance is the series certificate's bound
         qx = np.array([0.4, 1.3, 2.0])
         qxp = np.array([0.9, 1.3, 0.3])
         c = np.array([-0.7, 0.2, 0.95])
         phiphi, phiprime = layer_expectations(TANH, qx, qxp, c * np.sqrt(qx * qxp))
         for i in range(3):
-            args = (qx[i], qxp[i], c[i], TANH.quadrature)
-            assert abs(phiphi[i] - expect2(np.tanh, *args)) < 1e-15
-            assert abs(phiprime[i] - expect2(lambda u: 1 - np.tanh(u) ** 2,
-                                             *args)) < 1e-15
+            args = (qx[i], qxp[i], c[i], ORACLE)
+            for got, g in ((phiphi[i], np.tanh), (phiprime[i], tanh_prime)):
+                assert abs(got - expect2(g, *args)) <= series_bound(g, qx[i], qxp[i])
 
     @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
     def test_zero_variance_rejected(self, activation):
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(invalid="ignore"):
                 layer_expectations(activation, np.zeros(2), np.ones(2), np.zeros(2))
+
+
+class TestTanhSeries:
+    VARIANCES = (0.21, 0.512, 1.0)
+    C_GRID = np.array([-1.0 + 1e-12, -0.9, -0.4, 0.0, 0.3, 0.8, 0.99,
+                       1.0 - 1e-12, 1.0])
+
+    @pytest.mark.parametrize("q1", VARIANCES)
+    @pytest.mark.parametrize("q2", VARIANCES)
+    def test_certified_pairs_within_the_bound_of_order_256(self, q1, q2):
+        c = self.C_GRID
+        values, certified = TANH.series.pairs(np.full(c.size, q1),
+                                              np.full(c.size, q2), c)
+        assert certified[:, 0].all()  # tanh certifies at every c up to q = 1
+        if max(q1, q2) < 1.0:
+            assert certified.all()
+        for j, g in enumerate((np.tanh, tanh_prime)):
+            bound = series_bound(g, q1, q2)
+            for i in np.flatnonzero(certified[:, j]):
+                assert abs(values[i, j] - expect2(g, q1, q2, c[i], ORACLE)) <= bound
+
+    def test_uncertified_pairs_are_the_quadrature_bit_for_bit(self):
+        q = np.full(4, 5.2)
+        c = np.array([0.9, 0.99, 1.0 - 1e-12, 1.0])
+        assert not TANH.series.pairs(q, q, c)[1].any()
+        rule = TANH.quadrature
+        np.testing.assert_array_equal(phiphi_expectation(TANH, q, q, c),
+                                      expect2_pairs(np.tanh, q, q, c, rule))
+        np.testing.assert_array_equal(phiprime_expectation(TANH, q, q, c),
+                                      expect2_pairs(tanh_prime, q, q, c, rule))
+
+    def test_mixed_call_sends_only_uncertified_pairs_to_the_quadrature(self):
+        q = np.array([5.2, 0.3, 5.2, 0.512])
+        c = np.array([0.999, 0.9, 0.2, 1.0])
+        values, certified = TANH.series.pairs(q, q, c)
+        np.testing.assert_array_equal(certified[:, 0], [False, True, True, True])
+        got = phiphi_expectation(TANH, q, q, c)
+        np.testing.assert_array_equal(got[1:], values[1:, 0])
+        assert got[0] == expect2_pairs(np.tanh, q[:1], q[:1], c[:1],
+                                       TANH.quadrature)[0]
+
+    def test_full_table_starts_over_with_the_variances_of_the_call(self, monkeypatch):
+        import deepntk.activations as act
+        q = np.array([0.3, 0.4, 0.5, 0.6, 0.7])
+        c = np.linspace(-0.5, 1.0, 5)
+        calls = [(q[:3], q[:3], c[:3]),    # 3 of the 4 rows
+                 (q[2:], q[2:], c[2:]),    # 0.5 seen, 2 new: starts over
+                 (q, q[::-1], c)]          # 5 variances: a larger table
+        want = [TANH.series.pairs(*args) for args in calls]
+        monkeypatch.setattr(act, "_SERIES_TABLE_ROWS", 4)
+        small = make_activation("tanh").series
+        for args, (values, certified) in zip(calls, want):
+            got_values, got_certified = small.pairs(*args)
+            np.testing.assert_array_equal(got_values, values)
+            np.testing.assert_array_equal(got_certified, certified)
+        assert small.degree.size == 5
+
+    @pytest.mark.parametrize("q", VARIANCES)
+    def test_series_at_one_is_the_diagonal(self, q):
+        one = np.array([q])
+        phiphi, _ = layer_expectations(TANH, one, one, one)
+        assert phiphi[0] == _diag_expectation(TANH, one)[0]
+        cmap = CorrelationMap(TANH, q, 0.2, 1.3)
+        assert tanh_f(cmap, 1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q
+
+    def test_map_takes_the_pair_value(self):
+        q = 0.5  # f(c) = e / q, and back, without rounding
+        cmap = CorrelationMap(TANH, q, 0.0, 1.0)
+        c = self.C_GRID
+        e = phiphi_expectation(TANH, np.full(c.size, q), np.full(c.size, q), c)
+        assert [tanh_f(cmap, v) * q for v in c] == list(e)
 
 
 class TestInvariants:

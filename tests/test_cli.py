@@ -1,13 +1,15 @@
 """CLI: dataset ingestion, output contracts, exit codes."""
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 from deepntk.activations import make_activation
-from deepntk.cli import ConfigError, load_dataset, main, synthetic_sphere
-from deepntk.errors import InvalidDatasetError
+from deepntk.cli import (ConfigError, build_parser, load_dataset, main,
+                         synthetic_sphere, write_json)
+from deepntk.errors import InvalidDatasetError, NumericError
 from deepntk.kernels import Architecture, InputPair, normalize, ntk_trace
 from deepntk.phase import InitParams
 
@@ -241,6 +243,47 @@ class TestExitCodes:
         assert rc == 2
         assert "correlation not finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "k.csv")
+
+    def test_vanishing_variance_warns_nothing(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["kernel", "--activation", "relu", "--sigma-b", "0",
+                       "--sigma-w", "1e-200", "--depth", "5",
+                       "-o", str(tmp_path / "k.csv")])
+        assert rc == 2
+
+    def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
+        rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",
+                   "-o", str(tmp_path / "k.csv")])
+        assert rc == 2
+        assert "--sphere-d must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "k.csv")
+
+    def test_nan_training_time_is_config_error(self, tmp_path):
+        rc = main(["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "20",
+                   "--time", "nan", "-o", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert not os.path.exists(tmp_path / "t.json")
+
+    def test_empty_test_split_is_config_error(self, tmp_path, capsys):
+        rc = main(["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "1",
+                   "-o", str(tmp_path / "t.json")])
+        assert rc == 2
+        assert "the test split is empty" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t.json")
+
+    def test_single_seed_study_is_config_error(self, tmp_path, capsys):
+        rc = main(["empirical", "--phase", "eoc", "--seeds", "1", "--widths", "8,16",
+                   "-o", str(tmp_path / "e.csv")])
+        assert rc == 2
+        assert "at least 2 seeds" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "e.csv")
+
+    def test_nan_in_json_output_is_numeric_error(self, tmp_path):
+        args = build_parser().parse_args(["selftest"])
+        with pytest.raises(NumericError):
+            write_json(str(tmp_path / "x.json"), args, {"test_acc": float("nan")})
+        assert not os.path.exists(tmp_path / "x.json")
 
     def test_spectrum_scheme_of_another_architecture_is_config_error(self, tmp_path):
         rc = main(["spectrum", "--arch", "ffnn", "--activation", "relu",

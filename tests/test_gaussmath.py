@@ -4,9 +4,10 @@ import pytest
 
 from deepntk.activations import relu
 from deepntk.errors import NumericError
-from deepntk.gaussmath import (clamp_correlation, default_hermite, expect1,
-                               expect2, expect2_pairs, gauss_hermite,
-                               gauss_jacobi)
+from deepntk.gaussmath import (SERIES_DEGREE, clamp_correlation,
+                               default_hermite, expect1, expect2,
+                               expect2_pairs, gauss_hermite, gauss_jacobi,
+                               hermite_projection)
 
 RULE = default_hermite()
 
@@ -116,6 +117,30 @@ class TestExpect2:
             for j in range(3):
                 assert abs(vec[i, j] - expect2(np.tanh, q[i, j], q[j, i],
                                                cs[i, j], RULE)) < 1e-15
+
+
+class TestHermiteProjection:
+    def test_coefficients_of_a_cubic(self):
+        # u^3 = q^{3/2} z^3 = q^{3/2} (sqrt(6) h_3 + 3 h_1), E[u^6] = 15 q^3
+        q = np.array([0.5, 2.0])
+        a, s = hermite_projection(lambda u: u**3, q)
+        assert a.shape == (2, SERIES_DEGREE + 1)
+        want = np.zeros_like(a)
+        want[:, 1] = 3.0 * q**1.5
+        want[:, 3] = np.sqrt(6.0) * q**1.5
+        np.testing.assert_allclose(a, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s, 15.0 * q**3, rtol=1e-13)
+
+    def test_a_variance_gets_the_same_bits_in_any_batch(self):
+        q = np.linspace(0.1, 3.0, 13)
+        a, s = hermite_projection(np.tanh, q)
+        for i in range(q.size):
+            ai, si = hermite_projection(np.tanh, q[i:i + 1])
+            assert np.array_equal(ai[0], a[i]) and si[0] == s[i]
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ValueError):
+            hermite_projection(np.tanh, np.array([0.5, -0.1]))
 
 
 class TestInvariants:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from deepntk.activations import make_activation, relu_one_minus_f
+from deepntk.activations import (SERIES_TOLERANCE, _diag_expectation,
+                                 make_activation, phiphi_expectation,
+                                 phiprime_expectation, relu_one_minus_f)
 from deepntk.asymptotics import (iterate_relu_correlation,
                                  iterate_resnet_correlation,
                                  iterate_scaled_resnet_correlation)
@@ -91,3 +93,22 @@ def test_swapping_the_variances_keeps_the_kernel(kind, activation, depth,
     a = dense_layer_arrays(kind, activation, p, qx, qxp, qcov, depth)
     b = dense_layer_arrays(kind, activation, p, qxp, qx, qcov, depth)
     assert np.array_equal(a.wK, b.wK)
+
+
+@PROPERTY
+@given(q1=st.floats(0.01, 6.0), q2=st.floats(0.01, 6.0), c=st.floats(-1.0, 1.0))
+def test_tanh_maps_are_symmetric_in_the_variances(q1, q2, c):
+    # certified series and quadrature fallback alike
+    for expectation in (phiphi_expectation, phiprime_expectation):
+        assert expectation(TANH, q1, q2, c) == expectation(TANH, q2, q1, c)
+
+
+# up to q = 1 the tanh series is certified at every c; each certified value
+# and each diagonal is within SERIES_TOLERANCE (relative) of the exact one,
+# which keeps Cauchy-Schwarz exactly, hence the 2 SERIES_TOLERANCE slack
+@PROPERTY
+@given(q1=st.floats(0.01, 1.0), q2=st.floats(0.01, 1.0), c=st.floats(-1.0, 1.0))
+def test_tanh_series_keeps_cauchy_schwarz(q1, q2, c):
+    e = phiphi_expectation(TANH, q1, q2, c)
+    d1, d2 = _diag_expectation(TANH, np.array([q1, q2]))
+    assert abs(e) <= np.sqrt(d1 * d2) * (1.0 + 2.0 * SERIES_TOLERANCE)
