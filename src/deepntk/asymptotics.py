@@ -13,14 +13,15 @@ correlation map.  The iterators below track gamma = 1 - c directly so the
 recursions stay accurate long after 1 - c falls below double rounding of c.
 
 ``fit_rate`` estimates decay laws of kernel residuals in their natural
-transform domains (log-log for powers, log-linear for exponentials).
+transform domains (log-log for powers, log-linear for exponentials,
+log against log log for inverse powers of log L), each by a linear
+least-squares fit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .activations import (
     B_RELU,
@@ -230,7 +231,10 @@ def fit_rate(depths, residuals, model: str) -> RateFit:
     power:     r = A L^p          (log r vs log L)
     power_log: r = A log(L) L^p   (log r - log log L vs log L)
     exp:       r = A e^{-gamma L} (log r vs L)
-    inv_log:   r = A / log(L)^p   (nonlinear fit)
+    inv_log:   r = A / log(L)^p   (log r vs log log L)
+
+    Each law is linear in its transform domain, so one linear least-squares
+    fit there is the exact solution (for inv_log, log r = log A - p log log L).
     """
     depths = np.asarray(depths, dtype=np.float64)
     residuals = np.asarray(residuals, dtype=np.float64)
@@ -250,13 +254,8 @@ def fit_rate(depths, residuals, model: str) -> RateFit:
         slope, intercept, r2 = _linear_fit(depths, logr)
         return RateFit("exp", -slope, float(np.exp(intercept)), r2, rng)
     if model == "inv_log":
-        def law(L, a, p):
-            return a - p * np.log(np.log(L))
-        (a, p), _ = curve_fit(law, depths, logr, p0=(logr[0], 1.0), maxfev=10000)
-        pred = law(depths, a, p)
-        ss_tot = np.sum((logr - logr.mean()) ** 2)
-        r2 = 1.0 - np.sum((logr - pred) ** 2) / ss_tot if ss_tot > 0 else 1.0
-        return RateFit("inv_log", p, float(np.exp(a)), r2, rng)
+        slope, intercept, r2 = _linear_fit(np.log(np.log(depths)), logr)
+        return RateFit("inv_log", -slope, float(np.exp(intercept)), r2, rng)
     raise ValueError(f"unknown model {model!r}")
 
 

@@ -12,8 +12,9 @@ selftest   run all module invariant suites
 
 Every emitted CSV starts with a reproducibility header (version, full
 config, seed) and gets a ``<name>.schema.json`` sidecar describing its
-columns.  Outputs are written atomically (temp file + rename).  Exit codes:
-0 ok, 2 config error, 3 numeric error, 4 io error.
+columns and giving the time it was written, so that identical runs give
+byte-identical CSVs.  Outputs are written atomically (temp file + rename).
+Exit codes: 0 ok, 2 config error, 3 numeric error, 4 io error.
 
 Config precedence: command-line flags > --config file (flat ``key = value``
 lines, keys matching the subcommand's long option names) > built-in
@@ -79,16 +80,15 @@ def _config_echo(args: argparse.Namespace) -> str:
     return " ".join(f"{k}={v}" for k, v in items.items())
 
 
-def _header(args: argparse.Namespace) -> str:
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return (f"# deepntk {__version__}\n"
-            f"# generated_at: {stamp}\n"
-            f"# config: {_config_echo(args)}\n")
-
-
 def write_csv(path: str, args: argparse.Namespace, columns: list[str],
               rows, schema: dict[str, str]) -> None:
-    lines = [_header(args).rstrip("\n"), ",".join(columns)]
+    """Write rows as a CSV with a ``.schema.json`` sidecar.
+
+    The time stamp goes in the sidecar only, so identical runs give
+    byte-identical CSVs.
+    """
+    lines = [f"# deepntk {__version__}", f"# config: {_config_echo(args)}",
+             ",".join(columns)]
     for row in rows:
         cells = []
         for v in row:
@@ -100,6 +100,7 @@ def write_csv(path: str, args: argparse.Namespace, columns: list[str],
     _atomic_write(path, "\n".join(lines) + "\n")
     sidecar = {
         "file": os.path.basename(path),
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "columns": [{"name": c, "description": schema[c]} for c in columns],
     }
     _atomic_write(path + ".schema.json", json.dumps(sidecar, indent=2) + "\n")
@@ -284,6 +285,10 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_rates(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    if args.j_max < 7:  # fit_rate needs 8 depths, j = 0..7
+        raise ConfigError(f"--j-max must be at least 7, got {args.j_max}")
     act = _activation_from(args)
     params = _params_from(args)
     grid = default_depth_grid(args.j_max)
@@ -493,7 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="depth sweep of kernel residuals + fits")
     _add_kernel_flags(p, ("ffnn", "resnet_dense", "scaled_resnet_dense"))
-    p.add_argument("--j-max", type=int, default=8, help="depth grid 32*2^j, j<=j_max")
+    p.add_argument("--j-max", type=int, default=8,
+                   help="depth grid 32*2^j, j<=j_max (at least 7)")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--sphere-d", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -24,6 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# roots_hermitenorm (order <= 150) and roots_jacobi import scipy.linalg
+# lazily on their first call (scipy.special._orthogonal's
+# gen_roots_and_weights); importing it here keeps that cost in start-up
+# instead of the first op that builds a rule.
+import scipy.linalg  # noqa: F401
 from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import NumericError
@@ -168,8 +173,9 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
     kernel recursions, which propagate many input pairs per layer.  The grid
     is laid out as (pair, i, j) and evaluated in blocks of
     max(1, _BLOCK_POINTS // order^2) pairs (8 at order 64), so temporaries
-    stay cache-sized at any number of pairs; each block is reduced by
-    (vals @ w) @ w.
+    stay cache-sized at any number of pairs.  Each block is reduced in
+    ``einsum``'s own loops, not BLAS, whose results depend on the number of
+    rows: a pair gets the same bits whatever the other pairs of its call.
     """
     if rule.kind != "hermite":
         raise ValueError("expect2_pairs requires a hermite rule")
@@ -196,7 +202,7 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
         vals = g(u1)[:, :, None] * g(s2[b, None, None] * mix)
         if not np.all(np.isfinite(vals)):
             raise NumericError("integrand evaluated to a non-finite value")
-        out[b] = (vals @ w) @ w
+        out[b] = np.einsum("bi,i->b", np.einsum("bij,j->bi", vals, w), w)
     return out.reshape(shape)
 
 

@@ -157,6 +157,16 @@ class TestFitRate:
         fit = fit_rate(L, 2.0 / np.log(L) ** 1.5, "inv_log")
         assert abs(fit.exponent - 1.5) < 1e-6
 
+    def test_inv_log_is_the_least_squares_solution(self):
+        # normal equations: the log residuals are orthogonal to 1 and log log L
+        L = np.array(default_depth_grid(), dtype=float)
+        noise = np.random.default_rng(3).normal(0.0, 0.1, L.size)
+        r = 2.0 / np.log(L) ** 1.5 * np.exp(noise)
+        fit = fit_rate(L, r, "inv_log")
+        x = np.log(np.log(L))
+        resid = np.log(r) - (np.log(fit.prefactor) - fit.exponent * x)
+        np.testing.assert_allclose([resid.sum(), resid @ x], 0.0, atol=1e-12)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fit_rate([32, 64, 128], [1, 2, 3], "power")

@@ -1,4 +1,5 @@
 """CLI: dataset ingestion, output contracts, exit codes."""
+import hashlib
 import json
 import os
 import warnings
@@ -83,17 +84,35 @@ class TestOutputs:
         assert os.path.exists(out + ".schema.json")
 
     def test_byte_identical_bodies(self, tmp_path):
-        outs = []
-        for name in ("a.csv", "b.csv"):
-            out = str(tmp_path / name)
-            rc = main(["kernel", "--arch", "ffnn", "--activation", "relu",
-                       "--phase", "eoc", "--depth", "6", "--sphere-d", "8",
-                       "--seed", "5", "-o", out])
-            assert rc == 0
-            lines = open(out).read().splitlines()
-            outs.append([ln for ln in lines if not ln.startswith("# generated_at")
-                         and not ln.startswith("# config")])
-        assert outs[0] == outs[1]
+        # two runs of the same argv: every data file (all but the sidecars,
+        # which carry the time stamp) has the same sha256
+        commands = [
+            ["kernel", "--arch", "ffnn", "--activation", "relu", "--phase", "eoc",
+             "--depth", "6", "--sphere-d", "8", "--seed", "5", "-o", "k.csv"],
+            ["rates", "--arch", "scaled_resnet_dense", "--sigma-b", "0.1",
+             "--sigma-w", "1", "--j-max", "7", "--pairs", "2", "-o", "r.csv"],
+            ["spectrum", "--phase", "eoc", "--depths", "3,30", "--kmax", "8",
+             "-o", "s.csv"],
+            ["phase", "--activation", "tanh", "--sigma-b-grid", "0,0.5",
+             "--sigma-w-grid", "1,1.5", "-o", "p.csv"],
+            ["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "12",
+             "--predictions", "t.csv", "-o", "t.json"],
+        ]
+
+        def digests():
+            return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in sorted(os.listdir(tmp_path))
+                    if not name.endswith(".schema.json")}
+
+        runs = []
+        for _ in range(2):
+            for argv in commands:
+                assert main([str(tmp_path / a) if a.endswith((".csv", ".json"))
+                             else a for a in argv]) == 0
+            runs.append(digests())
+        assert sorted(runs[0]) == ["k.csv", "p.csv", "r.csv", "r.fit.json",
+                                   "s.csv", "t.csv", "t.json"]
+        assert runs[0] == runs[1]
 
     def test_schema_sidecar_columns_match(self, tmp_path):
         out = str(tmp_path / "phase.csv")
@@ -104,6 +123,7 @@ class TestOutputs:
         schema = json.load(open(out + ".schema.json"))
         body = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert [c["name"] for c in schema["columns"]] == body[0].split(",")
+        assert "generated_at" in schema
 
     def test_spectrum_depth_trend(self, tmp_path):
         out = str(tmp_path / "spec.csv")
@@ -258,6 +278,18 @@ class TestExitCodes:
         assert rc == 2
         assert "--sphere-d must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "k.csv")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--pairs", "0"], "--pairs must be at least 1, got 0"),
+        (["--pairs", "-2"], "--pairs must be at least 1, got -2"),
+        (["--j-max", "3"], "--j-max must be at least 7, got 3"),
+    ], ids=["pairs_0", "pairs_negative", "j_max_3"])
+    def test_rates_size_flags_are_config_errors(self, tmp_path, capsys,
+                                                flags, message):
+        rc = main(["rates", "--phase", "eoc", *flags, "-o", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "r.csv")
 
     def test_nan_training_time_is_config_error(self, tmp_path):
         rc = main(["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "20",

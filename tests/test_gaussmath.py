@@ -118,6 +118,19 @@ class TestExpect2:
                 assert abs(vec[i, j] - expect2(np.tanh, q[i, j], q[j, i],
                                                cs[i, j], RULE)) < 1e-15
 
+    def test_pairs_same_bits_in_any_batch(self):
+        # a BLAS matrix-vector product sums a row differently by its
+        # position, so a BLAS reduction would make a pair's bits depend on
+        # the other pairs of its call (the Gram's batch against predict's)
+        rng = np.random.default_rng(11)
+        q1, q2 = rng.uniform(0.1, 3.0, (2, 200))
+        cs = rng.uniform(-1.0, 1.0, 200)
+        whole = expect2_pairs(np.tanh, q1, q2, cs, RULE)
+        for _ in range(50):
+            idx = rng.choice(200, 37, replace=False)
+            np.testing.assert_array_equal(
+                expect2_pairs(np.tanh, q1[idx], q2[idx], cs[idx], RULE), whole[idx])
+
 
 class TestHermiteProjection:
     def test_coefficients_of_a_cubic(self):

@@ -1,0 +1,74 @@
+"""Import set: start-up loads only the scipy modules that the ops use.
+
+One fresh interpreter imports ``deepntk.cli`` and then runs one small op of
+each kind in turn.  Start-up must not load ``scipy.optimize`` (about 0.45 s
+and 17 MB that served a single rate fit), and no op may load a ``scipy``
+module that start-up did not: a lazy import in an op moves its cost into
+the first call of that op.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import deepntk
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(deepntk.__file__)))
+
+_RESIDUAL = ["--sigma-b", "0.1", "--sigma-w", "1.0"]
+_RATES = ["--j-max", "7", "--pairs", "2"]
+
+OPS = {
+    "kernel": ["kernel", "--phase", "eoc", "--depth", "4"],
+    "rates_ffnn": ["rates", "--arch", "ffnn", "--phase", "eoc", *_RATES],
+    "rates_resnet_dense": ["rates", "--arch", "resnet_dense", *_RESIDUAL, *_RATES],
+    "rates_scaled_resnet_dense": ["rates", "--arch", "scaled_resnet_dense",
+                                  *_RESIDUAL, *_RATES],
+    "spectrum": ["spectrum", "--phase", "eoc", "--depths", "3,30", "--kmax", "8"],
+    "phase_tanh": ["phase", "--activation", "tanh"],
+    "train_relu": ["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "12"],
+    "train_tanh": ["train", "--activation", "tanh", "--phase", "eoc",
+                   "--sigma-b", "0.2", "--depth", "3", "--sphere-n", "12"],
+    "empirical": ["empirical", "--phase", "eoc", "--depth", "2",
+                  "--widths", "8,16", "--seeds", "2"],
+}
+
+_PROBE = """
+import json, os, sys, tempfile
+
+import deepntk.cli
+
+
+def scipy_modules():
+    return {m for m in sys.modules if m == "scipy" or m.startswith("scipy.")}
+
+
+report = {"startup": sorted(scipy_modules()), "ops": {}}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, argv in json.loads(sys.argv[1]).items():
+        before = scipy_modules()
+        rc = deepntk.cli.main(argv + ["-o", os.path.join(tmp, name + ".out")])
+        report["ops"][name] = {"rc": rc, "new": sorted(scipy_modules() - before)}
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def report():
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(OPS)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_startup_does_not_load_scipy_optimize(report):
+    assert "scipy.optimize" not in report["startup"]
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_op_loads_no_new_scipy_module(report, op):
+    assert report["ops"][op] == {"rc": 0, "new": []}
