@@ -449,31 +449,6 @@ def phiprime_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     return _pair_expectations(activation, qx, qxp, root, clamp_correlation(c))[1]
 
 
-def covariance_step(activation: ActivationModel, sigma_b: float, sigma_w: float,
-                    qx: float, qxp: float, qcov: float):
-    """One exact layer of variance/covariance propagation.
-
-    Returns (qx_next, qxp_next, qcov_next) with
-        q_next = sigma_b^2 + sigma_w^2 E[phi phi]
-    evaluated on the layer-input Gaussian field.
-    """
-    qx_a = np.asarray(qx, dtype=np.float64)
-    qxp_a = np.asarray(qxp, dtype=np.float64)
-    qcov_a = np.asarray(qcov, dtype=np.float64)
-    if np.any(qx_a <= 0) or np.any(qxp_a <= 0):
-        raise ValueError("variances must be positive")
-    if np.any(qcov_a * qcov_a > qx_a * qxp_a * (1.0 + 1e-10)):
-        raise ValueError("covariance violates Cauchy-Schwarz")
-    c = clamp_correlation(qcov_a / np.sqrt(qx_a * qxp_a))
-    sb2, sw2 = sigma_b**2, sigma_w**2
-    qx_next = sb2 + sw2 * _diag_expectation(activation, qx_a)
-    qxp_next = sb2 + sw2 * _diag_expectation(activation, qxp_a)
-    qcov_next = sb2 + sw2 * phiphi_expectation(activation, qx_a, qxp_a, c)
-    if np.isscalar(qx) or qx_a.ndim == 0:
-        return float(qx_next), float(qxp_next), float(qcov_next)
-    return qx_next, qxp_next, qcov_next
-
-
 def _tanh_squared(u):
     return np.tanh(u) ** 2
 

@@ -22,7 +22,7 @@ class NoSolutionError(NumericError):
     """A root-finding bracket contains no sign change."""
 
 
-class AssumptionViolatedError(NumericError):
+class AssumptionViolatedError(ValueError):
     """Inputs do not satisfy the translation-invariance assumption."""
 
 

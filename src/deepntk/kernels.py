@@ -20,14 +20,24 @@ q^l = q^{l-1} + qhat^l is what propagates forward).  Scaled residual
 blocks carry a 1/sqrt(l) factor, so their kernel contributions scale
 by 1/l.
 
-Every dense kind runs one layer step.  With the layer weight w_l (1/l for
-scaled residual kinds, 1 otherwise) the block covariance and the kernel
-multiplier are
+Every kind runs one layer step.  With the layer weight w_l (1/l for
+scaled residual kinds, 1 otherwise), the skip weight s (1 for residual
+kinds, 0 otherwise) and a mixing operator ``mix``, the layer is
 
-    block^l = w_l (sigma_b^2 + sigma_w^2 E[phi phi]),   qdot^l = w_l sigma_w^2 E[phi' phi'];
+    block^l = w_l (sigma_b^2 + sigma_w^2 E[phi phi]),   qdot^l = w_l sigma_w^2 E[phi' phi'],
+    q^l     = s q^{l-1} + mix(w_l (sigma_b^2 + sigma_w^2 E[phi^2]))   (each variance),
+    qcov^l  = s qcov^{l-1} + mix(block^l),
+    K^l     = s K^{l-1} + mix(qdot^l K^{l-1} + block^l).
 
-a feedforward layer replaces the state by the block, a residual layer adds
-it.  Residual variances grow like (1 + sigma_w^2/2)^L and ReLU ones with
+``mix`` is the identity for dense kinds, whose state is one entry per
+input pair.  A full-grid conv state has one entry per position pair
+(alpha, alpha'): the variance of x at alpha, that of x' at alpha', their
+covariance and the kernel, and ``mix`` is the circulant window average
+(1/(2k+1)) sum_{|beta| <= k} G[alpha+beta, alpha'+beta].  The window
+average of a grid that depends on alpha alone depends on alpha alone, so
+the variance grids stay the diagonals of the x and x' covariance grids.
+
+Residual variances grow like (1 + sigma_w^2/2)^L and ReLU ones with
 sigma_b = 0 like (sigma_w^2/2)^L, so the state is renormalised: when the
 largest variance leaves [1e-150, 1e150] (_RENORM_LIMIT) the whole state is
 divided by it and its log is added to a per-layer ``scale_log``.  Raw values
@@ -144,11 +154,12 @@ class KernelTrace:
     State arrays have shape (n,) + the input shape for the last n layers,
     ``layers``, of the depth-L recursion: n = L, or 1 for a last-layer
     trace.  The input shape is () for one dense pair, (P,) for P pairs
-    given as arrays, (M, M) for full-grid conv kernels, whose ``vx``/``vxp``
-    are per-position variance grids.  The
-    stored state is the raw value divided by exp(scale_log[l]); scale_log
-    changes only when a variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT]
-    (see the module docstring).  ``qdot`` at layer 1 is NaN (there is no
+    given as arrays, (M, M) for full-grid conv kernels, whose full ``vx``
+    and ``vxp`` grids hold the variance of x at alpha and of x' at alpha'
+    at each (alpha, alpha').  The stored state is the raw value divided by
+    exp(scale_log[l]), for every kind; scale_log changes only when a
+    variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT] (see the module
+    docstring).  ``qdot`` at layer 1 is NaN (there is no
     previous layer).  The raw values ``qx``, ``qxp``, ``qcov`` and ``ntk`` overflow to inf (or
     underflow to 0) once exp(scale_log) does; ``log_qx``, ``log_qxp``,
     ``ntk_log``/``ntk_sign`` and ``corr`` stay finite.
@@ -245,27 +256,46 @@ def _require_relu(kind: str, activation: ActivationModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dense recursions, vectorized over P pairs
+# the layer recursion, vectorized over input pairs or conv position pairs
 # ---------------------------------------------------------------------------
 
-def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParams,
-                       qx0, qxp0, qcov0, L: int,
-                       last_only: bool = False) -> KernelTrace:
-    """Run a dense kernel recursion from first-layer covariances.
+def _circulant_average(grid: np.ndarray, k: int) -> np.ndarray:
+    """(1/(2k+1)) sum_beta grid[a+beta, a'+beta] with circular wraparound."""
+    acc = np.zeros_like(grid)
+    for beta in range(-k, k + 1):
+        acc += np.roll(np.roll(grid, -beta, axis=0), -beta, axis=1)
+    return acc / (2 * k + 1)
 
-    The first-layer variances and covariances may be scalars or arrays of
-    one shape (one entry per input pair); the trace arrays have shape
-    (L,) + that shape, or (1,) + that shape with ``last_only``, which keeps
-    layer L alone.  One layer step serves all dense kinds (see the module
-    docstring).
+
+def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
+                       params: InitParams, qx0, qxp0, qcov0, L: int,
+                       last_only: bool = False) -> KernelTrace:
+    """Run a kernel recursion from first-layer covariances.
+
+    ``kind`` is a dense kind name or an :class:`Architecture`.  The
+    first-layer variances and covariances may be scalars or arrays of one
+    shape (one entry per input pair); the trace arrays have shape (L,) +
+    that shape, or (1,) + that shape with ``last_only``, which keeps layer
+    L alone.  A full-grid conv architecture takes (M, M) grids, the
+    variances of x at alpha and of x' at alpha' broadcast over the grid,
+    and averages each layer's new terms over the filter window (see the
+    module docstring).  One layer step serves every kind.
     """
-    if kind not in _DENSE_KINDS:
-        raise ValueError(f"not a dense kind: {kind}")
-    _require_relu(kind, activation)
-    arch = Architecture(kind)
+    arch = kind if isinstance(kind, Architecture) else Architecture(kind)
+    _require_relu(arch.kind, activation)
     first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
                                   for a in (qx0, qxp0, qcov0)))
     shape = first[0].shape
+    if arch.is_conv:
+        if shape != (arch.positions,) * 2:
+            raise ValueError(f"conv kernels need (M, M) grids, got {shape}")
+        k = arch.filter_half_width
+
+        def mix(a):
+            return _circulant_average(a.reshape(shape), k).ravel()
+    else:
+        def mix(a):
+            return a
     vx, vxp, vcov = (a.ravel() for a in first)
     wK = vcov
     qdot = np.full(vx.size, np.nan)
@@ -284,10 +314,10 @@ def dense_layer_arrays(kind: str, activation: ActivationModel, params: InitParam
             phiphi, phiprime = layer_expectations(activation, vx, vxp, vcov)
             qdot = w * sw2 * phiprime
             block = w * (sb2_l + sw2 * phiphi)
-            vx = skip * vx + w * (sb2_l + sw2 * _diag_expectation(activation, vx))
-            vxp = skip * vxp + w * (sb2_l + sw2 * _diag_expectation(activation, vxp))
-            vcov = skip * vcov + block
-            wK = wK * (skip + qdot) + block
+            vx = skip * vx + mix(w * (sb2_l + sw2 * _diag_expectation(activation, vx)))
+            vxp = skip * vxp + mix(w * (sb2_l + sw2 * _diag_expectation(activation, vxp)))
+            vcov = skip * vcov + mix(block)
+            wK = skip * wK + mix(qdot * wK + block)
             top = max(vx.max(), vxp.max())
             if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
                 vx, vxp, vcov, wK = vx / top, vxp / top, vcov / top, wK / top
@@ -308,7 +338,8 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
 
     Dense kinds take vector inputs and return length-L arrays.  Conv kinds
     take (n0, M) inputs; under ``arch.assumption1`` they reduce to the
-    matching dense recursion, otherwise they return (L, M, M) grids.
+    matching dense recursion, otherwise they return (L, M, M) grids from
+    the same layer step with the circulant window average.
     """
     if L < 1:
         raise ValueError("depth must be >= 1")
@@ -316,30 +347,13 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
         return _conv_trace(pair, activation, params, arch, L)
     if pair.is_conv:
         raise ValueError(f"{arch.kind} expects dense inputs")
-    return dense_layer_arrays(arch.kind, activation, params,
+    return dense_layer_arrays(arch, activation, params,
                               *first_layer_dense(pair, params), L)
 
 
 # ---------------------------------------------------------------------------
-# convolutional recursions (full (alpha, alpha') grids, circular indexing)
+# convolutional first layer (full (alpha, alpha') grids, circular indexing)
 # ---------------------------------------------------------------------------
-
-def _circulant_average(grid: np.ndarray, k: int) -> np.ndarray:
-    """(1/(2k+1)) sum_beta grid[a+beta, a'+beta] with circular wraparound."""
-    acc = np.zeros_like(grid)
-    for beta in range(-k, k + 1):
-        acc += np.roll(np.roll(grid, -beta, axis=0), -beta, axis=1)
-    return acc / (2 * k + 1)
-
-
-def _grid_expectations(activation: ActivationModel, varx: np.ndarray,
-                       varxp: np.ndarray, cov: np.ndarray, sb2, sw2):
-    """qhat and qdot grids from position variances and a covariance grid."""
-    v1 = varx[:, None] * np.ones_like(cov)
-    v2 = np.ones_like(cov) * varxp[None, :]
-    phiphi, phiprime = layer_expectations(activation, v1, v2, cov)
-    return sb2 + sw2 * phiphi, sw2 * phiprime
-
 
 def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams,
                 arch: Architecture, L: int) -> KernelTrace:
@@ -349,8 +363,6 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
     n0, m = pair.x.shape
     if m != M:
         raise ValueError(f"input has {m} positions, architecture expects {M}")
-    _require_relu(arch.kind, activation)
-    sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     norm = n0 * (2 * k + 1)
 
     # first-layer covariance grids for the three input combinations
@@ -368,28 +380,10 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
                                    activation, params,
                                    Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
         return replace(trace, architecture=arch)
-
-    K = Cxp
-    skip = 1.0 if arch.is_residual else 0.0
-    qdot = np.full((M, M), np.nan)
-    hist = np.empty((5, L, M, M))
-    for i in range(L):
-        if i:
-            scale = 1.0 / (i + 1) if arch.is_scaled else 1.0
-            qhat_xx, _ = _grid_expectations(activation, np.diag(Cxx), np.diag(Cxx), Cxx, sb2, sw2)
-            qhat_pp, _ = _grid_expectations(activation, np.diag(Cpp), np.diag(Cpp), Cpp, sb2, sw2)
-            qhat_xp, qdot_xp = _grid_expectations(activation, np.diag(Cxx), np.diag(Cpp), Cxp, sb2, sw2)
-            qdot = qdot_xp * scale
-            psi = qdot * K + qhat_xp * scale
-            K = skip * K + _circulant_average(psi, k)
-            Cxx = skip * Cxx + scale * _circulant_average(qhat_xx, k)
-            Cpp = skip * Cpp + scale * _circulant_average(qhat_pp, k)
-            Cxp = skip * Cxp + scale * _circulant_average(qhat_xp, k)
-        # per-position variances broadcast over the (alpha, alpha') grid
-        state = (np.diag(Cxx)[:, None], np.diag(Cpp)[None, :], Cxp, K, qdot)
-        for h, v in zip(hist, state):
-            h[i] = v
-    return KernelTrace(arch, activation.kind, params, L, *hist, np.zeros(L))
+    # only the diagonals of the x and x' grids feed the recursion: the
+    # window average keeps diag(Cxx)[alpha] a function of alpha alone
+    return dense_layer_arrays(arch, activation, params, np.diag(Cxx)[:, None],
+                              np.diag(Cpp)[None, :], Cxp, L)
 
 
 # ---------------------------------------------------------------------------

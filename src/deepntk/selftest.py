@@ -78,16 +78,15 @@ def checks_activations():
     relu = act.make_activation("relu")
     tanh = act.make_activation("tanh")
     out = []
-    # Cauchy-Schwarz preserved by covariance_step
+    # Cauchy-Schwarz preserved by one ffnn layer step
     rng = np.random.default_rng(5)
     ok = True
     for a in (relu, tanh):
-        for _ in range(50):
-            qx, qxp = rng.uniform(0.1, 3.0, 2)
-            c = rng.uniform(-1.0, 1.0)
-            nqx, nqxp, ncov = act.covariance_step(a, 0.3, 1.2, qx, qxp,
-                                                  c * np.sqrt(qx * qxp))
-            ok = ok and (ncov**2 <= nqx * nqxp + 1e-10)
+        qx, qxp = rng.uniform(0.1, 3.0, (2, 50))
+        qcov = rng.uniform(-1.0, 1.0, 50) * np.sqrt(qx * qxp)
+        step = ker.dense_layer_arrays("ffnn", a, InitParams(0.3, 1.2),
+                                      qx, qxp, qcov, 2, last_only=True)
+        ok = ok and bool(np.all(step.qcov**2 <= step.qx * step.qxp + 1e-10))
     out.append(("activations.cauchy_schwarz_step", bool(ok), ""))
     # f nondecreasing and convex on [0, 1]
     cs = np.linspace(0.0, 1.0, 101)
@@ -391,9 +390,9 @@ def checks_empirical():
     # layer variance statistics match the covariance chain at width 1024
     p = InitParams(0.3, 1.2)
     xs = x / np.linalg.norm(x)
-    qx = ker.first_layer_cov(p, 1.0, xs.size)
-    for _ in range(2):
-        qx, _, _ = act.covariance_step(tanh, p.sigma_b, p.sigma_w, qx, qx, qx)
+    q1 = ker.first_layer_cov(p, 1.0, xs.size)
+    qx = float(ker.dense_layer_arrays("ffnn", tanh, p, q1, q1, q1, 3,
+                                      last_only=True).qx[0])
     samples = []
     for s in range(24):
         net = emp.sample_net("ffnn", tanh, p, [1024] * 3, 4, 100 + s)

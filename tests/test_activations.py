@@ -4,12 +4,13 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
-                                 _diag_expectation, covariance_step,
-                                 layer_expectations, make_activation,
-                                 phiphi_expectation, phiprime_expectation,
-                                 relu, relu_f, relu_f_prime, relu_one_minus_f,
+                                 _diag_expectation, layer_expectations,
+                                 make_activation, phiphi_expectation,
+                                 phiprime_expectation, relu, relu_f,
+                                 relu_f_prime, relu_one_minus_f,
                                  tanh_f, tanh_f_deriv, tanh_prime)
 from deepntk.gaussmath import expect1, expect2, expect2_pairs, gauss_hermite
+from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
@@ -126,16 +127,20 @@ class TestTanhF:
 
 
 class TestCovarianceStep:
+    """One ffnn layer of variance/covariance propagation (layer 2 of a
+    ``dense_layer_arrays`` recursion from the given first-layer triple)."""
+
     def test_relu_critical_fixed_triple(self):
-        for v in (0.5, 1.0, 3.0):
-            out = covariance_step(RELU, 0.0, np.sqrt(2.0), v, v, v)
-            np.testing.assert_allclose(out, (v, v, v), rtol=1e-14)
+        v = np.array([0.5, 1.0, 3.0])
+        tr = dense_layer_arrays("ffnn", RELU, InitParams(0.0, np.sqrt(2.0)),
+                                v, v, v, 2, last_only=True)
+        for out in (tr.qx, tr.qxp, tr.qcov):
+            np.testing.assert_allclose(out[0], v, rtol=1e-14)
 
     def test_relu_ordered_variance_limit(self):
-        qx = qxp = qcov = 5.0
-        for _ in range(200):
-            qx, qxp, qcov = covariance_step(RELU, 1.0, 0.1, qx, qxp, qcov)
-        assert abs(qx - 1.0 / 0.995) < 1e-12
+        tr = dense_layer_arrays("ffnn", RELU, InitParams(1.0, 0.1),
+                                5.0, 5.0, 5.0, 201, last_only=True)
+        assert abs(tr.qx[0] - 1.0 / 0.995) < 1e-12
 
     def test_tanh_step_vs_wide_random_layer(self):
         # propagate (1, 1, 0.5) through one width-1e5 random tanh layer:
@@ -149,16 +154,17 @@ class TestCovarianceStep:
         prods = np.tanh(u1) * np.tanh(u2)
         est = sb**2 + sw**2 * prods.mean()
         se = sw**2 * prods.std(ddof=1) / np.sqrt(n)
-        _, _, qcov = covariance_step(TANH, sb, sw, 1.0, 1.0, 0.5)
+        qcov = dense_layer_arrays("ffnn", TANH, InitParams(sb, sw),
+                                  1.0, 1.0, 0.5, 2, last_only=True).qcov[0]
         assert abs(qcov - est) < 3 * se
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
-            covariance_step(RELU, 0.0, 1.0, 0.0, 1.0, 0.0)
+            dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1.0), 0.0, 1.0, 0.0, 2)
 
     def test_cauchy_schwarz_violation_rejected(self):
         with pytest.raises(ValueError):
-            covariance_step(RELU, 0.0, 1.0, 1.0, 1.0, 1.1)
+            dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1.0), 1.0, 1.0, 1.1, 2)
 
     def test_tanh_diagonal_is_the_series_at_one_per_variance(self):
         # certified variances take the series at c = 1, the others expect1

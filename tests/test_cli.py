@@ -291,6 +291,14 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
 
+    def test_assumption1_violation_is_config_error(self, tmp_path, capsys):
+        # the synthetic sphere points are not translation invariant
+        rc = main(["kernel", "--arch", "cnn", "--channels", "2", "--filter-k", "1",
+                   "--phase", "eoc", "--depth", "3", "-o", str(tmp_path / "k.csv")])
+        assert rc == 2
+        assert "first-layer grid q1(x,x) varies" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "k.csv")
+
     def test_nan_training_time_is_config_error(self, tmp_path):
         rc = main(["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "20",
                    "--time", "nan", "-o", str(tmp_path / "t.json")])

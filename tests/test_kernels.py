@@ -23,12 +23,15 @@ def rng():
     return np.random.default_rng(17)
 
 
-def brute_force_conv_ntk(x, xp, params, M, k, L, residual):
+def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
     """Loop/dict re-implementation of the conv recursions, no vectorization.
 
     Independent oracle for the circulant code paths: ReLU expectations via
     the closed forms, every (alpha, alpha') pair handled by explicit loops.
+    ``kind`` is "cnn", "resnet_conv" or "scaled_resnet_conv"; the scaled
+    kind weights layer l's block terms by 1/l.
     """
+    residual = kind != "cnn"
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     n0 = x.shape[0]
     norm = n0 * (2 * k + 1)
@@ -43,23 +46,24 @@ def brute_force_conv_ntk(x, xp, params, M, k, L, residual):
                         for ap in range(M)] for a in range(M)]
     K = [row[:] for row in grids["xp"]]
 
-    def qhat_and_qdot(g, varx, varxp):
+    def qhat_and_qdot(g, varx, varxp, w):
         qhat = [[0.0] * M for _ in range(M)]
         qdot = [[0.0] * M for _ in range(M)]
         for a in range(M):
             for ap in range(M):
                 v1, v2 = varx[a], varxp[ap]
                 c = min(1.0, max(-1.0, g[a][ap] / np.sqrt(v1 * v2)))
-                qhat[a][ap] = sb2 + sw2 * 0.5 * np.sqrt(v1 * v2) * relu_f(c)
-                qdot[a][ap] = sw2 * 0.5 * relu_f_prime(c)
+                qhat[a][ap] = w * (sb2 + sw2 * 0.5 * np.sqrt(v1 * v2) * relu_f(c))
+                qdot[a][ap] = w * sw2 * 0.5 * relu_f_prime(c)
         return qhat, qdot
 
-    for _ in range(L - 1):
+    for layer in range(2, L + 1):
+        w = 1.0 / layer if kind == "scaled_resnet_conv" else 1.0
         varx = [grids["xx"][a][a] for a in range(M)]
         varxp = [grids["pp"][a][a] for a in range(M)]
-        qh_xx, _ = qhat_and_qdot(grids["xx"], varx, varx)
-        qh_pp, _ = qhat_and_qdot(grids["pp"], varxp, varxp)
-        qh_xp, qd_xp = qhat_and_qdot(grids["xp"], varx, varxp)
+        qh_xx, _ = qhat_and_qdot(grids["xx"], varx, varx, w)
+        qh_pp, _ = qhat_and_qdot(grids["pp"], varxp, varxp, w)
+        qh_xp, qd_xp = qhat_and_qdot(grids["xp"], varx, varxp, w)
         psi = [[qd_xp[a][ap] * K[a][ap] + qh_xp[a][ap] for ap in range(M)]
                for a in range(M)]
 
@@ -185,15 +189,6 @@ class TestCnn:
             diag = [K2[a, (a + off) % M] for a in range(M)]
             assert np.ptp(diag) < 1e-12
 
-    def test_brute_force_oracle_cnn(self, rng):
-        n0, M, k, L = 2, 4, 1, 5
-        x = rng.standard_normal((n0, M))
-        xp = rng.standard_normal((n0, M))
-        p = InitParams(0.3, 1.1)
-        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU, p, L)
-        oracle = brute_force_conv_ntk(x, xp, p, M, k, L, residual=False)
-        np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
-
     def test_assumption1_violation_raises(self, rng):
         n0, M, k = 2, 4, 1
         x = rng.standard_normal((n0, M))
@@ -284,16 +279,6 @@ class TestResnetConv:
         expected = (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
                     / (n0 * (2 * k + 1)) + p.sigma_b**2)
         np.testing.assert_allclose(tr.ntk[0], expected, atol=1e-14)
-
-    def test_brute_force_oracle_resnet(self, rng):
-        n0, M, k, L = 2, 4, 1, 5
-        x = rng.standard_normal((n0, M))
-        xp = rng.standard_normal((n0, M))
-        p = InitParams(0.3, 1.1)
-        tr = ntk_trace(Architecture("resnet_conv", M, k, False), InputPair(x, xp),
-                       RELU, p, L)
-        oracle = brute_force_conv_ntk(x, xp, p, M, k, L, residual=True)
-        np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
 
 
 class TestScaledResnet:
@@ -466,3 +451,30 @@ class TestGramPsd:
         for p, act in ((EOC_RELU, RELU), (InitParams(0.3, 1.4), TANH)):
             state = build_gram(ds, KernelSpec(Architecture("ffnn"), act, p, 6))
             assert state.min_eig >= -1e-8 * state.max_eig
+
+
+@pytest.mark.parametrize("kind", ["cnn", "resnet_conv", "scaled_resnet_conv"])
+def test_brute_force_conv_oracle(kind, rng):
+    n0, M, k, L = 2, 4, 1, 5
+    x = rng.standard_normal((n0, M))
+    xp = rng.standard_normal((n0, M))
+    p = InitParams(0.3, 1.1)
+    tr = ntk_trace(Architecture(kind, M, k, False), InputPair(x, xp), RELU, p, L)
+    oracle = brute_force_conv_ntk(x, xp, p, M, k, L, kind)
+    np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,params,L", [
+    ("cnn", InitParams(0.0, 2.0), 1200),
+    ("resnet_conv", InitParams(0.1, 1.0), 3000),
+], ids=["cnn", "resnet_conv"])
+def test_conv_grid_renormalises_past_overflow(kind, params, L):
+    # the variances grow like 2^l (cnn) and 1.5^l (resnet_conv): the raw
+    # grids pass float max, the renormalised state does not
+    x, xp = np.random.default_rng(8).standard_normal((2, 2, 8))
+    arch = Architecture(kind, 8, 1, False)
+    tr = ntk_trace(arch, InputPair(x, xp), RELU, params, L)
+    assert tr.overflow
+    assert np.all(np.isfinite(tr.ntk_log))
+    if arch.is_residual:  # K^L / alpha_L converges; chaotic cnn K^L / L does not
+        assert np.all(np.isfinite(normalize(tr, arch.scheme)[-1]))
