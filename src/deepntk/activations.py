@@ -35,20 +35,19 @@ By Cauchy-Schwarz the omitted tail is at most
 |c|^{K+1} sqrt(R_K(q1) R_K(q2)).  A pair whose bound exceeds
 SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
 1) goes to ``expect2_pairs`` at the activation's rule instead, and an
-uncertified diagonal to ``expect1``.  The correlation map ``tanh_f`` uses
-the same coefficients.
+uncertified diagonal to ``expect1``.
 
-The derivatives of the Tanh map stay on the quadrature: phi^(j) is
-analytic (phi' = 1 - tanh^2, phi'' = -2 tanh phi',
-phi''' = -2 phi'^2 - 2 tanh phi'') and f', f'', f''' come out of the
-bivariate expectation with phi replaced by phi^(j):
+``CorrelationMap`` copies the tanh row of its variance and sums the same
+series.  As f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
+derivatives at 1 are weighted sums over the whole row (k <= SERIES_DEGREE),
 
-    f^(j)(c) = sigma_w^2 q^(j-1) E[phi^(j)(sqrt(q) Z1) phi^(j)(sqrt(q) U2)].
+    f^(j)(1) = (sigma_w^2 / q) sum_k k (k-1) ... (k-j+1) a_k(q)^2,
+
+which by Price's theorem equal sigma_w^2 q^(j-1) E[tanh^(j)(sqrt(q) Z)^2].
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -96,20 +95,6 @@ def relu_prime(u):
 def tanh_prime(u):
     t = np.tanh(u)
     return 1.0 - t * t
-
-
-def tanh_second(u):
-    t = np.tanh(u)
-    return -2.0 * t * (1.0 - t * t)
-
-
-def tanh_third(u):
-    t = np.tanh(u)
-    p = 1.0 - t * t
-    return -2.0 * p * p - 2.0 * t * (-2.0 * t * p)
-
-
-_TANH_DERIVS = {0: np.tanh, 1: tanh_prime, 2: tanh_second, 3: tanh_third}
 
 
 @dataclass(frozen=True)
@@ -294,36 +279,6 @@ class TanhSeriesTable:
         bound = SERIES_TOLERANCE * np.sqrt(self.second[r1] * self.second[r2])
         return terms[at, :, k], tail <= bound
 
-    def map_series(self, q: float) -> _MapSeries:
-        """The tanh series of one variance, copied out of the table."""
-        r = self.rows(np.array([q]))[0]
-        k = self.degree[r]
-        a = self.coef[r, 0, :k + 1]
-        return _MapSeries(a * a, float(self.remainder[r, 0, k]),
-                          float(self.second[r, 0]))
-
-
-@dataclass(frozen=True)
-class _MapSeries:
-    """The tanh series of one variance: a_k^2 for k <= K, R_K and E[tanh^2]."""
-
-    squares: np.ndarray
-    remainder: float
-    second: float
-
-    def phiphi(self, c: float) -> float | None:
-        """E[tanh(u1) tanh(u2)] at equal variances and correlation c, or
-        None where the tail bound does not certify it.  The operations are
-        those of one pair of :meth:`TanhSeriesTable.pairs`, and so is the
-        value."""
-        k = self.squares.size - 1
-        powers = np.full(k + 1, c)
-        powers[0] = 1.0
-        powers = powers.cumprod()
-        if abs(powers[k] * c) * self.remainder > SERIES_TOLERANCE * self.second:
-            return None
-        return float((self.squares * powers).cumsum()[k])
-
 
 def _tanh_pairs(activation: ActivationModel, qx, qxp, c):
     """(E[tanh tanh], E[tanh' tanh']) per pair: the certified series, and
@@ -343,9 +298,12 @@ def _tanh_pairs(activation: ActivationModel, qx, qxp, c):
 
 @dataclass(frozen=True)
 class CorrelationMap:
-    """Correlation function f at a variance fixed point q.
+    """Tanh correlation function f at a variance fixed point q.
 
-    Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[phi(sqrt(q)Z)^2].
+    Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[tanh(sqrt(q)Z)^2].
+    Copies the tanh row of q out of the activation's series table once:
+    a_k^2 for k <= SERIES_DEGREE, the degree K, R_K and E[tanh^2].  ReLU
+    has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`.
     """
 
     activation: ActivationModel
@@ -354,45 +312,51 @@ class CorrelationMap:
     sigma_w: float
 
     def __post_init__(self):
+        if self.activation.kind != "tanh":
+            raise ValueError("CorrelationMap is the Tanh map; ReLU has relu_f")
         if self.q <= 0:
             raise ValueError("fixed-point variance must be positive")
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
+        table = self.activation.series
+        r = table.rows(np.array([float(self.q)]))[0]
+        k = int(table.degree[r])
+        a = table.coef[r, 0]
+        for name, value in (("_squares", a * a), ("_degree", k),
+                            ("_remainder", float(table.remainder[r, 0, k])),
+                            ("_second", float(table.second[r, 0]))):
+            object.__setattr__(self, name, value)
 
     def __call__(self, c: float) -> float:
-        if self.activation.kind == "relu":
-            return float(
-                (self.sigma_b**2
-                 + 0.5 * self.sigma_w**2 * self.q * relu_f(c)) / self.q
-            )
-        return tanh_f(self, c)
+        """f(c): the certified series, summed with the operations of one pair
+        of :meth:`TanhSeriesTable.pairs` (and so to its value), else
+        ``expect2`` at the activation's rule."""
+        c = clamp_correlation(c)
+        k = self._degree
+        powers = np.full(k + 1, c)
+        powers[0] = 1.0
+        powers = powers.cumprod()
+        if abs(powers[k] * c) * self._remainder <= SERIES_TOLERANCE * self._second:
+            e = float((self._squares[:k + 1] * powers).cumsum()[k])
+        else:
+            e = expect2(np.tanh, self.q, self.q, c, self.activation.quadrature)
+        return (self.sigma_b**2 + self.sigma_w**2 * e) / self.q
 
-    @cached_property
-    def _tanh_series(self) -> _MapSeries:
-        return self.activation.series.map_series(float(self.q))
+    def derivative_at_one(self, j: int) -> float:
+        """f^(j)(1) = (sigma_w^2 / q) sum_k k (k-1) ... (k-j+1) a_k^2 over the
+        whole row, for j >= 1.
 
-
-def tanh_f(corr_map: CorrelationMap, c: float) -> float:
-    """Tanh correlation map: the certified series at the map's variance,
-    else the bivariate quadrature."""
-    c = clamp_correlation(c)
-    e = corr_map._tanh_series.phiphi(c)
-    if e is None:
-        e = expect2(np.tanh, corr_map.q, corr_map.q, c, corr_map.activation.quadrature)
-    return (corr_map.sigma_b**2 + corr_map.sigma_w**2 * e) / corr_map.q
-
-
-def tanh_f_deriv(corr_map: CorrelationMap, c: float, order: int) -> float:
-    """j-th derivative of the Tanh correlation map, j in {1, 2, 3}.
-
-    Uses f^(j)(c) = sigma_w^2 q^{j-1} E[phi^(j)(u1) phi^(j)(u2)] (repeated
-    Price's theorem), with the phi^(j) arguments carrying the sqrt(q) scale.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("order must be 1, 2 or 3")
-    g = _TANH_DERIVS[order]
-    e = expect2(g, corr_map.q, corr_map.q, c, corr_map.activation.quadrature)
-    return corr_map.sigma_w**2 * corr_map.q ** (order - 1) * e
+        Against 40-digit references the relative error of j = 2 and 3 is
+        6e-14 and 4e-13 at q = 0.5, 4e-9 and 1.2e-7 at q = 1.3; it grows
+        with q, as the tail of the row past SERIES_DEGREE does.
+        """
+        if j < 1:
+            raise ValueError(f"derivative order must be at least 1, got {j}")
+        k = np.arange(self._squares.size, dtype=np.float64)
+        weights = np.ones_like(k)
+        for i in range(j):
+            weights *= k - i
+        return float(self.sigma_w**2 * (weights @ self._squares) / self.q)
 
 
 def layer_correlation(qcov, root):

@@ -29,8 +29,6 @@ from .activations import (
     ActivationModel,
     CorrelationMap,
     relu_one_minus_f,
-    tanh_f,
-    tanh_f_deriv,
 )
 from .phase import InitParams, classify, variance_fixed_point
 
@@ -48,12 +46,12 @@ class ExpansionConstants:
     @staticmethod
     def kappa_tanh(corr_map: CorrelationMap) -> float:
         """2 / f''(1), the 1/l coefficient for smooth critical maps."""
-        return 2.0 / tanh_f_deriv(corr_map, 1.0, 2)
+        return 2.0 / corr_map.derivative_at_one(2)
 
     @staticmethod
     def zeta_tanh(corr_map: CorrelationMap) -> float:
         """f'''(1) / 6, the cubic Taylor coefficient at 1."""
-        return tanh_f_deriv(corr_map, 1.0, 3) / 6.0
+        return corr_map.derivative_at_one(3) / 6.0
 
     @staticmethod
     def kappa_resnet(sigma_w: float) -> float:
@@ -135,17 +133,9 @@ def iterate_scaled_resnet_correlation(gamma0: float, depth: int, sigma_w: float,
 
 def iterate_tanh_correlation(corr_map: CorrelationMap, c0: float, depth: int,
                              record_at: list[int] | None = None):
-    """Iterate the Tanh correlation map :func:`tanh_f`; returns 1 - c values."""
-    record = sorted(set(record_at or [depth]))
-    out = {}
-    c = float(c0)
-    if 1 in record:
-        out[1] = 1.0 - c
-    for l in range(2, depth + 1):
-        c = tanh_f(corr_map, c)
-        if l in record:
-            out[l] = 1.0 - c
-    return [out[l] for l in record]
+    """Iterate the Tanh correlation map; returns 1 - c values."""
+    return _iterate_gamma(1.0 - c0, depth, record_at,
+                          lambda g, l: 1.0 - corr_map(1.0 - g))
 
 
 def _iterate_gamma(gamma0, depth, record_at, step):

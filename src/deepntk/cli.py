@@ -34,11 +34,11 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .activations import make_activation
+from .activations import ActivationModel, make_activation
 from .asymptotics import default_depth_grid, fit_rate
 from .errors import NumericError
 from .gaussmath import gauss_hermite
-from .kernels import (Architecture, InputPair, dense_layer_arrays,
+from .kernels import (CONV_KINDS, Architecture, InputPair, dense_layer_arrays,
                       first_layer_cov, limiting_kernel, normalize, ntk_trace)
 from .phase import InitParams, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
@@ -180,13 +180,14 @@ def sphere_dataset(d: int, n: int, seed: int) -> Dataset:
 # shared kernel construction
 # ---------------------------------------------------------------------------
 
-def _activation_from(args) -> "ActivationModel":
-    order = getattr(args, "quadrature_order", None) or 64
-    return make_activation(args.activation, gauss_hermite(order))
+def _activation_from(args) -> ActivationModel:
+    if args.quadrature_order < 2:
+        raise ConfigError(
+            f"--quadrature-order must be at least 2, got {args.quadrature_order}")
+    return make_activation(args.activation, gauss_hermite(args.quadrature_order))
 
 
-def _params_from(args) -> InitParams:
-    act = _activation_from(args)
+def _params_from(args, act: ActivationModel) -> InitParams:
     if getattr(args, "phase", None) == "eoc" and args.sigma_w is None:
         sb = args.sigma_b if args.sigma_b is not None else 0.0
         if args.activation == "relu":
@@ -201,7 +202,7 @@ def _params_from(args) -> InitParams:
 
 def _architecture_from(args) -> Architecture:
     kind = args.arch
-    if kind in ("cnn", "resnet_conv", "scaled_resnet_conv"):
+    if kind in CONV_KINDS:
         return Architecture(kind, positions=args.positions,
                             filter_half_width=args.filter_k)
     return Architecture(kind)
@@ -249,7 +250,7 @@ def _kernel_pair(args) -> InputPair:
     else:
         X = synthetic_sphere(args.sphere_d, max(args.sphere_n, 2), args.seed)
         x, xp = X[0], X[1]
-    if args.arch in ("cnn", "resnet_conv", "scaled_resnet_conv"):
+    if args.arch in CONV_KINDS:
         n0 = args.channels
         if x.size % n0:
             raise ConfigError("input dimension must be divisible by --channels")
@@ -263,7 +264,7 @@ def _kernel_pair(args) -> InputPair:
 
 def cmd_kernel(args) -> int:
     act = _activation_from(args)
-    params = _params_from(args)
+    params = _params_from(args, act)
     pair = _kernel_pair(args)
     arch = _architecture_from(args)
     L = args.depth
@@ -290,7 +291,7 @@ def cmd_rates(args) -> int:
     if args.j_max < 7:  # fit_rate needs 8 depths, j = 0..7
         raise ConfigError(f"--j-max must be at least 7, got {args.j_max}")
     act = _activation_from(args)
-    params = _params_from(args)
+    params = _params_from(args, act)
     grid = default_depth_grid(args.j_max)
     L = grid[-1]
     rng = np.random.default_rng(args.seed)
@@ -351,7 +352,7 @@ def cmd_rates(args) -> int:
 
 def cmd_spectrum(args) -> int:
     act = _activation_from(args)
-    params = _params_from(args)
+    params = _params_from(args, act)
     arch = Architecture(args.arch)
     # feedforward kernels only need a depth normalisation on the critical curve
     if args.scheme:
@@ -380,7 +381,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_train(args) -> int:
     act = _activation_from(args)
-    params = _params_from(args)
+    params = _params_from(args, act)
     if args.data:
         ds_full = load_dataset(args.data, args.normalize)
     else:
@@ -426,7 +427,7 @@ def cmd_train(args) -> int:
 def cmd_empirical(args) -> int:
     from .empirical import width_convergence_study
     act = _activation_from(args)
-    params = _params_from(args)
+    params = _params_from(args, act)
     X = synthetic_sphere(args.sphere_d, 2, args.seed)
     widths = [int(w) for w in args.widths.split(",")]
     study = width_convergence_study(args.arch, act, params, X[0], X[1],

@@ -52,10 +52,10 @@ import numpy as np
 
 from .activations import (
     ActivationModel,
+    CorrelationMap,
     _diag_expectation,
     layer_correlation,
     layer_expectations,
-    phiphi_expectation,
     phiprime_expectation,
 )
 from .errors import AssumptionViolatedError, DivergenceError
@@ -65,7 +65,7 @@ from .phase import InitParams, classify
 _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
 #: same order as _DENSE_KINDS: under Assumption 1 each conv kind runs the
 #: recursion of the dense kind at its index
-_CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
+CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 
 #: a variance above this or below its inverse is divided out of the
 #: recursion state; sqrt(float max) bounds it, so that qx * qxp in the
@@ -83,7 +83,7 @@ class Architecture:
     assumption1: bool = True
 
     def __post_init__(self):
-        if self.kind not in _DENSE_KINDS + _CONV_KINDS:
+        if self.kind not in _DENSE_KINDS + CONV_KINDS:
             raise ValueError(f"unknown architecture kind {self.kind!r}")
         if self.is_conv:
             if self.positions is None or self.filter_half_width is None:
@@ -93,7 +93,7 @@ class Architecture:
 
     @property
     def is_conv(self) -> bool:
-        return self.kind in _CONV_KINDS
+        return self.kind in CONV_KINDS
 
     @property
     def is_residual(self) -> bool:
@@ -376,7 +376,7 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
                 raise AssumptionViolatedError(
                     f"first-layer grid {name} varies by {np.ptp(g):.2e} > 1e-9"
                 )
-        trace = dense_layer_arrays(_DENSE_KINDS[_CONV_KINDS.index(arch.kind)],
+        trace = dense_layer_arrays(_DENSE_KINDS[CONV_KINDS.index(arch.kind)],
                                    activation, params,
                                    Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
         return replace(trace, architecture=arch)
@@ -504,12 +504,11 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
 
 def stable_correlation_fixed_point(activation: ActivationModel,
                                    params: InitParams, q: float) -> float:
-    """Stable fixed point c* < 1 of the chaotic-phase correlation map."""
-    sb2, sw2 = params.sigma_b**2, params.sigma_w**2
+    """Stable fixed point c* < 1 of the chaotic-phase (Tanh) correlation map."""
+    f = CorrelationMap(activation, q, params.sigma_b, params.sigma_w)
     c = 0.0
     for _ in range(100_000):
-        c_new = (sb2 + sw2 * phiphi_expectation(activation, q, q, c)) / q
-        c_new = float(clamp_correlation(c_new))
+        c_new = clamp_correlation(f(c))
         if abs(c_new - c) < 1e-15:
             return c_new
         c = c_new

@@ -127,7 +127,7 @@ def chi_coefficient(activation: ActivationModel, params: InitParams,
     """chi = sigma_w^2 E[phi'(sqrt(q) Z)^2]; closed form sigma_w^2/2 for ReLU."""
     if activation.kind == "relu":
         # (sigma_w/sqrt(2))^2 rather than sigma_w^2/2: exact 1.0 at criticality
-        return (params.sigma_w / _SQRT2) ** 2
+        return float((params.sigma_w / _SQRT2) ** 2)
     if q_fixed == 0.0:
         # limit q -> 0+: phi'(0)^2 = 1
         return params.sigma_w**2

@@ -83,7 +83,7 @@ def test_criterion_02_tanh_eoc_constant(tanh_eoc):
     t0 = time.time()
     params, cmap = tanh_eoc
     gamma = iterate_tanh_correlation(cmap, 0.5, 10**5)[0]
-    kappa = ExpansionConstants.kappa_tanh(cmap)  # 2 / f''(1), by quadrature
+    kappa = ExpansionConstants.kappa_tanh(cmap)  # 2 / f''(1), from the series row
     rel = abs(10**5 * gamma / kappa - 1.0)
     elapsed = time.time() - t0
     ok = rel < 0.05 and elapsed < 120.0

@@ -1,4 +1,4 @@
-"""Activation maps: closed forms, quadrature maps, derivatives, one layer."""
+"""Activation maps: closed forms, series maps, derivatives at 1, one layer."""
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
@@ -7,8 +7,7 @@ from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
                                  _diag_expectation, layer_expectations,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu, relu_f,
-                                 relu_f_prime, relu_one_minus_f,
-                                 tanh_f, tanh_f_deriv, tanh_prime)
+                                 relu_f_prime, relu_one_minus_f, tanh_prime)
 from deepntk.gaussmath import expect1, expect2, expect2_pairs, gauss_hermite
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
@@ -86,11 +85,11 @@ def eoc_map():
 class TestTanhF:
 
     def test_fixed_point_normalization(self, eoc_map):
-        assert abs(tanh_f(eoc_map, 1.0) - 1.0) < 1e-8
+        assert abs(eoc_map(1.0) - 1.0) < 1e-8
 
     def test_zero_bias_uncorrelated(self):
         cm = CorrelationMap(TANH, 0.8, 0.0, 1.3)
-        assert abs(tanh_f(cm, 0.0)) < 1e-14  # odd function, zero mean
+        assert abs(cm(0.0)) < 1e-14  # odd function, zero mean
 
     def test_against_monte_carlo(self, eoc_map):
         rng = np.random.default_rng(7)
@@ -101,29 +100,53 @@ class TestTanhF:
         vals = np.tanh(u1) * np.tanh(u2)
         mc = (eoc_map.sigma_b**2 + eoc_map.sigma_w**2 * vals.mean()) / q
         se = eoc_map.sigma_w**2 * vals.std(ddof=1) / 1000.0 / q
-        assert abs(tanh_f(eoc_map, c) - mc) < 3 * se
+        assert abs(eoc_map(c) - mc) < 3 * se
 
     def test_first_derivative_at_one_is_chi(self, eoc_map):
-        assert abs(tanh_f_deriv(eoc_map, 1.0, 1) - 1.0) < 1e-6
+        assert abs(eoc_map.derivative_at_one(1) - 1.0) < 1e-6
 
     @pytest.mark.parametrize("c", [-0.6, 0.0, 0.45, 0.8])
     def test_first_derivative_vs_finite_difference(self, eoc_map, c):
+        # Price's theorem: f'(c) = sigma_w^2 E[tanh'(u1) tanh'(u2)]
         h = 1e-5
-        fd = (tanh_f(eoc_map, c + h) - tanh_f(eoc_map, c - h)) / (2 * h)
-        assert abs(tanh_f_deriv(eoc_map, c, 1) - fd) < 1e-6
+        fd = (eoc_map(c + h) - eoc_map(c - h)) / (2 * h)
+        q = eoc_map.q
+        assert abs(eoc_map.sigma_w**2 * phiprime_expectation(TANH, q, q, c) - fd) < 1e-6
 
     def test_second_derivative_positive_at_one(self, eoc_map):
-        assert tanh_f_deriv(eoc_map, 1.0, 2) > 0
+        assert eoc_map.derivative_at_one(2) > 0
 
     def test_third_derivative_vs_finite_difference(self, eoc_map):
+        # second backward difference at 1 of f'(c) = sigma_w^2 E[tanh' tanh'],
+        # first-order accurate: 2.8e-4 relative at h = 1e-4
         h = 1e-4
-        fd = (tanh_f_deriv(eoc_map, 0.3 + h, 2)
-              - tanh_f_deriv(eoc_map, 0.3 - h, 2)) / (2 * h)
-        assert abs(tanh_f_deriv(eoc_map, 0.3, 3) - fd) < 1e-5
+        q, sw2 = eoc_map.q, eoc_map.sigma_w**2
+        f1 = sw2 * phiprime_expectation(TANH, np.full(3, q), np.full(3, q),
+                                        1.0 - h * np.arange(3))
+        fd = (f1[0] - 2.0 * f1[1] + f1[2]) / h**2
+        assert abs(fd / eoc_map.derivative_at_one(3) - 1.0) < 1e-3
+
+    # q^(j-1) E[tanh^(j)(sqrt(q) Z)^2], whose sigma_w^2 multiple is f^(j)(1),
+    # by 50-digit mpmath quadrature (the same 40 digits at 70)
+    @pytest.mark.parametrize("q, j, reference, rtol", [
+        (0.5, 1, 0.5924257933717963939799452122802561975892, 1e-12),
+        (0.5, 2, 0.1621589969414366029017216680448810356906, 1e-12),
+        (0.5, 3, 0.3374893975929949361107850660483434457318, 1e-12),
+        (1.3, 1, 0.4187277677618403506603904986367844485523, 1e-10),
+        (1.3, 2, 0.3676752696452714130529438233706921878064, 1e-8),
+        (1.3, 3, 1.577442648928258444998433065148179257608, 1e-6),
+    ])
+    def test_derivative_at_one_against_mpmath(self, q, j, reference, rtol):
+        cmap = CorrelationMap(TANH, q, 0.2, 1.3)
+        assert abs(cmap.derivative_at_one(j) / (1.3**2 * reference) - 1.0) < rtol
 
     def test_order_out_of_range(self, eoc_map):
         with pytest.raises(ValueError):
-            tanh_f_deriv(eoc_map, 0.5, 4)
+            eoc_map.derivative_at_one(0)
+
+    def test_relu_map_rejected(self):
+        with pytest.raises(ValueError, match="Tanh"):
+            CorrelationMap(RELU, 1.0, 0.0, np.sqrt(2.0))
 
 
 class TestCovarianceStep:
@@ -271,14 +294,14 @@ class TestTanhSeries:
         phiphi, _ = layer_expectations(TANH, one, one, one)
         assert phiphi[0] == _diag_expectation(TANH, one)[0]
         cmap = CorrelationMap(TANH, q, 0.2, 1.3)
-        assert tanh_f(cmap, 1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q
+        assert cmap(1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q
 
     def test_map_takes_the_pair_value(self):
         q = 0.5  # f(c) = e / q, and back, without rounding
         cmap = CorrelationMap(TANH, q, 0.0, 1.0)
         c = self.C_GRID
         e = phiphi_expectation(TANH, np.full(c.size, q), np.full(c.size, q), c)
-        assert [tanh_f(cmap, v) * q for v in c] == list(e)
+        assert [cmap(v) * q for v in c] == list(e)
 
 
 class TestInvariants:
@@ -291,15 +314,14 @@ class TestInvariants:
                     for c in np.linspace(-0.9, 0.9, 13))
         assert worst < 1e-2
 
-    def test_tanh_map_order64_self_consistent(self):
-        # at the critical fixed-point variance the order-64 map matches
-        # order-128 below 1e-10 across the whole correlation range
-        from deepntk.gaussmath import gauss_hermite
-        sw = eoc_curve(TANH, 0.2)
-        q = variance_fixed_point(TANH, InitParams(0.2, sw))
-        hi = make_activation("tanh", gauss_hermite(128))
-        lo_map = CorrelationMap(TANH, q, 0.2, sw)
-        hi_map = CorrelationMap(hi, q, 0.2, sw)
-        worst = max(abs(tanh_f(lo_map, c) - tanh_f(hi_map, c))
-                    for c in np.linspace(-1, 1, 21))
-        assert worst < 1e-10
+    def test_tanh_map_uncertified_branch_is_the_quadrature(self):
+        # at q = 5.2 and c near 1 the series is not certified: the map is
+        # the bivariate quadrature at the activation's rule, bit for bit
+        q, c, sb, sw = 5.2, 1.0 - 1e-12, 0.2, 1.3
+        values = []
+        for activation in (TANH, make_activation("tanh", gauss_hermite(128))):
+            got = CorrelationMap(activation, q, sb, sw)(c)
+            rule = activation.quadrature
+            assert got == (sb**2 + sw**2 * expect2(np.tanh, q, q, c, rule)) / q
+            values.append(got)
+        assert values[0] != values[1]  # the two orders differ (by 9e-5)

@@ -97,11 +97,10 @@ class TestIterators:
         assert abs((1.0 - c) - g) < 1e-13
 
     def test_tanh_iterator_matches_map(self, tanh_eoc):
-        from deepntk.activations import tanh_f
         _, cmap = tanh_eoc
         c = 0.4
         for _ in range(10):
-            c = tanh_f(cmap, c)
+            c = cmap(c)
         g = iterate_tanh_correlation(cmap, 0.4, 11)[0]
         assert abs((1.0 - c) - g) < 1e-14
 

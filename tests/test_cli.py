@@ -272,6 +272,15 @@ class TestExitCodes:
                        "-o", str(tmp_path / "k.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_quadrature_order_below_two_is_config_error(self, tmp_path, capsys, order):
+        # order 0 is an error, not the default rule
+        rc = main(["phase", "--quadrature-order", order, "--sigma-b-grid", "0.1",
+                   "--sigma-w-grid", "1.0", "-o", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "--quadrature-order" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "p.csv")
+
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
         rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",
                    "-o", str(tmp_path / "k.csv")])

@@ -57,6 +57,7 @@ class TestClassify:
         rep = classify(RELU, InitParams(0.0, np.sqrt(2.0)))
         assert rep.phase == "eoc"
         assert rep.chi == 1.0
+        assert type(rep.chi) is float  # selftest prints its repr
 
     def test_tanh_near_critical_paper_point(self):
         # the commonly quoted (0.2, 1.298) sits 3.4e-3 inside the ordered
