@@ -9,8 +9,17 @@ On the critical initialization the correlation c^l of two inputs approaches
     scaled residual:     1 - c^l ~ zeta / log(l)^2,  zeta = 16 / (s^2 sigma_w^4)
 
 with s = 2 sqrt(2)/(3 pi) the 3/2-order Taylor coefficient of the ReLU
-correlation map.  The iterators below track gamma = 1 - c directly so the
-recursions stay accurate long after 1 - c falls below double rounding of c.
+correlation map.  ``depth_law`` holds one law per kind and activation:
+``ffnn`` with ReLU or Tanh, and ``resnet_*`` and ``scaled_resnet_*``
+(dense or conv) with ReLU.  Each tracks gamma = 1 - c, which stays accurate
+long after 1 - c falls below double rounding of c, by the kernel engine's
+layer step in deficit form
+
+    gamma' = (skip gamma + b_l D(gamma)) / (skip + b_l),
+
+with skip 1 for residual kinds and 0 for ``ffnn``, b_l 1 for ``ffnn``,
+sigma_w^2/2 for ``resnet_*`` and sigma_w^2/(2l) for ``scaled_resnet_*``,
+and D ``relu_one_minus_f`` or 1 - f(1 - gamma) of the Tanh map.
 
 ``fit_rate`` estimates decay laws of kernel residuals in their natural
 transform domains (log-log for powers, log-linear for exponentials,
@@ -19,29 +28,25 @@ least-squares fit.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import (
-    B_RELU,
     S_RELU,
     ActivationModel,
     CorrelationMap,
     relu_one_minus_f,
 )
-from .phase import InitParams, classify, variance_fixed_point
+from .kernels import _require_relu
+from .phase import InitParams, classify
 
 KAPPA_RELU = 9.0 * np.pi**2 / 2.0
 
 
-@dataclass(frozen=True)
 class ExpansionConstants:
     """Exact constants of the leading depth expansions."""
-
-    kappa_relu: float = KAPPA_RELU
-    s: float = S_RELU
-    b: float = B_RELU
 
     @staticmethod
     def kappa_tanh(corr_map: CorrelationMap) -> float:
@@ -64,91 +69,99 @@ class ExpansionConstants:
         return 16.0 / (S_RELU**2 * sigma_w**4)
 
 
+@dataclass(frozen=True)
+class DepthLaw:
+    """One deficit recursion and its limit gamma^l ~ constant / rescale(l).
+
+    ``corr_map`` is the Tanh map (None: the ReLU deficit); ``correction``
+    is the next-order term of c^l where known (ReLU ``ffnn``).
+    """
+
+    skip: float
+    block: float
+    scaled: bool
+    corr_map: CorrelationMap | None
+    constant: float
+    rescale: Callable[[float], float]
+    correction: Callable[[float], float] | None = None
+
+    def iterate(self, gamma0: float, depth: int,
+                record_at: list[int] | None = None) -> list[float]:
+        """gamma at the ``record_at`` depths (default [depth]), in order.
+
+        Depth counts map applications starting from gamma0 at depth 1, i.e.
+        the value at depth l is the (l-1)-fold image of gamma0.
+        """
+        if depth < 2:
+            raise ValueError("depth must be >= 2")
+        record = sorted(set(record_at or [depth]))
+        if record[0] < 1 or record[-1] > depth:
+            raise ValueError(f"record_at must lie in [1, depth] = [1, {depth}]")
+        if not 0.0 < gamma0 <= 2.0:
+            raise ValueError(f"gamma0 must lie in (0, 2], got {gamma0!r}")
+        skip, block, scaled, cmap = self.skip, self.block, self.scaled, self.corr_map
+        out = {1: float(gamma0)}
+        g = out[1]
+        for l in range(2, depth + 1):
+            b = block / l if scaled else block
+            # read through the module global each step, so wrappers see it
+            d = relu_one_minus_f(g) if cmap is None else 1.0 - cmap(1.0 - g)
+            g = (skip * g + b * d) / (skip + b)
+            if l in record:
+                out[l] = g
+        return [out[l] for l in record]
+
+
+def depth_law(architecture_kind: str, activation: ActivationModel,
+              params: InitParams, corr_map: CorrelationMap | None = None) -> DepthLaw:
+    """The critical depth law of one architecture kind and activation.
+
+    ``ffnn`` needs the critical initialization; residual kinds need ReLU.
+    A Tanh map is built from the variance fixed point unless given.
+    """
+    sw = params.sigma_w
+    if architecture_kind in ("resnet_dense", "resnet_conv"):
+        _require_relu(architecture_kind, activation)
+        return DepthLaw(1.0, sw**2 / 2.0, False, None,
+                        ExpansionConstants.kappa_resnet(sw), lambda l: l**2)
+    if architecture_kind in ("scaled_resnet_dense", "scaled_resnet_conv"):
+        _require_relu(architecture_kind, activation)
+        return DepthLaw(1.0, sw**2 / 2.0, True, None,
+                        ExpansionConstants.zeta_scaled(sw), lambda l: np.log(l) ** 2)
+    if architecture_kind != "ffnn":
+        raise ValueError(f"unsupported architecture {architecture_kind!r}")
+    report = classify(activation, params)
+    if report.phase != "eoc":
+        raise ValueError("expansion is critical-initialization only")
+    if activation.kind == "relu":
+        return DepthLaw(0.0, 1.0, False, None, KAPPA_RELU, lambda l: l**2,
+                        lambda l: 3.0 * np.sqrt(KAPPA_RELU) * np.log(l) / l**3)
+    if corr_map is None:
+        corr_map = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
+    return DepthLaw(0.0, 1.0, False, corr_map,
+                    ExpansionConstants.kappa_tanh(corr_map), lambda l: l)
+
+
+def iterate_correlation(architecture_kind: str, activation: ActivationModel,
+                        params: InitParams, gamma0: float, depth: int,
+                        record_at: list[int] | None = None,
+                        corr_map: CorrelationMap | None = None) -> list[float]:
+    """gamma = 1 - c^l of the kind's critical law at the ``record_at`` depths
+    (default [depth]); see :meth:`DepthLaw.iterate`."""
+    return depth_law(architecture_kind, activation, params, corr_map).iterate(
+        gamma0, depth, record_at)
+
+
 def theoretical_correlation(architecture_kind: str, activation: ActivationModel,
                             params: InitParams, depth: int,
                             corr_map: CorrelationMap | None = None) -> float:
     """Leading-order prediction of c^l on the critical initialization."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    law = depth_law(architecture_kind, activation, params, corr_map)
     l = float(depth)
-    if architecture_kind == "ffnn":
-        if activation.kind == "relu":
-            report = classify(activation, params)
-            if report.phase != "eoc":
-                raise ValueError("expansion is critical-initialization only")
-            k = KAPPA_RELU
-            return 1.0 - k / l**2 + 3.0 * np.sqrt(k) * np.log(l) / l**3
-        if corr_map is None:
-            q = variance_fixed_point(activation, params)
-            corr_map = CorrelationMap(activation, q, params.sigma_b, params.sigma_w)
-        report = classify(activation, params)
-        if report.phase != "eoc":
-            raise ValueError("expansion is critical-initialization only")
-        return 1.0 - ExpansionConstants.kappa_tanh(corr_map) / l
-    if architecture_kind in ("resnet_dense", "resnet_conv"):
-        return 1.0 - ExpansionConstants.kappa_resnet(params.sigma_w) / l**2
-    if architecture_kind in ("scaled_resnet_dense", "scaled_resnet_conv"):
-        return 1.0 - ExpansionConstants.zeta_scaled(params.sigma_w) / np.log(l) ** 2
-    raise ValueError(f"unsupported architecture {architecture_kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# gamma-space correlation iterators (1 - c tracked exactly)
-# ---------------------------------------------------------------------------
-
-def iterate_relu_correlation(gamma0: float, depth: int,
-                             record_at: list[int] | None = None):
-    """Iterate the ReLU correlation map; returns gamma at requested depths.
-
-    Depth counts map applications starting from gamma0 at depth 1, i.e.
-    the value at depth l is the (l-1)-fold image of gamma0.
-    """
-    return _iterate_gamma(gamma0, depth, record_at, lambda g, l: relu_one_minus_f(g))
-
-
-def iterate_resnet_correlation(gamma0: float, depth: int, sigma_w: float,
-                               record_at: list[int] | None = None):
-    """Residual correlation map, in deficit form:
-
-    c' = (c + alpha f(c)) / (1+alpha)  <=>  g' = (g + alpha (1-f(1-g))) / (1+alpha).
-    """
-    alpha = sigma_w**2 / 2.0
-    return _iterate_gamma(
-        gamma0, depth, record_at,
-        lambda g, l: (g + alpha * relu_one_minus_f(g)) / (1.0 + alpha),
-    )
-
-
-def iterate_scaled_resnet_correlation(gamma0: float, depth: int, sigma_w: float,
-                                      record_at: list[int] | None = None):
-    """Scaled residual map with layer-l block weight sigma_w^2 / (2l)."""
-    half_sw2 = sigma_w**2 / 2.0
-
-    def step(g, l):
-        al = half_sw2 / l
-        return (g + al * relu_one_minus_f(g)) / (1.0 + al)
-
-    return _iterate_gamma(gamma0, depth, record_at, step)
-
-
-def iterate_tanh_correlation(corr_map: CorrelationMap, c0: float, depth: int,
-                             record_at: list[int] | None = None):
-    """Iterate the Tanh correlation map; returns 1 - c values."""
-    return _iterate_gamma(1.0 - c0, depth, record_at,
-                          lambda g, l: 1.0 - corr_map(1.0 - g))
-
-
-def _iterate_gamma(gamma0, depth, record_at, step):
-    record = sorted(set(record_at or [depth]))
-    out = {}
-    g = float(gamma0)
-    if 1 in record:
-        out[1] = g
-    for l in range(2, depth + 1):
-        g = step(g, l)
-        if l in record:
-            out[l] = g
-    return [out[l] for l in record]
+    c = 1.0 - law.constant / law.rescale(l)
+    return c if law.correction is None else c + law.correction(l)
 
 
 def check_expansion(architecture_kind: str, activation: ActivationModel,
@@ -160,30 +173,15 @@ def check_expansion(architecture_kind: str, activation: ActivationModel,
     (l^2 gamma, l gamma, or log(l)^2 gamma as appropriate), the exact
     constant, and their relative error.
     """
-    l = depth
-    if architecture_kind == "ffnn" and activation.kind == "relu":
-        gamma = iterate_relu_correlation(gamma0, l)[0]
-        product, constant = l**2 * gamma, KAPPA_RELU
-    elif architecture_kind == "ffnn":
-        if corr_map is None:
-            q = variance_fixed_point(activation, params)
-            corr_map = CorrelationMap(activation, q, params.sigma_b, params.sigma_w)
-        gamma = iterate_tanh_correlation(corr_map, 1.0 - gamma0, l)[0]
-        product, constant = l * gamma, ExpansionConstants.kappa_tanh(corr_map)
-    elif architecture_kind in ("resnet_dense", "resnet_conv"):
-        gamma = iterate_resnet_correlation(gamma0, l, params.sigma_w)[0]
-        product, constant = l**2 * gamma, ExpansionConstants.kappa_resnet(params.sigma_w)
-    elif architecture_kind in ("scaled_resnet_dense", "scaled_resnet_conv"):
-        gamma = iterate_scaled_resnet_correlation(gamma0, l, params.sigma_w)[0]
-        product, constant = np.log(l) ** 2 * gamma, ExpansionConstants.zeta_scaled(params.sigma_w)
-    else:
-        raise ValueError(f"unsupported architecture {architecture_kind!r}")
+    law = depth_law(architecture_kind, activation, params, corr_map)
+    gamma = law.iterate(gamma0, depth)[0]
+    product = law.rescale(depth) * gamma
     return {
-        "depth": l,
+        "depth": depth,
         "gamma": gamma,
         "product": product,
-        "constant": constant,
-        "relative_error": abs(product / constant - 1.0),
+        "constant": law.constant,
+        "relative_error": abs(product / law.constant - 1.0),
     }
 
 

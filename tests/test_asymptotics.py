@@ -2,13 +2,10 @@
 import numpy as np
 import pytest
 
-from deepntk.activations import CorrelationMap, make_activation
+from deepntk.activations import B_RELU, CorrelationMap, make_activation
 from deepntk.asymptotics import (ExpansionConstants, KAPPA_RELU, S_RELU,
                                  check_expansion, default_depth_grid,
-                                 fit_rate, iterate_relu_correlation,
-                                 iterate_resnet_correlation,
-                                 iterate_scaled_resnet_correlation,
-                                 iterate_tanh_correlation,
+                                 fit_rate, iterate_correlation,
                                  theoretical_correlation)
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
@@ -31,7 +28,7 @@ class TestConstants:
 
     def test_taylor_coefficients(self):
         assert abs(S_RELU - 2.0 * np.sqrt(2.0) / (3.0 * np.pi)) < 1e-16
-        assert abs(ExpansionConstants().b - np.sqrt(2.0) / (30.0 * np.pi)) < 1e-16
+        assert abs(B_RELU - np.sqrt(2.0) / (30.0 * np.pi)) < 1e-16
 
     def test_kappa_resnet_at_sqrt2(self):
         # (9 pi^2/2)(1 + 2/sigma_w^2)^2 with sigma_w^2 = 2 gives 18 pi^2
@@ -79,11 +76,12 @@ class TestIterators:
         c = 0.5
         for _ in range(50):
             c = relu_f(c)
-        gs = iterate_relu_correlation(1.0 - 0.5, 51)[0]
+        gs = iterate_correlation("ffnn", RELU, EOC_RELU, 1.0 - 0.5, 51)[0]
         assert abs((1.0 - c) - gs) < 1e-13
 
     def test_relu_deficit_positive_and_decreasing(self):
-        gs = iterate_relu_correlation(0.5, 10**4, record_at=[10, 100, 1000, 10**4])
+        gs = iterate_correlation("ffnn", RELU, EOC_RELU, 0.5, 10**4,
+                                 record_at=[10, 100, 1000, 10**4])
         assert all(g > 0 for g in gs)
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
@@ -93,15 +91,15 @@ class TestIterators:
         c = 0.3
         for _ in range(20):
             c = (c + alpha * relu_f(c)) / (1.0 + alpha)
-        g = iterate_resnet_correlation(0.7, 21, np.sqrt(2.0))[0]
+        g = iterate_correlation("resnet_dense", RELU, EOC_RELU, 0.7, 21)[0]
         assert abs((1.0 - c) - g) < 1e-13
 
     def test_tanh_iterator_matches_map(self, tanh_eoc):
-        _, cmap = tanh_eoc
+        p, cmap = tanh_eoc
         c = 0.4
         for _ in range(10):
             c = cmap(c)
-        g = iterate_tanh_correlation(cmap, 0.4, 11)[0]
+        g = iterate_correlation("ffnn", TANH, p, 1.0 - 0.4, 11, corr_map=cmap)[0]
         assert abs((1.0 - c) - g) < 1e-14
 
 
@@ -125,11 +123,53 @@ class TestCheckExpansion:
         # sigma_w = sqrt(2); the slope of gamma^{-1/2} in log l cancels the
         # offending constant and recovers zeta at l <= 1e6
         sw = np.sqrt(2.0)
-        g1, g2 = iterate_scaled_resnet_correlation(
-            0.5, 10**6, sw, record_at=[10**3, 10**6])
+        g1, g2 = iterate_correlation("scaled_resnet_dense", RELU, InitParams(0.0, sw),
+                                     0.5, 10**6, record_at=[10**3, 10**6])
         slope = (g2**-0.5 - g1**-0.5) / (np.log(10**6) - np.log(10**3))
         zeta_hat = 1.0 / slope**2
         assert abs(zeta_hat / ExpansionConstants.zeta_scaled(sw) - 1.0) < 0.02
+
+
+class TestLawRefusals:
+    @pytest.mark.parametrize("kind", ["resnet_dense", "resnet_conv",
+                                      "scaled_resnet_dense", "scaled_resnet_conv"])
+    def test_residual_tanh_rejected(self, kind, tanh_eoc):
+        p, _ = tanh_eoc
+        with pytest.raises(ValueError, match="relu only"):
+            check_expansion(kind, TANH, p, 100)
+        with pytest.raises(ValueError, match="relu only"):
+            theoretical_correlation(kind, TANH, p, 100)
+
+    @pytest.mark.parametrize("dense,conv", [("resnet_dense", "resnet_conv"),
+                                            ("scaled_resnet_dense", "scaled_resnet_conv")])
+    def test_conv_kind_follows_its_dense_law(self, dense, conv):
+        p = InitParams(0.0, 1.3)
+        assert check_expansion(conv, RELU, p, 100) == check_expansion(dense, RELU, p, 100)
+
+    def test_off_criticality_rejected_by_both(self):
+        p = InitParams(0.5, 1.0)
+        with pytest.raises(ValueError, match="critical"):
+            check_expansion("ffnn", RELU, p, 1000)
+        with pytest.raises(ValueError, match="critical"):
+            theoretical_correlation("ffnn", RELU, p, 1000)
+
+    @pytest.mark.parametrize("args,name", [
+        pytest.param({"depth": 0}, "depth", id="depth-0"),
+        pytest.param({"depth": 1}, "depth", id="depth-1"),
+        pytest.param({"record_at": [20]}, "record_at", id="record_at-past-depth"),
+        pytest.param({"record_at": [0, 5]}, "record_at", id="record_at-0"),
+        pytest.param({"gamma0": 3.0}, "gamma0", id="gamma0-3"),
+        pytest.param({"gamma0": -0.1}, "gamma0", id="gamma0-negative"),
+        pytest.param({"gamma0": 0.0}, "gamma0", id="gamma0-0"),
+        pytest.param({"gamma0": float("nan")}, "gamma0", id="gamma0-nan"),
+    ])
+    def test_bad_arguments_rejected(self, args, name):
+        kw = {"gamma0": 0.5, "depth": 10, "record_at": None} | args
+        with pytest.raises(ValueError, match=name):
+            iterate_correlation("resnet_dense", RELU, EOC_RELU, **kw)
+        if kw["record_at"] is None:
+            with pytest.raises(ValueError, match=name):
+                check_expansion("ffnn", RELU, EOC_RELU, kw["depth"], gamma0=kw["gamma0"])
 
 
 class TestFitRate:

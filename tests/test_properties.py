@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from deepntk.activations import (SERIES_TOLERANCE, _diag_expectation,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu_one_minus_f)
-from deepntk.asymptotics import (iterate_relu_correlation,
-                                 iterate_resnet_correlation,
-                                 iterate_scaled_resnet_correlation)
+from deepntk.asymptotics import iterate_correlation
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams
 
@@ -47,13 +45,16 @@ def test_gamma_iterators_match_array_path(kind, gamma0, sigma_w):
     depth = 10**4
     alpha = sigma_w**2 / 2.0
     if kind == "relu":
-        got = iterate_relu_correlation(gamma0, depth)[0]
+        got = iterate_correlation("ffnn", RELU, InitParams(0.0, np.sqrt(2.0)),
+                                  gamma0, depth)[0]
         step = lambda g, l: relu_one_minus_f(g)  # noqa: E731
     elif kind == "resnet":
-        got = iterate_resnet_correlation(gamma0, depth, sigma_w)[0]
+        got = iterate_correlation("resnet_dense", RELU, InitParams(0.0, sigma_w),
+                                  gamma0, depth)[0]
         step = lambda g, l: (g + alpha * relu_one_minus_f(g)) / (1.0 + alpha)  # noqa: E731
     else:
-        got = iterate_scaled_resnet_correlation(gamma0, depth, sigma_w)[0]
+        got = iterate_correlation("scaled_resnet_dense", RELU, InitParams(0.0, sigma_w),
+                                  gamma0, depth)[0]
 
         def step(g, l):
             al = alpha / l
