@@ -55,6 +55,7 @@ from .gaussmath import (
     CORRELATION_SLACK,
     SERIES_DEGREE,
     QuadratureRule,
+    _projection_basis,
     clamp_correlation,
     default_hermite,
     expect1,
@@ -71,8 +72,8 @@ _RELU_SERIES_THRESHOLD = 1e-4
 
 #: A Tanh series value is used where its tail bound is at most this times
 #: sqrt(E[g(u1)^2] E[g(u2)^2]).  The computed Parseval remainders have a
-#: rounding floor near 1e-14 E[g^2] (the order-256 basis is orthonormal to
-#: about 1e-13), one decade below.
+#: rounding floor near 1e-15 E[g^2] (the order-256 basis is orthonormal to
+#: about 3e-15), two decades below.
 SERIES_TOLERANCE = 1e-13
 
 #: rows of a TanhSeriesTable, one per variance (about 4 KB each)
@@ -303,7 +304,8 @@ class CorrelationMap:
     Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[tanh(sqrt(q)Z)^2].
     Copies the tanh row of q out of the activation's series table once:
     a_k^2 for k <= SERIES_DEGREE, the degree K, R_K and E[tanh^2].  ReLU
-    has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`.
+    has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`;
+    :meth:`deficit` is the Tanh counterpart of the latter.
     """
 
     activation: ActivationModel
@@ -324,7 +326,9 @@ class CorrelationMap:
         a = table.coef[r, 0]
         for name, value in (("_squares", a * a), ("_degree", k),
                             ("_remainder", float(table.remainder[r, 0, k])),
-                            ("_second", float(table.second[r, 0]))):
+                            ("_second", float(table.second[r, 0])),
+                            ("_weights", self.sigma_w**2 * a[1:] ** 2 / self.q),
+                            ("_orders", np.arange(1.0, a.size))):
             object.__setattr__(self, name, value)
 
     def __call__(self, c: float) -> float:
@@ -341,6 +345,16 @@ class CorrelationMap:
         else:
             e = expect2(np.tanh, self.q, self.q, c, self.activation.quadrature)
         return (self.sigma_b**2 + self.sigma_w**2 * e) / self.q
+
+    def deficit(self, gamma: float) -> float:
+        """D(gamma) = sum_k b_k (1 - (1 - gamma)^k), b_k = sigma_w^2 a_k^2 / q,
+        over the whole row: 1 - f(1 - gamma) with f(1) = 1 by construction.
+        Summed as -expm1(k log1p(-gamma)) for gamma < 1: D(0) = 0 exactly."""
+        if gamma < 1.0:
+            powers = -np.expm1(self._orders * np.log1p(-gamma))
+        else:
+            powers = 1.0 - (1.0 - gamma) ** self._orders
+        return float(self._weights @ powers)
 
     def derivative_at_one(self, j: int) -> float:
         """f^(j)(1) = (sigma_w^2 / q) sum_k k (k-1) ... (k-j+1) a_k^2 over the
@@ -415,6 +429,13 @@ def phiprime_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
 
 def _tanh_squared(u):
     return np.tanh(u) ** 2
+
+
+def tanh_moment(q: float, prime: bool = False) -> float:
+    """E[tanh(sqrt(q) Z)^2], or E[tanh'(sqrt(q) Z)^2] if ``prime``, on the
+    order-256 rule of the series projection."""
+    square = (lambda u: tanh_prime(u) ** 2) if prime else _tanh_squared
+    return expect1(square, q, _projection_basis()[0])
 
 
 def _diag_expectation(activation: ActivationModel, q) -> np.ndarray:

@@ -19,7 +19,8 @@ layer step in deficit form
 
 with skip 1 for residual kinds and 0 for ``ffnn``, b_l 1 for ``ffnn``,
 sigma_w^2/2 for ``resnet_*`` and sigma_w^2/(2l) for ``scaled_resnet_*``,
-and D ``relu_one_minus_f`` or 1 - f(1 - gamma) of the Tanh map.
+and D ``relu_one_minus_f`` or the Tanh map's ``deficit``, both exact
+at gamma = 0: D(0) = 0.
 
 ``fit_rate`` estimates decay laws of kernel residuals in their natural
 transform domains (log-log for powers, log-linear for exponentials,
@@ -73,14 +74,14 @@ class ExpansionConstants:
 class DepthLaw:
     """One deficit recursion and its limit gamma^l ~ constant / rescale(l).
 
-    ``corr_map`` is the Tanh map (None: the ReLU deficit); ``correction``
-    is the next-order term of c^l where known (ReLU ``ffnn``).
+    ``deficit`` is D(gamma) = 1 - f(1 - gamma) of the layer map;
+    ``correction`` is the next-order term of c^l where known (ReLU ``ffnn``).
     """
 
     skip: float
     block: float
     scaled: bool
-    corr_map: CorrelationMap | None
+    deficit: Callable[[float], float]
     constant: float
     rescale: Callable[[float], float]
     correction: Callable[[float], float] | None = None
@@ -99,14 +100,12 @@ class DepthLaw:
             raise ValueError(f"record_at must lie in [1, depth] = [1, {depth}]")
         if not 0.0 < gamma0 <= 2.0:
             raise ValueError(f"gamma0 must lie in (0, 2], got {gamma0!r}")
-        skip, block, scaled, cmap = self.skip, self.block, self.scaled, self.corr_map
+        skip, block, scaled, deficit = self.skip, self.block, self.scaled, self.deficit
         out = {1: float(gamma0)}
         g = out[1]
         for l in range(2, depth + 1):
             b = block / l if scaled else block
-            # read through the module global each step, so wrappers see it
-            d = relu_one_minus_f(g) if cmap is None else 1.0 - cmap(1.0 - g)
-            g = (skip * g + b * d) / (skip + b)
+            g = (skip * g + b * deficit(g)) / (skip + b)
             if l in record:
                 out[l] = g
         return [out[l] for l in record]
@@ -120,13 +119,15 @@ def depth_law(architecture_kind: str, activation: ActivationModel,
     A Tanh map is built from the variance fixed point unless given.
     """
     sw = params.sigma_w
+    # relu_one_minus_f is looked up when the law is built, so a wrapper
+    # installed on this module after import is the one the law steps with
     if architecture_kind in ("resnet_dense", "resnet_conv"):
         _require_relu(architecture_kind, activation)
-        return DepthLaw(1.0, sw**2 / 2.0, False, None,
+        return DepthLaw(1.0, sw**2 / 2.0, False, relu_one_minus_f,
                         ExpansionConstants.kappa_resnet(sw), lambda l: l**2)
     if architecture_kind in ("scaled_resnet_dense", "scaled_resnet_conv"):
         _require_relu(architecture_kind, activation)
-        return DepthLaw(1.0, sw**2 / 2.0, True, None,
+        return DepthLaw(1.0, sw**2 / 2.0, True, relu_one_minus_f,
                         ExpansionConstants.zeta_scaled(sw), lambda l: np.log(l) ** 2)
     if architecture_kind != "ffnn":
         raise ValueError(f"unsupported architecture {architecture_kind!r}")
@@ -134,11 +135,11 @@ def depth_law(architecture_kind: str, activation: ActivationModel,
     if report.phase != "eoc":
         raise ValueError("expansion is critical-initialization only")
     if activation.kind == "relu":
-        return DepthLaw(0.0, 1.0, False, None, KAPPA_RELU, lambda l: l**2,
+        return DepthLaw(0.0, 1.0, False, relu_one_minus_f, KAPPA_RELU, lambda l: l**2,
                         lambda l: 3.0 * np.sqrt(KAPPA_RELU) * np.log(l) / l**3)
     if corr_map is None:
         corr_map = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
-    return DepthLaw(0.0, 1.0, False, corr_map,
+    return DepthLaw(0.0, 1.0, False, corr_map.deficit,
                     ExpansionConstants.kappa_tanh(corr_map), lambda l: l)
 
 

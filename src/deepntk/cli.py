@@ -221,7 +221,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cmd_phase(args) -> int:
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     rows = []
     for sb in _parse_grid(args.sigma_b_grid):
         for sw in _parse_grid(args.sigma_w_grid):
@@ -478,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-b-grid", default="0:1:5",
                    help="'a:b:n' linspace or comma list")
     p.add_argument("--sigma-w-grid", default="0.5:2.5:9")
-    p.add_argument("--quadrature-order", type=int, default=64)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_phase)
 

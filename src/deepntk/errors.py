@@ -10,10 +10,6 @@ class NumericError(RuntimeError):
     """A computation produced non-finite or meaningless values."""
 
 
-class ConvergenceError(NumericError):
-    """An iterative solver did not converge within its budget."""
-
-
 class DivergenceError(NumericError):
     """The requested quantity diverges (no finite limit exists)."""
 

@@ -33,8 +33,9 @@ from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import NumericError
 
-#: Default 1D order: the 1D expectations of ``phase`` and the Tanh pairs the
-#: series cannot certify (see ``activations``) use it.  The 64x64 tensor
+#: Default 1D order: the Tanh pairs and diagonals that the series cannot
+#: certify (see ``activations``) use it; ``phase`` reads its moments from
+#: the PROJECTION_ORDER rule instead.  The 64x64 tensor
 #: grid is accurate for small variances only: E[tanh tanh] at c = 0.999
 #: differs from order 256 by 6.2e-13 at q = 0.512, 1.7e-5 at q = 3,
 #: 2.8e-3 at q = 10, 2.5e-2 at q = 30.
@@ -207,17 +208,17 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
 
 
 def _orthonormal_hermite(z: np.ndarray, degree: int) -> np.ndarray:
-    """Columns h_k(z) = He_k(z) / sqrt(k!), k = 0..degree, at the points z.
+    """Rows h_k(z) = He_k(z) / sqrt(k!), k = 0..degree, at the points z.
 
     Uses the three-term recurrence
     h_{k+1} = (z h_k - sqrt(k) h_{k-1}) / sqrt(k+1), which stays in range
     where He_k itself overflows.
     """
-    h = np.empty((z.size, degree + 1))
-    h[:, 0] = 1.0
-    h[:, 1] = z
+    h = np.empty((degree + 1, z.size))
+    h[0] = 1.0
+    h[1] = z
     for k in range(1, degree):
-        h[:, k + 1] = (z * h[:, k] - np.sqrt(k) * h[:, k - 1]) / np.sqrt(k + 1)
+        h[k + 1] = (z * h[k] - np.sqrt(k) * h[k - 1]) / np.sqrt(k + 1)
     return h
 
 
@@ -225,12 +226,21 @@ _PROJECTION: tuple[QuadratureRule, np.ndarray] | None = None
 
 
 def _projection_basis() -> tuple[QuadratureRule, np.ndarray]:
-    """The projection rule and its weighted basis w_i h_k(z_i), built on first use."""
+    """The projection rule and its weighted basis w_i h_k(z_i), built on first use.
+
+    scipy's asymptotic rule above order 150 leaves E[tanh^2] 1e-14 off.  One
+    Newton step on h_n and the Christoffel weights 1 / sum_{k<n} h_k(z_i)^2
+    make h_0..h_{n-1} orthonormal to 3e-15 on the rule, and the moments at
+    q <= 0.5 come within 5e-16 of 30-digit values."""
     global _PROJECTION
     if _PROJECTION is None:
-        rule = gauss_hermite(PROJECTION_ORDER)
-        basis = _orthonormal_hermite(rule.nodes, SERIES_DEGREE)
-        basis *= rule.weights[:, None]
+        n = PROJECTION_ORDER
+        z = gauss_hermite(n).nodes
+        h = _orthonormal_hermite(z, n)
+        z = z - h[n] / (np.sqrt(n) * h[n - 1])  # h_n' = sqrt(n) h_{n-1}
+        h = _orthonormal_hermite(z, n - 1)
+        rule = QuadratureRule(z, 1.0 / np.einsum("ki,ki->i", h, h), "hermite")
+        basis = np.ascontiguousarray((h[:SERIES_DEGREE + 1] * rule.weights).T)
         basis.setflags(write=False)
         _PROJECTION = rule, basis
     return _PROJECTION

@@ -60,7 +60,7 @@ from .activations import (
 )
 from .errors import AssumptionViolatedError, DivergenceError
 from .gaussmath import clamp_correlation
-from .phase import InitParams, classify
+from .phase import InitParams, classify, variance_fixed_point
 
 _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
 #: same order as _DENSE_KINDS: under Assumption 1 each conv kind runs the
@@ -465,23 +465,28 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
         return float(q_lim) if same else float(q_lim / 4.0)
 
     report = classify(activation, params, input_variance=qx1)
+    q = report.q_fixed
+    if activation.kind == "tanh":
+        # the variance the recursion settles at: past the certified range of
+        # the series its diagonals come from the activation's rule, whose
+        # fixed point is off classify's order-256 one (by 4.3e-4 at (1, 2.5))
+        q = variance_fixed_point(
+            activation, params,
+            moment=lambda v: float(_diag_expectation(activation, v)))
     if report.phase == "eoc":
         if activation.kind == "relu":
             norm_x = float(np.linalg.norm(pair.x))
             norm_xp = float(np.linalg.norm(pair.xp))
             q_lim = sw2 * norm_x * norm_xp / d
             return q_lim if same else q_lim / 4.0
-        q = report.q_fixed
         return float(q) if same else float(q / 3.0)
     if report.phase == "chaotic" and activation.kind == "relu":
         raise DivergenceError("chaotic ReLU NTK diverges")
     # ordered (or chaotic tanh): K^L -> q c* / (1 - f'(c*)), where c* is the
     # stable fixed point of the correlation map (1 in the ordered phase) and
     # f'(c*) = sigma_w^2 E[phi' phi'] is the limiting kernel multiplier.
-    q = report.q_fixed
     if report.phase == "ordered":
         c_star = 1.0
-        qdot_inf = report.chi
     else:
         # the chaotic constant only applies to pairs whose first-layer
         # correlation is bounded away from 1 (default margin 1e-3): on the
@@ -496,7 +501,7 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
                 "chaotic-phase limit needs first-layer correlation <= 1 - 1e-3"
             )
         c_star = stable_correlation_fixed_point(activation, params, q)
-        qdot_inf = sw2 * phiprime_expectation(activation, q, q, c_star)
+    qdot_inf = sw2 * phiprime_expectation(activation, q, q, c_star)
     if qdot_inf >= 1.0:
         raise DivergenceError("kernel multiplier does not contract")
     return float(q * c_star / (1.0 - qdot_inf))

@@ -14,6 +14,13 @@ sqrt(2), chi = sigma_w^2 / 2, and the critical set is the single point
 (0, sqrt(2)) with input-dependent variance q^1(x) = sigma_w^2 ||x||^2 / d,
 which the kernel recursions thread through explicitly instead of a global
 fixed point.
+
+Tanh reads m(q) = E[tanh(sqrt(q) Z)^2] and p(q) = E[tanh'(sqrt(q) Z)^2]
+from the order-256 projection rule (``activations.tanh_moment``), and each
+solve is one bracketed root in q: the fixed point solves
+q = sigma_b^2 + sigma_w^2 m(q), and on the curve chi = chi_t,
+sigma_w^2 = chi_t / p(q) and sigma_b^2 = q - chi_t m(q) / p(q)
+(Schoenholz et al. 2017; Hayou, Doucet & Rousseau 2019).
 """
 from __future__ import annotations
 
@@ -21,17 +28,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationModel, tanh_prime
-from .errors import ConvergenceError, DivergenceError, NoSolutionError
-from .gaussmath import expect1
+from .activations import ActivationModel, tanh_moment
+from .errors import DivergenceError, NoSolutionError
 
 #: |chi - 1| tolerance separating the critical set from the two phases.
 PHASE_TOL = 1e-8
 
+#: largest critical sigma_w that eoc_curve returns
+_MAX_CRITICAL_SIGMA_W = 10.0
+
 _SQRT2 = np.sqrt(2.0)
 
-_MAX_FIXED_POINT_ITERS = 100_000
-_FIXED_POINT_TOL = 1e-12
+
+def _root(h, a: float, b: float, h_a: float, h_b: float) -> float:
+    """Root of h between a and b, where h(a) and h(b) have opposite signs.
+
+    The Illinois variant of regula falsi: a secant step inside the bracket,
+    halving h at the end that the step leaves in place.  Stops when h
+    vanishes or the bracket is a few ulp wide.
+    """
+    for _ in range(100):
+        x = b - h_b * ((b - a) / (h_b - h_a))
+        h_x = h(x)
+        if (h_x > 0.0) != (h_b > 0.0):
+            a, h_a = b, h_b
+        else:
+            h_a /= 2.0
+        b, h_b = x, h_x
+        if h_x == 0.0 or abs(b - a) <= 4e-16 * abs(b):
+            break
+    return b
 
 
 @dataclass(frozen=True)
@@ -60,66 +86,38 @@ class PhaseReport:
 
 
 def variance_fixed_point(activation: ActivationModel, params: InitParams,
-                         input_variance: float = 1.0) -> float:
+                         input_variance: float = 1.0, moment=None) -> float:
     """Limiting variance of the layer map q -> sigma_b^2 + sigma_w^2 E[phi^2].
 
     For ReLU with sigma_w > sqrt(2) the variance diverges; on the ReLU
     critical point (0, sqrt(2)) every variance is fixed, so the caller's
-    ``input_variance`` is returned.  Tanh with sigma_b = 0 has the
-    degenerate fixed point 0 (handled in closed form; the plain iteration
-    approaches it only algebraically).
+    ``input_variance`` is returned.  Tanh with sigma_b = 0 and sigma_w <= 1
+    has the stable fixed point 0; otherwise the positive root of
+    h(q) = sigma_b^2 + sigma_w^2 m(q) - q, with m = ``moment`` (default
+    E[tanh^2] on the order-256 rule).
     """
     sb, sw = params.sigma_b, params.sigma_w
     if activation.kind == "relu":
-        if sw > _SQRT2 + 1e-12:
-            raise DivergenceError(
-                f"ReLU variance diverges for sigma_w={sw} > sqrt(2)"
-            )
-        if abs(sw - _SQRT2) <= 1e-12:
-            if sb > 0:
-                raise DivergenceError(
-                    "ReLU variance grows linearly for sigma_b > 0 at sigma_w = sqrt(2)"
-                )
+        if abs(sw - _SQRT2) <= 1e-12 and sb == 0.0:
             return float(input_variance)
-        if sb == 0.0:
-            return 0.0  # q = sigma_b^2 / (1 - sigma_w^2/2) degenerates to 0
-    if activation.kind == "tanh" and sb == 0.0 and sw <= 1.0:
-        # q = 0 is the stable fixed point (for sigma_w > 1 a positive stable
-        # fixed point exists and the iteration below finds it)
+        if sw >= _SQRT2 - 1e-12:
+            raise DivergenceError(f"ReLU variance diverges for sigma_w={sw} >= sqrt(2) "
+                                  f"and sigma_b={sb}")
+        return sb * sb / (1.0 - sw * sw / 2.0)
+    m = moment or tanh_moment
+    sb2, sw2 = sb * sb, sw * sw
+    if sb2 == 0.0 and sw <= 1.0:
         return 0.0
 
-    def vmap(q: float) -> float:
-        if activation.kind == "relu":
-            return sb * sb + sw * sw * q / 2.0
-        return sb * sb + sw * sw * expect1(
-            lambda u: np.tanh(u) ** 2, q, activation.quadrature
-        )
+    def h(q):  # h(q) / q, which keeps its scale as q -> 0+
+        return (sb2 + sw2 * m(q)) / q - 1.0
 
-    q = 1.0
-    step = 1.0
-    prev_delta = np.inf
-    for _ in range(_MAX_FIXED_POINT_ITERS):
-        q_new = q + step * (vmap(q) - q)
-        delta = abs(q_new - q)
-        if delta < _FIXED_POINT_TOL:
-            return q_new
-        if delta > prev_delta:  # damp on oscillation
-            step = max(step / 2.0, 1e-3)
-        prev_delta = delta
-        q = q_new
-    # near-critical maps have slope ~ 1 at the fixed point and the plain
-    # iteration stalls; polish the stalled iterate by root bracketing
-    from scipy.optimize import brentq
-
-    def h(v):
-        return vmap(v) - v
-
-    lo, hi = q * 0.5, q * 2.0 + 1e-6
-    if h(lo) * h(hi) < 0:
-        return float(brentq(h, lo, hi, xtol=1e-15, rtol=1e-15))
-    raise ConvergenceError(
-        f"variance fixed point did not converge for {params} ({activation.kind})"
-    )
+    lo = sb2 or 1e-150  # with sigma_b = 0, h(q) / q -> sigma_w^2 - 1 > 0
+    h_lo = h(lo)
+    if h_lo <= 0.0:  # sigma_b = 0 and sigma_w within rounding of 1
+        return 0.0
+    hi = sb2 + sw2  # m < 1 there
+    return _root(h, lo, hi, h_lo, h(hi))
 
 
 def chi_coefficient(activation: ActivationModel, params: InitParams,
@@ -131,9 +129,7 @@ def chi_coefficient(activation: ActivationModel, params: InitParams,
     if q_fixed == 0.0:
         # limit q -> 0+: phi'(0)^2 = 1
         return params.sigma_w**2
-    return params.sigma_w**2 * expect1(
-        lambda u: tanh_prime(u) ** 2, q_fixed, activation.quadrature
-    )
+    return params.sigma_w**2 * tanh_moment(q_fixed, prime=True)
 
 
 def classify(activation: ActivationModel, params: InitParams,
@@ -154,11 +150,19 @@ def classify(activation: ActivationModel, params: InitParams,
 
 def eoc_curve(activation: ActivationModel, sigma_b: float,
               chi_target: float = 1.0) -> float:
-    """sigma_w with chi(sigma_b, sigma_w) = chi_target, by bisection.
+    """sigma_w with chi(sigma_b, sigma_w) = chi_target.
 
     The default target 1 traces the critical curve.  Other targets are
     useful for placing controlled ordered-phase points (e.g. chi = 0.99).
-    Bisects sigma_w in [1e-3, 10] until |chi - target| < 1e-10.
+    For Tanh with sigma_b > 0 the fixed point q solves
+    q - chi_t m(q) / p(q) = sigma_b^2, and sigma_w = sqrt(chi_t / p(q)).  A
+    critical sigma_w above 10 raises NoSolutionError.
+
+    Accuracy is that of the order-256 moments: sigma_w is within 1e-15 of
+    30-digit mpmath values at sigma_b = 0.05 and 0.2 (q* = 0.15, 0.51) and
+    3.3e-9 at sigma_b = 1 (q* = 3.04, where the rule misses E[tanh^2] by
+    3.7e-11 and E[tanh'^2] by 4.1e-9).  The miss in E[tanh'^2] grows to
+    2.3e-4 at q = 10 and 8 % at q = 40, near sigma_b = 5.
     """
     if sigma_b < 0:
         raise ValueError("sigma_b must be nonnegative")
@@ -171,37 +175,30 @@ def eoc_curve(activation: ActivationModel, sigma_b: float,
             return float(_SQRT2)
         return float(np.sqrt(2.0 * chi_target))
 
-    if sigma_b == 0.0:
+    sb2 = sigma_b * sigma_b
+    if sb2 == 0.0:
         # degenerate fixed point q = 0: chi = sigma_w^2 in the q -> 0+ limit,
         # so the phase boundary sits at sigma_w = sqrt(chi_target) exactly
         return float(np.sqrt(chi_target))
 
-    def g(sw: float) -> float:
-        report = classify(activation, InitParams(sigma_b, sw))
-        return report.chi - chi_target
+    def h(q):
+        p = tanh_moment(q, prime=True)
+        return q - chi_target * tanh_moment(q) / p - sb2
 
-    # The quadrature chi is only trustworthy while the fixed-point variance
-    # stays moderate; scan upward for the smallest valid upper bracket
-    # instead of trusting the far end of [1e-3, 10].
-    lo = 1e-3
-    hi = None
-    for cand in (1.5, 2.0, 3.0, 5.0, 10.0):
-        if g(cand) > 0:
-            hi = cand
-            break
-    if hi is None or g(lo) > 0:
+    def critical_sigma_w(q):
+        return float(np.sqrt(chi_target / tanh_moment(q, prime=True)))
+
+    # h(0) = -sigma_b^2 (m(0) = 0, p(0) = 1), and the doubling starts at the
+    # sigma_b -> 0 root of h ~ 4 q^3 / 3 - sigma_b^2; critical_sigma_w grows
+    # with q
+    lo, h_lo, hi = 0.0, -sb2, float(np.cbrt(0.75 * sb2))
+    h_hi = h(hi)
+    while h_hi <= 0.0 and critical_sigma_w(hi) <= _MAX_CRITICAL_SIGMA_W:
+        lo, h_lo, hi = hi, h_hi, 2.0 * hi
+        h_hi = h(hi)
+    sw = critical_sigma_w(_root(h, lo, hi, h_lo, h_hi)) if h_hi > 0.0 else np.inf
+    if sw > _MAX_CRITICAL_SIGMA_W:
         raise NoSolutionError(
-            f"no critical sigma_w in [{lo}, 10] for sigma_b={sigma_b}"
+            f"no critical sigma_w in (0, {_MAX_CRITICAL_SIGMA_W:g}] for sigma_b={sigma_b}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gmid = g(mid)
-        if abs(gmid) < 1e-10:
-            return mid
-        if gmid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    raise ConvergenceError(f"bisection stalled for sigma_b={sigma_b}")
+    return sw

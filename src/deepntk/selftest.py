@@ -137,26 +137,21 @@ def checks_phase():
     out = []
     chis = [ph.classify(tanh, InitParams(0.2, sw)).chi for sw in np.linspace(0.5, 2.0, 7)]
     out.append(("phase.chi_increasing_in_sigma_w", bool(np.all(np.diff(chis) > 0)), ""))
-    # ordered ReLU variance iteration: geometric approach from any start
+    # ordered ReLU variance: the closed form is the fixed point of the layer
+    # map, which contracts by sigma_w^2 / 2 < 1 from any start
     p = InitParams(1.0, 0.8)
-    target = p.sigma_b**2 / (1.0 - p.sigma_w**2 / 2.0)
-    ok = True
-    for q0 in (1e-3, 1.0, 1e3):
-        q = q0
-        deltas = []
-        for _ in range(5000):
-            qn = p.sigma_b**2 + p.sigma_w**2 * q / 2.0
-            deltas.append(abs(qn - q))
-            q = qn
-            if deltas[-1] < 1e-15:
-                break
-        ok = ok and abs(q - target) < 1e-9
-        ratios = [deltas[i + 1] / deltas[i] for i in range(min(20, len(deltas) - 1))
-                  if deltas[i] > 0]
-        ok = ok and all(r < 1.0 for r in ratios)
-    out.append(("phase.ordered_variance_geometric", bool(ok), ""))
+    q = ph.variance_fixed_point(relu, p)
+    gap = abs(p.sigma_b**2 + p.sigma_w**2 * q / 2.0 - q)
+    out.append(("phase.ordered_variance_geometric", gap <= 4e-16 * q, f"{gap:.1e}"))
     chi = ph.classify(relu, InitParams(0.0, np.sqrt(2.0))).chi
     out.append(("phase.relu_eoc_chi_exact", chi == 1.0, f"{chi!r}"))
+    # the Tanh critical point from its parametric form: chi and f(1) of the
+    # correlation map at the fixed point are 1 to rounding
+    sw = ph.eoc_curve(tanh, 0.2)
+    rep = ph.classify(tanh, InitParams(0.2, sw))
+    f1 = act.CorrelationMap(tanh, rep.q_fixed, 0.2, sw)(1.0)
+    worst = max(abs(rep.chi - 1.0), abs(f1 - 1.0))
+    out.append(("phase.tanh_eoc_critical", worst <= 1e-13, f"{worst:.1e}"))
     return out
 
 

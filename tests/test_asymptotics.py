@@ -102,6 +102,31 @@ class TestIterators:
         g = iterate_correlation("ffnn", TANH, p, 1.0 - 0.4, 11, corr_map=cmap)[0]
         assert abs((1.0 - c) - g) < 1e-14
 
+    def test_tanh_deficit_is_one_minus_the_map(self, tanh_eoc):
+        _, cmap = tanh_eoc
+        assert cmap.deficit(0.0) == 0.0
+        for gamma in (0.3, 1.0, 1.5, 2.0):
+            assert abs(cmap.deficit(gamma) - (1.0 - cmap(1.0 - gamma))) < 1e-13
+        # D(gamma) / gamma -> f'(1) = 1 keeps its digits where 1 - f(1 - gamma)
+        # has lost them to the rounding of 1 - gamma
+        assert abs(cmap.deficit(1e-12) / 1e-12 - cmap.derivative_at_one(1)) < 1e-11
+
+    @pytest.mark.slow
+    def test_tanh_law_matches_mpmath_iteration(self, tanh_eoc):
+        # the same series D(g) = sum_k b_k (1 - (1 - g)^k), iterated in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        p, cmap = tanh_eoc
+        depth = 10**4
+        got = iterate_correlation("ffnn", TANH, p, 0.5, depth, corr_map=cmap)[0]
+        with mpmath.workdps(40):
+            b = [mpmath.mpf(float(v)) for v in cmap._weights]  # b_1, b_2, ...
+            total = mpmath.fsum(b)
+            coeffs = b[::-1] + [0]
+            g = mpmath.mpf(0.5)
+            for _ in range(depth - 1):
+                g = total - mpmath.polyval(coeffs, 1 - g)
+        assert abs(got / float(g) - 1.0) < 1e-9
+
 
 class TestCheckExpansion:
     def test_relu_constant_five_percent(self):

@@ -275,11 +275,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("order", ["0", "1"])
     def test_quadrature_order_below_two_is_config_error(self, tmp_path, capsys, order):
         # order 0 is an error, not the default rule
-        rc = main(["phase", "--quadrature-order", order, "--sigma-b-grid", "0.1",
-                   "--sigma-w-grid", "1.0", "-o", str(tmp_path / "p.csv")])
+        rc = main(["kernel", "--activation", "tanh", "--quadrature-order", order,
+                   "--phase", "eoc", "--sigma-b", "0.2", "--depth", "3",
+                   "-o", str(tmp_path / "k.csv")])
         assert rc == 2
         assert "--quadrature-order" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "p.csv")
+        assert not os.path.exists(tmp_path / "k.csv")
 
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
         rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",

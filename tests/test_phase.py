@@ -1,11 +1,14 @@
 """Variance fixed points, phase classification, the critical curve."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deepntk.activations import make_activation
+from deepntk.activations import CorrelationMap, make_activation, tanh_moment
 from deepntk.errors import DivergenceError, NoSolutionError
 from deepntk.gaussmath import expect1
-from deepntk.phase import InitParams, classify, eoc_curve, variance_fixed_point
+from deepntk.phase import (PHASE_TOL, InitParams, classify, eoc_curve,
+                           variance_fixed_point)
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
@@ -13,6 +16,11 @@ TANH = make_activation("tanh")
 # critical sigma_w at sigma_b = 0.2, frozen from an independent adaptive
 # quadrature + brentq computation (scipy.integrate.quad to 1e-13)
 TANH_EOC_SW_02 = 1.304145840056574
+
+# critical sigma_w by 30-digit mpmath (adaptive quadrature of both moments,
+# findroot in q), rounded to 20 digits
+MPMATH_EOC_SW = {0.05: 1.1225390047695756452, 0.2: 1.3041458400565114416,
+                 1.0: 1.8555891011388918127}
 
 
 class TestVarianceFixedPoint:
@@ -95,6 +103,25 @@ class TestEocCurve:
         with pytest.raises(NoSolutionError):
             eoc_curve(RELU, 0.5)
 
+    @pytest.mark.parametrize("sigma_b,rtol", [(0.05, 1e-13), (0.2, 1e-13), (1.0, 1e-8)])
+    def test_matches_mpmath(self, sigma_b, rtol):
+        # at sigma_b = 1 (q* = 3.04) the order-256 moments limit the accuracy
+        assert abs(eoc_curve(TANH, sigma_b) / MPMATH_EOC_SW[sigma_b] - 1.0) <= rtol
+
+    @pytest.mark.parametrize("sigma_b", [0.05, 0.2])
+    def test_critical_by_chi_and_by_the_map(self, sigma_b):
+        sw = eoc_curve(TANH, sigma_b)
+        rep = classify(TANH, InitParams(sigma_b, sw))
+        cmap = CorrelationMap(TANH, rep.q_fixed, sigma_b, sw)
+        assert abs(rep.chi - 1.0) <= 1e-13
+        assert abs(cmap(1.0) - 1.0) <= 1e-13
+        assert abs(cmap.derivative_at_one(1) - 1.0) <= 1e-13
+
+    def test_no_critical_sigma_w_above_ten(self):
+        # far out on the curve the critical sigma_w passes 10
+        with pytest.raises(NoSolutionError):
+            eoc_curve(TANH, 100.0)
+
     def test_chi_target_placement(self):
         sw = eoc_curve(TANH, 0.3, chi_target=0.99)
         rep = classify(TANH, InitParams(0.3, sw))
@@ -123,3 +150,16 @@ class TestInvariants:
                 if delta < 1e-15:
                     break
             assert abs(q - target) < 1e-9
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(sigma_b=st.floats(0.0, 1.0), sigma_w=st.floats(0.5, 2.5))
+def test_tanh_fixed_point_solves_its_equation(sigma_b, sigma_w):
+    params = InitParams(sigma_b, sigma_w)
+    rep = classify(TANH, params)
+    q = rep.q_fixed
+    h = sigma_b**2 + sigma_w**2 * tanh_moment(q) - q
+    assert abs(h) <= 4 * np.spacing(max(q, sigma_b**2))
+    want = ("eoc" if abs(rep.chi - 1.0) <= PHASE_TOL
+            else "ordered" if rep.chi < 1.0 else "chaotic")
+    assert rep.phase == want
