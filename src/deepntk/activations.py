@@ -146,14 +146,20 @@ def _relu_maps(c):
     """(f(c), f'(c)) on correlations in [-1, 1], from one arcsin.
 
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
-    the closed form loses its increment over c to cancellation.
+    the closed form loses its increment over c to cancellation.  Each form
+    runs only on the correlations that take it, so a batch gives every
+    correlation the bits of a lone call.
     """
+    c = np.asarray(c)
     asin = np.arcsin(c)
-    f = np.where(
-        c > 1.0 - _RELU_SERIES_THRESHOLD,
-        1.0 - _relu_series(1.0 - c),
-        (c * asin + np.sqrt(np.maximum(1.0 - c * c, 0.0))) / np.pi + c / 2.0,
-    )
+    edge = 1.0 - _RELU_SERIES_THRESHOLD
+    if c.min() > edge:
+        f = 1.0 - _relu_series(1.0 - c)
+    else:
+        f = (c * asin + np.sqrt(np.maximum(1.0 - c * c, 0.0))) / np.pi + c / 2.0
+        if c.max() > edge:
+            near = c > edge
+            f[near] = 1.0 - _relu_series(1.0 - c[near])
     return f, asin / np.pi + 0.5
 
 
@@ -385,14 +391,17 @@ def layer_correlation(qcov, root):
     |cos| below 1 - 1e-9).  A root that is zero or not finite (variances
     underflowed, overflowed or NaN) is rejected before the division.
     """
-    if not ((root > 0.0) & (root < np.inf)).all():
+    if not (root.min() > 0.0 and root.max() < np.inf):
         raise ValueError("correlation not finite: the variances must be "
                          f"positive and finite, got sqrt(qx qxp) = {root!r}")
     c = qcov / root
     size = np.abs(c)
-    if not (size <= 1.0 + CORRELATION_SLACK).all():
+    largest = size.max()
+    if not largest <= 1.0 + CORRELATION_SLACK:
         raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
-    return np.where(1.0 - size < 1e-12, np.sign(c), c)
+    if 1.0 - largest < 1e-12:
+        return np.where(1.0 - size < 1e-12, np.sign(c), c)
+    return c
 
 
 def _pair_expectations(activation: ActivationModel, qx, qxp, root, c):

@@ -4,7 +4,8 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
-                                 _diag_expectation, layer_expectations,
+                                 _diag_expectation, _relu_maps,
+                                 layer_correlation, layer_expectations,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu, relu_f,
                                  relu_f_prime, relu_one_minus_f, tanh_prime)
@@ -214,6 +215,25 @@ class TestLayerExpectations:
         phiphi, phiprime = layer_expectations(RELU, qx, qx, qcov)
         np.testing.assert_array_equal(phiprime, [0.5, 0.5, 0.0])
         np.testing.assert_array_equal(phiphi, [1.0, 1.0, 0.0])
+
+    def test_mixed_batch_is_the_scalar_calls(self):
+        # every branch in one batch: c = +-1, the snap on both sides of +-1,
+        # 1 - c on both sides of the series threshold 1e-4, ordinary c
+        c = np.array([1.0, -1.0, 1.0 - 5e-13, 1.0 + 5e-13, -1.0 + 5e-13,
+                      1.0 - 5e-12, 1.0 - 5e-5, 1.0 - 1e-4, 1.0 - 2e-4, 0.3,
+                      -0.7, 0.0, -1.0 + 5e-5])
+        root = np.linspace(0.5, 3.0, c.size)
+        got = layer_correlation(c * root, root)
+        f, f_prime = _relu_maps(got)
+        for i in range(c.size):
+            alone = layer_correlation(c[i] * root[i], root[i])
+            assert got[i] == alone
+            assert (f[i], f_prime[i]) == _relu_maps(alone)
+        past = 1.0 - got < 1e-4
+        for part in (got[past], got[~past]):  # all, or none, on the series side
+            f, f_prime = _relu_maps(part)
+            assert all((f[i], f_prime[i]) == _relu_maps(part[i])
+                       for i in range(part.size))
 
     def test_tanh_matches_scalar_quadrature(self):
         # order-256 oracle; the tolerance is the series certificate's bound

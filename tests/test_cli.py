@@ -264,6 +264,22 @@ class TestExitCodes:
         assert "correlation not finite" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "k.csv")
 
+    def test_one_infinite_variance_in_the_gram_batch_is_config_error(
+            self, tmp_path, capsys):
+        # the last row's variance overflows to inf: its Gram pairs sit in one
+        # batch with finite ones
+        rows = "".join(f"{np.cos(a)},{np.sin(a)},{i % 2}\n"
+                       for i, a in enumerate(np.linspace(0.1, 3.0, 8)))
+        data = write(tmp_path, "d.csv", "a,b,label\n" + rows + "1e200,1,1\n")
+        out = str(tmp_path / "t.json")
+        with np.errstate(over="ignore"):
+            rc = main(["train", "--activation", "relu", "--phase", "eoc",
+                       "--depth", "3", "--data", data, "-o", out])
+        assert rc == 2
+        assert ("correlation not finite: the variances must be positive and "
+                "finite") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_vanishing_variance_warns_nothing(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

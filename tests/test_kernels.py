@@ -1,4 +1,6 @@
 """Kernel recursions: dense, conv, residual, scaled; limits and normalization."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,29 @@ class TestScaledResnet:
         b = scaled_resnet_growth_constant(EOC_RELU, depth=10**6)
         assert abs(a - b) < 1e-4
 
+    @pytest.mark.parametrize("sigma_w", [0.5, 1.0, np.sqrt(2.0), 2.0])
+    def test_growth_constant_is_the_product_at_its_depth(self, sigma_w):
+        # prod_{k=2}^{L}(1 + h/k) = Gamma(L+1+h) / (Gamma(2+h) Gamma(L+1))
+        mpmath = pytest.importorskip("mpmath")
+        L = 10**6
+        with mpmath.workdps(40):
+            h = mpmath.mpf(sigma_w**2) / 2
+            exact = (mpmath.gamma(L + 1 + h)
+                     / (mpmath.gamma(2 + h) * mpmath.gamma(L + 1))
+                     / mpmath.mpf(L) ** h)
+            got = scaled_resnet_growth_constant(InitParams(0.1, sigma_w), depth=L)
+            assert abs(float(got / exact) - 1.0) < 1e-13
+
+    def test_growth_constant_sums_in_blocks(self):
+        # 10^6 terms as one array would take 23 MiB
+        tracemalloc.start()
+        try:
+            scaled_resnet_growth_constant(EOC_RELU)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_conv_variant_matches_dense_on_invariant_inputs(self, rng):
         n0, M, k = 3, 6, 1
         cx = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
@@ -331,6 +356,34 @@ class TestScaledResnet:
         rel = (np.abs(full.ntk - dense.ntk[:, None, None])
                / np.abs(dense.ntk)[:, None, None]).max()
         assert rel < 1e-12
+
+
+class TestOneBadPairInABatch:
+    """A batch with one bad pair among good ones raises as the bad pair
+    alone does."""
+
+    @pytest.mark.parametrize("kind,activation", [
+        ("ffnn", RELU), ("resnet_dense", RELU), ("scaled_resnet_dense", RELU),
+        ("ffnn", TANH)], ids=["ffnn", "resnet", "scaled", "tanh"])
+    @pytest.mark.parametrize("field,value,message", [
+        (0, 0.0, "variances must be positive and finite"),
+        (1, np.inf, "variances must be positive and finite"),
+        (2, np.nan, r"not finite or out of range \[-1,1\]"),
+        (2, (1.0 + 1e-11) * np.sqrt(0.8), r"not finite or out of range \[-1,1\]"),
+        (2, (-1.0 - 1e-11) * np.sqrt(0.8), r"not finite or out of range \[-1,1\]"),
+    ], ids=["zero_variance", "inf_variance", "nan_covariance", "c_above_1",
+            "c_below_minus_1"])
+    def test_raises_with_the_lone_pair_message(self, kind, activation, field,
+                                               value, message):
+        p = InitParams(0.1, 1.2)
+        batch = (np.full(6, 1.0), np.full(6, 0.8),
+                 np.linspace(-0.5, 0.5, 6) * np.sqrt(0.8))
+        batch[field][3] = value
+        with pytest.raises(ValueError, match=message) as lone:
+            dense_layer_arrays(kind, activation, p, *(a[3] for a in batch), 3)
+        with pytest.raises(ValueError, match=message) as mixed:
+            dense_layer_arrays(kind, activation, p, *batch, 3)
+        assert str(mixed.value).split(":")[0] == str(lone.value).split(":")[0]
 
 
 class TestNormalize:

@@ -1,7 +1,7 @@
 """Property tests: the scalar gamma path, the layer step's invariants."""
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from deepntk.activations import (SERIES_TOLERANCE, _diag_expectation,
@@ -94,6 +94,39 @@ def test_swapping_the_variances_keeps_the_kernel(kind, activation, depth,
     a = dense_layer_arrays(kind, activation, p, qx, qxp, qcov, depth)
     b = dense_layer_arrays(kind, activation, p, qxp, qx, qcov, depth)
     assert np.array_equal(a.wK, b.wK)
+
+
+def _branch_pairs(seed):
+    """A self-pair (the +-1 snap), 1 - c on both sides of the ReLU series
+    threshold 1e-4, an anti-correlated pair and three random ones."""
+    rng = np.random.default_rng(seed)
+    qx, qxp = rng.uniform(0.05, 3.0, (2, 7))
+    qxp[0] = qx[0]
+    c = np.concatenate(([1.0, 1.0 - 5e-5, 1.0 - 2e-4, -1.0 + 1e-6],
+                        rng.uniform(-1.0, 1.0, 3)))
+    return qx, qxp, c * np.sqrt(qx * qxp)
+
+
+@pytest.mark.parametrize("kind,activation,depth", [
+    pytest.param(kind, RELU, 60, id=f"relu-{kind}") for kind in DENSE_KINDS]
+    + [pytest.param("ffnn", TANH, 12, id="tanh-ffnn")])
+@settings(PROPERTY, max_examples=10)
+@given(sigma_b=st.floats(0.0, 1.0), sigma_w=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_pair_alone_is_its_row_in_a_batch(kind, activation, depth,
+                                             sigma_b, sigma_w, seed):
+    # renormalisation divides by the batch's largest variance, so the
+    # property holds where none happens
+    first = _branch_pairs(seed)
+    p = InitParams(sigma_b, sigma_w)
+    batch = dense_layer_arrays(kind, activation, p, *first, depth)
+    assume(not batch.overflow)
+    for i in range(first[0].size):
+        alone = dense_layer_arrays(kind, activation, p, *(a[i] for a in first),
+                                   depth)
+        for name in ("vx", "vxp", "vcov", "wK", "qdot"):
+            assert np.array_equal(getattr(alone, name),
+                                  getattr(batch, name)[:, i], equal_nan=True)
 
 
 @PROPERTY
