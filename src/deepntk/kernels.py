@@ -55,7 +55,9 @@ at any depth.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +82,6 @@ CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 #: recursion state; sqrt(float max) bounds it, so that qx * qxp in the
 #: correlation neither overflows nor underflows
 _RENORM_LIMIT = 1e150
-
-#: terms per block of the growth-constant sum
-_GROWTH_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,13 +113,6 @@ class Architecture:
     @property
     def is_scaled(self) -> bool:
         return self.kind.startswith("scaled")
-
-    @property
-    def scheme(self) -> str:
-        """Depth normalisation of this kind (see ``log_alpha``)."""
-        if not self.is_residual:
-            return "average"
-        return "scaled" if self.is_scaled else "resnet"
 
 
 @dataclass(frozen=True)
@@ -413,50 +405,60 @@ def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams
 # normalization and limits
 # ---------------------------------------------------------------------------
 
-def log_alpha(scheme: str, sigma_w: float, ls) -> np.ndarray:
-    """log of the depth normalisation alpha_l at depths ``ls``.
+def log_alpha(arch: Architecture, sigma_w: float, ls) -> np.ndarray:
+    """log of the depth normalisation alpha_l of ``arch`` at depths ``ls``.
 
-    alpha_l is l (average), l (1+sigma_w^2/2)^{l-1} (resnet, kept in log
-    space because it overflows), or l^{1+sigma_w^2/2} (scaled).
+    alpha_l is l for ffnn and cnn, l (1+sigma_w^2/2)^{l-1} for resnet kinds
+    (kept in log space because it overflows) and l^{sigma_w^2/2} log max(l, 2)
+    for scaled kinds, whose kernel grows like that envelope: the block term
+    of layer l is about 1/l of the field covariance, which grows like
+    l^{sigma_w^2/2}, and the blocks add up harmonically.
     """
-    if scheme == "average":
-        return np.log(ls)
-    if scheme == "resnet":
+    if arch.is_scaled:
+        return sigma_w**2 / 2.0 * np.log(ls) + np.log(np.log(np.maximum(ls, 2.0)))
+    if arch.is_residual:
         return np.log(ls) + (ls - 1.0) * np.log(1.0 + sigma_w**2 / 2.0)
-    if scheme == "scaled":
-        return (1.0 + sigma_w**2 / 2.0) * np.log(ls)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return np.log(ls)
 
 
-def normalize(trace: KernelTrace, scheme: str) -> np.ndarray:
+def normalize(trace: KernelTrace) -> np.ndarray:
     """Per-layer normalized kernel K^l / alpha_l (see ``log_alpha``)."""
-    if scheme != trace.architecture.scheme:
-        raise ValueError(
-            f"scheme {scheme!r} does not apply to {trace.architecture.kind!r}"
-        )
     ls = trace.layers.reshape((-1,) + (1,) * (trace.wK.ndim - 1))
     return trace.ntk_sign * np.exp(
-        trace.ntk_log - log_alpha(scheme, trace.params.sigma_w, ls))
+        trace.ntk_log - log_alpha(trace.architecture, trace.params.sigma_w, ls))
 
 
-def scaled_resnet_growth_constant(params: InitParams, depth: int = 10**6) -> float:
-    """prod_{k=2}^{L}(1 + sigma_w^2/2k) / L^{sigma_w^2/2} at L = ``depth``.
+class KindLaw(NamedTuple):
+    """How the kernel of one kind and initialization behaves at depth."""
 
-    The scaled-residual variance product grows like this ratio times
-    L^{sigma_w^2/2}; used when forming depth-compensated references.  It
-    is the ratio at L = depth, not its limit 1/Gamma(2 + sigma_w^2/2): at
-    sigma_w = 1 and the default depth it is 3.7e-7 (relative) above the
-    limit.  The log1p terms are summed in blocks of _GROWTH_BLOCK, so
-    memory stays O(_GROWTH_BLOCK) at any depth.
+    phase: str | None  # classify's phase for feedforward kinds, else None
+    normalized: bool   # whether K^L / alpha_L, not K^L, has the limit
+    model: str         # decay law of the residual: "exp", "power" or "inv_log"
+
+
+def kind_law(arch: Architecture, activation: ActivationModel,
+             params: InitParams) -> KindLaw:
+    """The depth law of ``arch`` at ``params``.
+
+    Residual kinds converge after the depth normalisation at every
+    sigma_w, at a power rate (resnet) or like 1/log L (scaled).  Feedforward
+    kinds route on the phase: on the critical curve K^L / L converges at a
+    power rate; off it K^L itself converges exponentially fast.
     """
-    h = params.sigma_w**2 / 2.0
-    log_prod = 0.0
-    for start in range(2, depth + 1, _GROWTH_BLOCK):
-        terms = np.arange(start, min(start + _GROWTH_BLOCK, depth + 1),
-                          dtype=np.float64)
-        np.divide(h, terms, out=terms)
-        log_prod += float(np.log1p(terms, out=terms).sum())
-    return float(np.exp(log_prod - h * np.log(depth)))
+    if arch.is_residual:
+        return KindLaw(None, True, "inv_log" if arch.is_scaled else "power")
+    phase = classify(activation, params).phase
+    eoc = phase == "eoc"
+    return KindLaw(phase, eoc, "power" if eoc else "exp")
+
+
+def scaled_resnet_growth_constant(params: InitParams) -> float:
+    """lim_L prod_{k=2}^{L}(1 + h/k) / L^h = 1/Gamma(2 + h), h = sigma_w^2/2.
+
+    The scaled-residual variance product grows like this constant times
+    L^{sigma_w^2/2}; it enters the scaled kinds' limiting kernel.
+    """
+    return math.exp(-math.lgamma(2.0 + params.sigma_w**2 / 2.0))
 
 
 def limiting_kernel(architecture: Architecture, activation: ActivationModel,
@@ -471,8 +473,11 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
     kernels follow the same pattern in the (1+sigma_w^2/2)^{l-1}-rescaled
     space, where the block covariance converges to
     (alpha/(1+alpha)) sqrt(v_inf(x) v_inf(x')) with
-    v_inf(u) = q^1(u,u) + sigma_b^2/alpha.  Ordered/chaotic feedforward
-    initializations converge to the constant q_inf/(1 - qdot_inf).
+    v_inf(u) = q^1(u,u) + sigma_b^2/alpha, and scaled residual kernels
+    over L^{alpha} log L (alpha = sigma_w^2/2) to
+    alpha sqrt(q^1(x,x) q^1(x',x')) / Gamma(2 + alpha), again over 1+a off
+    the diagonal.  Ordered/chaotic feedforward initializations converge to
+    the constant q_inf/(1 - qdot_inf).
     """
     if pair.is_conv:
         raise ValueError("limiting_kernel expects dense inputs (use Assumption 1)")
@@ -480,20 +485,19 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
     qx1, qxp1, qcov1 = first_layer_dense(pair, params)
     sw2 = params.sigma_w**2
     alpha = sw2 / 2.0
-    d = pair.dim
+    # off the diagonal the limit is the diagonal one over 1 + a
+    share = 1.0 if same else 1.0 + (3.0 if activation.kind == "relu" else 2.0)
 
-    if architecture.kind in ("resnet_dense", "resnet_conv"):
-        v_inf_x = qx1 + (params.sigma_b**2 / alpha if params.sigma_b > 0 else 0.0)
-        v_inf_xp = qxp1 + (params.sigma_b**2 / alpha if params.sigma_b > 0 else 0.0)
-        q_lim = (alpha / (1.0 + alpha)) * np.sqrt(v_inf_x * v_inf_xp)
-        return float(q_lim) if same else float(q_lim / 4.0)
-
-    if architecture.kind in ("scaled_resnet_dense", "scaled_resnet_conv"):
-        # limit of K^L / (L^{sigma_w^2/2} log L): block sums are
-        # (sigma_w^2/2k)/(1+sigma_w^2/2k) per layer, harmonic in k.
-        c_pi = scaled_resnet_growth_constant(params)
-        q_lim = alpha * c_pi * np.sqrt(qx1 * qxp1)
-        return float(q_lim) if same else float(q_lim / 4.0)
+    if architecture.is_residual:
+        if architecture.is_scaled:
+            # limit of K^L / (L^{sigma_w^2/2} log L): block sums are
+            # (sigma_w^2/2k)/(1+sigma_w^2/2k) per layer, harmonic in k.
+            q_lim = alpha * scaled_resnet_growth_constant(params) * np.sqrt(qx1 * qxp1)
+        else:
+            v_inf_x = qx1 + params.sigma_b**2 / alpha
+            v_inf_xp = qxp1 + params.sigma_b**2 / alpha
+            q_lim = (alpha / (1.0 + alpha)) * np.sqrt(v_inf_x * v_inf_xp)
+        return float(q_lim / share)
 
     report = classify(activation, params, input_variance=qx1)
     q = report.q_fixed
@@ -505,12 +509,10 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
             activation, params,
             moment=lambda v: float(_diag_expectation(activation, v)))
     if report.phase == "eoc":
-        if activation.kind == "relu":
-            norm_x = float(np.linalg.norm(pair.x))
-            norm_xp = float(np.linalg.norm(pair.xp))
-            q_lim = sw2 * norm_x * norm_xp / d
-            return q_lim if same else q_lim / 4.0
-        return float(q) if same else float(q / 3.0)
+        if activation.kind == "relu":  # every variance is fixed: q = q^1
+            q = (sw2 * float(np.linalg.norm(pair.x)) * float(np.linalg.norm(pair.xp))
+                 / pair.dim)
+        return float(q / share)
     if report.phase == "chaotic" and activation.kind == "relu":
         raise DivergenceError("chaotic ReLU NTK diverges")
     # ordered (or chaotic tanh): K^L -> q c* / (1 - f'(c*)), where c* is the

@@ -241,7 +241,7 @@ def checks_asymptotics():
     po = InitParams(0.0, np.sqrt(2 * 0.99))
     grid = asy.default_depth_grid()
     qd = ker.first_layer_cov(po, 1.0, d)
-    trace = ker.dense_layer_arrays("ffnn", relu, po, np.full(4, qd), np.full(4, qd),
+    trace = ker.dense_layer_arrays("ffnn", relu, po, qd, qd,
                                    ker.first_layer_cov(po, c1, d), grid[-1])
     lam = ker.limiting_kernel(
         ker.Architecture("ffnn"), relu, po,
@@ -253,19 +253,22 @@ def checks_asymptotics():
                 fe.r_squared > 0.99 and fe.r_squared > fp.r_squared,
                 f"r2 exp={fe.r_squared:.4f} pow={fp.r_squared:.4f}"))
 
-    # critical phase: power fit is excellent and exp-rate shrinks with depth
+    # critical phase: power fit is excellent and exp-rate shrinks with depth;
+    # the pairs lie on the sphere, so the off-diagonal limit of one pair is
+    # that of every pair
     pe = InitParams(0.0, np.sqrt(2))
     qd = ker.first_layer_cov(pe, 1.0, d)
     c1e = np.array([-0.5, 0.1, 0.6, 0.9])
-    trace = ker.dense_layer_arrays("ffnn", relu, pe, np.full(4, qd), np.full(4, qd),
-                                   qd * c1e, grid[-1])
-    ak = trace.ntk / np.arange(1, grid[-1] + 1)[:, None]
-    resid = np.abs(ak - qd / 4.0)[np.array(grid) - 1].max(axis=1)
+    trace = ker.dense_layer_arrays("ffnn", relu, pe, qd, qd, qd * c1e, grid[-1])
+    ak = ker.normalize(trace)
+    lim = ker.limiting_kernel(ker.Architecture("ffnn"), relu, pe,
+                              ker.InputPair(X[0], X[1]))
+    resid = np.abs(ak - lim)[np.array(grid) - 1].max(axis=1)
     fp = asy.fit_rate(grid, resid, "power")
     dense1024 = np.unique(np.geomspace(32, 1024, 12).astype(int))
     dense8192 = np.unique(np.geomspace(32, 8192, 12).astype(int))
-    r1 = np.abs(ak - qd / 4.0)[dense1024 - 1].max(axis=1)
-    r2 = np.abs(ak - qd / 4.0)[dense8192 - 1].max(axis=1)
+    r1 = np.abs(ak - lim)[dense1024 - 1].max(axis=1)
+    r2 = np.abs(ak - lim)[dense8192 - 1].max(axis=1)
     g1 = asy.fit_rate(dense1024, r1, "exp").exponent
     g2 = asy.fit_rate(dense8192, r2, "exp").exponent
     out.append(("asymptotics.eoc_power_fits_and_gamma_shrinks",
@@ -273,19 +276,14 @@ def checks_asymptotics():
                 f"r2={fp.r_squared:.4f} gamma {g1:.4f}->{g2:.4f}"))
 
     # scaled residual kernel decays slower than any L^{-p}, p >= 0.2,
-    # against the depth-compensated reference (growth L^{sw^2/2} log L)
+    # against its limit under the depth normalisation L^{sw^2/2} log L
     ps = InitParams(0.0, np.sqrt(2))
+    scaled = ker.Architecture("scaled_resnet_dense")
     depths = np.unique(np.geomspace(100, 10000, 10).astype(int))
-    trace = ker.dense_layer_arrays("scaled_resnet_dense", relu, ps,
-                                   np.full(4, qd), np.full(4, qd), qd * c1e,
+    trace = ker.dense_layer_arrays(scaled, relu, ps, qd, qd, qd * c1e,
                                    int(depths[-1]))
-    ls = np.arange(1, depths[-1] + 1, dtype=np.float64)
-    half_sw2 = ps.sigma_w**2 / 2.0
-    alpha_l = ls**half_sw2 * np.log(np.maximum(ls, 2.0))  # corrected growth envelope
-    comp = trace.ntk / alpha_l[:, None]
-    c_pi = ker.scaled_resnet_growth_constant(ps)
-    limit = half_sw2 * c_pi * qd / 4.0
-    resid = np.abs(comp - limit)[depths - 1].max(axis=1)
+    limit = ker.limiting_kernel(scaled, relu, ps, ker.InputPair(X[0], X[1]))
+    resid = np.abs(ker.normalize(trace) - limit)[depths - 1].max(axis=1)
     fp = asy.fit_rate(depths, resid, "power")
     out.append(("asymptotics.scaled_resnet_slower_than_power",
                 0.0 < -fp.exponent < 0.2 and resid[-1] < resid[0],
@@ -302,7 +300,7 @@ def checks_spectral():
     tt = np.linspace(-0.99, 0.99, 201)
     err1 = np.abs(dec1.reconstruct(tt) - 1.0).max()
     po = InitParams(0.3, np.sqrt(2 * 0.9))
-    cfg = spec.KernelConfig(ker.Architecture("ffnn"), relu, po, "none")
+    cfg = spec.KernelConfig(ker.Architecture("ffnn"), relu, po)
     dec_o = spec.decompose_kernel(cfg, 3, 300)
     g = spec.zonal_profile(cfg, 3, 300, tt)
     err2 = np.abs(dec_o.reconstruct(tt) - g).max()
@@ -310,7 +308,7 @@ def checks_spectral():
                 err1 < 1e-10 and err2 < 1e-6, f"{err1:.1e},{err2:.1e}"))
     # PSD: mu_k >= -1e-8 mu_0
     cfg_e = spec.KernelConfig(ker.Architecture("ffnn"), relu,
-                              InitParams(0.0, np.sqrt(2)), "average")
+                              InitParams(0.0, np.sqrt(2)))
     dec_e = spec.decompose_kernel(cfg_e, 3, 300)
     ok = bool(np.all(dec_e.mu >= -1e-8 * dec_e.mu[0])
               and np.all(dec_o.mu >= -1e-8 * dec_o.mu[0]))

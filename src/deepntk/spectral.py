@@ -19,6 +19,7 @@ kernel, whose RKHS contains only constant functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gamma
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from .activations import ActivationModel
 from .errors import ResolutionError
 from .gaussmath import QuadratureRule, gauss_jacobi
-from .kernels import Architecture, dense_layer_arrays, first_layer_cov, normalize
+from .kernels import (Architecture, KindLaw, dense_layer_arrays, first_layer_cov,
+                      kind_law, normalize)
 from .phase import InitParams
 
 #: Gauss-Jacobi nodes used for the Funk-Hecke integrals.
@@ -84,25 +86,26 @@ def legendre_poly(d: int, k: int, t) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Which kernel to decompose: architecture, activation, init, scheme.
+    """Which kernel to decompose: architecture, activation, init.
 
-    ``scheme`` selects the depth normalization ("none" for the raw kernel in
-    the ordered/chaotic phases, "average" for critical feedforward kernels,
-    "resnet"/"scaled" for residual ones).
+    The profile is K^L / alpha_L where ``law`` says that has the limit
+    (residual kinds, critical feedforward ones) and the raw K^L otherwise
+    (ordered and chaotic feedforward ones); see ``kernels.kind_law``.
     """
 
     architecture: Architecture
     activation: ActivationModel
     params: InitParams
-    scheme: str = "none"
 
     def __post_init__(self):
-        if self.scheme not in ("none", "average", "resnet", "scaled"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.architecture.is_conv:
             raise ValueError(
                 "spectral decomposition is restricted to dense-equivalent kernels"
             )
+
+    @cached_property
+    def law(self) -> KindLaw:
+        return kind_law(self.architecture, self.activation, self.params)
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,7 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
                   grid: np.ndarray) -> np.ndarray:
     """g_L(t) on the given t grid, by running the depth-L recursion per node.
 
+    g_L is K^L / alpha_L if ``config.law`` is normalized, else K^L.
     Inputs live on S^{d-1}: first-layer covariances are
     q^1(x,x) = sigma_b^2 + sigma_w^2 / d and
     q^1(x,x') = sigma_b^2 + sigma_w^2 t / d.
@@ -143,14 +147,9 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
     p = config.params
     qdiag = first_layer_cov(p, 1.0, d)
     qcov = first_layer_cov(p, grid, d)
-    kind = config.architecture.kind
-    trace = dense_layer_arrays(kind, config.activation, p,
-                               np.full_like(grid, qdiag),
-                               np.full_like(grid, qdiag), qcov, depth,
-                               last_only=True)
-    if config.scheme == "none":
-        return trace.ntk[-1]
-    return normalize(trace, config.scheme)[-1]
+    trace = dense_layer_arrays(config.architecture, config.activation, p,
+                               qdiag, qdiag, qcov, depth, last_only=True)
+    return (normalize(trace) if config.law.normalized else trace.ntk)[-1]
 
 
 def decompose(profile: np.ndarray, d: int, k_max: int,
@@ -192,7 +191,7 @@ def decompose_kernel(config: KernelConfig, d: int, depth: int,
     dec = decompose(profile, d, k_max, rule,
                     kernel_id=f"{config.architecture.kind}/{config.activation.kind}"
                               f"/sb={config.params.sigma_b}/sw={config.params.sigma_w}"
-                              f"/{config.scheme}/L={depth}")
+                              f"/L={depth}")
     return SpectralDecomposition(d=d, depth=depth, mu=dec.mu,
                                  multiplicities=dec.multiplicities,
                                  kernel_id=dec.kernel_id)

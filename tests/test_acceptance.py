@@ -185,7 +185,7 @@ def test_criterion_06_resnet_normalization():
     x = np.full(d, 1.0)
     pair = InputPair(x, x)
     tr = ntk_trace(Architecture("resnet_dense"), pair, RELU, EOC_RELU, 8192)
-    nk = normalize(tr, "resnet")
+    nk = normalize(tr)
     lim = limiting_kernel(Architecture("resnet_dense"), RELU, EOC_RELU, pair)
     grid = default_depth_grid()
     fit = fit_rate(grid, np.abs(nk - lim)[np.asarray(grid) - 1], "power")
@@ -232,12 +232,12 @@ def test_criterion_08_spectral_structure():
     tt = np.linspace(-0.99, 0.99, 401)
     cal_err = np.abs(cal.reconstruct(tt) - 1.0).max()
     ordered = InitParams(0.3, np.sqrt(2 * 0.9))
-    cfg_o = KernelConfig(Architecture("ffnn"), RELU, ordered, "none")
+    cfg_o = KernelConfig(Architecture("ffnn"), RELU, ordered)
     dec_o = decompose_kernel(cfg_o, d, 300, kmax, rule)
     g_o = zonal_profile(cfg_o, d, 300, tt)
     rec_err = np.abs(dec_o.reconstruct(tt) - g_o).max()
     mass_o = dec_o.normalized_mass()
-    cfg_e = KernelConfig(Architecture("ffnn"), RELU, EOC_RELU, "average")
+    cfg_e = KernelConfig(Architecture("ffnn"), RELU, EOC_RELU)
     mass_e = decompose_kernel(cfg_e, d, 300, kmax, rule).normalized_mass()
     elapsed = time.time() - t0
     ok = (cal_err < 1e-10 and rec_err < 1e-6 and mass_o[0] > 0.99

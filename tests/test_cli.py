@@ -11,8 +11,10 @@ from deepntk.activations import make_activation
 from deepntk.cli import (ConfigError, build_parser, load_dataset, main,
                          synthetic_sphere, write_json)
 from deepntk.errors import InvalidDatasetError, NumericError
-from deepntk.kernels import Architecture, InputPair, normalize, ntk_trace
+from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
+                             first_layer_cov, normalize, ntk_trace)
 from deepntk.phase import InitParams
+from deepntk.spectral import decompose, jacobi_rule
 
 
 def write(tmp_path, name, text):
@@ -136,6 +138,32 @@ class TestOutputs:
         share = {(int(r[0]), int(r[1])): float(r[3]) for r in rows}
         assert share[(300, 0)] > share[(3, 0)]
 
+    @pytest.mark.parametrize("arch,sigma_b,sigma_w,normalized", [
+        ("ffnn", 0.3, 1.2, False),
+        ("ffnn", 0.0, np.sqrt(2.0), True),
+        ("resnet_dense", 0.1, 1.0, True),
+        ("scaled_resnet_dense", 0.1, 1.0, True),
+    ], ids=["ordered", "eoc", "resnet", "scaled"])
+    def test_spectrum_normalizes_where_the_limit_is(self, tmp_path, arch, sigma_b,
+                                                    sigma_w, normalized):
+        # the raw kernel for ordered ffnn, K^L / alpha_L at eoc and for
+        # residual kinds
+        d, L, kmax = 3, 40, 6
+        out = str(tmp_path / "s.csv")
+        rc = main(["spectrum", "--arch", arch, "--activation", "relu",
+                   "--sigma-b", repr(sigma_b), "--sigma-w", repr(float(sigma_w)),
+                   "--d", str(d), "--depths", str(L), "--kmax", str(kmax), "-o", out])
+        assert rc == 0
+        rows = [ln.split(",") for ln in open(out).read().splitlines()
+                if not ln.startswith("#")][1:]
+        p, rule = InitParams(sigma_b, sigma_w), jacobi_rule(d)
+        qdiag = first_layer_cov(p, 1.0, d)
+        trace = dense_layer_arrays(arch, make_activation("relu"), p, qdiag, qdiag,
+                                   first_layer_cov(p, rule.nodes, d), L)
+        profile = (normalize(trace) if normalized else trace.ntk)[-1]
+        np.testing.assert_allclose([float(r[2]) for r in rows],
+                                   decompose(profile, d, kmax, rule).mu, rtol=1e-13)
+
     def test_train_json_payload(self, tmp_path):
         out = str(tmp_path / "train.json")
         rc = main(["train", "--activation", "relu", "--phase", "eoc",
@@ -171,7 +199,7 @@ class TestOutputs:
         pair = (InputPair(x.reshape(2, 4), xp.reshape(2, 4)) if arch.is_conv
                 else InputPair(x, xp))
         trace = ntk_trace(arch, pair, make_activation("relu"), InitParams(0.2, 1.1), 5)
-        np.testing.assert_allclose(got, normalize(trace, arch.scheme), rtol=1e-15)
+        np.testing.assert_allclose(got, normalize(trace), rtol=1e-15)
 
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         cfg = write(tmp_path, "cfg.txt", "depth = 4\nsphere-d = 8\n")
@@ -350,12 +378,6 @@ class TestExitCodes:
         with pytest.raises(NumericError):
             write_json(str(tmp_path / "x.json"), args, {"test_acc": float("nan")})
         assert not os.path.exists(tmp_path / "x.json")
-
-    def test_spectrum_scheme_of_another_architecture_is_config_error(self, tmp_path):
-        rc = main(["spectrum", "--arch", "ffnn", "--activation", "relu",
-                   "--phase", "eoc", "--scheme", "resnet", "--depths", "3",
-                   "--kmax", "4", "-o", str(tmp_path / "s.csv")])
-        assert rc == 2
 
     def test_non_finite_gram_is_numeric_error(self, tmp_path, capsys):
         # chaotic ReLU: raw kernel values pass float max before depth 1100

@@ -1,14 +1,12 @@
 """Kernel recursions: dense, conv, residual, scaled; limits and normalization."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from deepntk.activations import make_activation, relu_f, relu_f_prime
 from deepntk.errors import AssumptionViolatedError, DivergenceError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
-                             first_layer_dense, limiting_kernel, normalize,
-                             ntk_trace, scaled_resnet_growth_constant)
+                             first_layer_dense, kind_law, limiting_kernel,
+                             normalize, ntk_trace, scaled_resnet_growth_constant)
 from deepntk.phase import InitParams, eoc_curve
 from deepntk.spectral import KernelConfig, zonal_profile
 
@@ -226,7 +224,7 @@ class TestResnetDense:
         x = np.full(d, 1.0)
         pair = InputPair(x, x)
         tr = ntk_trace(RESNET, pair, RELU, EOC_RELU, 4096)
-        nk = normalize(tr, "resnet")
+        nk = normalize(tr)
         lim = limiting_kernel(Architecture("resnet_dense"), RELU, EOC_RELU, pair)
         assert abs(lim - 1.0) < 1e-14  # (1/2) * 2.0
         resid = np.abs(nk - lim)
@@ -246,7 +244,7 @@ class TestResnetDense:
         tr = ntk_trace(RESNET, InputPair(x, x), RELU, EOC_RELU, 2000)
         assert np.isinf(tr.ntk[-1])  # raw value overflows past ~1000 layers
         assert np.isfinite(tr.ntk_log[-1])
-        nk = normalize(tr, "resnet")
+        nk = normalize(tr)
         assert np.isfinite(nk[-1])
 
     def test_tanh_rejected(self, rng):
@@ -302,46 +300,25 @@ class TestScaledResnet:
     def test_growth_envelope(self):
         # the block-only kernel grows as L^{sw^2/2} log L: the block term
         # is ~1/l of the full field covariance, which removes one factor of
-        # L from the covariance envelope L^{1+sw^2/2} -- the compensated
+        # L from the covariance envelope L^{1+sw^2/2} -- the normalised
         # sequence is bounded and slowly varying over two decades of depth
         d = 6
         x = np.full(d, 1.0)
         tr = ntk_trace(SCALED, InputPair(x, x), RELU, EOC_RELU, 10**4)
-        ls = np.arange(1, 10**4 + 1, dtype=np.float64)
-        comp = tr.ntk / (ls * np.log(np.maximum(ls, 2.0)))
+        comp = normalize(tr)
         window = comp[100:]
         assert window.max() / window.min() < 1.6
-        lim = limiting_kernel(Architecture("scaled_resnet_dense"), RELU,
-                              EOC_RELU, InputPair(x, x))
+        lim = limiting_kernel(SCALED, RELU, EOC_RELU, InputPair(x, x))
         assert abs(comp[-1] / lim - 1.0) < 0.15  # 1/log L corrections remain
 
-    def test_growth_constant_converges(self):
-        a = scaled_resnet_growth_constant(EOC_RELU, depth=10**5)
-        b = scaled_resnet_growth_constant(EOC_RELU, depth=10**6)
-        assert abs(a - b) < 1e-4
-
-    @pytest.mark.parametrize("sigma_w", [0.5, 1.0, np.sqrt(2.0), 2.0])
-    def test_growth_constant_is_the_product_at_its_depth(self, sigma_w):
-        # prod_{k=2}^{L}(1 + h/k) = Gamma(L+1+h) / (Gamma(2+h) Gamma(L+1))
+    def test_growth_constant_is_the_gamma_limit(self):
+        # lim_L prod_{k=2}^{L}(1 + h/k) / L^h = 1 / Gamma(2 + h)
         mpmath = pytest.importorskip("mpmath")
-        L = 10**6
-        with mpmath.workdps(40):
-            h = mpmath.mpf(sigma_w**2) / 2
-            exact = (mpmath.gamma(L + 1 + h)
-                     / (mpmath.gamma(2 + h) * mpmath.gamma(L + 1))
-                     / mpmath.mpf(L) ** h)
-            got = scaled_resnet_growth_constant(InitParams(0.1, sigma_w), depth=L)
-            assert abs(float(got / exact) - 1.0) < 1e-13
-
-    def test_growth_constant_sums_in_blocks(self):
-        # 10^6 terms as one array would take 23 MiB
-        tracemalloc.start()
-        try:
-            scaled_resnet_growth_constant(EOC_RELU)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
+        for sigma_w in (0.5, 1.0, np.sqrt(2.0), 2.0):
+            with mpmath.workdps(40):
+                exact = 1 / mpmath.gamma(2 + mpmath.mpf(sigma_w**2) / 2)
+                got = scaled_resnet_growth_constant(InitParams(0.1, sigma_w))
+                assert abs(float(got / exact) - 1.0) < 1e-14
 
     def test_conv_variant_matches_dense_on_invariant_inputs(self, rng):
         n0, M, k = 3, 6, 1
@@ -390,40 +367,33 @@ class TestNormalize:
     def test_average_critical_diagonal_constant(self):
         x = np.full(4, 1.0)
         tr = ntk_trace(FFNN, InputPair(x, x), RELU, EOC_RELU, 64)
-        nk = normalize(tr, "average")
+        nk = normalize(tr)
         np.testing.assert_allclose(nk, 2.0, rtol=1e-13)
 
     def test_depth_one_all_schemes_identity(self, rng):
-        # alpha_1 = 1 for every scheme (values pass through exp(log .),
-        # so compare at float roundtrip accuracy)
+        # alpha_1 = 1 for ffnn and resnet kinds and log 2 for scaled kinds,
+        # whose envelope is l^{sw^2/2} log max(l, 2) (values pass through
+        # exp(log .), so compare at float roundtrip accuracy)
         x, xp = rng.standard_normal((2, 5))
         p = InitParams(0.2, 1.1)
         pairs = InputPair(x, xp)
-        for trace, scheme in (
-                (ntk_trace(FFNN, pairs, RELU, p, 1), "average"),
-                (ntk_trace(RESNET, pairs, RELU, p, 1), "resnet"),
-                (ntk_trace(SCALED, pairs, RELU, p, 1), "scaled")):
-            assert normalize(trace, scheme)[0] == pytest.approx(
-                trace.ntk[0], rel=1e-14)
+        for arch, alpha_1 in ((FFNN, 1.0), (RESNET, 1.0), (SCALED, np.log(2.0))):
+            trace = ntk_trace(arch, pairs, RELU, p, 1)
+            assert normalize(trace)[0] == pytest.approx(
+                trace.ntk[0] / alpha_1, rel=1e-14)
 
-    def test_scheme_architecture_mismatch(self, rng):
-        x, xp = rng.standard_normal((2, 5))
-        tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.2, 1.1), 4)
-        with pytest.raises(ValueError):
-            normalize(tr, "resnet")
-
-    @pytest.mark.parametrize("arch", [FFNN, RESNET, SCALED], ids=lambda a: a.kind)
-    def test_zonal_profile_matches_normalized_trace(self, arch):
+    @pytest.mark.parametrize("arch,p", [
+        (FFNN, EOC_RELU), (RESNET, InitParams(0.2, 1.1)),
+        (SCALED, InitParams(0.2, 1.1))], ids=["ffnn", "resnet_dense",
+                                              "scaled_resnet_dense"])
+    def test_zonal_profile_matches_normalized_trace(self, arch, p):
         # zonal_profile and normalize must apply the same alpha_L
         d, L, t = 5, 40, 0.3
-        p = InitParams(0.2, 1.1)
         x = np.zeros(d); x[0] = 1.0
         xp = np.zeros(d); xp[0] = t; xp[1] = np.sqrt(1.0 - t * t)
-        profile = zonal_profile(KernelConfig(arch, RELU, p, arch.scheme), d, L,
-                                np.array([t]))
+        profile = zonal_profile(KernelConfig(arch, RELU, p), d, L, np.array([t]))
         trace = ntk_trace(arch, InputPair(x, xp), RELU, p, L)
-        np.testing.assert_allclose(profile[0], normalize(trace, arch.scheme)[-1],
-                                   rtol=1e-13)
+        np.testing.assert_allclose(profile[0], normalize(trace)[-1], rtol=1e-13)
 
     @pytest.mark.parametrize("arch", [FFNN, RESNET, SCALED], ids=lambda a: a.kind)
     def test_last_layer_trace_is_the_last_row(self, arch, rng):
@@ -436,8 +406,7 @@ class TestNormalize:
         for name in ("vx", "vxp", "vcov", "wK", "qdot", "scale_log", "layers"):
             np.testing.assert_array_equal(getattr(last, name),
                                           getattr(full, name)[-1:])
-        np.testing.assert_array_equal(normalize(last, arch.scheme),
-                                      normalize(full, arch.scheme)[-1:])
+        np.testing.assert_array_equal(normalize(last), normalize(full)[-1:])
 
 
 class TestLimitingKernel:
@@ -530,4 +499,44 @@ def test_conv_grid_renormalises_past_overflow(kind, params, L):
     assert tr.overflow
     assert np.all(np.isfinite(tr.ntk_log))
     if arch.is_residual:  # K^L / alpha_L converges; chaotic cnn K^L / L does not
-        assert np.all(np.isfinite(normalize(tr, arch.scheme)[-1]))
+        assert np.all(np.isfinite(normalize(tr)[-1]))
+
+
+class TestKindLawLimits:
+    """Each law's limit against the engine at depth 10^4: K^L / alpha_L
+    where the law is normalized, else K^L, for an off-diagonal and (off
+    the chaotic phase) a diagonal pair on the sphere."""
+
+    @staticmethod
+    def gaps(kind, activation, p, depths):
+        x, xp = np.random.default_rng(3).standard_normal((2, 8))
+        x /= np.linalg.norm(x); xp /= np.linalg.norm(xp)
+        arch = Architecture(kind)
+        law = kind_law(arch, activation, p)
+        pairs = [InputPair(x, xp)]
+        if law.phase != "chaotic":
+            pairs.append(InputPair(x, x))
+        first = zip(*(first_layer_dense(pair, p) for pair in pairs))
+        tr = dense_layer_arrays(arch, activation, p, *map(np.array, first), depths[-1])
+        values = normalize(tr) if law.normalized else tr.ntk
+        lims = np.array([limiting_kernel(arch, activation, p, pair) for pair in pairs])
+        return np.abs(values[np.asarray(depths) - 1] / lims - 1.0)
+
+    @pytest.mark.parametrize("kind,activation,p", [
+        ("ffnn", RELU, EOC_RELU),
+        ("ffnn", RELU, InitParams(0.3, np.sqrt(1.8))),
+        ("ffnn", TANH, InitParams(0.2, eoc_curve(TANH, 0.2))),
+        ("ffnn", TANH, InitParams(0.3, 0.8)),
+        ("ffnn", TANH, InitParams(0.2, 1.8)),
+        ("resnet_dense", RELU, InitParams(0.0, 1.0)),
+        ("resnet_dense", RELU, InitParams(0.1, 1.0)),
+    ], ids=["relu_eoc", "relu_ordered", "tanh_eoc", "tanh_ordered",
+            "tanh_chaotic", "resnet", "resnet_bias"])
+    def test_limit_at_depth_10_4(self, kind, activation, p):
+        assert self.gaps(kind, activation, p, [10**4]).max() <= 2.8e-3
+
+    def test_scaled_limit_gap_shrinks(self):
+        gaps = self.gaps("scaled_resnet_dense", RELU, InitParams(0.0, 1.0),
+                         [10**2, 10**3, 10**4])
+        assert np.all(np.diff(gaps, axis=0) < 0)
+        assert gaps[-1].max() < 0.2

@@ -98,7 +98,7 @@ class TestDecompose:
             decompose(np.ones(64), 3, 64, rule)
 
     def test_reconstruction_identity_on_smooth_kernel(self):
-        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED, "none")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED)
         dec = decompose_kernel(cfg, 3, 300)
         t = np.linspace(-0.99, 0.99, 301)
         g = zonal_profile(cfg, 3, 300, t)
@@ -109,7 +109,7 @@ class TestDecompose:
         # ~1/L^2 at t -> 1 whose harmonic content extends far past k = 64;
         # interior reconstruction improves with k_max but cannot reach 1e-6
         # at k_max = 64
-        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC, "average")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
         rule = jacobi_rule(3, 1024)
         prof = zonal_profile(cfg, 3, 300, rule.nodes)
         t = np.linspace(-0.99, 0.99, 301)
@@ -124,13 +124,13 @@ class TestDecompose:
 
 class TestZonalProfile:
     def test_diagonal_endpoint(self):
-        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC, "average")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
         val = zonal_profile(cfg, 5, 40, np.array([1.0]))[0]
         # critical average kernel on the diagonal: sigma_w^2 / d
         assert abs(val - 2.0 / 5) < 1e-12
 
     def test_no_symmetry_assumed(self):
-        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED, "none")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED)
         gm = zonal_profile(cfg, 3, 5, np.array([-0.73]))[0]
         gp = zonal_profile(cfg, 3, 5, np.array([0.73]))[0]
         assert gm != gp  # computed independently, genuinely asymmetric
@@ -138,21 +138,21 @@ class TestZonalProfile:
 
 class TestSpectraTrends:
     def test_ordered_mass_concentrates_with_depth(self):
-        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED, "none")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, ORDERED)
         table = eigen_trend(cfg, 3, [3, 30, 300], k_max=32)
         m = {L: dec.normalized_mass() for L, dec in table.items()}
         assert m[300][0] > 0.99
         assert m[3][1] > m[30][1] > m[300][1]  # mu_1 share shrinks
 
     def test_critical_mass_exceeds_ordered_at_depth_300(self):
-        cfg_o = KernelConfig(Architecture("ffnn"), RELU, ORDERED, "none")
-        cfg_e = KernelConfig(Architecture("ffnn"), RELU, EOC, "average")
+        cfg_o = KernelConfig(Architecture("ffnn"), RELU, ORDERED)
+        cfg_e = KernelConfig(Architecture("ffnn"), RELU, EOC)
         mo = decompose_kernel(cfg_o, 3, 300).normalized_mass()
         me = decompose_kernel(cfg_e, 3, 300).normalized_mass()
         assert me[1:].sum() > mo[1:].sum()
 
     def test_mu0_converges_for_critical_kernel(self):
-        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC, "average")
+        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
         rule = jacobi_rule(3)
         mu0 = {}
         for L in (4096, 8192):
@@ -161,12 +161,12 @@ class TestSpectraTrends:
         assert abs(mu0[4096] - mu0[8192]) / mu0[8192] < 0.02
 
     def test_psd_of_spectra(self):
-        for cfg in (KernelConfig(Architecture("ffnn"), RELU, ORDERED, "none"),
-                    KernelConfig(Architecture("ffnn"), RELU, EOC, "average")):
+        for cfg in (KernelConfig(Architecture("ffnn"), RELU, ORDERED),
+                    KernelConfig(Architecture("ffnn"), RELU, EOC)):
             dec = decompose_kernel(cfg, 3, 300)
             assert np.all(dec.mu >= -1e-8 * dec.mu[0])
 
     def test_conv_rejected(self):
         with pytest.raises(ValueError):
             KernelConfig(Architecture("cnn", positions=4, filter_half_width=1),
-                         RELU, EOC, "average")
+                         RELU, EOC)
