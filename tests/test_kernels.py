@@ -311,14 +311,21 @@ class TestScaledResnet:
         lim = limiting_kernel(SCALED, RELU, EOC_RELU, InputPair(x, x))
         assert abs(comp[-1] / lim - 1.0) < 0.15  # 1/log L corrections remain
 
-    def test_growth_constant_is_the_gamma_limit(self):
-        # lim_L prod_{k=2}^{L}(1 + h/k) / L^h = 1 / Gamma(2 + h)
+    @pytest.mark.parametrize("sigma_w", [0.5, 1.0, np.sqrt(2.0), 2.0])
+    def test_growth_constant_is_the_product_at_its_depth(self, sigma_w):
+        # prod_{k=2}^{L}(1 + h/k) = Gamma(L+1+h) / (Gamma(2+h) Gamma(L+1));
+        # over L^h it tends to 1 / Gamma(2+h) as 1 + h(h+1)/(2L) + O(L^-2)
         mpmath = pytest.importorskip("mpmath")
-        for sigma_w in (0.5, 1.0, np.sqrt(2.0), 2.0):
-            with mpmath.workdps(40):
-                exact = 1 / mpmath.gamma(2 + mpmath.mpf(sigma_w**2) / 2)
-                got = scaled_resnet_growth_constant(InitParams(0.1, sigma_w))
-                assert abs(float(got / exact) - 1.0) < 1e-14
+        L = 10**6
+        got = scaled_resnet_growth_constant(InitParams(0.1, sigma_w))
+        with mpmath.workdps(40):
+            h = mpmath.mpf(sigma_w**2) / 2
+            assert abs(float(got * mpmath.gamma(2 + h)) - 1.0) < 1e-14
+            product = (mpmath.gamma(L + 1 + h)
+                       / (mpmath.gamma(2 + h) * mpmath.gamma(L + 1))
+                       / mpmath.mpf(L) ** h)
+            at_depth = got * (1 + h * (h + 1) / (2 * L))
+            assert abs(float(product / at_depth) - 1.0) < 1e-11
 
     def test_conv_variant_matches_dense_on_invariant_inputs(self, rng):
         n0, M, k = 3, 6, 1
