@@ -32,15 +32,16 @@ import sys
 import tempfile
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import __version__
 from .activations import ActivationModel, make_activation
 from .asymptotics import default_depth_grid, fit_rate
-from .errors import NumericError
+from .errors import DivergenceError, NumericError
 from .gaussmath import gauss_hermite
-from .kernels import (CONV_KINDS, Architecture, InputPair, dense_layer_arrays,
-                      first_layer_cov, kind_law, limiting_kernel, normalize,
-                      ntk_trace)
+from .kernels import (CONV_KINDS, Architecture, InputPair, KindLaw,
+                      dense_layer_arrays, first_layer_cov, kind_law,
+                      limiting_kernel, normalize, ntk_trace)
 from .phase import InitParams, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
                          one_hot, predict)
@@ -166,7 +167,7 @@ def synthetic_sphere(d: int, n: int, seed: int) -> np.ndarray:
     """n deterministic points on S^{d-1}."""
     if d < 1:
         raise ConfigError(f"--sphere-d must be at least 1, got {d}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     X = rng.standard_normal((n, d))
     return X / np.linalg.norm(X, axis=1, keepdims=True)
 
@@ -270,9 +271,20 @@ def cmd_kernel(args) -> int:
     arch = _architecture_from(args)
     L = args.depth
     trace = ntk_trace(arch, pair, act, params, L)
-    normalized = normalize(trace)
+    try:
+        law = kind_law(arch, act, params)
+    except DivergenceError:  # ReLU past sqrt(2): no variance fixed point
+        law = KindLaw("chaotic", False, "exp")
+    values = normalize(trace) if law.normalized else trace.ntk
     rows = [(l + 1, trace.qx[l], trace.qxp[l], trace.corr[l], trace.qdot[l],
-             trace.ntk[l], normalized[l]) for l in range(L)]
+             trace.ntk[l], values[l]) for l in range(L)]
+    if law.normalized:
+        meaning = ("K / alpha_l: alpha_l = l (ffnn, cnn), "
+                   "l (1+sigma_w^2/2)^(l-1) (resnet kinds), "
+                   "l^(sigma_w^2/2) log max(l, 2) (scaled kinds)")
+    else:
+        meaning = "K itself: off the critical curve no depth normalisation applies"
+    law_name = f"{law.model} law" + (f", {law.phase} phase" if law.phase else "")
     write_csv(args.output, args,
               ["l", "qx", "qxp", "c", "qdot", "K", "K_normalized"], rows, {
                   "l": "layer index (1-based)",
@@ -281,9 +293,7 @@ def cmd_kernel(args) -> int:
                   "c": "field correlation",
                   "qdot": "kernel multiplier sigma_w^2 E[phi' phi'] (NaN at l=1)",
                   "K": "kernel value",
-                  "K_normalized": "K / alpha_l: alpha_l = l (ffnn, cnn), "
-                                  "l (1+sigma_w^2/2)^(l-1) (resnet kinds), "
-                                  "l^(sigma_w^2/2) log max(l, 2) (scaled kinds)",
+                  "K_normalized": f"{meaning} ({law_name}; see kernels.kind_law)",
               })
     return EXIT_OK
 
@@ -297,7 +307,7 @@ def cmd_rates(args) -> int:
     params = _params_from(args, act)
     grid = default_depth_grid(args.j_max)
     L = grid[-1]
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     d = args.sphere_d
     x0 = synthetic_sphere(d, 2, args.seed)
     # pairs with first-layer correlations spread across [-0.9, 0.9]: a max
@@ -365,7 +375,7 @@ def cmd_train(args) -> int:
         ds_full = load_dataset(args.data, args.normalize)
     else:
         ds_full = sphere_dataset(args.sphere_d, args.sphere_n, args.seed)
-    rng = np.random.default_rng(args.split_seed)
+    rng = default_rng(args.split_seed)
     n = ds_full.n
     perm = rng.permutation(n)
     n_test = int(round(args.test_fraction * n))

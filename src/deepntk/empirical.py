@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .activations import ActivationModel
 from .phase import InitParams
@@ -58,7 +59,7 @@ def sample_net(arch: str, activation: ActivationModel, params: InitParams,
         raise ValueError("widths must be >= 1")
     if arch == "resnet_dense" and len(set(widths)) > 1:
         raise ValueError("residual nets need constant width")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     dims = [input_dim] + list(widths)
     weights = tuple(rng.standard_normal((dims[i + 1], dims[i]))
                     for i in range(len(widths)))

@@ -16,20 +16,18 @@ coefficients a_k(q) = E[g(sqrt(q) Z) h_k(Z)] in the orthonormal basis
 h_k = He_k / sqrt(k!); :func:`hermite_projection` computes them, for k up
 to SERIES_DEGREE, with one fixed rule of order PROJECTION_ORDER.
 
-Everything here is plain 64-bit floating point; rules are immutable and
-safe to share between threads.
+Rules are built in numpy by the Golub-Welsch method (Golub & Welsch 1969,
+Math. Comp. 23): eigenvalues of the recurrence's Jacobi matrix, then one
+Newton step.  Everything here is plain 64-bit floating point; rules are
+immutable, built once per order and safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-# roots_hermitenorm (order <= 150) and roots_jacobi import scipy.linalg
-# lazily on their first call (scipy.special._orthogonal's
-# gen_roots_and_weights); importing it here keeps that cost in start-up
-# instead of the first op that builds a rule.
-import scipy.linalg  # noqa: F401
-from scipy.special import roots_hermitenorm, roots_jacobi
 
 from .errors import NumericError
 
@@ -41,9 +39,16 @@ from .errors import NumericError
 #: 2.8e-3 at q = 10, 2.5e-2 at q = 30.
 DEFAULT_ORDER = 64
 
-#: Order of the rule behind :func:`hermite_projection`.  Its weights stay
-#: normal; ``gauss_hermite(400)`` already fails on underflowing weights.
+#: Order of the rule behind :func:`hermite_projection`.
 PROJECTION_ORDER = 256
+
+#: Highest Hermite order: its smallest weight is 4.8e-300; at order 370 the
+#: outer weights leave the normal range and from 371 they underflow to 0.
+MAX_HERMITE_ORDER = 360
+
+#: Highest Jacobi order: the rules solve a dense n x n eigenproblem,
+#: O(n^3) time (0.7 s at 2048) and O(n^2) memory.
+MAX_JACOBI_ORDER = 2048
 
 #: Highest degree k of the projection, half the rule's order.  An n-point
 #: rule makes h_0..h_{n-1} discretely orthonormal, so the discrete
@@ -92,29 +97,102 @@ class QuadratureRule:
 
 
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule for expectations under N(0, 1).
+    """Gauss-Hermite rule for expectations under N(0, 1), built once per order.
 
-    Uses the probabilists' Hermite rule (weight e^{-z^2/2}) normalized so
-    that sum(w_i) = 1 and sum(w_i f(z_i)) ~= E[f(Z)] for Z ~ N(0,1).
+    Weights sum to 1 (to rounding), so sum(w_i f(z_i)) ~= E[f(Z)] for
+    Z ~ N(0,1).
     """
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    z, w = roots_hermitenorm(order)
-    return QuadratureRule(
-        nodes=z, weights=w / np.sqrt(2.0 * np.pi), kind="hermite"
-    )
+    return _hermite_rule(order)[0]
 
 
+@cache
+def _hermite_rule(order: int) -> tuple[QuadratureRule, np.ndarray]:
+    """The order-n Hermite rule and the rows h_0..h_{n-1} at its nodes.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix J of
+    the orthonormal recurrence (off-diagonals sqrt(k)).  J has a zero
+    diagonal, so J^2 splits into an even and an odd block and the positive
+    nodes are the square roots of the eigenvalues of the half-size block
+    of indices i = n % 2, n % 2 + 2, ..., n - 2 (diagonal 2i + 1,
+    off-diagonal sqrt((i+1)(i+2))), which leaves out the zero node of odd n.
+    One Newton step on h_n (h_n' = sqrt(n) h_{n-1}) polishes the nodes and
+    the Christoffel weights 1 / sum_{k<n} h_k(z_i)^2 make h_0..h_{n-1}
+    discretely orthonormal; every step keeps the rule exactly symmetric.
+    """
+    if not 2 <= order <= MAX_HERMITE_ORDER:
+        raise ValueError(f"order must be in [2, {MAX_HERMITE_ORDER}], got {order}")
+    n = order
+    i = np.arange(n % 2, n - 1, 2.0)
+    block = np.diag(2.0 * i + 1.0)
+    block += np.diag(np.sqrt((i[:-1] + 1.0) * (i[:-1] + 2.0)), -1)
+    x = np.sqrt(np.linalg.eigvalsh(block))
+    z = np.concatenate([-x[::-1], np.zeros(n % 2), x])
+    h = _orthonormal_hermite(z, n)
+    z = z - h[n] / (math.sqrt(n) * h[n - 1])
+    rows = _orthonormal_hermite(z, n - 1)
+    rows.setflags(write=False)
+    rule = QuadratureRule(z, 1.0 / np.einsum("ki,ki->i", rows, rows), "hermite")
+    return rule, rows
+
+
+@cache
 def gauss_jacobi(order: int, alpha_exponent: float) -> QuadratureRule:
-    """Gauss-Jacobi rule on [-1, 1] with weight (1-t^2)^alpha_exponent."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
-    if alpha_exponent <= -1:
-        raise ValueError("alpha_exponent must exceed -1")
-    t, w = roots_jacobi(order, alpha_exponent, alpha_exponent)
-    return QuadratureRule(
-        nodes=t, weights=w, kind="jacobi", alpha_exponent=alpha_exponent
-    )
+    """Gauss-Jacobi rule on [-1, 1] with weight (1-t^2)^alpha_exponent > -1/2.
+
+    Golub-Welsch on the Gegenbauer recurrence, lambda = alpha + 1/2: the
+    nodes are the eigenvalues of the Jacobi matrix (zero diagonal,
+    off-diagonals b_k), one Newton step polishes them, the weights
+    1 / (p_{n-1} p_n') are log-normalised, the rule is symmetrised and the
+    weights are rescaled to the total weight mu_0.  At alpha = 0 each step
+    is, operation for operation, scipy's ``roots_legendre``, so even orders
+    give its nodes and weights bit for bit.
+    """
+    if not 2 <= order <= MAX_JACOBI_ORDER:
+        raise ValueError(f"order must be in [2, {MAX_JACOBI_ORDER}], got {order}")
+    if alpha_exponent <= -0.5:  # lambda = 0 (Chebyshev) degenerates C_k^lambda
+        raise ValueError("alpha_exponent must exceed -1/2")
+    n, lam = order, alpha_exponent + 0.5
+    k = np.arange(1.0, n)
+    b = k * np.sqrt((k + 2 * lam - 1) / (k * 4 * (k + lam) * (k + lam - 1)))
+    x = np.linalg.eigvalsh(np.diag(b, -1))
+    p, p_prev = _gegenbauer_pair(n, lam, x)
+    dp = (-n * x * p + (n + 2 * lam - 1) * p_prev) / (1 - x ** 2)
+    x -= p / dp
+    fm = _gegenbauer_pair(n - 1, lam, x)[0]
+    # fm and dp span many decades: scale each by the geometric mean of its
+    # extremes before the product
+    log_fm = np.log(np.abs(fm))
+    log_dp = np.log(np.abs(dp))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.)
+    dp /= np.exp((log_dp.max() + log_dp.min()) / 2.)
+    w = 1.0 / (fm * dp)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    a = alpha_exponent  # mu_0 = 2^{2a+1} Gamma(a+1)^2 / Gamma(2a+2), 2 at a = 0
+    w *= math.exp((2 * a + 1) * math.log(2.0) + 2 * math.lgamma(a + 1)
+                  - math.lgamma(2 * a + 2)) / w.sum()
+    return QuadratureRule(nodes=x, weights=w, kind="jacobi",
+                          alpha_exponent=alpha_exponent)
+
+
+def _gegenbauer_pair(n: int, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_n(x), p_{n-1}(x)) with p_k proportional to C_k^lam, p_1 = 2 lam x.
+
+    Runs the difference form d_k = p_k - p_{k-1} of the recurrence, which
+    at lam = 1/2 is cephes' Legendre loop step for step:
+    d_{k+1} = (2(k+lam)/(k+1)) (x-1) p_k + ((k+2lam-1)/(k+1)) d_k.
+    """
+    p_prev = np.ones_like(x)
+    p = 2 * lam * x
+    d = p - 1
+    x_minus_1 = x - 1
+    for k in range(1, n):
+        step = (2 * (k + lam) / (k + 1)) * x_minus_1
+        step *= p
+        d *= (k + 2 * lam - 1) / (k + 1)
+        d += step
+        p_prev, p = p, p + d
+    return p, p_prev
 
 
 def clamp_correlation(c, slack: float = CORRELATION_SLACK):
@@ -214,36 +292,27 @@ def _orthonormal_hermite(z: np.ndarray, degree: int) -> np.ndarray:
     h_{k+1} = (z h_k - sqrt(k) h_{k-1}) / sqrt(k+1), which stays in range
     where He_k itself overflows.
     """
+    root = np.sqrt(np.arange(degree + 1.0)).tolist()
     h = np.empty((degree + 1, z.size))
     h[0] = 1.0
     h[1] = z
     for k in range(1, degree):
-        h[k + 1] = (z * h[k] - np.sqrt(k) * h[k - 1]) / np.sqrt(k + 1)
+        row = np.multiply(z, h[k], out=h[k + 1])
+        row -= root[k] * h[k - 1]
+        row /= root[k + 1]
     return h
 
 
-_PROJECTION: tuple[QuadratureRule, np.ndarray] | None = None
-
-
+@cache
 def _projection_basis() -> tuple[QuadratureRule, np.ndarray]:
     """The projection rule and its weighted basis w_i h_k(z_i), built on first use.
 
-    scipy's asymptotic rule above order 150 leaves E[tanh^2] 1e-14 off.  One
-    Newton step on h_n and the Christoffel weights 1 / sum_{k<n} h_k(z_i)^2
-    make h_0..h_{n-1} orthonormal to 3e-15 on the rule, and the moments at
+    The rule makes h_0..h_{n-1} orthonormal to 3e-15, and the moments at
     q <= 0.5 come within 5e-16 of 30-digit values."""
-    global _PROJECTION
-    if _PROJECTION is None:
-        n = PROJECTION_ORDER
-        z = gauss_hermite(n).nodes
-        h = _orthonormal_hermite(z, n)
-        z = z - h[n] / (np.sqrt(n) * h[n - 1])  # h_n' = sqrt(n) h_{n-1}
-        h = _orthonormal_hermite(z, n - 1)
-        rule = QuadratureRule(z, 1.0 / np.einsum("ki,ki->i", h, h), "hermite")
-        basis = np.ascontiguousarray((h[:SERIES_DEGREE + 1] * rule.weights).T)
-        basis.setflags(write=False)
-        _PROJECTION = rule, basis
-    return _PROJECTION
+    rule, rows = _hermite_rule(PROJECTION_ORDER)
+    basis = np.ascontiguousarray((rows[:SERIES_DEGREE + 1] * rule.weights).T)
+    basis.setflags(write=False)
+    return rule, basis
 
 
 def hermite_projection(g, q) -> tuple[np.ndarray, np.ndarray]:
@@ -268,12 +337,6 @@ def hermite_projection(g, q) -> tuple[np.ndarray, np.ndarray]:
             np.einsum("vn,n->v", vals * vals, rule.weights))
 
 
-_DEFAULT_HERMITE: QuadratureRule | None = None
-
-
 def default_hermite() -> QuadratureRule:
-    """Shared order-64 Hermite rule (immutable, so caching is safe)."""
-    global _DEFAULT_HERMITE
-    if _DEFAULT_HERMITE is None:
-        _DEFAULT_HERMITE = gauss_hermite(DEFAULT_ORDER)
-    return _DEFAULT_HERMITE
+    """Shared order-DEFAULT_ORDER Hermite rule."""
+    return gauss_hermite(DEFAULT_ORDER)

@@ -12,7 +12,7 @@ from deepntk.cli import (ConfigError, build_parser, load_dataset, main,
                          synthetic_sphere, write_json)
 from deepntk.errors import InvalidDatasetError, NumericError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
-                             first_layer_cov, normalize, ntk_trace)
+                             first_layer_cov, kind_law, normalize, ntk_trace)
 from deepntk.phase import InitParams
 from deepntk.spectral import decompose, jacobi_rule
 
@@ -198,8 +198,27 @@ class TestOutputs:
         got = [float(r[body[0].index("K_normalized")]) for r in body[1:]]
         pair = (InputPair(x.reshape(2, 4), xp.reshape(2, 4)) if arch.is_conv
                 else InputPair(x, xp))
-        trace = ntk_trace(arch, pair, make_activation("relu"), InitParams(0.2, 1.1), 5)
-        np.testing.assert_allclose(got, normalize(trace), rtol=1e-15)
+        relu, params = make_activation("relu"), InitParams(0.2, 1.1)
+        trace = ntk_trace(arch, pair, relu, params, 5)
+        # residual kinds are normalised; ffnn and cnn at sigma_w = 1.1 are
+        # ordered, where K^l itself converges
+        want = normalize(trace) if kind_law(arch, relu, params).normalized else trace.ntk
+        np.testing.assert_allclose(got, want, rtol=1e-15)
+
+    def test_kernel_normalises_only_where_the_law_does(self, tmp_path):
+        # ordered ReLU ffnn: K^L converges to 1.148, so K/L would go to 0
+        out = str(tmp_path / "k.csv")
+        rc = main(["kernel", "--activation", "relu", "--sigma-b", "0.3",
+                   "--sigma-w", "1.2", "--depth", "1000", "-o", out])
+        assert rc == 0
+        body = [ln.split(",") for ln in open(out).read().splitlines()
+                if not ln.startswith("#")]
+        last = dict(zip(body[0], map(float, body[-1])))
+        assert last["K_normalized"] == last["K"]
+        assert last["K"] == pytest.approx(1.148, abs=1e-3)
+        schema = json.load(open(out + ".schema.json"))
+        text = {c["name"]: c["description"] for c in schema["columns"]}
+        assert "exp law, ordered phase" in text["K_normalized"]
 
     def test_config_file_defaults_and_flag_override(self, tmp_path):
         cfg = write(tmp_path, "cfg.txt", "depth = 4\nsphere-d = 8\n")

@@ -1,6 +1,8 @@
 """Quadrature rules and Gaussian expectations."""
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import beta, roots_jacobi, roots_legendre
 
 from deepntk.activations import relu
 from deepntk.errors import NumericError
@@ -36,6 +38,35 @@ class TestGaussHermite:
             r = gauss_hermite(order)
             assert np.all(np.diff(r.nodes) > 0)
             assert np.all(r.weights > 0)
+
+    @pytest.mark.parametrize("order", [2, 16, 64, 128, 256])
+    def test_even_moments_to_degree_2n_minus_1(self, order):
+        # E[Z^{2k}] = (2k-1)!!, the rule's sum taken exactly (40 digits)
+        # because the high moments overflow a double
+        r = gauss_hermite(order)
+        mpmath.mp.dps = 40
+        z2 = [mpmath.mpf(float(z)) ** 2 for z in r.nodes]
+        powers = [mpmath.mpf(float(w)) for w in r.weights]
+        worst, exact = 0.0, mpmath.mpf(1)
+        for k in range(order):  # 2k <= 2n - 1
+            worst = max(worst, float(abs(mpmath.fsum(powers) / exact - 1)))
+            powers = [p * s for p, s in zip(powers, z2)]
+            exact *= 2 * k + 1
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("order", [3, 64, 65])
+    def test_rule_exactly_symmetric(self, order):
+        r = gauss_hermite(order)
+        assert np.array_equal(r.nodes, -r.nodes[::-1])
+        assert np.array_equal(r.weights, r.weights[::-1])
+
+    def test_rule_built_once_per_order(self):
+        assert gauss_hermite(64) is gauss_hermite(64) is RULE
+
+    def test_underflowing_order_rejected(self):
+        # past order ~370 the outer weights underflow
+        with pytest.raises(ValueError):
+            gauss_hermite(400)
 
 
 class TestExpect1:
@@ -185,6 +216,32 @@ class TestGaussJacobi:
         r = gauss_jacobi(16, 0.5)
         # int t^2 (1-t^2)^{1/2} dt = pi/8
         assert abs(r.weights @ r.nodes**2 - np.pi / 8) < 1e-13
+
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_legendre_rule_is_scipys_bit_for_bit(self, order):
+        # the spectrum's seed-0 reference was recorded with scipy's rule
+        r = gauss_jacobi(order, 0.0)
+        x, w = roots_legendre(order)
+        assert np.array_equal(r.nodes, x) and np.array_equal(r.weights, w)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.5])
+    @pytest.mark.parametrize("order", [16, 64, 256])
+    def test_gegenbauer_rule_matches_scipy_and_is_exact(self, order, alpha):
+        r = gauss_jacobi(order, alpha)
+        x, w = roots_jacobi(order, alpha, alpha)
+        np.testing.assert_allclose(r.nodes, x, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(r.weights, w, rtol=0, atol=1e-11)
+        # odd moments vanish by symmetry; int t^{2k} (1-t^2)^a dt = B(k+1/2, a+1),
+        # which scipy's rule also meets to 1.1e-12 at order 256 and degree 470
+        k = np.arange(order)
+        moments = (r.nodes[:, None] ** (2 * k) * r.weights[:, None]).sum(axis=0)
+        np.testing.assert_allclose(moments, beta(k + 0.5, alpha + 1), rtol=1e-11)
+
+    def test_rule_domain(self):
+        with pytest.raises(ValueError):
+            gauss_jacobi(16, -0.5)
+        with pytest.raises(ValueError):
+            gauss_jacobi(1, 0.0)
 
     def test_clamp_correlation_array(self):
         arr = clamp_correlation(np.array([1.0 + 1e-13, -1.0 - 1e-13, 0.3]))
