@@ -47,6 +47,7 @@ which by Price's theorem equal sigma_w^2 q^(j-1) E[tanh^(j)(sqrt(q) Z)^2].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,8 @@ from .gaussmath import (
     hermite_projection,
 )
 
-S_RELU = 2.0 * np.sqrt(2.0) / (3.0 * np.pi)   # (1-c)^{3/2} Taylor coefficient
-B_RELU = np.sqrt(2.0) / (30.0 * np.pi)        # (1-c)^{5/2} Taylor coefficient
+S_RELU = 2.0 * math.sqrt(2.0) / (3.0 * math.pi)   # (1-c)^{3/2} Taylor coefficient
+B_RELU = math.sqrt(2.0) / (30.0 * math.pi)        # (1-c)^{5/2} Taylor coefficient
 
 #: Below this 1-c, arcsin/sqrt cancellation dominates; use the series.
 _RELU_SERIES_THRESHOLD = 1e-4
@@ -129,9 +130,12 @@ def make_activation(kind: str, rule: QuadratureRule | None = None) -> Activation
     return ActivationModel(kind=kind, quadrature=rule or default_hermite())
 
 
-def _relu_series(g):
-    """1 - f(1-g) = g - s g^{3/2} - b g^{5/2} + O(g^{7/2}), for small g."""
-    return g - S_RELU * np.power(g, 1.5) - B_RELU * np.power(g, 2.5)
+def _relu_series(g, sqrt=np.sqrt):
+    """1 - f(1-g) = g - s g^{3/2} - b g^{5/2} + O(g^{7/2}), for small g,
+    summed as g - g sqrt(g) (s + b g).  With ``math.sqrt`` on a Python float
+    and ``np.sqrt`` on an array these are the same IEEE operations (one
+    correctly rounded square root), so both give the same bits."""
+    return g - g * sqrt(g) * (S_RELU + B_RELU * g)
 
 
 def _relu_deficit(g):
@@ -142,25 +146,35 @@ def _relu_deficit(g):
     ) / np.pi
 
 
-def _relu_maps(c):
-    """(f(c), f'(c)) on correlations in [-1, 1], from one arcsin.
+def _relu_maps(c, lo, hi, f, f_prime):
+    """(f(c), f'(c)) on the correlations c in [-1, 1], from one arcsin,
+    written into the arrays f and f_prime; lo and hi are c's least and
+    largest entries.
 
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
     the closed form loses its increment over c to cancellation.  Each form
     runs only on the correlations that take it, so a batch gives every
     correlation the bits of a lone call.
     """
-    c = np.asarray(c)
-    asin = np.arcsin(c)
+    asin = np.arcsin(c, out=f_prime)
     edge = 1.0 - _RELU_SERIES_THRESHOLD
-    if c.min() > edge:
-        f = 1.0 - _relu_series(1.0 - c)
+    if lo > edge:
+        np.subtract(1.0, _relu_series(1.0 - c), out=f)
     else:
-        f = (c * asin + np.sqrt(np.maximum(1.0 - c * c, 0.0))) / np.pi + c / 2.0
-        if c.max() > edge:
+        # |c| <= 1 here, so 1 - c c >= 0 without a clamp
+        np.add((c * asin + np.sqrt(1.0 - c * c)) / np.pi, c / 2.0, out=f)
+        if hi > edge:
             near = c > edge
             f[near] = 1.0 - _relu_series(1.0 - c[near])
-    return f, asin / np.pi + 0.5
+    asin /= np.pi
+    asin += 0.5
+    return f, f_prime
+
+
+def _relu_pair_maps(c):
+    """:func:`_relu_maps` of an array of correlations, into new arrays."""
+    c = np.asarray(c)
+    return _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))
 
 
 def relu_one_minus_f(gamma):
@@ -174,13 +188,17 @@ def relu_one_minus_f(gamma):
         1 - f(c) = gamma/2 + (arccos(c) + gamma asin(c) - sqrt(1-c^2)) / pi.
     """
     if isinstance(gamma, float):
-        # Scalar path of the gamma iterators.  It stays on numpy ufuncs over
-        # np.float64: math.acos and np.float64 ** 1.5 differ from the array
-        # loops in the last ulp on a few percent of inputs, and the
-        # iterators must give the array path's values bit for bit.
-        g = np.float64(gamma)
-        return float(_relu_series(g) if g < _RELU_SERIES_THRESHOLD
-                     else _relu_deficit(g))
+        # Scalar path of the gamma iterators, which must give the array
+        # path's values bit for bit.  The series is +, * and one correctly
+        # rounded square root, the same IEEE result in Python floats as in
+        # the array loops, so it runs on floats (0.2 us a step against
+        # 2.5 us for numpy calls on one np.float64).  The exact form stays
+        # on numpy ufuncs over np.float64: numpy's vectorised arccos and
+        # arcsin differ from libm's math.acos and math.asin in the last
+        # ulp (on 8 % and 3 % of gamma in [1e-4, 2] with numpy 2.4).
+        if 0.0 <= gamma < _RELU_SERIES_THRESHOLD:
+            return _relu_series(float(gamma), math.sqrt)
+        return float(_relu_deficit(np.float64(gamma)))
     gamma = np.asarray(gamma, dtype=np.float64)
     out = np.empty_like(gamma)
     small = gamma < _RELU_SERIES_THRESHOLD
@@ -191,13 +209,13 @@ def relu_one_minus_f(gamma):
 
 def relu_f(c):
     """ReLU correlation map f(c) = (c asin c + sqrt(1-c^2))/pi + c/2."""
-    out = _relu_maps(clamp_correlation(c))[0]
+    out = _relu_pair_maps(clamp_correlation(c))[0]
     return float(out) if out.ndim == 0 else out
 
 
 def relu_f_prime(c):
     """Derivative f'(c) = asin(c)/pi + 1/2; equals 1 at c = 1 (EOC)."""
-    out = _relu_maps(clamp_correlation(c))[1]
+    out = _relu_pair_maps(clamp_correlation(c))[1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -379,6 +397,44 @@ class CorrelationMap:
         return float(self.sigma_w**2 * (weights @ self._squares) / self.q)
 
 
+def _reject_root(root) -> None:
+    """Raise where sqrt(qx qxp) is zero or not finite (variances that
+    underflowed, overflowed or are NaN)."""
+    if not (root.min() > 0.0 and root.max() < np.inf):
+        raise ValueError("correlation not finite: the variances must be "
+                         f"positive and finite, got sqrt(qx qxp) = {root!r}")
+
+
+def _snap(x: float) -> float:
+    return math.copysign(1.0, x) if 1.0 - abs(x) < 1e-12 else x
+
+
+def _correlation(qcov, root, out):
+    """(c, lo, hi): c = qcov / root, written into ``out``, checked and
+    snapped as :func:`layer_correlation` says, with its least and largest
+    entries.
+
+    The two extremes are the only reductions: they decide the range check,
+    whether any entry needs the snap (which is monotone, so it maps the
+    extremes to the extremes) and, for ReLU, the branch of the map.  A zero
+    or NaN root makes c infinite or NaN and fails the range check, whose
+    failure path names the root first.  A root of inf next to a finite
+    qcov gives c = 0 and passes; callers rule it out (call under
+    ``np.errstate(divide="ignore", invalid="ignore")``).
+    """
+    c = np.divide(qcov, root, out=out)
+    # the ufuncs' own reductions skip ndarray.min's Python frame
+    lo = float(np.minimum.reduce(c, axis=None))
+    hi = float(np.maximum.reduce(c, axis=None))
+    if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
+        _reject_root(root)
+        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
+    if 1.0 - hi < 1e-12 or 1.0 + lo < 1e-12:
+        np.copyto(c, np.sign(c), where=1.0 - np.abs(c) < 1e-12)
+        lo, hi = _snap(lo), _snap(hi)
+    return c, lo, hi
+
+
 def layer_correlation(qcov, root):
     """Correlation qcov / root with rounding guards, root = sqrt(qx qxp).
 
@@ -391,22 +447,44 @@ def layer_correlation(qcov, root):
     |cos| below 1 - 1e-9).  A root that is zero or not finite (variances
     underflowed, overflowed or NaN) is rejected before the division.
     """
-    if not (root.min() > 0.0 and root.max() < np.inf):
-        raise ValueError("correlation not finite: the variances must be "
-                         f"positive and finite, got sqrt(qx qxp) = {root!r}")
-    c = qcov / root
-    size = np.abs(c)
-    largest = size.max()
-    if not largest <= 1.0 + CORRELATION_SLACK:
-        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
-    if 1.0 - largest < 1e-12:
-        return np.where(1.0 - size < 1e-12, np.sign(c), c)
-    return c
+    root = np.asarray(root)
+    _reject_root(root)
+    out = np.empty(np.broadcast_shapes(np.shape(qcov), root.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _correlation(qcov, root, out)[0]
+
+
+def layer_maps(activation: ActivationModel, S, root, B, prime):
+    """The expectations of one layer of the kernel engine, bound to its
+    buffers.
+
+    S is the engine's (4, n) state, rows qx, qxp, qcov and K, and ``root``
+    holds sqrt(qx qxp).  The returned ``maps(c, lo, hi)`` takes the checked
+    correlations of :func:`_correlation` and writes E[phi(u)^2] of each
+    variance to B[0] and B[1], E[phi(u1) phi(u2)] to B[2] and
+    E[phi'(u1) phi'(u2)] to ``prime``: ReLU in place from one arcsin, Tanh
+    from its certified series (see the module docstring).
+    """
+    diag, phiphi = B[:2], B[2]
+    if activation.kind == "relu":
+        half_root = np.empty_like(root)
+
+        def maps(c, lo, hi):
+            np.divide(S[:2], 2.0, out=diag)
+            _relu_maps(c, lo, hi, phiphi, prime)
+            np.multiply(0.5, root, out=half_root)
+            np.multiply(half_root, phiphi, out=phiphi)
+            np.multiply(0.5, prime, out=prime)
+    else:
+        def maps(c, lo, hi):
+            phiphi[...], prime[...] = _tanh_pairs(activation, S[0], S[1], c)
+            diag[...] = _diag_expectation(activation, S[:2])
+    return maps
 
 
 def _pair_expectations(activation: ActivationModel, qx, qxp, root, c):
     if activation.kind == "relu":
-        f, f_prime = _relu_maps(c)
+        f, f_prime = _relu_pair_maps(c)
         return 0.5 * root * f, 0.5 * f_prime
     return _tanh_pairs(activation, qx, qxp, c)
 

@@ -39,8 +39,14 @@ the variance grids stay the diagonals of the x and x' covariance grids.
 
 The loop keeps the state as one stacked (4, P) array S, rows q_x, q_x',
 qcov and K, P entries per row (pairs, or the M^2 grid positions), so a
-layer costs a fixed number of numpy calls whatever P.  The two variance
-expectations and E[phi phi] fill rows 0-2 of one (4, P) array B, which
+layer costs a fixed number of numpy calls whatever P: a dense ReLU layer
+runs 27-29 of them, all into buffers allocated once per call, and three
+of them are reductions (the least and largest correlation, which decide
+the range check, the snap at +-1 and the branch of the ReLU map, and the
+largest variance, which decides the renormalisation).  The expectations
+come from one hook per activation, ``activations.layer_maps``, bound to
+those buffers: it writes the two variance expectations and E[phi phi] to
+rows 0-2 of one (4, P) array B and E[phi' phi'] to the qdot row.  B
 becomes w_l (sigma_b^2 + sigma_w^2 E) in place; row 3 is
 qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B).  Every
 element goes through the ufunc expressions written above in that order,
@@ -51,7 +57,9 @@ sigma_b = 0 like (sigma_w^2/2)^L, so the state is renormalised: when the
 largest variance leaves [1e-150, 1e150] (_RENORM_LIMIT) the whole state is
 divided by it and its log is added to a per-layer ``scale_log``.  Raw values
 are state * exp(scale_log); the log fields of ``KernelTrace`` stay finite
-at any depth.
+at any depth.  The renormalisation also keeps sqrt(q_x q_x') finite from
+layer 2 on, so the first layer's root is checked once, before the loop,
+and later roots only on the failure path of the correlation's range check.
 """
 from __future__ import annotations
 
@@ -64,9 +72,11 @@ import numpy as np
 from .activations import (
     ActivationModel,
     CorrelationMap,
+    _correlation,
     _diag_expectation,
+    _reject_root,
     layer_correlation,
-    layer_expectations,
+    layer_maps,
     phiprime_expectation,
 )
 from .errors import AssumptionViolatedError, DivergenceError
@@ -302,46 +312,58 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         def mix(a):
             return a
     # rows vx, vxp, vcov, wK (the stacked state S) and qdot
-    state = np.empty((5, first[0].size))
+    n = first[0].size
+    state = np.empty((5, n))
     S, qdot = state[:4], state[4]
     S[:3] = [a.ravel() for a in first]
     S[3] = S[2]
     qdot[:] = np.nan
+    V, qcov = S[:2], S[2]
     # rows: the two new variance terms, the block, the new kernel term
     B = np.empty_like(S)
+    E = B[:3]  # w (sigma_b^2 + sigma_w^2 E), in place
+    root, c = np.empty((2, n))
+    maps = layer_maps(activation, S, root, B, qdot)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     sb2_l = sb2  # the bias in units of the renormalised state
     skip = 1.0 if arch.is_residual else 0.0
-    weights = 1.0 / np.arange(1, L + 1) if arch.is_scaled else np.ones(L)
+    scaled = arch.is_scaled
     kept = 1 if last_only else L
-    hist = np.empty((5, kept, S.shape[1]))
+    hist = np.empty((5, kept, n))
     scale_log = np.zeros(kept)
     log_scale = 0.0
+    if L > 1:
+        # the one root check of the run: from layer 2 on the largest
+        # variance is at most _RENORM_LIMIT (or inf or NaN), so a zero,
+        # infinite or NaN root shows in the correlation's range check
+        _reject_root(np.sqrt(S[0] * S[1]))
 
-    for i in range(L):
-        if i:
-            w = weights[i]
-            phiphi, phiprime = layer_expectations(activation, S[0], S[1], S[2])
-            np.multiply(w * sw2, phiprime, out=qdot)
-            B[:2] = _diag_expectation(activation, S[:2])
-            B[2] = phiphi
-            E = B[:3]  # w (sigma_b^2 + sigma_w^2 E), in place
-            E *= sw2
-            E += sb2_l
-            E *= w
-            np.multiply(qdot, S[3], out=B[3])
-            B[3] += B[2]
-            S *= skip
-            S += mix(B)
-            top = S[:2].max()
-            if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
-                S /= top
-                log_scale += float(np.log(top))
-                sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
-        j = i - (L - kept)
-        if j >= 0:
-            hist[:, j] = state
-            scale_log[j] = log_scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(L):
+            if i:
+                w = 1.0 / (i + 1) if scaled else 1.0
+                np.multiply(S[0], S[1], out=root)
+                np.sqrt(root, out=root)
+                maps(*_correlation(qcov, root, c))
+                qdot *= w * sw2
+                E *= sw2
+                E += sb2_l
+                if w != 1.0:
+                    E *= w
+                np.multiply(qdot, S[3], out=B[3])
+                B[3] += B[2]
+                if skip != 1.0:
+                    S *= skip
+                S += mix(B)
+                top = float(np.maximum.reduce(V, axis=None))
+                if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
+                    S /= top
+                    log_scale += float(np.log(top))
+                    sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
+            j = i - (L - kept)
+            if j >= 0:
+                hist[:, j] = state
+                scale_log[j] = log_scale
 
     return KernelTrace(arch, activation.kind, params, L,
                        *hist.reshape((5, kept) + shape), scale_log)

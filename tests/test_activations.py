@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
-                                 _diag_expectation, _relu_maps,
+                                 _diag_expectation, _relu_pair_maps,
                                  layer_correlation, layer_expectations,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu, relu_f,
@@ -74,6 +74,30 @@ class TestReluF:
         # frozen 50-digit mpmath evaluation of 1 - f(1 - 1e-8)
         val = relu_one_minus_f(1e-8)
         assert abs(val - 9.9996998945611309e-09) < 1e-21
+
+    @pytest.mark.parametrize("low,high,bound", [
+        (1e-14, 1e-5, 1e-15), (1e-5, 1e-4, 3e-13), (1e-4, 1e-2, 1e-11),
+        (1e-2, np.inf, 2e-14)], ids=["series", "series_edge", "exact_edge", "exact"])
+    def test_one_minus_f_against_mpmath(self, low, high, bound):
+        # relative error against 40-digit 1 - f(1 - gamma) on 302 log-uniform
+        # gammas in [1e-14, 2], by band [low, high) on either side of the
+        # 1e-4 switch.
+        # Largest errors measured: 6.7e-16, 2.1e-13 (the truncated g^{7/2}
+        # term), 9.2e-12 (cancellation in the exact form, the weakest band)
+        # and 8.4e-15.  The series summed as g - g sqrt(g) (s + b g) and as
+        # g - s g^{3/2} - b g^{5/2} give the same maxima.
+        mpmath = pytest.importorskip("mpmath")
+        gammas = np.logspace(-14, np.log10(2.0), 302)
+        gammas = gammas[(gammas >= low) & (gammas < high)]
+        got = relu_one_minus_f(gammas)
+        with mpmath.workdps(40):
+            worst = 0.0
+            for g, value in zip(gammas.tolist(), got.tolist()):
+                c = 1 - mpmath.mpf(g)
+                want = 1 - ((c * mpmath.asin(c) + mpmath.sqrt(1 - c * c))
+                            / mpmath.pi + c / 2)
+                worst = max(worst, abs(float((value - want) / want)))
+        assert worst < bound
 
 
 @pytest.fixture(scope="module")
@@ -224,15 +248,15 @@ class TestLayerExpectations:
                       -0.7, 0.0, -1.0 + 5e-5])
         root = np.linspace(0.5, 3.0, c.size)
         got = layer_correlation(c * root, root)
-        f, f_prime = _relu_maps(got)
+        f, f_prime = _relu_pair_maps(got)
         for i in range(c.size):
             alone = layer_correlation(c[i] * root[i], root[i])
             assert got[i] == alone
-            assert (f[i], f_prime[i]) == _relu_maps(alone)
+            assert (f[i], f_prime[i]) == _relu_pair_maps(alone)
         past = 1.0 - got < 1e-4
         for part in (got[past], got[~past]):  # all, or none, on the series side
-            f, f_prime = _relu_maps(part)
-            assert all((f[i], f_prime[i]) == _relu_maps(part[i])
+            f, f_prime = _relu_pair_maps(part)
+            assert all((f[i], f_prime[i]) == _relu_pair_maps(part[i])
                        for i in range(part.size))
 
     def test_tanh_matches_scalar_quadrature(self):

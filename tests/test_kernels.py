@@ -369,6 +369,16 @@ class TestOneBadPairInABatch:
             dense_layer_arrays(kind, activation, p, *batch, 3)
         assert str(mixed.value).split(":")[0] == str(lone.value).split(":")[0]
 
+    @pytest.mark.parametrize("first", [(np.inf, 1.0, 0.5), (1e300, 1e300, 1e290)],
+                             ids=["inf_variance", "overflowing_product"])
+    def test_lone_pair_with_an_infinite_root(self, first):
+        # c = qcov / inf = 0 lies in [-1, 1]: with no NaN partner in the
+        # batch, only the root check catches this pair
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="variances must be positive and finite"):
+                dense_layer_arrays("ffnn", RELU, InitParams(0.1, 1.2), *first, 3)
+
 
 class TestNormalize:
     def test_average_critical_diagonal_constant(self):
