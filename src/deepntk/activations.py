@@ -405,8 +405,12 @@ def _reject_root(root) -> None:
                          f"positive and finite, got sqrt(qx qxp) = {root!r}")
 
 
+#: correlations within this of +-1 are snapped to exactly +-1
+_SNAP = 1e-12
+
+
 def _snap(x: float) -> float:
-    return math.copysign(1.0, x) if 1.0 - abs(x) < 1e-12 else x
+    return math.copysign(1.0, x) if 1.0 - abs(x) < _SNAP else x
 
 
 def _correlation(qcov, root, out):
@@ -429,10 +433,18 @@ def _correlation(qcov, root, out):
     if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
         _reject_root(root)
         raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
-    if 1.0 - hi < 1e-12 or 1.0 + lo < 1e-12:
-        np.copyto(c, np.sign(c), where=1.0 - np.abs(c) < 1e-12)
+    if 1.0 - hi < _SNAP or 1.0 + lo < _SNAP:
+        np.copyto(c, np.sign(c), where=1.0 - np.abs(c) < _SNAP)
         lo, hi = _snap(lo), _snap(hi)
     return c, lo, hi
+
+
+def _checked_correlation(qcov, root):
+    """:func:`_correlation` into a new array, after the root check."""
+    _reject_root(root)
+    out = np.empty(np.broadcast_shapes(np.shape(qcov), root.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _correlation(qcov, root, out)
 
 
 def layer_correlation(qcov, root):
@@ -440,53 +452,63 @@ def layer_correlation(qcov, root):
 
     Rejects correlations that are not finite or lie more than
     CORRELATION_SLACK outside [-1, 1]; clamps the rest to [-1, 1] and snaps
-    values within 1e-12 of +-1 to exactly +-1: the kernel multiplier f'(c)
-    has square-root sensitivity at |c| = 1, so last-ulp noise in the
-    variances would otherwise contaminate self-pairs.  Genuinely distinct
-    pairs sit far from the snap zone (the dataset colinearity gate keeps
-    |cos| below 1 - 1e-9).  A root that is zero or not finite (variances
-    underflowed, overflowed or NaN) is rejected before the division.
+    values within _SNAP (1e-12) of +-1 to exactly +-1: the kernel
+    multiplier f'(c) has square-root sensitivity at |c| = 1, so last-ulp
+    noise in the variances would otherwise contaminate self-pairs.
+    Genuinely distinct pairs sit far from the snap zone (the dataset
+    colinearity gate keeps |cos| below 1 - 1e-9).  A root that is zero or
+    not finite (variances underflowed, overflowed or NaN) is rejected
+    before the division.
     """
-    root = np.asarray(root)
-    _reject_root(root)
-    out = np.empty(np.broadcast_shapes(np.shape(qcov), root.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _correlation(qcov, root, out)[0]
+    return _checked_correlation(qcov, np.asarray(root))[0]
 
 
-def layer_maps(activation: ActivationModel, S, root, B, prime):
-    """The expectations of one layer of the kernel engine, bound to its
-    buffers.
+def layer_maps(activation: ActivationModel, V, root, E, prime):
+    """The expectations of one layer, bound to the caller's buffers: the
+    one implementation that the kernel engine and every pair function
+    below run.
 
-    S is the engine's (4, n) state, rows qx, qxp, qcov and K, and ``root``
-    holds sqrt(qx qxp).  The returned ``maps(c, lo, hi)`` takes the checked
+    V holds the variances qx and qxp as rows and ``root`` holds
+    sqrt(qx qxp).  The returned ``maps(c, lo, hi)`` takes the checked
     correlations of :func:`_correlation` and writes E[phi(u)^2] of each
-    variance to B[0] and B[1], E[phi(u1) phi(u2)] to B[2] and
+    variance to E[0] and E[1], E[phi(u1) phi(u2)] to E[2] and
     E[phi'(u1) phi'(u2)] to ``prime``: ReLU in place from one arcsin, Tanh
     from its certified series (see the module docstring).
     """
-    diag, phiphi = B[:2], B[2]
+    diag, phiphi = E[:2], E[2]
     if activation.kind == "relu":
         half_root = np.empty_like(root)
 
         def maps(c, lo, hi):
-            np.divide(S[:2], 2.0, out=diag)
+            _diag_expectation(activation, V, diag)
             _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(0.5, root, out=half_root)
             np.multiply(half_root, phiphi, out=phiphi)
             np.multiply(0.5, prime, out=prime)
     else:
         def maps(c, lo, hi):
-            phiphi[...], prime[...] = _tanh_pairs(activation, S[0], S[1], c)
-            diag[...] = _diag_expectation(activation, S[:2])
+            phiphi[...], prime[...] = _tanh_pairs(activation, V[0], V[1], c)
+            _diag_expectation(activation, V, diag)
     return maps
 
 
-def _pair_expectations(activation: ActivationModel, qx, qxp, root, c):
-    if activation.kind == "relu":
-        f, f_prime = _relu_pair_maps(c)
-        return 0.5 * root * f, 0.5 * f_prime
-    return _tanh_pairs(activation, qx, qxp, c)
+def _pair_expectations(activation: ActivationModel, qx, qxp, cov, checked):
+    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of the broadcast pairs,
+    from :func:`layer_maps` on buffers of their own; ``checked(cov, root)``
+    gives the hook's (c, lo, hi) from the raveled ``cov``."""
+    qx, qxp, cov = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                         for a in (qx, qxp, cov)))
+    V = np.stack((qx.ravel(), qxp.ravel()))
+    root = np.sqrt(V[0] * V[1])
+    E, prime = np.empty((3, root.size)), np.empty(root.size)
+    layer_maps(activation, V, root, E, prime)(*checked(cov.ravel(), root))
+    return E[2].reshape(qx.shape)[()], prime.reshape(qx.shape)[()]
+
+
+def _extremes(c, root):
+    """The hook's (c, lo, hi) for correlations given outright, which the
+    caller has clamped (no snap)."""
+    return c, c.min(), c.max()
 
 
 def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
@@ -497,21 +519,17 @@ def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
     forms from one arcsin, Tanh sums both certified series (see the module
     docstring).
     """
-    root = np.sqrt(qx * qxp)
-    return _pair_expectations(activation, qx, qxp, root,
-                              layer_correlation(qcov, root))
+    return _pair_expectations(activation, qx, qxp, qcov, _checked_correlation)
 
 
 def phiphi_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi(u1) phi(u2)] for variances qx, qxp and correlation c (vectorized)."""
-    root = np.sqrt(np.asarray(qx) * np.asarray(qxp))
-    return _pair_expectations(activation, qx, qxp, root, clamp_correlation(c))[0]
+    return _pair_expectations(activation, qx, qxp, clamp_correlation(c), _extremes)[0]
 
 
 def phiprime_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi'(u1) phi'(u2)] for variances qx, qxp and correlation c."""
-    root = np.sqrt(np.asarray(qx) * np.asarray(qxp))
-    return _pair_expectations(activation, qx, qxp, root, clamp_correlation(c))[1]
+    return _pair_expectations(activation, qx, qxp, clamp_correlation(c), _extremes)[1]
 
 
 def _tanh_squared(u):
@@ -525,12 +543,13 @@ def tanh_moment(q: float, prime: bool = False) -> float:
     return expect1(square, q, _projection_basis()[0])
 
 
-def _diag_expectation(activation: ActivationModel, q) -> np.ndarray:
-    """E[phi(sqrt(q) Z)^2]: q/2 for ReLU; for Tanh, per distinct variance,
-    the series at c = 1 where certified, else one 1D quadrature."""
-    q = np.asarray(q, dtype=np.float64)
+def _diag_expectation(activation: ActivationModel, q, out=None) -> np.ndarray:
+    """E[phi(sqrt(q) Z)^2], into ``out`` if given: q/2 for ReLU; for Tanh,
+    per distinct variance, the series at c = 1 where certified, else one 1D
+    quadrature."""
     if activation.kind == "relu":
-        return q / 2.0
+        return np.divide(q, 2.0, out=out)
+    q = np.asarray(q, dtype=np.float64)
     flat = q.ravel()
     rows = activation.series.rows(flat)
     diag = activation.series.diagonal[rows]
@@ -539,4 +558,7 @@ def _diag_expectation(activation: ActivationModel, q) -> np.ndarray:
         values, inverse = np.unique(flat[uncertified], return_inverse=True)
         diag[uncertified] = np.array([expect1(_tanh_squared, v, activation.quadrature)
                                       for v in values.tolist()])[inverse]
-    return diag.reshape(q.shape)
+    if out is None:
+        return diag.reshape(q.shape)
+    out[...] = diag.reshape(q.shape)
+    return out

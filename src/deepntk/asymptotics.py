@@ -100,22 +100,16 @@ class DepthLaw:
             raise ValueError(f"record_at must lie in [1, depth] = [1, {depth}]")
         if not 0.0 < gamma0 <= 2.0:
             raise ValueError(f"gamma0 must lie in (0, 2], got {gamma0!r}")
-        skip, block, deficit = self.skip, self.block, self.deficit
+        skip, block, scaled, deficit = self.skip, self.block, self.scaled, self.deficit
         g = float(gamma0)
         out = []
         start = 2
         # one loop per stretch between recorded depths, without a lookup
-        # per step; the scaled law's weight b = block / l is the only
-        # per-step term
+        # per step
         for stop in record:
-            if self.scaled:
-                for l in range(start, stop + 1):
-                    b = block / l
-                    g = (skip * g + b * deficit(g)) / (skip + b)
-            else:
-                b = block
-                for _ in range(start, stop + 1):
-                    g = (skip * g + b * deficit(g)) / (skip + b)
+            for l in range(start, stop + 1):
+                b = block / l if scaled else block
+                g = (skip * g + b * deficit(g)) / (skip + b)
             out.append(g)
             start = stop + 1
         return out

@@ -44,8 +44,9 @@ runs 27-29 of them, all into buffers allocated once per call, and three
 of them are reductions (the least and largest correlation, which decide
 the range check, the snap at +-1 and the branch of the ReLU map, and the
 largest variance, which decides the renormalisation).  The expectations
-come from one hook per activation, ``activations.layer_maps``, bound to
-those buffers: it writes the two variance expectations and E[phi phi] to
+come from ``activations.layer_maps``, the one implementation of a layer's
+expectations (its pair functions run it too), bound to those buffers: it
+writes the two variance expectations and E[phi phi] to
 rows 0-2 of one (4, P) array B and E[phi' phi'] to the qdot row.  B
 becomes w_l (sigma_b^2 + sigma_w^2 E) in place; row 3 is
 qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B).  Every
@@ -323,7 +324,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     B = np.empty_like(S)
     E = B[:3]  # w (sigma_b^2 + sigma_w^2 E), in place
     root, c = np.empty((2, n))
-    maps = layer_maps(activation, S, root, B, qdot)
+    maps = layer_maps(activation, V, root, E, qdot)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     sb2_l = sb2  # the bias in units of the renormalised state
     skip = 1.0 if arch.is_residual else 0.0

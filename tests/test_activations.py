@@ -271,6 +271,20 @@ class TestLayerExpectations:
                 assert abs(got - expect2(g, *args)) <= series_bound(g, qx[i], qxp[i])
 
     @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
+    def test_is_the_kernel_engine_layer(self, activation):
+        # both run activations.layer_maps, so layer 2 of the engine is
+        # sigma_b^2 + sigma_w^2 E[phi phi] and sigma_w^2 E[phi' phi'] bit for bit
+        qx = np.array([0.4, 1.3, 2.0, 0.7])
+        qxp = np.array([0.9, 1.3, 0.3, 0.7])
+        qcov = np.array([-0.7, 0.2, 0.95, 1.0 - 1e-13]) * np.sqrt(qx * qxp)
+        p = InitParams(0.3, 1.2)
+        trace = dense_layer_arrays("ffnn", activation, p, qx, qxp, qcov, 2)
+        phiphi, phiprime = layer_expectations(activation, qx, qxp, qcov)
+        np.testing.assert_array_equal(trace.vcov[1],
+                                      p.sigma_b**2 + p.sigma_w**2 * phiphi)
+        np.testing.assert_array_equal(trace.qdot[1], p.sigma_w**2 * phiprime)
+
+    @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
     def test_zero_variance_rejected(self, activation):
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(invalid="ignore"):
