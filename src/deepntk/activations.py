@@ -37,8 +37,21 @@ SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
 1) goes to ``expect2_pairs`` at the activation's rule instead, and an
 uncertified diagonal to ``expect1``.
 
-``CorrelationMap`` copies the tanh row of its variance and sums the same
-series.  As f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
+A layer looks its variances up once, for the pair sums and the diagonal
+together (``TanhSeriesTable.layer``).  Variances bit for bit those of the
+previous lookup, as at a fixed point of the recursion, reuse its data
+with no lookup; variances all equal, or a single pair, take one row pair,
+whose products a_k(q1) a_k(q2), tail factors and bounds a per-table cache
+keeps.  The sums are k-major: the powers c^k fill a (K + 1, n) array
+(``np.multiply.accumulate`` along k), the products a (K + 1, 2, n or 1)
+array, and ``np.add.reduce`` sums along k, the outer axis.  numpy sums an
+outer axis in order but a contiguous one pairwise, and only the in-order
+sum gives every pair the bits it has alone in any batch, where the pairs
+of lower degree add exact zeros past their K.
+
+``CorrelationMap`` copies the tanh row of its variance and keeps the
+cached terms of the row pair (q, q), which it sums with the pairs' own
+``_series_sum``.  As f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
 derivatives at 1 are weighted sums over the whole row (k <= SERIES_DEGREE),
 
     f^(j)(1) = (sigma_w^2 / q) sum_k k (k-1) ... (k-j+1) a_k(q)^2,
@@ -49,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,8 +94,12 @@ SERIES_TOLERANCE = 1e-13
 #: rows of a TanhSeriesTable, one per variance (about 4 KB each)
 _SERIES_TABLE_ROWS = 256
 
-#: table lookups of at most this many variances skip np.unique, whose fixed
-#: cost (about 20 us) dominates a one-pair layer
+#: row pairs of a TanhSeriesTable's product cache (at most about 2 KB each)
+_PAIR_CACHE_ROWS = 512
+
+#: lookups of at most this many variances run in Python lists: they skip
+#: np.unique, whose fixed cost (about 20 us) dominates a few-pair layer,
+#: and take their least and largest variance with min and max
 _SMALL_LOOKUP = 16
 
 
@@ -219,6 +237,43 @@ def relu_f_prime(c):
     return float(out) if out.ndim == 0 else out
 
 
+def _series_sum(products, tail, bound, edge, c):
+    """The Tanh series of n pairs at the correlations c, and their
+    certificates, both (2, n): row 0 tanh, row 1 tanh'.
+
+    ``products`` is (width, 2, m) with m = 1 (one row pair serves every
+    pair) or m = n: the products a_k(q1) a_k(q2) for k < width, zero past
+    each pair's degree K; ``tail`` and ``bound`` are (2, m).  The powers
+    c^k fill a (width + 1, n) array; c^(K+1) sits in its last row when
+    m = 1 (``edge`` None), else at the flat indices ``edge``.
+
+    k is the outer axis and the map axis comes after it, so even a lone
+    pair leaves k outer, and numpy sums it in order: each value has the
+    bits of the in-order sum over k <= K (a contiguous k axis would be
+    summed pairwise, to other bits).  The zero products of a pair past its
+    K add exact zeros, so a pair keeps in a batch the bits it has alone.
+    """
+    width = products.shape[0]
+    powers = np.empty((width + 1, c.size))
+    powers[0] = 1.0
+    powers[1:] = c
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    values = np.add.reduce(products * powers[:width, None], axis=0)
+    edge = powers[width] if edge is None else powers.reshape(-1)[edge]
+    return values, np.abs(edge) * tail <= bound
+
+
+class _SeriesLayer(NamedTuple):
+    """The series data of one lookup of n pairs (q1, q2)."""
+
+    #: (products, tail, bound, edge) of :func:`_series_sum`
+    terms: tuple
+    #: E[tanh^2] of q1 (row 0) and q2 (row 1), (2, n), or (2, 1) where one
+    #: row pair serves every pair; NaN where not certified
+    diagonal: np.ndarray
+    diagonal_certified: bool
+
+
 class TanhSeriesTable:
     """Tanh series data of the variances seen last, one row per variance.
 
@@ -228,10 +283,21 @@ class TanhSeriesTable:
     where its remainder is not certified).  Unseen variances are projected
     in one batch; when the table is full it starts over.  Every
     :class:`ActivationModel` owns one, which only Tanh fills.
+
+    :meth:`layer` looks up a layer's pairs once for their sums and their
+    diagonal.  A product cache keeps, per row pair (r1, r2) that serves a
+    whole lookup, the products a_k(q1) a_k(q2) of tanh and tanh' up to
+    K = max(K1, K2), the tail factors sqrt(R_K(q1) R_K(q2)) and the bounds
+    SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]).  It is cleared when the
+    table starts over, because row numbers then name other variances, and
+    when it holds _PAIR_CACHE_ROWS pairs.
     """
 
     def __init__(self):
         self.index: dict[float, int] = {}
+        self._pairs: dict[tuple[int, int], tuple] = {}
+        self._key: bytes | None = None
+        self._last: _SeriesLayer | None = None
         self._allocate(0)
 
     def _allocate(self, capacity: int) -> None:
@@ -241,22 +307,26 @@ class TanhSeriesTable:
         self.degree = np.empty(capacity, dtype=np.intp)
         self.diagonal = np.empty(capacity)
 
+    def _find(self, keys: list[float]) -> list[int]:
+        """The row of each variance in ``keys``, adding the missing ones."""
+        missing = {v for v in keys if v not in self.index}
+        if len(self.index) + len(missing) > self.degree.size:
+            self.index.clear()  # start over, with every variance of keys
+            self._pairs.clear()
+            missing = set(keys)
+            if len(missing) > self.degree.size:
+                self._allocate(max(len(missing), _SERIES_TABLE_ROWS))
+        if missing:
+            self._add(sorted(missing))
+        return [self.index[v] for v in keys]
+
     def rows(self, q: np.ndarray) -> np.ndarray:
         """The row of each entry of the 1D variance array q.  May replace
         the table's arrays: read them after the lookup."""
         inverse = None
         if q.size > _SMALL_LOOKUP:
             q, inverse = np.unique(q, return_inverse=True)
-        keys = q.tolist()
-        missing = {v for v in keys if v not in self.index}
-        if len(self.index) + len(missing) > self.degree.size:
-            self.index.clear()  # start over, with every variance of q
-            missing = set(keys)
-            if len(missing) > self.degree.size:
-                self._allocate(max(len(missing), _SERIES_TABLE_ROWS))
-        if missing:
-            self._add(sorted(missing))
-        rows = np.array([self.index[v] for v in keys])
+        rows = np.array(self._find(q.tolist()), dtype=np.intp)
         return rows if inverse is None else rows[inverse]
 
     def _add(self, missing: list[float]) -> None:
@@ -282,43 +352,105 @@ class TanhSeriesTable:
             remainder[rows, 0, degree] <= SERIES_TOLERANCE * s, squares, np.nan)
         self.index.update(zip(missing, range(new.start, new.stop)))
 
+    def _terms(self, r1: np.ndarray, r2: np.ndarray) -> tuple:
+        """(products, tail, bound, K) of the m row pairs (r1[i], r2[i]):
+        products (1 + max K, 2, m), k-major and zero past each pair's K,
+        the rest (2, m) and K (m,)."""
+        k = np.maximum(self.degree[r1], self.degree[r2])
+        width = int(k.max()) + 1
+        products = np.ascontiguousarray(
+            (self.coef[r1, :, :width] * self.coef[r2, :, :width]).transpose(2, 1, 0))
+        np.copyto(products, 0.0, where=(np.arange(width)[:, None] > k)[:, None])
+        tail = np.sqrt(self.remainder[r1, :, k] * self.remainder[r2, :, k])
+        bound = SERIES_TOLERANCE * np.sqrt(self.second[r1] * self.second[r2])
+        return products, tail.T, bound.T, k
+
+    def _pair_terms(self, r1: int, r2: int) -> tuple:
+        """(products, tail, bound) of :func:`_series_sum` for the one row
+        pair (r1, r2), from the product cache."""
+        terms = self._pairs.get((r1, r2))
+        if terms is None:
+            if len(self._pairs) >= _PAIR_CACHE_ROWS:
+                self._pairs.clear()
+            terms = self._terms(np.array([r1]), np.array([r2]))[:3]
+            self._pairs[r1, r2] = terms
+        return terms
+
+    def layer(self, q: np.ndarray) -> _SeriesLayer:
+        """The series data of the n pairs (q[:n], q[n:]), for a 1D array q
+        of 2n variances: one lookup serves a layer's pair sums and its
+        diagonal.
+
+        Two fast paths: variances bit for bit those of the previous lookup
+        (a fixed point of the recursion) take its data with no lookup at
+        all, and a single variance, or a single pair, takes the cached
+        products of its one row pair, which every pair shares.  Other
+        lookups gather their pairs' products once, k-major.
+        """
+        key = q.tobytes()
+        if key == self._key:
+            return self._last
+        n = q.size // 2
+        if q.size <= _SMALL_LOOKUP:
+            keys = q.tolist()
+            lo, hi = min(keys), max(keys)
+        else:
+            lo = float(np.minimum.reduce(q))
+            hi = float(np.maximum.reduce(q))
+        if n == 1 or lo == hi:
+            r1, r2 = self._find([float(q[0]), float(q[n])])
+            terms = self._pair_terms(r1, r2) + (None,)
+            diagonal = self.diagonal[[r1, r2]][:, None]
+        else:
+            rows = self.rows(q)
+            products, tail, bound, k = self._terms(rows[:n], rows[n:])
+            terms = (products, tail, bound, (k + 1) * n + np.arange(n))
+            diagonal = self.diagonal[rows].reshape(2, n)
+        self._last = _SeriesLayer(terms, diagonal, not np.isnan(diagonal).any())
+        self._key = key
+        return self._last
+
     def pairs(self, q1: np.ndarray, q2: np.ndarray, c: np.ndarray):
         """Series values of (E[tanh tanh], E[tanh' tanh']) for 1D arrays of
         n pairs, shape (n, 2), and a same-shaped mask of the certified ones."""
+        values, certified = _series_sum(
+            *self.layer(np.concatenate((q1, q2))).terms, c)
+        return values.T, certified.T
+
+
+def _tanh_maps(activation: ActivationModel, q, c, diag, phiphi, prime) -> None:
+    """The Tanh expectations of the n pairs (q[:n], q[n:]) at the
+    correlations c, from one table lookup: E[tanh^2] of each variance into
+    ``diag`` (2, n), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into
+    ``prime``.  The certified series, else ``expect2_pairs`` (pairs) and
+    ``expect1`` (diagonals) at the activation's rule."""
+    layer = activation.series.layer(q)
+    values, certified = _series_sum(*layer.terms, c)
+    if not np.logical_and.reduce(certified, axis=None):
         n = c.size
-        rows = self.rows(np.concatenate((q1, q2)))
-        r1, r2 = rows[:n], rows[n:]
-        k = np.maximum(self.degree[r1], self.degree[r2])
-        width = int(k.max()) + 1
-        powers = np.empty((n, width))
-        powers[:, 0] = 1.0
-        powers[:, 1:] = c[:, None]
-        powers.cumprod(axis=1, out=powers)
-        terms = self.coef[r1, :, :width]
-        terms *= self.coef[r2, :, :width]
-        terms *= powers[:, None, :]
-        terms.cumsum(axis=2, out=terms)
-        at = np.arange(n)
-        tail = (np.abs(powers[at, k] * c)[:, None]
-                * np.sqrt(self.remainder[r1, :, k] * self.remainder[r2, :, k]))
-        bound = SERIES_TOLERANCE * np.sqrt(self.second[r1] * self.second[r2])
-        return terms[at, :, k], tail <= bound
+        for j, g in enumerate((np.tanh, tanh_prime)):
+            m = ~certified[j]
+            if m.any():
+                values[j, m] = expect2_pairs(g, q[:n][m], q[n:][m], c[m],
+                                             activation.quadrature)
+    phiphi[...] = values[0]
+    prime[...] = values[1]
+    if layer.diagonal_certified:
+        diag[...] = layer.diagonal
+    else:
+        flat = np.broadcast_to(layer.diagonal, diag.shape).flatten()
+        diag[...] = _certify_diagonal(activation, q, flat).reshape(diag.shape)
 
 
-def _tanh_pairs(activation: ActivationModel, qx, qxp, c):
-    """(E[tanh tanh], E[tanh' tanh']) per pair: the certified series, and
-    ``expect2_pairs`` at the activation's rule for the pairs it cannot
-    certify."""
-    q1, q2, c = np.broadcast_arrays(np.asarray(qx, dtype=np.float64),
-                                    np.asarray(qxp, dtype=np.float64), c)
-    shape = c.shape
-    q1, q2, c = q1.ravel(), q2.ravel(), c.ravel()
-    out, certified = activation.series.pairs(q1, q2, c)
-    for j, g in enumerate((np.tanh, tanh_prime)):
-        m = ~certified[:, j]
-        if m.any():
-            out[m, j] = expect2_pairs(g, q1[m], q2[m], c[m], activation.quadrature)
-    return out[:, 0].reshape(shape), out[:, 1].reshape(shape)
+def _certify_diagonal(activation: ActivationModel, q, diag) -> np.ndarray:
+    """The series diagonals ``diag`` of the 1D variances q, with ``expect1``
+    at the activation's rule in place of the uncertified (NaN) ones."""
+    uncertified = np.isnan(diag)
+    if uncertified.any():
+        values, inverse = np.unique(q[uncertified], return_inverse=True)
+        diag[uncertified] = np.array([expect1(_tanh_squared, v, activation.quadrature)
+                                      for v in values.tolist()])[inverse]
+    return diag
 
 
 @dataclass(frozen=True)
@@ -326,8 +458,9 @@ class CorrelationMap:
     """Tanh correlation function f at a variance fixed point q.
 
     Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[tanh(sqrt(q)Z)^2].
-    Copies the tanh row of q out of the activation's series table once:
-    a_k^2 for k <= SERIES_DEGREE, the degree K, R_K and E[tanh^2].  ReLU
+    Copies out of the activation's series table once the tanh row of q,
+    a_k^2 for k <= SERIES_DEGREE, and the cached terms of the row pair
+    (q, q): the products to the degree K, the tail factor and the bound.  ReLU
     has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`;
     :meth:`deficit` is the Tanh counterpart of the latter.
     """
@@ -345,27 +478,22 @@ class CorrelationMap:
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
         table = self.activation.series
-        r = table.rows(np.array([float(self.q)]))[0]
-        k = int(table.degree[r])
+        r = int(table.rows(np.array([float(self.q)]))[0])
         a = table.coef[r, 0]
-        for name, value in (("_squares", a * a), ("_degree", k),
-                            ("_remainder", float(table.remainder[r, 0, k])),
-                            ("_second", float(table.second[r, 0])),
+        for name, value in (("_terms", table._pair_terms(r, r) + (None,)),
+                            ("_squares", a * a),
                             ("_weights", self.sigma_w**2 * a[1:] ** 2 / self.q),
                             ("_orders", np.arange(1.0, a.size))):
             object.__setattr__(self, name, value)
 
     def __call__(self, c: float) -> float:
-        """f(c): the certified series, summed with the operations of one pair
-        of :meth:`TanhSeriesTable.pairs` (and so to its value), else
-        ``expect2`` at the activation's rule."""
+        """f(c): the certified series, summed by :func:`_series_sum` as
+        one pair of :meth:`TanhSeriesTable.pairs` (and so to its value),
+        else ``expect2`` at the activation's rule."""
         c = clamp_correlation(c)
-        k = self._degree
-        powers = np.full(k + 1, c)
-        powers[0] = 1.0
-        powers = powers.cumprod()
-        if abs(powers[k] * c) * self._remainder <= SERIES_TOLERANCE * self._second:
-            e = float((self._squares[:k + 1] * powers).cumsum()[k])
+        values, certified = _series_sum(*self._terms, np.array([c]))
+        if certified[0, 0]:
+            e = float(values[0, 0])
         else:
             e = expect2(np.tanh, self.q, self.q, c, self.activation.quadrature)
         return (self.sigma_b**2 + self.sigma_w**2 * e) / self.q
@@ -487,8 +615,7 @@ def layer_maps(activation: ActivationModel, V, root, E, prime):
             np.multiply(0.5, prime, out=prime)
     else:
         def maps(c, lo, hi):
-            phiphi[...], prime[...] = _tanh_pairs(activation, V[0], V[1], c)
-            _diag_expectation(activation, V, diag)
+            _tanh_maps(activation, V.reshape(-1), c, diag, phiphi, prime)
     return maps
 
 
@@ -552,12 +679,7 @@ def _diag_expectation(activation: ActivationModel, q, out=None) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     flat = q.ravel()
     rows = activation.series.rows(flat)
-    diag = activation.series.diagonal[rows]
-    uncertified = np.isnan(diag)
-    if uncertified.any():
-        values, inverse = np.unique(flat[uncertified], return_inverse=True)
-        diag[uncertified] = np.array([expect1(_tanh_squared, v, activation.quadrature)
-                                      for v in values.tolist()])[inverse]
+    diag = _certify_diagonal(activation, flat, activation.series.diagonal[rows])
     if out is None:
         return diag.reshape(q.shape)
     out[...] = diag.reshape(q.shape)

@@ -346,6 +346,43 @@ class TestTanhSeries:
             np.testing.assert_array_equal(got_certified, certified)
         assert small.degree.size == 5
 
+    def test_values_after_a_start_over_are_a_fresh_tables(self):
+        # 300 variances overfill the 256 rows; the start-over renumbers the
+        # rows, so the product cache must forget the row pairs it holds
+        rng = np.random.default_rng(7)
+        table = make_activation("tanh").series
+        old = rng.uniform(0.05, 3.0, 200)
+        for v in old:  # caches the row pair (r, r) of every row
+            table.pairs(np.array([v]), np.array([v]), np.array([0.5]))
+        q1, q2 = rng.uniform(0.05, 3.0, (2, 50))
+        c = rng.uniform(-1.0, 1.0, 50)
+        got = [table.pairs(q1, q2, c)]
+        assert len(table.index) == 100
+        got += [table.pairs(np.array([v]), np.array([v]), np.array([0.5]))
+                for v in np.concatenate((q1, q2))]
+        fresh = make_activation("tanh").series
+        want = [fresh.pairs(q1, q2, c)]
+        want += [fresh.pairs(np.array([v]), np.array([v]), np.array([0.5]))
+                 for v in np.concatenate((q1, q2))]
+        for (values, certified), (fresh_values, fresh_certified) in zip(got, want):
+            np.testing.assert_array_equal(values, fresh_values)
+            np.testing.assert_array_equal(certified, fresh_certified)
+        # and the diagonals, looked up on a table of no rows yet
+        np.testing.assert_array_equal(_diag_expectation(make_activation("tanh"), q1),
+                                      _diag_expectation(TANH, q1))
+
+    def test_a_pair_through_a_fixed_point_is_a_fresh_tables_run(self):
+        # at the edge of chaos q reaches a fixed point bit for bit, where a
+        # lookup reuses the previous layer's data; the shared table has seen
+        # other variances and pairs, the fresh one none
+        p = InitParams(0.2, eoc_curve(TANH, 0.2))
+        first = (0.9, 0.4, 0.3)
+        warm = dense_layer_arrays("ffnn", TANH, p, *first, 300)
+        fresh = dense_layer_arrays("ffnn", make_activation("tanh"), p, *first, 300)
+        assert warm.vx[-1] == warm.vx[-2] == warm.vxp[-1]
+        for name in ("vx", "vxp", "vcov", "wK", "qdot"):
+            np.testing.assert_array_equal(getattr(warm, name), getattr(fresh, name))
+
     @pytest.mark.parametrize("q", VARIANCES)
     def test_series_at_one_is_the_diagonal(self, q):
         one = np.array([q])

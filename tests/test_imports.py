@@ -1,9 +1,11 @@
 """Import set: start-up loads no scipy, and no op loads a module late.
 
 One fresh interpreter imports ``deepntk.cli`` and then runs one small op of
-each kind in turn.  Start-up must not load ``scipy`` at all (the quadrature
-rules are numpy; ``scipy.linalg`` and ``scipy.special`` cost 0.3 s and
-about 20 MB), nor ``scipy.optimize`` in particular, and no op may load a
+each kind in turn; another runs ``deepntk selftest``, which must load no
+scipy module either (numpy is the only runtime dependency).  Start-up must
+not load ``scipy`` at all (the quadrature rules are numpy; ``scipy.linalg``
+and ``scipy.special`` cost 0.3 s and about 20 MB), nor ``scipy.optimize``
+in particular, and no op may load a
 ``numpy`` or ``scipy`` module that start-up did not: a lazy import in an
 op (``numpy.random`` or ``numpy.ma``, about 10 ms each) moves its cost
 into the first call of that op.
@@ -57,14 +59,30 @@ print(json.dumps(report))
 """
 
 
-@pytest.fixture(scope="module")
-def report():
+_SELFTEST_PROBE = """
+import json, sys
+
+import deepntk.cli
+
+rc = deepntk.cli.main(["selftest"])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
+                                            if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _probe(*argv):
+    """The last stdout line of ``python -c argv...`` as JSON."""
     path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _PROBE, json.dumps(OPS)],
+    proc = subprocess.run([sys.executable, "-c", *argv],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def report():
+    return _probe(_PROBE, json.dumps(OPS))
 
 
 def test_startup_does_not_load_scipy_optimize(report):
@@ -79,3 +97,7 @@ def test_startup_loads_no_scipy_module(report):
 def test_op_loads_no_new_scipy_module(report, op):
     # numpy modules count too: the probe tracks both libraries
     assert report["ops"][op] == {"rc": 0, "new": []}
+
+
+def test_selftest_loads_no_scipy_module():
+    assert _probe(_SELFTEST_PROBE) == {"rc": 0, "scipy": []}

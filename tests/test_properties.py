@@ -1,4 +1,7 @@
-"""Property tests: the scalar gamma path, the layer step's invariants."""
+"""Property tests: the scalar gamma path, the layer step's invariants, the
+Tanh series sums."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -146,3 +149,46 @@ def test_tanh_series_keeps_cauchy_schwarz(q1, q2, c):
     e = phiphi_expectation(TANH, q1, q2, c)
     d1, d2 = _diag_expectation(TANH, np.array([q1, q2]))
     assert abs(e) <= np.sqrt(d1 * d2) * (1.0 + 2.0 * SERIES_TOLERANCE)
+
+
+def _in_order_series(table, q1, q2, c):
+    """([tanh, tanh'] values, [tanh, tanh'] certificates) of one pair, summed
+    one term at a time: sum_{k <= K} a_k(q1) a_k(q2) c^k in order, with
+    K = max(K1, K2), and |c|^(K+1) sqrt(R_K(q1) R_K(q2)) against the bound."""
+    r1, r2 = (int(r) for r in table.rows(np.array([q1, q2])))
+    K = max(int(table.degree[r1]), int(table.degree[r2]))
+    values, certified = [], []
+    for j in range(2):
+        total, power = 0.0, 1.0
+        for k in range(K + 1):
+            total += float(table.coef[r1, j, k]) * float(table.coef[r2, j, k]) * power
+            power *= c
+        tail = abs(power) * math.sqrt(float(table.remainder[r1, j, K])
+                                      * float(table.remainder[r2, j, K]))
+        bound = SERIES_TOLERANCE * math.sqrt(float(table.second[r1, j])
+                                             * float(table.second[r2, j]))
+        values.append(total)
+        certified.append(tail <= bound)
+    return values, certified
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(0.01, 6.0), st.floats(0.01, 6.0),
+                          st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+       st.data())
+def test_series_pairs_are_the_in_order_sum(pairs, data):
+    # lone pairs, batches of mixed degrees in any order, certified or not:
+    # every value is the in-order sum, bit for bit
+    table = TANH.series
+    q1, q2, c = (np.array(v) for v in zip(*pairs))
+    order = np.array(data.draw(st.permutations(range(c.size))))
+    values, certified = table.pairs(q1, q2, c)
+    shuffled = table.pairs(q1[order], q2[order], c[order])
+    for i in range(c.size):
+        want, want_certified = _in_order_series(table, q1[i], q2[i], c[i])
+        alone = table.pairs(q1[i:i + 1], q2[i:i + 1], c[i:i + 1])
+        for got, got_certified in ((values[i], certified[i]), alone,
+                                   (shuffled[0][order == i][0],
+                                    shuffled[1][order == i][0])):
+            assert list(np.ravel(got)) == want
+            assert list(np.ravel(got_certified)) == want_certified
