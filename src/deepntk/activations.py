@@ -38,19 +38,20 @@ SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
 uncertified diagonal to ``expect1``.
 
 A layer looks its variances up once, for the pair sums and the diagonal
-together (``TanhSeriesTable.layer``).  Variances bit for bit those of the
-previous lookup, as at a fixed point of the recursion, reuse its data
-with no lookup; variances all equal, or a single pair, take one row pair,
-whose products a_k(q1) a_k(q2), tail factors and bounds a per-table cache
-keeps.  The sums are k-major: the powers c^k fill a (K + 1, n) array
+together (``TanhSeriesTable.layer``).  Variances all equal, or a single
+pair, take the products a_k(q1) a_k(q2), tail factors and bounds of one
+row pair, which every pair shares; the table keeps the last such lookup,
+and variances bit for bit its own, as at a fixed point of the recursion,
+reuse it with no lookup.  The sums are k-major: the table stores its
+coefficients with k outermost, the powers c^k fill a (K + 1, n) array
 (``np.multiply.accumulate`` along k), the products a (K + 1, 2, n or 1)
 array, and ``np.add.reduce`` sums along k, the outer axis.  numpy sums an
 outer axis in order but a contiguous one pairwise, and only the in-order
-sum gives every pair the bits it has alone in any batch, where the pairs
-of lower degree add exact zeros past their K.
+sum gives every pair the bits it has alone in any batch, where the powers
+of a pair of lower degree are zero past its K and add exact zeros.
 
 ``CorrelationMap`` copies the tanh row of its variance and keeps the
-cached terms of the row pair (q, q), which it sums with the pairs' own
+terms of the row pair (q, q), which it sums with the pairs' own
 ``_series_sum``.  As f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
 derivatives at 1 are weighted sums over the whole row (k <= SERIES_DEGREE),
 
@@ -93,9 +94,6 @@ SERIES_TOLERANCE = 1e-13
 
 #: rows of a TanhSeriesTable, one per variance (about 4 KB each)
 _SERIES_TABLE_ROWS = 256
-
-#: row pairs of a TanhSeriesTable's product cache (at most about 2 KB each)
-_PAIR_CACHE_ROWS = 512
 
 #: lookups of at most this many variances run in Python lists: they skip
 #: np.unique, whose fixed cost (about 20 us) dominates a few-pair layer,
@@ -237,20 +235,21 @@ def relu_f_prime(c):
     return float(out) if out.ndim == 0 else out
 
 
-def _series_sum(products, tail, bound, edge, c):
+def _series_sum(products, tail, bound, k, c):
     """The Tanh series of n pairs at the correlations c, and their
     certificates, both (2, n): row 0 tanh, row 1 tanh'.
 
-    ``products`` is (width, 2, m) with m = 1 (one row pair serves every
-    pair) or m = n: the products a_k(q1) a_k(q2) for k < width, zero past
-    each pair's degree K; ``tail`` and ``bound`` are (2, m).  The powers
-    c^k fill a (width + 1, n) array; c^(K+1) sits in its last row when
-    m = 1 (``edge`` None), else at the flat indices ``edge``.
+    ``products`` is (width, 2, m), the products a_k(q1) a_k(q2) for
+    k < width, with m = 1 (one row pair serves every pair, of degree
+    K = width - 1; ``k`` None) or m = n (``k`` the pairs' degrees K, and
+    the products are overwritten); ``tail`` and ``bound`` are (2, m).  The
+    powers c^k fill a (width + 1, n) array, zero past each pair's K once
+    c^(K+1) is read for the certificate.
 
     k is the outer axis and the map axis comes after it, so even a lone
     pair leaves k outer, and numpy sums it in order: each value has the
     bits of the in-order sum over k <= K (a contiguous k axis would be
-    summed pairwise, to other bits).  The zero products of a pair past its
+    summed pairwise, to other bits).  The zero powers of a pair past its
     K add exact zeros, so a pair keeps in a batch the bits it has alone.
     """
     width = products.shape[0]
@@ -258,15 +257,21 @@ def _series_sum(products, tail, bound, edge, c):
     powers[0] = 1.0
     powers[1:] = c
     np.multiply.accumulate(powers, axis=0, out=powers)
-    values = np.add.reduce(products * powers[:width, None], axis=0)
-    edge = powers[width] if edge is None else powers.reshape(-1)[edge]
-    return values, np.abs(edge) * tail <= bound
+    if k is None:
+        edge = powers[width]
+        terms = products * powers[:width, None]
+    else:
+        edge = powers[k + 1, np.arange(c.size)]
+        np.copyto(powers[:width], 0.0, where=np.arange(width)[:, None] > k)
+        terms = np.multiply(products, powers[:width, None], out=products)
+    return np.add.reduce(terms, axis=0), np.abs(edge) * tail <= bound
 
 
 class _SeriesLayer(NamedTuple):
     """The series data of one lookup of n pairs (q1, q2)."""
 
-    #: (products, tail, bound, edge) of :func:`_series_sum`
+    #: (products, tail, bound, k) of :func:`_series_sum`, which overwrites
+    #: the products of many row pairs: those are summed once
     terms: tuple
     #: E[tanh^2] of q1 (row 0) and q2 (row 1), (2, n), or (2, 1) where one
     #: row pair serves every pair; NaN where not certified
@@ -277,32 +282,33 @@ class _SeriesLayer(NamedTuple):
 class TanhSeriesTable:
     """Tanh series data of the variances seen last, one row per variance.
 
-    Row r holds the coefficients ``coef[r]`` (row 0 tanh, row 1 tanh'), the
-    Parseval remainders ``remainder[r]`` (clipped at 0), the second moments
-    ``second[r]``, the degree K and the tanh diagonal sum_{k<=K} a_k^2 (NaN
-    where its remainder is not certified).  Unseen variances are projected
-    in one batch; when the table is full it starts over.  Every
+    Row r holds the coefficients ``coef[:, 0, r]`` (tanh) and
+    ``coef[:, 1, r]`` (tanh'), stored k-major so that a lookup gathers its
+    pairs' products in the layout the sums read, the Parseval remainders
+    ``remainder[r]`` (clipped at 0), the second moments ``second[r]``, the
+    degree K and the tanh diagonal sum_{k<=K} a_k^2 (NaN where its
+    remainder is not certified).  Unseen variances are projected in one
+    batch; when the table is full it starts over.  Every
     :class:`ActivationModel` owns one, which only Tanh fills.
 
     :meth:`layer` looks up a layer's pairs once for their sums and their
-    diagonal.  A product cache keeps, per row pair (r1, r2) that serves a
-    whole lookup, the products a_k(q1) a_k(q2) of tanh and tanh' up to
-    K = max(K1, K2), the tail factors sqrt(R_K(q1) R_K(q2)) and the bounds
-    SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]).  It is cleared when the
-    table starts over, because row numbers then name other variances, and
-    when it holds _PAIR_CACHE_ROWS pairs.
+    diagonal, and keeps the last lookup that one row pair serves: its
+    products a_k(q1) a_k(q2) of tanh and tanh' up to K = max(K1, K2), tail
+    factors sqrt(R_K(q1) R_K(q2)) and bounds SERIES_TOLERANCE
+    sqrt(E[g(u1)^2] E[g(u2)^2]), copies that stay valid when the table
+    starts over.  Lookups of many row pairs keep nothing: their products
+    are (K + 1, 2, n).
     """
 
     def __init__(self):
         self.index: dict[float, int] = {}
-        self._pairs: dict[tuple[int, int], tuple] = {}
         self._key: bytes | None = None
         self._last: _SeriesLayer | None = None
         self._allocate(0)
 
     def _allocate(self, capacity: int) -> None:
-        self.coef = np.empty((capacity, 2, SERIES_DEGREE + 1))
-        self.remainder = np.empty_like(self.coef)
+        self.coef = np.empty((SERIES_DEGREE + 1, 2, capacity))
+        self.remainder = np.empty((capacity, 2, SERIES_DEGREE + 1))
         self.second = np.empty((capacity, 2))
         self.degree = np.empty(capacity, dtype=np.intp)
         self.diagonal = np.empty(capacity)
@@ -312,7 +318,6 @@ class TanhSeriesTable:
         missing = {v for v in keys if v not in self.index}
         if len(self.index) + len(missing) > self.degree.size:
             self.index.clear()  # start over, with every variance of keys
-            self._pairs.clear()
             missing = set(keys)
             if len(missing) > self.degree.size:
                 self._allocate(max(len(missing), _SERIES_TABLE_ROWS))
@@ -335,8 +340,8 @@ class TanhSeriesTable:
         q = np.array(missing)
         a, s = hermite_projection(np.tanh, q)
         b, t = hermite_projection(tanh_prime, q)
-        coef = self.coef[new]
-        coef[:, 0], coef[:, 1] = a, b
+        coef = np.stack((a, b), axis=1)
+        self.coef[:, :, new] = coef.transpose(2, 1, 0)
         second = self.second[new]
         second[:, 0], second[:, 1] = s, t
         remainder = self.remainder[new]
@@ -354,38 +359,26 @@ class TanhSeriesTable:
 
     def _terms(self, r1: np.ndarray, r2: np.ndarray) -> tuple:
         """(products, tail, bound, K) of the m row pairs (r1[i], r2[i]):
-        products (1 + max K, 2, m), k-major and zero past each pair's K,
-        the rest (2, m) and K (m,)."""
+        products (1 + max K, 2, m), k-major, the rest (2, m) and K (m,)."""
         k = np.maximum(self.degree[r1], self.degree[r2])
-        width = int(k.max()) + 1
-        products = np.ascontiguousarray(
-            (self.coef[r1, :, :width] * self.coef[r2, :, :width]).transpose(2, 1, 0))
-        np.copyto(products, 0.0, where=(np.arange(width)[:, None] > k)[:, None])
+        coef = self.coef[:int(k.max()) + 1]
+        products = np.take(coef, r1, axis=2)
+        products *= np.take(coef, r2, axis=2)
         tail = np.sqrt(self.remainder[r1, :, k] * self.remainder[r2, :, k])
         bound = SERIES_TOLERANCE * np.sqrt(self.second[r1] * self.second[r2])
         return products, tail.T, bound.T, k
-
-    def _pair_terms(self, r1: int, r2: int) -> tuple:
-        """(products, tail, bound) of :func:`_series_sum` for the one row
-        pair (r1, r2), from the product cache."""
-        terms = self._pairs.get((r1, r2))
-        if terms is None:
-            if len(self._pairs) >= _PAIR_CACHE_ROWS:
-                self._pairs.clear()
-            terms = self._terms(np.array([r1]), np.array([r2]))[:3]
-            self._pairs[r1, r2] = terms
-        return terms
 
     def layer(self, q: np.ndarray) -> _SeriesLayer:
         """The series data of the n pairs (q[:n], q[n:]), for a 1D array q
         of 2n variances: one lookup serves a layer's pair sums and its
         diagonal.
 
-        Two fast paths: variances bit for bit those of the previous lookup
-        (a fixed point of the recursion) take its data with no lookup at
-        all, and a single variance, or a single pair, takes the cached
-        products of its one row pair, which every pair shares.  Other
-        lookups gather their pairs' products once, k-major.
+        Two fast paths: a single variance, or a single pair, takes the
+        products of its one row pair, which every pair shares, and the
+        table keeps that lookup; variances bit for bit its own (a fixed
+        point of the recursion) take it again with no lookup at all.  Other
+        lookups gather their pairs' products once, k-major, and are not
+        kept.
         """
         key = q.tobytes()
         if key == self._key:
@@ -398,17 +391,16 @@ class TanhSeriesTable:
             lo = float(np.minimum.reduce(q))
             hi = float(np.maximum.reduce(q))
         if n == 1 or lo == hi:
-            r1, r2 = self._find([float(q[0]), float(q[n])])
-            terms = self._pair_terms(r1, r2) + (None,)
-            diagonal = self.diagonal[[r1, r2]][:, None]
-        else:
-            rows = self.rows(q)
-            products, tail, bound, k = self._terms(rows[:n], rows[n:])
-            terms = (products, tail, bound, (k + 1) * n + np.arange(n))
-            diagonal = self.diagonal[rows].reshape(2, n)
-        self._last = _SeriesLayer(terms, diagonal, not np.isnan(diagonal).any())
-        self._key = key
-        return self._last
+            rows = self._find([float(q[0]), float(q[n])])
+            terms = self._terms(np.array(rows[:1]), np.array(rows[1:]))[:3] + (None,)
+            diagonal = self.diagonal[rows][:, None]
+            self._last = _SeriesLayer(terms, diagonal, not np.isnan(diagonal).any())
+            self._key = key
+            return self._last
+        rows = self.rows(q)
+        diagonal = self.diagonal[rows].reshape(2, n)
+        return _SeriesLayer(self._terms(rows[:n], rows[n:]), diagonal,
+                            not np.isnan(diagonal).any())
 
     def pairs(self, q1: np.ndarray, q2: np.ndarray, c: np.ndarray):
         """Series values of (E[tanh tanh], E[tanh' tanh']) for 1D arrays of
@@ -459,8 +451,8 @@ class CorrelationMap:
 
     Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[tanh(sqrt(q)Z)^2].
     Copies out of the activation's series table once the tanh row of q,
-    a_k^2 for k <= SERIES_DEGREE, and the cached terms of the row pair
-    (q, q): the products to the degree K, the tail factor and the bound.  ReLU
+    a_k^2 for k <= SERIES_DEGREE, and the terms of the row pair (q, q):
+    the products to the degree K, the tail factor and the bound.  ReLU
     has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`;
     :meth:`deficit` is the Tanh counterpart of the latter.
     """
@@ -479,8 +471,9 @@ class CorrelationMap:
             raise ValueError("sigma_w must be positive")
         table = self.activation.series
         r = int(table.rows(np.array([float(self.q)]))[0])
-        a = table.coef[r, 0]
-        for name, value in (("_terms", table._pair_terms(r, r) + (None,)),
+        a = table.coef[:, 0, r]
+        rows = np.array([r])
+        for name, value in (("_terms", table._terms(rows, rows)[:3] + (None,)),
                             ("_squares", a * a),
                             ("_weights", self.sigma_w**2 * a[1:] ** 2 / self.q),
                             ("_orders", np.arange(1.0, a.size))):

@@ -54,10 +54,10 @@ element goes through the ufunc expressions written above in that order,
 so a pair's trace does not depend on the other pairs of its batch.
 
 A Tanh layer runs the same loop with the series maps of
-``activations.TanhSeriesTable``: one table lookup per layer, none where
-the variances repeat those of the layer before (a fixed point, which the
-EOC recursion at sigma_b = 0.2 reaches within about 60 layers), and about
-15 numpy calls for the sums.  Where the variances repeat, a layer of one
+``activations.TanhSeriesTable``: one table lookup per layer, one row pair
+where the variances are all equal, and none where they repeat those of
+the layer before (a fixed point, which the EOC recursion at sigma_b = 0.2
+reaches within about 60 layers), and about 15 numpy calls for the sums.  Where the variances repeat, a layer of one
 pair costs what a ReLU layer costs (21-38 us for either on a 2-core
 x86-64 VM); a layer that meets new variances also pays their Hermite
 projection, about 0.4 ms per batch of 20.

@@ -348,13 +348,14 @@ class TestTanhSeries:
 
     def test_values_after_a_start_over_are_a_fresh_tables(self):
         # 300 variances overfill the 256 rows; the start-over renumbers the
-        # rows, so the product cache must forget the row pairs it holds
+        # rows, and no value read after it may come from a row's old variance
         rng = np.random.default_rng(7)
         table = make_activation("tanh").series
         old = rng.uniform(0.05, 3.0, 200)
-        for v in old:  # caches the row pair (r, r) of every row
+        for v in old:  # the row pair (r, r) of every row
             table.pairs(np.array([v]), np.array([v]), np.array([0.5]))
         q1, q2 = rng.uniform(0.05, 3.0, (2, 50))
+        q1[:10] = old[:10]  # seen before the start-over, in other rows after it
         c = rng.uniform(-1.0, 1.0, 50)
         got = [table.pairs(q1, q2, c)]
         assert len(table.index) == 100

@@ -161,7 +161,7 @@ def _in_order_series(table, q1, q2, c):
     for j in range(2):
         total, power = 0.0, 1.0
         for k in range(K + 1):
-            total += float(table.coef[r1, j, k]) * float(table.coef[r2, j, k]) * power
+            total += float(table.coef[k, j, r1]) * float(table.coef[k, j, r2]) * power
             power *= c
         tail = abs(power) * math.sqrt(float(table.remainder[r1, j, K])
                                       * float(table.remainder[r2, j, K]))
