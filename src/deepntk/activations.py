@@ -162,35 +162,58 @@ def _relu_deficit(g):
     ) / np.pi
 
 
-def _relu_maps(c, lo, hi, f, f_prime):
-    """(f(c), f'(c)) on the correlations c in [-1, 1], from one arcsin,
-    written into the arrays f and f_prime; lo and hi are c's least and
-    largest entries.
+def _relu_maps(c, lo, hi, f, f_prime, scratch, weight=1.0):
+    """(f(c), weight f'(c)) on the correlations c in [-1, 1], from one
+    arcsin, written into the arrays f and f_prime; lo and hi are c's least
+    and largest entries, and ``scratch`` is three more arrays of c's shape.
 
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
     the closed form loses its increment over c to cancellation.  Each form
     runs only on the correlations that take it, so a batch gives every
-    correlation the bits of a lone call.
+    correlation the bits of a lone call.  Both forms run in the operation
+    order of :func:`_relu_series` and of the closed form
+    (c asin(c) + sqrt(1 - c c)) / pi + c / 2 (c / 2 as c * 0.5, the same
+    bits), each step into a buffer that none of its inputs occupies: numpy
+    serves a call whose output is one of its inputs about 0.3 us slower
+    on a few-element array (numpy 2.4 on x86-64).  ``weight`` is 1 or
+    1/2: weight f'(c) = asin(c) / (pi / weight) + weight / 2 has the bits
+    of weight (asin(c) / pi + 1/2), as halving is exact.
     """
-    asin = np.arcsin(c, out=f_prime)
+    t, u, v = scratch
+    asin = np.arcsin(c, out=v)
+    np.divide(asin, np.pi / weight, out=t)
+    np.add(t, 0.5 * weight, out=f_prime)
     edge = 1.0 - _RELU_SERIES_THRESHOLD
     if lo > edge:
-        np.subtract(1.0, _relu_series(1.0 - c), out=f)
+        g = np.subtract(1.0, c, out=t)
+        np.sqrt(g, out=u)
+        np.multiply(g, u, out=v)
+        np.multiply(B_RELU, g, out=u)
+        np.add(S_RELU, u, out=f)
+        np.multiply(v, f, out=u)
+        np.subtract(g, u, out=v)
+        np.subtract(1.0, v, out=f)
     else:
         # |c| <= 1 here, so 1 - c c >= 0 without a clamp
-        np.add((c * asin + np.sqrt(1.0 - c * c)) / np.pi, c / 2.0, out=f)
+        np.multiply(c, c, out=t)
+        np.subtract(1.0, t, out=u)
+        np.sqrt(u, out=t)
+        np.multiply(c, asin, out=u)
+        np.add(u, t, out=f)
+        np.divide(f, np.pi, out=u)
+        np.multiply(c, 0.5, out=t)
+        np.add(u, t, out=f)
         if hi > edge:
             near = c > edge
             f[near] = 1.0 - _relu_series(1.0 - c[near])
-    asin /= np.pi
-    asin += 0.5
     return f, f_prime
 
 
 def _relu_pair_maps(c):
     """:func:`_relu_maps` of an array of correlations, into new arrays."""
     c = np.asarray(c)
-    return _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))
+    f, f_prime, *scratch = (np.empty_like(c) for _ in range(5))
+    return _relu_maps(c, c.min(), c.max(), f, f_prime, scratch)
 
 
 def relu_one_minus_f(gamma):
@@ -410,20 +433,22 @@ class TanhSeriesTable:
         return values.T, certified.T
 
 
-def _tanh_maps(activation: ActivationModel, q, c, diag, phiphi, prime) -> None:
-    """The Tanh expectations of the n pairs (q[:n], q[n:]) at the
-    correlations c, from one table lookup: E[tanh^2] of each variance into
-    ``diag`` (2, n), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into
-    ``prime``.  The certified series, else ``expect2_pairs`` (pairs) and
-    ``expect1`` (diagonals) at the activation's rule."""
+def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
+    """The Tanh expectations of n pairs at the correlations c, from one
+    table lookup of the variances V (2, m), the rows qx and qxp, m = n or
+    m = 1 (shared by every pair): E[tanh^2] of each variance into ``diag``
+    (2, m), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into ``prime``.
+    The certified series, else ``expect2_pairs`` (pairs) and ``expect1``
+    (diagonals) at the activation's rule."""
+    q = V.reshape(-1)
     layer = activation.series.layer(q)
     values, certified = _series_sum(*layer.terms, c)
     if not np.logical_and.reduce(certified, axis=None):
-        n = c.size
+        qx, qxp = np.broadcast_to(V, (2, c.size))
         for j, g in enumerate((np.tanh, tanh_prime)):
             m = ~certified[j]
             if m.any():
-                values[j, m] = expect2_pairs(g, q[:n][m], q[n:][m], c[m],
+                values[j, m] = expect2_pairs(g, qx[m], qxp[m], c[m],
                                              activation.quadrature)
     phiphi[...] = values[0]
     prime[...] = values[1]
@@ -530,6 +555,20 @@ def _reject_root(root) -> None:
 _SNAP = 1e-12
 
 
+def _snap_edge() -> float:
+    """The least double c with 1 - c < _SNAP.  1 - c rounds monotonically,
+    so for any c the snap test 1 - |c| < _SNAP is |c| >= this edge."""
+    edge = 1.0 - _SNAP
+    while 1.0 - edge < _SNAP:
+        edge = math.nextafter(edge, 0.0)
+    while not 1.0 - edge < _SNAP:
+        edge = math.nextafter(edge, 2.0)
+    return edge
+
+
+_SNAP_EDGE = _snap_edge()
+
+
 def _snap(x: float) -> float:
     return math.copysign(1.0, x) if 1.0 - abs(x) < _SNAP else x
 
@@ -554,10 +593,12 @@ def _correlation(qcov, root, out):
     if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
         _reject_root(root)
         raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
-    if 1.0 - hi < _SNAP or 1.0 + lo < _SNAP:
-        np.copyto(c, np.sign(c), where=1.0 - np.abs(c) < _SNAP)
-        lo, hi = _snap(lo), _snap(hi)
-    return c, lo, hi
+    # the snap of each side, in place, only where that extreme needs it
+    if hi >= _SNAP_EDGE:
+        np.copyto(c, 1.0, where=c >= _SNAP_EDGE)
+    if lo <= -_SNAP_EDGE:
+        np.copyto(c, -1.0, where=c <= -_SNAP_EDGE)
+    return c, _snap(lo), _snap(hi)
 
 
 def _checked_correlation(qcov, root):
@@ -584,31 +625,32 @@ def layer_correlation(qcov, root):
     return _checked_correlation(qcov, np.asarray(root))[0]
 
 
-def layer_maps(activation: ActivationModel, V, root, E, prime):
+def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
     """The expectations of one layer, bound to the caller's buffers: the
     one implementation that the kernel engine and every pair function
     below run.
 
-    V holds the variances qx and qxp as rows and ``root`` holds
-    sqrt(qx qxp).  The returned ``maps(c, lo, hi)`` takes the checked
-    correlations of :func:`_correlation` and writes E[phi(u)^2] of each
-    variance to E[0] and E[1], E[phi(u1) phi(u2)] to E[2] and
-    E[phi'(u1) phi'(u2)] to ``prime``: ReLU in place from one arcsin, Tanh
-    from its certified series (see the module docstring).
+    V holds the variances qx and qxp as rows, (2, m), and ``root`` holds
+    sqrt(qx qxp), (m,): m = n for n pairs with variances of their own, or
+    m = 1 for variances that every pair shares.  The returned
+    ``maps(c, lo, hi)`` takes the checked correlations of the n pairs
+    (:func:`_correlation`) and writes E[phi(u)^2] of each variance to
+    ``diag`` (2, m), E[phi(u1) phi(u2)] to ``phiphi`` (n,) and
+    E[phi'(u1) phi'(u2)] to ``prime`` (n,): ReLU in place from one arcsin,
+    Tanh from its certified series (see the module docstring).
     """
-    diag, phiphi = E[:2], E[2]
     if activation.kind == "relu":
         half_root = np.empty_like(root)
+        f, *scratch = (np.empty_like(phiphi) for _ in range(4))
 
         def maps(c, lo, hi):
             _diag_expectation(activation, V, diag)
-            _relu_maps(c, lo, hi, phiphi, prime)
+            _relu_maps(c, lo, hi, f, prime, scratch, weight=0.5)
             np.multiply(0.5, root, out=half_root)
-            np.multiply(half_root, phiphi, out=phiphi)
-            np.multiply(0.5, prime, out=prime)
+            np.multiply(half_root, f, out=phiphi)
     else:
         def maps(c, lo, hi):
-            _tanh_maps(activation, V.reshape(-1), c, diag, phiphi, prime)
+            _tanh_maps(activation, V, c, diag, phiphi, prime)
     return maps
 
 
@@ -620,9 +662,9 @@ def _pair_expectations(activation: ActivationModel, qx, qxp, cov, checked):
                                          for a in (qx, qxp, cov)))
     V = np.stack((qx.ravel(), qxp.ravel()))
     root = np.sqrt(V[0] * V[1])
-    E, prime = np.empty((3, root.size)), np.empty(root.size)
-    layer_maps(activation, V, root, E, prime)(*checked(cov.ravel(), root))
-    return E[2].reshape(qx.shape)[()], prime.reshape(qx.shape)[()]
+    diag, E = np.empty_like(V), np.empty((2, root.size))
+    layer_maps(activation, V, root, diag, *E)(*checked(cov.ravel(), root))
+    return E[0].reshape(qx.shape)[()], E[1].reshape(qx.shape)[()]
 
 
 def _extremes(c, root):

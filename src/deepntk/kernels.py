@@ -37,21 +37,31 @@ covariance and the kernel, and ``mix`` is the circulant window average
 average of a grid that depends on alpha alone depends on alpha alone, so
 the variance grids stay the diagonals of the x and x' covariance grids.
 
-The loop keeps the state as one stacked (4, P) array S, rows q_x, q_x',
-qcov and K, P entries per row (pairs, or the M^2 grid positions), so a
-layer costs a fixed number of numpy calls whatever P: a dense ReLU layer
-runs 27-29 of them, all into buffers allocated once per call, and three
-of them are reductions (the least and largest correlation, which decide
-the range check, the snap at +-1 and the branch of the ReLU map, and the
-largest variance, which decides the renormalisation).  The expectations
-come from ``activations.layer_maps``, the one implementation of a layer's
+The loop keeps its state in one buffer: the variances V = (q_x, q_x') as
+a (2, m) block, then the rows qcov and K of the P pairs (or the M^2 grid
+positions), then qdot.  m = P where the variances differ between pairs.
+Where every pair shares its two first-layer variances, m = 1: one pair,
+``rates`` and ``spectrum`` (inputs on a sphere) and the sigma_b = 0 ReLU
+Gram (see ``regression``).  Then the variance recursion runs once on two
+floats and only the pair rows are P wide.  The variances of x and x'
+propagate on their own, so each pair gets the bits of its per-pair run
+either way, and the trace returns full (L, P) variance rows.  A layer
+costs a fixed number of numpy calls whatever P: a dense ReLU layer runs
+26-27 of them (two more for each side of +-1 that needs the snap), all
+into buffers allocated once per call, and three of them are reductions
+(the least and largest correlation, which decide the range check, the
+snap at +-1 and the branch of the ReLU map, and the largest variance,
+which decides the renormalisation).  The expectations come from
+``activations.layer_maps``, the one implementation of a layer's
 expectations (its pair functions run it too), bound to those buffers: it
-writes the two variance expectations and E[phi phi] to
-rows 0-2 of one (4, P) array B and E[phi' phi'] to the qdot row.  B
-becomes w_l (sigma_b^2 + sigma_w^2 E) in place; row 3 is
-qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B).  Every
-element goes through the ufunc expressions written above in that order,
-so a pair's trace does not depend on the other pairs of its batch.
+writes the variance expectations to the first 2m entries of a buffer B
+laid out as the state, E[phi phi] to its qcov row and E[phi' phi'] to
+the qdot row.  The first 2m + P entries of B become
+w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
+qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B) on the first
+2m + 2P entries of the state.  Every element goes through the ufunc
+expressions written above in that order, so a pair's trace does not
+depend on the other pairs of its batch.
 
 A Tanh layer runs the same loop with the series maps of
 ``activations.TanhSeriesTable``: one table lookup per layer, one row pair
@@ -304,7 +314,9 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     L alone.  A full-grid conv architecture takes (M, M) grids, the
     variances of x at alpha and of x' at alpha' broadcast over the grid,
     and averages each layer's new terms over the filter window (see the
-    module docstring).  One layer step serves every kind.
+    module docstring).  One layer step serves every kind.  Dense
+    variances that every pair shares, bit for bit (scalars, or arrays of
+    one value), run once for the whole batch.
     """
     arch = kind if isinstance(kind, Architecture) else Architecture(kind)
     _require_relu(arch.kind, activation)
@@ -321,38 +333,54 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     else:
         def mix(a):
             return a
-    # rows vx, vxp, vcov, wK (the stacked state S) and qdot
     n = first[0].size
-    state = np.empty((5, n))
-    S, qdot = state[:4], state[4]
-    S[:3] = [a.ravel() for a in first]
-    S[3] = S[2]
+    # m = 1 where every pair shares its two variances, else m = n
+    m = 1 if not arch.is_conv and _shared(first[0]) and _shared(first[1]) else n
+    # one buffer: the variances V (2, m), then vcov, wK (the state S) and qdot
+    state = np.empty(2 * m + 3 * n)
+    S, qdot = state[:2 * m + 2 * n], state[2 * m + 2 * n:]
+    V = S[:2 * m].reshape(2, m)
+    qcov, wK = S[2 * m:].reshape(2, n)
+    # shared variances as 0-d views: numpy runs a 0-d operand against the
+    # pairs on its fast path, which a (1,) one misses
+    vshape = (n,) if m == n else ()
+    vx, vxp = V[0].reshape(vshape), V[1].reshape(vshape)
+    V[0], V[1] = (a.ravel()[:m] for a in first[:2])
+    qcov[:] = first[2].ravel()
+    wK[:] = qcov
     qdot[:] = np.nan
-    V, qcov = S[:2], S[2]
-    # rows: the two new variance terms, the block, the new kernel term
+    # the new variance terms, the block and the new kernel term, laid out as S
     B = np.empty_like(S)
-    E = B[:3]  # w (sigma_b^2 + sigma_w^2 E), in place
-    root, c = np.empty((2, n))
-    maps = layer_maps(activation, V, root, E, qdot)
+    E = B[:2 * m + n]  # w (sigma_b^2 + sigma_w^2 E), in place
+    block, new_K = B[2 * m:].reshape(2, n)
+    root, c = np.empty(vshape), np.empty(n)
+    maps = layer_maps(activation, V, root, B[:2 * m].reshape(2, m), block, qdot)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     sb2_l = sb2  # the bias in units of the renormalised state
     skip = 1.0 if arch.is_residual else 0.0
     scaled = arch.is_scaled
     kept = 1 if last_only else L
-    hist = np.empty((5, kept, n))
+    # one allocation holds the trace: the state of each kept layer (one
+    # write per layer), then, where the variances are shared, their full
+    # (kept, 2, P) rows, about the 5 kept P floats of a (5, kept, P)
+    # history.  Split into two allocations, the trace raised the peak RSS
+    # of an `empirical` run after `rates` in the same process by 0.8 MB
+    # (glibc's malloc adapts its mmap threshold to the blocks freed).
+    store = np.empty(kept * (state.size + (2 * n if m < n else 0)))
+    hist = store[:kept * state.size].reshape(kept, state.size)
     scale_log = np.zeros(kept)
     log_scale = 0.0
     if L > 1:
         # the one root check of the run: from layer 2 on the largest
         # variance is at most _RENORM_LIMIT (or inf or NaN), so a zero,
         # infinite or NaN root shows in the correlation's range check
-        _reject_root(np.sqrt(S[0] * S[1]))
+        _reject_root(np.sqrt(V[0] * V[1]))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(L):
             if i:
                 w = 1.0 / (i + 1) if scaled else 1.0
-                np.multiply(S[0], S[1], out=root)
+                np.multiply(vx, vxp, out=root)
                 np.sqrt(root, out=root)
                 maps(*_correlation(qcov, root, c))
                 qdot *= w * sw2
@@ -360,8 +388,8 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                 E += sb2_l
                 if w != 1.0:
                     E *= w
-                np.multiply(qdot, S[3], out=B[3])
-                B[3] += B[2]
+                np.multiply(qdot, wK, out=new_K)
+                new_K += block
                 if skip != 1.0:
                     S *= skip
                 S += mix(B)
@@ -372,11 +400,26 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                     sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
             j = i - (L - kept)
             if j >= 0:
-                hist[:, j] = state
+                hist[j] = state
                 scale_log[j] = log_scale
 
+    variances = hist[:, :2 * m].reshape(kept, 2, m)
+    if m < n:  # full (kept, P) variance rows, as a per-pair run has them
+        full = store[kept * state.size:].reshape(kept, 2, n)
+        full[...] = variances
+        variances = full
+    pair_rows = hist[:, 2 * m:].reshape(kept, 3, n)
+    rows = (*variances.transpose(1, 0, 2), *pair_rows.transpose(1, 0, 2))
     return KernelTrace(arch, activation.kind, params, L,
-                       *hist.reshape((5, kept) + shape), scale_log)
+                       *(r.reshape((kept,) + shape) for r in rows), scale_log)
+
+
+def _shared(a: np.ndarray) -> bool:
+    """Whether the float array a is not empty and holds one value
+    throughout, bit for bit (so 0.0 and -0.0 differ)."""
+    bits = a.view(np.int64)
+    return a.size > 0 and bool(np.minimum.reduce(bits, axis=None)
+                               == np.maximum.reduce(bits, axis=None))
 
 
 def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,

@@ -39,6 +39,21 @@ _MAX_CRITICAL_SIGMA_W = 10.0
 
 _SQRT2 = np.sqrt(2.0)
 
+#: Taylor coefficients of q - m(q)/p(q) at q = 0, of q^3 to q^8, from the
+#: Taylor series of tanh^2 and tanh'^2 and the Gaussian moments
+#: E[Z^(2k)] = (2k-1)!!.  The series is asymptotic; cut after q^8 it is
+#: within 6e-13 (relative) of the function for q <= 1.3e-3.
+_EOC_SERIES = (4.0 / 3.0, -8.0, 748.0 / 15.0, -1048.0 / 3.0, 862088.0 / 315.0,
+               -118288.0 / 5.0)
+
+#: up to this sigma_b (q* = 1.2e-3) the critical curve solves the series:
+#: q - m(q)/p(q) = 4 q^3 / 3 + ... is computed from m/p = q (1 + O(q^2)),
+#: whose rounding, about 1e-16 q, costs q* about 3e-17 / q*^2 of its value
+#: (31 % at sigma_b = 1e-12, q* = 9.1e-9).  Against 60-digit mpmath the
+#: series gives sigma_w to 2.5e-16 at 5e-5, the direct solve to 3.6e-15
+#: there and 4.3e-16 at 1e-4.
+_SERIES_SIGMA_B = 5e-5
+
 
 def _root(h, a: float, b: float, h_a: float, h_b: float) -> float:
     """Root of h between a and b, where h(a) and h(b) have opposite signs.
@@ -148,6 +163,16 @@ def classify(activation: ActivationModel, params: InitParams,
                        degenerate=degenerate)
 
 
+def _series_root(sb2: float) -> float:
+    """The root q* of q^3 (4/3 - 8 q + ...) = sigma_b^2 (``_EOC_SERIES``),
+    by the fixed point q = cbrt(sigma_b^2 / (4/3 - 8 q + ...)), which
+    contracts by about 2 q per step."""
+    q = float(np.cbrt(0.75 * sb2))
+    for _ in range(8):
+        q = float(np.cbrt(sb2 / np.polyval(_EOC_SERIES[::-1], q)))
+    return q
+
+
 def eoc_curve(activation: ActivationModel, sigma_b: float,
               chi_target: float = 1.0) -> float:
     """sigma_w with chi(sigma_b, sigma_w) = chi_target.
@@ -162,7 +187,11 @@ def eoc_curve(activation: ActivationModel, sigma_b: float,
     30-digit mpmath values at sigma_b = 0.05 and 0.2 (q* = 0.15, 0.51) and
     3.3e-9 at sigma_b = 1 (q* = 3.04, where the rule misses E[tanh^2] by
     3.7e-11 and E[tanh'^2] by 4.1e-9).  The miss in E[tanh'^2] grows to
-    2.3e-4 at q = 10 and 8 % at q = 40, near sigma_b = 5.
+    2.3e-4 at q = 10 and 8 % at q = 40, near sigma_b = 5.  On the critical
+    curve up to sigma_b = 5e-5 (q* <= 1.2e-3), q* is the root of the Taylor
+    series of q - m/p (``_series_root``), where the difference of the
+    moments loses q* to rounding: sigma_w is then within 2.5e-16 of
+    mpmath down to sigma_b = 1e-14.
     """
     if sigma_b < 0:
         raise ValueError("sigma_b must be nonnegative")
@@ -187,6 +216,9 @@ def eoc_curve(activation: ActivationModel, sigma_b: float,
 
     def critical_sigma_w(q):
         return float(np.sqrt(chi_target / tanh_moment(q, prime=True)))
+
+    if chi_target == 1.0 and sigma_b <= _SERIES_SIGMA_B:
+        return critical_sigma_w(_series_root(sb2))
 
     # h(0) = -sigma_b^2 (m(0) = 0, p(0) = 1), and the doubling starts at the
     # sigma_b -> 0 root of h ~ 4 q^3 / 3 - sigma_b^2; critical_sigma_w grows

@@ -15,6 +15,13 @@ treated as exactly zero (minimum-norm / pseudo-inverse behaviour, reported
 via ``TrainingState.rank_deficient``).  The smallest eigenvalue controls the
 convergence speed of f_t, and its collapse with depth is the mechanism by
 which kernel-regime training fails for deep networks.
+
+Both the Gram and the prediction rows come from ``pair_kernel``.  For the
+dense ReLU kinds at sigma_b = 0 (the EOC point (0, sqrt 2) among them) and
+depth above 1, the kernel is positively homogeneous,
+K^L(x, x') = sqrt(q_x q_x') K^L_1(c^0), so the recursion runs once on
+shared unit variances for the whole batch, whatever the input norms;
+Tanh, sigma_b > 0 and depth 1 run on the first-layer triple of each pair.
 """
 from __future__ import annotations
 
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import ActivationModel
+from .activations import ActivationModel, _reject_root
 from .errors import DivergenceError, InvalidDatasetError, SingularMatrixError
 from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
@@ -103,6 +110,27 @@ def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
     return trace.ntk[-1]
 
 
+def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
+    """K^L of input pairs (x, x') in R^d from the squared norms |x|^2,
+    |x'|^2 and the inner products x . x' (arrays of one shape).
+
+    Where the kernel is positively homogeneous, K^L(x, x') =
+    sqrt(q_x q_x') K^L_1(c^0), with K^L_1 the kernel at unit first-layer
+    variances and c^0 = q_cov / sqrt(q_x q_x'): dense ReLU kinds at
+    sigma_b = 0, depth above 1.  There the engine runs on the shared unit
+    variances (one pair of floats for the whole batch) and c^0, which is
+    the engine's own layer-2 division, so self pairs keep c = 1 exactly;
+    elsewhere it runs on the first-layer triple itself.
+    """
+    p = spec.params
+    qx, qxp, qcov = (first_layer_cov(p, a, d) for a in (sq_x, sq_xp, inner))
+    if spec.activation.kind != "relu" or p.sigma_b != 0.0 or spec.depth < 2:
+        return kernel_values(spec, qx, qxp, qcov)
+    root = np.sqrt(qx * qxp)
+    _reject_root(root)
+    return kernel_values(spec, 1.0, 1.0, qcov / root) * root
+
+
 def build_gram(dataset: Dataset, spec: KernelSpec,
                f0_train: np.ndarray | None = None) -> TrainingState:
     """Assemble K^L(X, X) and its symmetric eigendecomposition.
@@ -112,10 +140,9 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     """
     X = dataset.X
     n, d = X.shape
-    sq = first_layer_cov(spec.params, np.sum(X * X, axis=1), d)
+    sq = np.sum(X * X, axis=1)
     iu, ju = np.triu_indices(n)
-    qcov = first_layer_cov(spec.params, (X[iu] * X[ju]).sum(axis=1), d)
-    vals = kernel_values(spec, sq[iu], sq[ju], qcov)
+    vals = pair_kernel(spec, sq[iu], sq[ju], (X[iu] * X[ju]).sum(axis=1), d)
     if not np.all(np.isfinite(vals)):
         raise DivergenceError(
             f"Gram matrix has non-finite entries at depth {spec.depth}")
@@ -189,17 +216,16 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
     X_new = np.atleast_2d(x_new)
     X = dataset.X
     n, d = X.shape
-    p = spec.params
-    sq = first_layer_cov(p, np.sum(X * X, axis=1), d)
-    sq_new = first_layer_cov(p, np.sum(X_new * X_new, axis=1), d)
+    sq = np.sum(X * X, axis=1)
+    sq_new = np.sum(X_new * X_new, axis=1)
     rows = (n + 1) // 2
     K = np.empty((len(X_new), n))
     for start in range(0, len(X_new), rows):
         chunk = slice(start, start + rows)
         part = X_new[chunk]
-        K[chunk] = kernel_values(
-            spec, np.repeat(sq_new[chunk], n), np.tile(sq, len(part)),
-            first_layer_cov(p, part @ X.T, d).ravel()).reshape(-1, n)
+        K[chunk] = pair_kernel(spec, np.repeat(sq_new[chunk], n),
+                               np.tile(sq, len(part)), (part @ X.T).ravel(),
+                               d).reshape(-1, n)
     U = state.eigenvectors
     h = _response_factors(state, t)
     B = U.T @ (dataset.Z - state.f0_train)

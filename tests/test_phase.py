@@ -117,6 +117,30 @@ class TestEocCurve:
         assert abs(cmap(1.0) - 1.0) <= 1e-13
         assert abs(cmap.derivative_at_one(1) - 1.0) <= 1e-13
 
+    # sigma_w - 1 on the critical curve, 60-digit mpmath: the root of
+    # q - m(q)/p(q) = sigma_b^2 with m, p by mpmath.quad, sigma_w = p(q*)^(-1/2)
+    TINY_BIAS_SW_MINUS_1 = {
+        1e-14: "4.217163326508746210309105e-10",
+        1e-12: "9.085602964160697572628143e-9",
+        1e-10: "1.957433820584371845340516e-7",
+        1e-8: "4.217163326448748118003755e-6",
+        1e-6: "9.085602904200421410132713e-5",
+        1e-5: "4.217162728348142349995919e-4",
+        3e-5: "8.772047848960781226049113e-4",
+        5e-5: "1.23310455053313451226447e-3",
+        1e-4: "1.957427905027639184410551e-3",
+    }
+
+    @pytest.mark.parametrize("sigma_b", sorted(TINY_BIAS_SW_MINUS_1))
+    def test_tiny_bias_matches_mpmath(self, sigma_b):
+        # near q = 0 the curve is 4 q^3 / 3 = sigma_b^2; the series root
+        # up to sigma_b = 5e-5 and the direct solve above it read within
+        # 4.3e-16 (at 1e-4; 2.5e-16 at most up to 5e-5), where the direct
+        # solve alone was 1.1e-10 off at 1e-10 and 2.8e-9 at 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        ref = mpmath.mpf(1) + mpmath.mpf(self.TINY_BIAS_SW_MINUS_1[sigma_b])
+        assert abs(mpmath.mpf(eoc_curve(TANH, sigma_b)) - ref) <= 5e-16
+
     def test_no_critical_sigma_w_above_ten(self):
         # far out on the curve the critical sigma_w passes 10
         with pytest.raises(NoSolutionError):

@@ -1,5 +1,5 @@
 """Property tests: the scalar gamma path, the layer step's invariants, the
-Tanh series sums."""
+engine against a reference layer loop, the Tanh series sums."""
 import math
 
 import numpy as np
@@ -7,9 +7,11 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from deepntk.activations import (SERIES_TOLERANCE, _diag_expectation,
-                                 make_activation, phiphi_expectation,
-                                 phiprime_expectation, relu_one_minus_f)
+from deepntk.activations import (_SNAP, _SNAP_EDGE, SERIES_TOLERANCE,
+                                 _diag_expectation, _relu_series, _snap,
+                                 _tanh_maps, make_activation,
+                                 phiphi_expectation, phiprime_expectation,
+                                 relu_one_minus_f)
 from deepntk.asymptotics import iterate_correlation
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams
@@ -130,6 +132,147 @@ def test_a_pair_alone_is_its_row_in_a_batch(kind, activation, depth,
         for name in ("vx", "vxp", "vcov", "wK", "qdot"):
             assert np.array_equal(getattr(alone, name),
                                   getattr(batch, name)[:, i], equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# the reference layer loop: the engine as it was before shared variances,
+# one stacked (4, P) state with per-pair variances throughout, the ReLU maps
+# on temporaries and the snap in five full-width passes
+# ---------------------------------------------------------------------------
+
+def _reference_correlation(qcov, root):
+    c = qcov / root
+    lo, hi = float(c.min()), float(c.max())
+    if 1.0 - hi < _SNAP or 1.0 + lo < _SNAP:
+        np.copyto(c, np.sign(c), where=1.0 - np.abs(c) < _SNAP)
+        lo, hi = _snap(lo), _snap(hi)
+    return c, lo, hi
+
+
+def _reference_relu(c, lo, hi):
+    """(f(c), f'(c)) of ReLU: the closed form, and the series of 1 - f
+    above 1 - 1e-4."""
+    asin = np.arcsin(c)
+    edge = 1.0 - 1e-4
+    if lo > edge:
+        f = 1.0 - _relu_series(1.0 - c)
+    else:
+        f = (c * asin + np.sqrt(1.0 - c * c)) / np.pi + c / 2.0
+        if hi > edge:
+            near = c > edge
+            f[near] = 1.0 - _relu_series(1.0 - c[near])
+    return f, asin / np.pi + 0.5
+
+
+def _reference_trace(kind, activation, params, qx0, qxp0, qcov0, depth):
+    """Rows vx, vxp, vcov, wK, qdot of every layer, (5, depth, P), and
+    scale_log."""
+    first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                  for a in (qx0, qxp0, qcov0)))
+    n = first[0].size
+    state = np.empty((5, n))
+    S, qdot = state[:4], state[4]
+    S[:3] = [a.ravel() for a in first]
+    S[3] = S[2]
+    qdot[:] = np.nan
+    B = np.empty_like(S)
+    sb2, sw2 = params.sigma_b**2, params.sigma_w**2
+    sb2_l = sb2
+    skip = 1.0 if "resnet" in kind else 0.0
+    hist, scale_log, log_scale = np.empty((5, depth, n)), np.zeros(depth), 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(depth):
+            if i:
+                w = 1.0 / (i + 1) if kind.startswith("scaled") else 1.0
+                root = np.sqrt(S[0] * S[1])
+                c, lo, hi = _reference_correlation(S[2], root)
+                if activation.kind == "relu":
+                    f, f_prime = _reference_relu(c, lo, hi)
+                    B[:2] = S[:2] / 2.0
+                    B[2] = 0.5 * root * f
+                    qdot[:] = 0.5 * f_prime
+                else:
+                    _tanh_maps(activation, S[:2], c, B[:2], B[2], qdot)
+                qdot *= w * sw2
+                B[:3] *= sw2
+                B[:3] += sb2_l
+                if w != 1.0:
+                    B[:3] *= w
+                B[3] = qdot * S[3] + B[2]
+                S *= skip
+                S += B
+                top = float(S[:2].max())
+                if top > 1e150 or 0.0 < top < 1e-150:
+                    S /= top
+                    log_scale += float(np.log(top))
+                    sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
+            hist[:, i] = state
+            scale_log[i] = log_scale
+    return hist, scale_log
+
+
+#: (sigma_b, sigma_w) per activation; ReLU at sigma_w = 3 and the residual
+#: kinds at (0.5, 2) renormalise within 700 layers
+_REFERENCE_INITS = {
+    "relu": [(0.0, math.sqrt(2.0)), (0.3, 1.2), (1.0, 0.1), (0.0, 3.0),
+             (0.5, 2.0), (0.1, 1.0)],
+    "tanh": [(0.2, 1.0), (0.2, 1.5), (0.5, 2.5), (0.0, 1.3)],
+}
+
+#: correlations at the snap, on both sides of the ReLU series threshold
+#: and in between
+_correlations = st.one_of(
+    st.sampled_from([1.0, -1.0, 1.0 - 5e-13, -1.0 + 5e-13, 1.0 - 5e-5,
+                     1.0 - 2e-4, 0.0]),
+    st.floats(-1.0, 1.0))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(st.data())
+def test_engine_is_the_reference_loop(data):
+    activation = data.draw(st.sampled_from(["relu", "tanh"]))
+    kind = "ffnn" if activation == "tanh" else data.draw(st.sampled_from(DENSE_KINDS))
+    sb, sw = data.draw(st.sampled_from(_REFERENCE_INITS[activation]))
+    pairs = data.draw(st.sampled_from([1, 2, 17]))
+    variances = data.draw(st.sampled_from(["scalar", "equal arrays", "per pair",
+                                           "one side per pair"]))
+    depth = data.draw(st.one_of(st.integers(1, 40), st.just(700)))
+    c = np.array(data.draw(st.lists(_correlations, min_size=pairs, max_size=pairs)))
+    q = st.floats(0.05, 5.0 if activation == "relu" else 3.0)
+    if variances == "per pair":
+        qx = np.array(data.draw(st.lists(q, min_size=pairs, max_size=pairs)))
+        qxp = np.array(data.draw(st.lists(q, min_size=pairs, max_size=pairs)))
+    elif variances == "one side per pair":
+        qx = data.draw(q)
+        qxp = np.array(data.draw(st.lists(q, min_size=pairs, max_size=pairs)))
+    else:
+        qx, qxp = data.draw(q), data.draw(q)
+        if variances == "equal arrays":
+            qx, qxp = np.full(pairs, qx), np.full(pairs, qxp)
+    qcov = c * np.sqrt(qx * qxp)
+    if pairs == 1 and variances == "scalar":
+        qcov = float(qcov[0])
+    p = InitParams(sb, sw)
+    # fresh activations: each side projects its own Tanh variances
+    trace = dense_layer_arrays(kind, make_activation(activation), p, qx, qxp,
+                               qcov, depth)
+    hist, scale_log = _reference_trace(kind, make_activation(activation), p,
+                                       qx, qxp, qcov, depth)
+    shape = (depth,) + np.shape(qcov)
+    for row, name in enumerate(("vx", "vxp", "vcov", "wK", "qdot")):
+        got = getattr(trace, name)
+        assert got.shape == shape  # shared variances come back full width
+        assert np.array_equal(got, hist[row].reshape(shape), equal_nan=True)
+        assert got.tobytes() == hist[row].tobytes()  # signed zeros too
+    assert np.array_equal(trace.scale_log, scale_log)
+
+
+@PROPERTY
+@given(st.one_of(st.floats(-1.0 - 1e-9, 1.0 + 1e-9),
+                 st.integers(-64, 64).map(lambda k: _SNAP_EDGE + k * 2.0**-53),
+                 st.integers(-64, 64).map(lambda k: -_SNAP_EDGE + k * 2.0**-53)))
+def test_snap_edge_is_the_snap_test(c):
+    assert (abs(c) >= _SNAP_EDGE) == (1.0 - abs(c) < _SNAP)
 
 
 @PROPERTY

@@ -4,11 +4,11 @@ import pytest
 
 from deepntk.activations import make_activation
 from deepntk.errors import InvalidDatasetError, SingularMatrixError
-from deepntk.kernels import Architecture
+from deepntk.kernels import Architecture, first_layer_cov
 from deepntk.phase import InitParams
 from deepntk.regression import (Dataset, KernelSpec, accuracy, build_gram,
-                                evolve, one_hot, predict,
-                                rkhs_residual_coeffs)
+                                evolve, kernel_values, one_hot, pair_kernel,
+                                predict, rkhs_residual_coeffs)
 
 RELU = make_activation("relu")
 EOC = InitParams(0.0, np.sqrt(2.0))
@@ -197,6 +197,110 @@ class TestPredict:
         batch = predict(state, ds, spec, probes, np.inf)
         single = np.array([predict(state, ds, spec, x, np.inf) for x in probes])
         np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+
+def _direct_rows(spec, A, X):
+    """K^L(A[i], X[j]) from the per-pair first-layer triple, (len(A), len(X))."""
+    p, d = spec.params, X.shape[1]
+    m, n = len(A), len(X)
+    qa = first_layer_cov(p, np.sum(A * A, axis=1), d)
+    qx = first_layer_cov(p, np.sum(X * X, axis=1), d)
+    return kernel_values(spec, np.repeat(qa, n), np.tile(qx, m),
+                         first_layer_cov(p, A @ X.T, d).ravel()).reshape(m, n)
+
+
+class TestHomogeneousGram:
+    """At sigma_b = 0 the dense ReLU kinds run the engine on shared unit
+    variances and scale by sqrt(q_x q_x'); the per-pair engine on the
+    first-layer triple is the reference."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        # norms from 0.3 to 3 (as with --normalize none)
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((9, 5)) * rng.uniform(0.3, 3.0, (9, 1))
+        ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
+        # a training row itself and a multiple of one: self pairs, c^0 = 1
+        probes = np.vstack([rng.standard_normal((4, 5)), X[2], 2.5 * X[4]])
+        return ds, probes
+
+    # measured relative gaps (Gram; prediction): 1.2e-10; 5.0e-11 at the
+    # EOC over 1000 layers, 2.2e-14; 9.3e-15 resnet, 1.8e-15; 7.0e-16
+    # scaled, 4.1e-13; 4.6e-14 ffnn at sigma_w = 3 (renormalised), 1.1e-14;
+    # 1.8e-15 ffnn at sigma_w = 1
+    @pytest.mark.parametrize("kind,sigma_w,depth,gram_tol,pred_tol", [
+        ("ffnn", np.sqrt(2.0), 1000, 3e-10, 2e-10),
+        ("resnet_dense", 1.0, 200, 1e-13, 5e-14),
+        ("scaled_resnet_dense", 1.5, 200, 1e-14, 5e-15),
+        ("ffnn", 3.0, 200, 2e-12, 5e-13),
+        ("ffnn", 1.0, 50, 1e-13, 1e-14),
+    ])
+    def test_gram_and_predict_match_the_per_pair_engine(
+            self, data, kind, sigma_w, depth, gram_tol, pred_tol):
+        ds, probes = data
+        spec = KernelSpec(Architecture(kind), RELU, InitParams(0.0, sigma_w), depth)
+        state = build_gram(ds, spec)
+        direct = _direct_rows(spec, ds.X, ds.X)
+        assert np.max(np.abs(state.gram - direct) / np.abs(direct)) <= gram_tol
+        t = 3.0
+        want = _direct_rows(spec, probes, ds.X) @ rkhs_residual_coeffs(state, ds.Z, t)
+        got = predict(state, ds, spec, probes, t)
+        assert np.max(np.abs(got - want)) <= pred_tol * np.max(np.abs(want))
+
+    def test_self_pairs_keep_unit_correlation(self, data):
+        # the Gram diagonal at the EOC is L q^1 (sigma_w^2 / 2)^(L-1): qdot is
+        # exactly sigma_w^2 / 2 at c = 1; measured within 8.6e-14 at L = 1000
+        ds, _ = data
+        sw, depth = np.sqrt(2.0), 1000
+        spec = KernelSpec(FFNN, RELU, InitParams(0.0, sw), depth)
+        q1 = first_layer_cov(spec.params, np.sum(ds.X * ds.X, axis=1), 5)
+        want = depth * q1 * (sw * sw / 2.0) ** (depth - 1)
+        np.testing.assert_allclose(np.diag(build_gram(ds, spec).gram), want,
+                                   rtol=2e-13, atol=0)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("scale", ["unit", "none"])
+    def test_no_less_accurate_than_the_per_pair_engine(self, scale):
+        # 40-digit recursion of the same float inputs at depth 1000; measured
+        # max relative errors (homogeneous, per pair) 2.65e-11, 2.99e-11 on
+        # the sphere and 2.65e-11, 1.16e-10 at norms from 0.3 to 3
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((8, 10))
+        if scale == "unit":
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+        else:
+            X *= rng.uniform(0.3, 3.0, (8, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
+        depth, d = 1000, X.shape[1]
+        spec = KernelSpec(FFNN, RELU, EOC, depth)
+        iu, ju = np.triu_indices(len(X))
+        sq, inner = np.sum(X * X, axis=1), (X[iu] * X[ju]).sum(axis=1)
+        first = [first_layer_cov(EOC, a, d) for a in (sq[iu], sq[ju], inner)]
+        homogeneous = pair_kernel(spec, sq[iu], sq[ju], inner, d)
+        per_pair = kernel_values(spec, *first)
+        ref = np.array([_mpmath_relu_kernel(mpmath, *triple, EOC.sigma_w, depth)
+                        for triple in zip(*first)])
+        err_h = np.max(np.abs(homogeneous - ref) / ref)
+        err_p = np.max(np.abs(per_pair - ref) / ref)
+        assert err_h <= err_p
+
+
+def _mpmath_relu_kernel(mpmath, qx, qxp, qcov, sigma_w, depth):
+    """K^L of a ReLU ffnn at sigma_b = 0, 40 digits: the arc-cosine map
+    (sin t + (pi - t) cos t) / pi, t = acos c, and f'(c) = (pi - t) / pi."""
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    qx, qxp, qcov = mp.mpf(qx), mp.mpf(qxp), mp.mpf(qcov)
+    sw2 = mp.mpf(sigma_w) ** 2
+    K = qcov
+    for _ in range(depth - 1):
+        root = mp.sqrt(qx * qxp)
+        t = mp.acos(min(mp.mpf(1), max(mp.mpf(-1), qcov / root)))
+        qdot = sw2 * (mp.pi - t) / mp.pi / 2
+        qcov = sw2 * root / 2 * (mp.sin(t) + (mp.pi - t) * mp.cos(t)) / mp.pi
+        qx, qxp = sw2 * qx / 2, sw2 * qxp / 2
+        K = qdot * K + qcov
+    return float(K)
 
 
 class TestRkhsCoefficients:
