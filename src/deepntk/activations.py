@@ -162,58 +162,35 @@ def _relu_deficit(g):
     ) / np.pi
 
 
-def _relu_maps(c, lo, hi, f, f_prime, scratch, weight=1.0):
-    """(f(c), weight f'(c)) on the correlations c in [-1, 1], from one
-    arcsin, written into the arrays f and f_prime; lo and hi are c's least
-    and largest entries, and ``scratch`` is three more arrays of c's shape.
+def _relu_maps(c, lo, hi, f, f_prime):
+    """(f(c), f'(c)) on the correlations c in [-1, 1], from one arcsin,
+    written into the arrays f and f_prime; lo and hi are c's least and
+    largest entries.
 
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
     the closed form loses its increment over c to cancellation.  Each form
     runs only on the correlations that take it, so a batch gives every
-    correlation the bits of a lone call.  Both forms run in the operation
-    order of :func:`_relu_series` and of the closed form
-    (c asin(c) + sqrt(1 - c c)) / pi + c / 2 (c / 2 as c * 0.5, the same
-    bits), each step into a buffer that none of its inputs occupies: numpy
-    serves a call whose output is one of its inputs about 0.3 us slower
-    on a few-element array (numpy 2.4 on x86-64).  ``weight`` is 1 or
-    1/2: weight f'(c) = asin(c) / (pi / weight) + weight / 2 has the bits
-    of weight (asin(c) / pi + 1/2), as halving is exact.
+    correlation the bits of a lone call.
     """
-    t, u, v = scratch
-    asin = np.arcsin(c, out=v)
-    np.divide(asin, np.pi / weight, out=t)
-    np.add(t, 0.5 * weight, out=f_prime)
+    asin = np.arcsin(c, out=f_prime)
     edge = 1.0 - _RELU_SERIES_THRESHOLD
     if lo > edge:
-        g = np.subtract(1.0, c, out=t)
-        np.sqrt(g, out=u)
-        np.multiply(g, u, out=v)
-        np.multiply(B_RELU, g, out=u)
-        np.add(S_RELU, u, out=f)
-        np.multiply(v, f, out=u)
-        np.subtract(g, u, out=v)
-        np.subtract(1.0, v, out=f)
+        np.subtract(1.0, _relu_series(1.0 - c), out=f)
     else:
         # |c| <= 1 here, so 1 - c c >= 0 without a clamp
-        np.multiply(c, c, out=t)
-        np.subtract(1.0, t, out=u)
-        np.sqrt(u, out=t)
-        np.multiply(c, asin, out=u)
-        np.add(u, t, out=f)
-        np.divide(f, np.pi, out=u)
-        np.multiply(c, 0.5, out=t)
-        np.add(u, t, out=f)
+        np.add((c * asin + np.sqrt(1.0 - c * c)) / np.pi, c / 2.0, out=f)
         if hi > edge:
             near = c > edge
             f[near] = 1.0 - _relu_series(1.0 - c[near])
+    asin /= np.pi
+    asin += 0.5
     return f, f_prime
 
 
 def _relu_pair_maps(c):
     """:func:`_relu_maps` of an array of correlations, into new arrays."""
     c = np.asarray(c)
-    f, f_prime, *scratch = (np.empty_like(c) for _ in range(5))
-    return _relu_maps(c, c.min(), c.max(), f, f_prime, scratch)
+    return _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))
 
 
 def relu_one_minus_f(gamma):
@@ -641,13 +618,13 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
     """
     if activation.kind == "relu":
         half_root = np.empty_like(root)
-        f, *scratch = (np.empty_like(phiphi) for _ in range(4))
 
         def maps(c, lo, hi):
             _diag_expectation(activation, V, diag)
-            _relu_maps(c, lo, hi, f, prime, scratch, weight=0.5)
+            _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(0.5, root, out=half_root)
-            np.multiply(half_root, f, out=phiphi)
+            np.multiply(half_root, phiphi, out=phiphi)
+            np.multiply(0.5, prime, out=prime)
     else:
         def maps(c, lo, hi):
             _tanh_maps(activation, V, c, diag, phiphi, prime)

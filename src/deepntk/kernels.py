@@ -47,7 +47,7 @@ floats and only the pair rows are P wide.  The variances of x and x'
 propagate on their own, so each pair gets the bits of its per-pair run
 either way, and the trace returns full (L, P) variance rows.  A layer
 costs a fixed number of numpy calls whatever P: a dense ReLU layer runs
-26-27 of them (two more for each side of +-1 that needs the snap), all
+27-28 of them (two more for each side of +-1 that needs the snap), all
 into buffers allocated once per call, and three of them are reductions
 (the least and largest correlation, which decide the range check, the
 snap at +-1 and the branch of the ReLU map, and the largest variance,

@@ -20,7 +20,8 @@ Both the Gram and the prediction rows come from ``pair_kernel``.  For the
 dense ReLU kinds at sigma_b = 0 (the EOC point (0, sqrt 2) among them) and
 depth above 1, the kernel is positively homogeneous,
 K^L(x, x') = sqrt(q_x q_x') K^L_1(c^0), so the recursion runs once on
-shared unit variances for the whole batch, whatever the input norms;
+shared unit variances for the whole batch, whatever the input norms
+(entries whose K^L_1 leaves the normal range come from its log);
 Tanh, sigma_b > 0 and depth 1 run on the first-layer triple of each pair.
 """
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
 
 _PINV_RTOL = 1e-12
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
 @dataclass(frozen=True)
@@ -102,12 +104,15 @@ class TrainingState:
         return self.gram.shape[0]
 
 
+def _last_layer(spec: KernelSpec, qx, qxp, qcov):
+    return dense_layer_arrays(spec.architecture.kind, spec.activation,
+                              spec.params, qx, qxp, qcov, spec.depth,
+                              last_only=True)
+
+
 def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
     """Depth-L kernel values from first-layer covariances (vectorized)."""
-    trace = dense_layer_arrays(spec.architecture.kind, spec.activation,
-                               spec.params, qx, qxp, qcov, spec.depth,
-                               last_only=True)
-    return trace.ntk[-1]
+    return _last_layer(spec, qx, qxp, qcov).ntk[-1]
 
 
 def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
@@ -121,6 +126,10 @@ def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
     variances (one pair of floats for the whole batch) and c^0, which is
     the engine's own layer-2 division, so self pairs keep c = 1 exactly;
     elsewhere it runs on the first-layer triple itself.
+
+    K^L_1 can overflow to inf (or fall below the normal range) where
+    sqrt(q_x q_x') K^L_1 does not; those entries are taken from the
+    trace's log fields, sign exp(log |K^L_1| + log sqrt(q_x q_x')).
     """
     p = spec.params
     qx, qxp, qcov = (first_layer_cov(p, a, d) for a in (sq_x, sq_xp, inner))
@@ -128,7 +137,15 @@ def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
         return kernel_values(spec, qx, qxp, qcov)
     root = np.sqrt(qx * qxp)
     _reject_root(root)
-    return kernel_values(spec, 1.0, 1.0, qcov / root) * root
+    trace = _last_layer(spec, 1.0, 1.0, qcov / root)
+    unit = trace.ntk[-1]
+    size = np.abs(unit)
+    lost = ~((size >= _TINY) & (size <= _HUGE))
+    if not np.any(lost):
+        return unit * root
+    with np.errstate(over="ignore"):
+        logged = trace.ntk_sign[-1] * np.exp(trace.ntk_log[-1] + np.log(root))
+    return np.where(lost, logged, unit * root)
 
 
 def build_gram(dataset: Dataset, spec: KernelSpec,

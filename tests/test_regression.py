@@ -247,6 +247,38 @@ class TestHomogeneousGram:
         got = predict(state, ds, spec, probes, t)
         assert np.max(np.abs(got - want)) <= pred_tol * np.max(np.abs(want))
 
+    # K^L_1 leaves the normal range before sqrt(q_x q_x') K^L_1 does: it
+    # overflows at 469 layers of sigma_w = 3 on the sphere in R^50
+    # (sqrt(q_x q_x') = 0.18; 6 of 21 entries, all 21 at 470, where the
+    # per-pair engine overflows too), and at norm 1e10 in R^5
+    # (sqrt(q_x q_x') = 2e19) 1085 layers of sigma_w = 1 take it below
+    # 5e-324 while the kernel is 3e-305.  Measured relative gaps (Gram;
+    # prediction): 3.3e-12; 7.2e-13 and 6.2e-12; 3.1e-12
+    @pytest.mark.parametrize("sigma_w,d,norm,depth,gram_tol,pred_tol", [
+        (3.0, 50, 1.0, 469, 1e-11, 3e-12),
+        (1.0, 5, 1e10, 1085, 2e-11, 1e-11),
+    ])
+    def test_unit_kernel_out_of_range(self, sigma_w, d, norm, depth,
+                                      gram_tol, pred_tol):
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((6, d))
+        X *= norm / np.linalg.norm(X, axis=1, keepdims=True)
+        ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
+        probes = np.vstack([rng.standard_normal((2, d)) * norm / np.sqrt(d), X[1]])
+        spec = KernelSpec(FFNN, RELU, InitParams(0.0, sigma_w), depth)
+        iu, ju = np.triu_indices(len(X))
+        q = first_layer_cov(spec.params, np.sum(X * X, axis=1), d)
+        c0 = first_layer_cov(spec.params, (X[iu] * X[ju]).sum(axis=1), d) / np.sqrt(q[iu] * q[ju])
+        unit = np.abs(kernel_values(spec, 1.0, 1.0, c0))
+        assert not np.all((unit >= np.finfo(float).tiny) & (unit <= np.finfo(float).max))
+        state = build_gram(ds, spec)
+        direct = _direct_rows(spec, X, X)
+        assert np.all(np.isfinite(direct))
+        assert np.max(np.abs(state.gram - direct) / direct) <= gram_tol
+        want = _direct_rows(spec, probes, X) @ rkhs_residual_coeffs(state, ds.Z, np.inf)
+        got = predict(state, ds, spec, probes, np.inf)
+        assert np.max(np.abs(got - want)) <= pred_tol * np.max(np.abs(want))
+
     def test_self_pairs_keep_unit_correlation(self, data):
         # the Gram diagonal at the EOC is L q^1 (sigma_w^2 / 2)^(L-1): qdot is
         # exactly sigma_w^2 / 2 at c = 1; measured within 8.6e-14 at L = 1000

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/layer_ab.py A/src B/src [--runs 12] [--seed 0] [-o out.json]
+    python3 tools/layer_ab.py A/src B/src
 
 Loads the ``deepntk`` package of two source trees into one process (as
 ``deepntk_a`` and ``deepntk_b``) and times ``kernels.dense_layer_arrays``
@@ -15,17 +15,17 @@ variances.  P = 2850 is the Gram of 75 points (75 self pairs, c = 1) and
 P = 1875 the cross pairs of 25 test rows with them; the smaller P draw
 correlations uniform in [-0.9, 0.9].  Per-pair variances are uniform in
 [0.2, 2] for ReLU; Tanh takes 8 distinct values in [0.5, 1.5], so that its
-series table stays small.  Each run is a fresh call over ``--layers``
-layers (fewer at large P) after one warm-up call per tree, so a Tanh run
-starts from a table that holds its variances.
+series table stays small.  Each case takes 12 runs per tree at seed 0;
+each run is a fresh call over 400 layers (fewer at large P) after one
+warm-up call per tree, so a Tanh run starts from a table that holds its
+variances.
 
-Prints one JSON object: per case the median and quartiles of each tree's
-microseconds per layer, the median of the per-run ratio B/A - 1, and in
-how many runs B was faster.  Needs numpy only.
+Prints one JSON object to stdout: per case the median and quartiles of
+each tree's microseconds per layer, the median of the per-run ratio
+B/A - 1, and in how many runs B was faster.  Needs numpy only.
 """
 from __future__ import annotations
 
-import argparse
 import importlib
 import importlib.util
 import json
@@ -36,7 +36,11 @@ import time
 
 import numpy as np
 
+ACTIVATIONS = ("relu", "tanh")
 SIZES = (1, 10, 256, 1875, 2850)
+RUNS = 12
+SEED = 0
+LAYERS = 400  # per run at small P, scaled down at large P
 
 
 def load(src: str, name: str):
@@ -79,9 +83,9 @@ def first_layer(rng, activation: str, size: int, shared: bool):
     return qx, qxp, c * np.sqrt(qx * qxp)
 
 
-def layers_for(activation: str, size: int, base: int) -> int:
+def layers_for(activation: str, size: int) -> int:
     cost = size if activation == "relu" else 4 * size
-    return max(20, min(base, base * 64 // max(cost, 1)))
+    return max(20, min(LAYERS, LAYERS * 64 // max(cost, 1)))
 
 
 def time_call(pkg, activation, params, first, depth) -> float:
@@ -91,27 +95,26 @@ def time_call(pkg, activation, params, first, depth) -> float:
     return time.perf_counter() - start
 
 
-def run(src_a: str, src_b: str, runs: int, seed: int, base_layers: int,
-        activations=("relu", "tanh"), sizes=SIZES) -> dict:
+def run(src_a: str, src_b: str) -> dict:
     pkgs = (load(src_a, "deepntk_a"), load(src_b, "deepntk_b"))
     for pkg in pkgs:
         importlib.import_module(pkg.__name__ + ".kernels")
     cases = {}
-    for activation in activations:
+    for activation in ACTIVATIONS:
         sb = 0.0 if activation == "relu" else 0.2
         sw = [float(np.sqrt(2.0)) if activation == "relu"
               else pkg.eoc_curve(pkg.make_activation("tanh"), sb) for pkg in pkgs]
         params = [pkg.InitParams(sb, w) for pkg, w in zip(pkgs, sw)]
-        for size in sizes:
-            depth = layers_for(activation, size, base_layers)
+        for size in SIZES:
+            depth = layers_for(activation, size)
             for shared in (True, False):
-                rng = np.random.default_rng([seed, size, int(shared)])
+                rng = np.random.default_rng([SEED, size, int(shared)])
                 first = first_layer(rng, activation, size, shared)
                 models = [pkg.make_activation(activation) for pkg in pkgs]
                 for k in (0, 1):  # warm-up: imports, Tanh series rows
                     time_call(pkgs[k], models[k], params[k], first, depth)
                 us = ([], [])
-                for r in range(runs):
+                for r in range(RUNS):
                     for k in ((0, 1) if r % 2 == 0 else (1, 0)):
                         us[k].append(1e6 * time_call(pkgs[k], models[k], params[k],
                                                      first, depth) / depth)
@@ -123,7 +126,7 @@ def run(src_a: str, src_b: str, runs: int, seed: int, base_layers: int,
                     "b_us": _quartiles(us[1]),
                     "median_ratio_b_over_a_minus_1": round(statistics.median(ratios), 4),
                     "b_faster_in": sum(b < a for a, b in zip(*us)),
-                    "runs": runs,
+                    "runs": RUNS,
                 }
                 print(name, cases[name]["a_us"]["median"], "->",
                       cases[name]["b_us"]["median"], file=sys.stderr)
@@ -136,34 +139,17 @@ def _quartiles(values) -> dict:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("a", help="source tree A (the directory holding deepntk/)")
-    p.add_argument("b", help="source tree B")
-    p.add_argument("--runs", type=int, default=12)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layers", type=int, default=400,
-                   help="layers per run at small P (scaled down at large P)")
-    p.add_argument("--activations", default="relu,tanh")
-    p.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                   help="pair counts P, comma-separated, from " + str(SIZES))
-    p.add_argument("--names", default="A,B",
-                   help="labels of the two trees in the output, comma-separated")
-    p.add_argument("-o", "--output", help="also write the JSON here")
-    args = p.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/layer_ab.py A/src B/src", file=sys.stderr)
+        return 2
     result = {
         "what": "microseconds per layer of dense_layer_arrays('ffnn', ..., "
                 "last_only=True), same process, alternating runs",
-        "a": args.names.split(",")[0], "b": args.names.split(",")[1],
-        "runs": args.runs, "seed": args.seed,
-        "cases": run(args.a, args.b, args.runs, args.seed, args.layers,
-                     args.activations.split(","),
-                     [int(v) for v in args.sizes.split(",")]),
+        "a": argv[0], "b": argv[1], "runs": RUNS, "seed": SEED,
+        "cases": run(*argv),
     }
-    text = json.dumps(result, indent=1)
-    print(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    print(json.dumps(result, indent=1))
     return 0
 
 
