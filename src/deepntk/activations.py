@@ -187,12 +187,6 @@ def _relu_maps(c, lo, hi, f, f_prime):
     return f, f_prime
 
 
-def _relu_pair_maps(c):
-    """:func:`_relu_maps` of an array of correlations, into new arrays."""
-    c = np.asarray(c)
-    return _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))
-
-
 def relu_one_minus_f(gamma):
     """1 - f_relu(1 - gamma), accurate for small gamma.
 
@@ -225,13 +219,8 @@ def relu_one_minus_f(gamma):
 
 def relu_f(c):
     """ReLU correlation map f(c) = (c asin c + sqrt(1-c^2))/pi + c/2."""
-    out = _relu_pair_maps(clamp_correlation(c))[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def relu_f_prime(c):
-    """Derivative f'(c) = asin(c)/pi + 1/2; equals 1 at c = 1 (EOC)."""
-    out = _relu_pair_maps(clamp_correlation(c))[1]
+    c = np.asarray(clamp_correlation(c))
+    out = _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -578,14 +567,6 @@ def _correlation(qcov, root, out):
     return c, _snap(lo), _snap(hi)
 
 
-def _checked_correlation(qcov, root):
-    """:func:`_correlation` into a new array, after the root check."""
-    _reject_root(root)
-    out = np.empty(np.broadcast_shapes(np.shape(qcov), root.shape))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _correlation(qcov, root, out)
-
-
 def layer_correlation(qcov, root):
     """Correlation qcov / root with rounding guards, root = sqrt(qx qxp).
 
@@ -599,7 +580,11 @@ def layer_correlation(qcov, root):
     not finite (variances underflowed, overflowed or NaN) is rejected
     before the division.
     """
-    return _checked_correlation(qcov, np.asarray(root))[0]
+    root = np.asarray(root)
+    _reject_root(root)
+    out = np.empty(np.broadcast_shapes(np.shape(qcov), root.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _correlation(qcov, root, out)[0]
 
 
 def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
@@ -631,44 +616,27 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
     return maps
 
 
-def _pair_expectations(activation: ActivationModel, qx, qxp, cov, checked):
-    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of the broadcast pairs,
-    from :func:`layer_maps` on buffers of their own; ``checked(cov, root)``
-    gives the hook's (c, lo, hi) from the raveled ``cov``."""
-    qx, qxp, cov = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
-                                         for a in (qx, qxp, cov)))
+def _pair_expectations(activation: ActivationModel, qx, qxp, c):
+    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of the broadcast pairs at
+    the correlations c, from :func:`layer_maps` on buffers of their own."""
+    qx, qxp, c = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
+                                       for a in (qx, qxp, clamp_correlation(c))))
     V = np.stack((qx.ravel(), qxp.ravel()))
     root = np.sqrt(V[0] * V[1])
     diag, E = np.empty_like(V), np.empty((2, root.size))
-    layer_maps(activation, V, root, diag, *E)(*checked(cov.ravel(), root))
+    c = c.ravel()
+    layer_maps(activation, V, root, diag, *E)(c, c.min(), c.max())
     return E[0].reshape(qx.shape)[()], E[1].reshape(qx.shape)[()]
-
-
-def _extremes(c, root):
-    """The hook's (c, lo, hi) for correlations given outright, which the
-    caller has clamped (no snap)."""
-    return c, c.min(), c.max()
-
-
-def layer_expectations(activation: ActivationModel, qx, qxp, qcov):
-    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of one layer, vectorized.
-
-    (u1, u2) has variances qx, qxp and covariance qcov; the correlation
-    goes through :func:`layer_correlation`.  ReLU evaluates both closed
-    forms from one arcsin, Tanh sums both certified series (see the module
-    docstring).
-    """
-    return _pair_expectations(activation, qx, qxp, qcov, _checked_correlation)
 
 
 def phiphi_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi(u1) phi(u2)] for variances qx, qxp and correlation c (vectorized)."""
-    return _pair_expectations(activation, qx, qxp, clamp_correlation(c), _extremes)[0]
+    return _pair_expectations(activation, qx, qxp, c)[0]
 
 
 def phiprime_expectation(activation: ActivationModel, qx, qxp, c) -> np.ndarray:
     """E[phi'(u1) phi'(u2)] for variances qx, qxp and correlation c."""
-    return _pair_expectations(activation, qx, qxp, clamp_correlation(c), _extremes)[1]
+    return _pair_expectations(activation, qx, qxp, c)[1]
 
 
 def _tanh_squared(u):

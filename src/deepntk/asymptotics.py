@@ -50,14 +50,9 @@ class ExpansionConstants:
     """Exact constants of the leading depth expansions."""
 
     @staticmethod
-    def kappa_tanh(corr_map: CorrelationMap) -> float:
+    def kappa_tanh(cmap: CorrelationMap) -> float:
         """2 / f''(1), the 1/l coefficient for smooth critical maps."""
-        return 2.0 / corr_map.derivative_at_one(2)
-
-    @staticmethod
-    def zeta_tanh(corr_map: CorrelationMap) -> float:
-        """f'''(1) / 6, the cubic Taylor coefficient at 1."""
-        return corr_map.derivative_at_one(3) / 6.0
+        return 2.0 / cmap.derivative_at_one(2)
 
     @staticmethod
     def kappa_resnet(sigma_w: float) -> float:
@@ -86,41 +81,30 @@ class DepthLaw:
     rescale: Callable[[float], float]
     correction: Callable[[float], float] | None = None
 
-    def iterate(self, gamma0: float, depth: int,
-                record_at: list[int] | None = None) -> list[float]:
-        """gamma at the ``record_at`` depths (default [depth]), in order.
+    def iterate(self, gamma0: float, depth: int) -> float:
+        """gamma at ``depth``.
 
         Depth counts map applications starting from gamma0 at depth 1, i.e.
         the value at depth l is the (l-1)-fold image of gamma0.
         """
         if depth < 2:
             raise ValueError("depth must be >= 2")
-        record = sorted(set(record_at or [depth]))
-        if record[0] < 1 or record[-1] > depth:
-            raise ValueError(f"record_at must lie in [1, depth] = [1, {depth}]")
         if not 0.0 < gamma0 <= 2.0:
             raise ValueError(f"gamma0 must lie in (0, 2], got {gamma0!r}")
         skip, block, scaled, deficit = self.skip, self.block, self.scaled, self.deficit
         g = float(gamma0)
-        out = []
-        start = 2
-        # one loop per stretch between recorded depths, without a lookup
-        # per step
-        for stop in record:
-            for l in range(start, stop + 1):
-                b = block / l if scaled else block
-                g = (skip * g + b * deficit(g)) / (skip + b)
-            out.append(g)
-            start = stop + 1
-        return out
+        for l in range(2, depth + 1):
+            b = block / l if scaled else block
+            g = (skip * g + b * deficit(g)) / (skip + b)
+        return g
 
 
 def depth_law(architecture_kind: str, activation: ActivationModel,
-              params: InitParams, corr_map: CorrelationMap | None = None) -> DepthLaw:
+              params: InitParams) -> DepthLaw:
     """The critical depth law of one architecture kind and activation.
 
     ``ffnn`` needs the critical initialization; residual kinds need ReLU.
-    A Tanh map is built from the variance fixed point unless given.
+    The Tanh map is built at the variance fixed point.
     """
     sw = params.sigma_w
     # relu_one_minus_f is looked up when the law is built, so a wrapper
@@ -141,45 +125,32 @@ def depth_law(architecture_kind: str, activation: ActivationModel,
     if activation.kind == "relu":
         return DepthLaw(0.0, 1.0, False, relu_one_minus_f, KAPPA_RELU, lambda l: l**2,
                         lambda l: 3.0 * np.sqrt(KAPPA_RELU) * np.log(l) / l**3)
-    if corr_map is None:
-        corr_map = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
-    return DepthLaw(0.0, 1.0, False, corr_map.deficit,
-                    ExpansionConstants.kappa_tanh(corr_map), lambda l: l)
-
-
-def iterate_correlation(architecture_kind: str, activation: ActivationModel,
-                        params: InitParams, gamma0: float, depth: int,
-                        record_at: list[int] | None = None,
-                        corr_map: CorrelationMap | None = None) -> list[float]:
-    """gamma = 1 - c^l of the kind's critical law at the ``record_at`` depths
-    (default [depth]); see :meth:`DepthLaw.iterate`."""
-    return depth_law(architecture_kind, activation, params, corr_map).iterate(
-        gamma0, depth, record_at)
+    cmap = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
+    return DepthLaw(0.0, 1.0, False, cmap.deficit,
+                    ExpansionConstants.kappa_tanh(cmap), lambda l: l)
 
 
 def theoretical_correlation(architecture_kind: str, activation: ActivationModel,
-                            params: InitParams, depth: int,
-                            corr_map: CorrelationMap | None = None) -> float:
+                            params: InitParams, depth: int) -> float:
     """Leading-order prediction of c^l on the critical initialization."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    law = depth_law(architecture_kind, activation, params, corr_map)
+    law = depth_law(architecture_kind, activation, params)
     l = float(depth)
     c = 1.0 - law.constant / law.rescale(l)
     return c if law.correction is None else c + law.correction(l)
 
 
 def check_expansion(architecture_kind: str, activation: ActivationModel,
-                    params: InitParams, depth: int, gamma0: float = 0.5,
-                    corr_map: CorrelationMap | None = None) -> dict:
+                    params: InitParams, depth: int, gamma0: float = 0.5) -> dict:
     """Empirical limit of the rescaled correlation deficit vs its constant.
 
     Returns the deficit gamma = 1 - c at ``depth``, the rescaled product
     (l^2 gamma, l gamma, or log(l)^2 gamma as appropriate), the exact
     constant, and their relative error.
     """
-    law = depth_law(architecture_kind, activation, params, corr_map)
-    gamma = law.iterate(gamma0, depth)[0]
+    law = depth_law(architecture_kind, activation, params)
+    gamma = law.iterate(gamma0, depth)
     product = law.rescale(depth) * gamma
     return {
         "depth": depth,

@@ -254,6 +254,8 @@ def _kernel_pair(args) -> InputPair:
         x, xp = X[0], X[1]
     if args.arch in CONV_KINDS:
         n0 = args.channels
+        if n0 < 1:
+            raise ConfigError(f"--channels must be at least 1, got {n0}")
         if x.size % n0:
             raise ConfigError("input dimension must be divisible by --channels")
         m = x.size // n0

@@ -24,6 +24,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from .activations import ActivationModel
+from .kernels import Architecture, InputPair, ntk_trace
 from .phase import InitParams
 
 _ARCHS = ("ffnn", "resnet_dense")
@@ -44,10 +45,6 @@ class FiniteNet:
     @property
     def depth(self) -> int:
         return len(self.weights)
-
-    def parameter_count(self, input_dim: int) -> int:
-        dims = (input_dim,) + self.widths
-        return sum(dims[i] * dims[i + 1] + dims[i + 1] for i in range(len(self.widths)))
 
 
 def sample_net(arch: str, activation: ActivationModel, params: InitParams,
@@ -177,16 +174,6 @@ def finite_difference_gradient(net: FiniteNet, x: np.ndarray,
     return grad
 
 
-def mean_field_reference(arch: str, activation: ActivationModel,
-                         params: InitParams, x: np.ndarray, xp: np.ndarray,
-                         depth: int) -> float:
-    """Infinite-width kernel value from the exact recursions."""
-    from .kernels import Architecture, InputPair, ntk_trace
-    pair = InputPair(np.asarray(x, dtype=np.float64),
-                     np.asarray(xp, dtype=np.float64))
-    return float(ntk_trace(Architecture(arch), pair, activation, params, depth).ntk[-1])
-
-
 def width_convergence_study(arch: str, activation: ActivationModel,
                             params: InitParams, x: np.ndarray, xp: np.ndarray,
                             widths: list[int], depth: int, seeds: int,
@@ -199,7 +186,9 @@ def width_convergence_study(arch: str, activation: ActivationModel,
     """
     if seeds < 2:
         raise ValueError(f"need at least 2 seeds for the seed standard deviation, got {seeds}")
-    reference = mean_field_reference(arch, activation, params, x, xp, depth)
+    pair = InputPair(np.asarray(x, dtype=np.float64), np.asarray(xp, dtype=np.float64))
+    reference = float(ntk_trace(Architecture(arch), pair, activation, params,
+                                depth).ntk[-1])
     deviations = []
     means = []
     stds = []

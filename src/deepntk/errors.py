@@ -28,7 +28,3 @@ class ResolutionError(ValueError):
 
 class InvalidDatasetError(ValueError):
     """Dataset violates a structural invariant (duplicates, colinearity)."""
-
-
-class SingularMatrixError(NumericError):
-    """Gram matrix is singular and the pseudo-inverse path was not enabled."""

@@ -195,15 +195,16 @@ def _gegenbauer_pair(n: int, lam: float, x: np.ndarray) -> tuple[np.ndarray, np.
     return p, p_prev
 
 
-def clamp_correlation(c, slack: float = CORRELATION_SLACK):
-    """Clamp correlations to [-1, 1], rejecting violations beyond ``slack``.
+def clamp_correlation(c):
+    """Clamp correlations to [-1, 1], rejecting violations beyond
+    CORRELATION_SLACK.
 
     Long kernel recursions accumulate floating-point drift that can push a
-    correlation marginally past 1; anything worse than ``slack``, and any
-    NaN, is a caller bug and raises.
+    correlation marginally past 1; anything worse than CORRELATION_SLACK,
+    and any NaN, is a caller bug and raises.
     """
     c_arr = np.asarray(c, dtype=np.float64)
-    if not np.all(np.abs(c_arr) <= 1.0 + slack):
+    if not np.all(np.abs(c_arr) <= 1.0 + CORRELATION_SLACK):
         raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
     clipped = np.clip(c_arr, -1.0, 1.0)
     return float(clipped) if np.isscalar(c) or c_arr.ndim == 0 else clipped

@@ -316,8 +316,11 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     and averages each layer's new terms over the filter window (see the
     module docstring).  One layer step serves every kind.  Dense
     variances that every pair shares, bit for bit (scalars, or arrays of
-    one value), run once for the whole batch.
+    one value), run once for the whole batch.  The depth L must be at
+    least 1.
     """
+    if L < 1:
+        raise ValueError(f"depth must be >= 1, got {L}")
     arch = kind if isinstance(kind, Architecture) else Architecture(kind)
     _require_relu(arch.kind, activation)
     first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
@@ -431,8 +434,6 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
     matching dense recursion, otherwise they return (L, M, M) grids from
     the same layer step with the circulant window average.
     """
-    if L < 1:
-        raise ValueError("depth must be >= 1")
     if arch.is_conv:
         return _conv_trace(pair, activation, params, arch, L)
     if pair.is_conv:

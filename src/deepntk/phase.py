@@ -18,8 +18,8 @@ fixed point.
 Tanh reads m(q) = E[tanh(sqrt(q) Z)^2] and p(q) = E[tanh'(sqrt(q) Z)^2]
 from the order-256 projection rule (``activations.tanh_moment``), and each
 solve is one bracketed root in q: the fixed point solves
-q = sigma_b^2 + sigma_w^2 m(q), and on the curve chi = chi_t,
-sigma_w^2 = chi_t / p(q) and sigma_b^2 = q - chi_t m(q) / p(q)
+q = sigma_b^2 + sigma_w^2 m(q), and on the critical curve chi = 1,
+sigma_w^2 = 1 / p(q) and sigma_b^2 = q - m(q) / p(q)
 (Schoenholz et al. 2017; Hayou, Doucet & Rousseau 2019).
 """
 from __future__ import annotations
@@ -173,14 +173,11 @@ def _series_root(sb2: float) -> float:
     return q
 
 
-def eoc_curve(activation: ActivationModel, sigma_b: float,
-              chi_target: float = 1.0) -> float:
-    """sigma_w with chi(sigma_b, sigma_w) = chi_target.
+def eoc_curve(activation: ActivationModel, sigma_b: float) -> float:
+    """sigma_w with chi(sigma_b, sigma_w) = 1: the critical curve.
 
-    The default target 1 traces the critical curve.  Other targets are
-    useful for placing controlled ordered-phase points (e.g. chi = 0.99).
     For Tanh with sigma_b > 0 the fixed point q solves
-    q - chi_t m(q) / p(q) = sigma_b^2, and sigma_w = sqrt(chi_t / p(q)).  A
+    q - m(q) / p(q) = sigma_b^2, and sigma_w = sqrt(1 / p(q)).  A
     critical sigma_w above 10 raises NoSolutionError.
 
     Accuracy is that of the order-256 moments: sigma_w is within 1e-15 of
@@ -196,28 +193,24 @@ def eoc_curve(activation: ActivationModel, sigma_b: float,
     if sigma_b < 0:
         raise ValueError("sigma_b must be nonnegative")
     if activation.kind == "relu":
-        if chi_target == 1.0:
-            if sigma_b != 0.0:
-                raise NoSolutionError(
-                    "ReLU critical set is the single point (0, sqrt(2))"
-                )
-            return float(_SQRT2)
-        return float(np.sqrt(2.0 * chi_target))
+        if sigma_b != 0.0:
+            raise NoSolutionError("ReLU critical set is the single point (0, sqrt(2))")
+        return float(_SQRT2)
 
     sb2 = sigma_b * sigma_b
     if sb2 == 0.0:
         # degenerate fixed point q = 0: chi = sigma_w^2 in the q -> 0+ limit,
-        # so the phase boundary sits at sigma_w = sqrt(chi_target) exactly
-        return float(np.sqrt(chi_target))
+        # so the phase boundary sits at sigma_w = 1 exactly
+        return 1.0
 
     def h(q):
         p = tanh_moment(q, prime=True)
-        return q - chi_target * tanh_moment(q) / p - sb2
+        return q - tanh_moment(q) / p - sb2
 
     def critical_sigma_w(q):
-        return float(np.sqrt(chi_target / tanh_moment(q, prime=True)))
+        return float(np.sqrt(1.0 / tanh_moment(q, prime=True)))
 
-    if chi_target == 1.0 and sigma_b <= _SERIES_SIGMA_B:
+    if sigma_b <= _SERIES_SIGMA_B:
         return critical_sigma_w(_series_root(sb2))
 
     # h(0) = -sigma_b^2 (m(0) = 0, p(0) = 1), and the doubling starts at the

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .activations import ActivationModel, _reject_root
-from .errors import DivergenceError, InvalidDatasetError, SingularMatrixError
+from .errors import DivergenceError, InvalidDatasetError
 from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
 
@@ -58,10 +58,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.Z.shape[1]
 
 
 def validate_no_colinearity(X: np.ndarray, tol: float = 1e-9) -> None:
@@ -110,11 +106,6 @@ def _last_layer(spec: KernelSpec, qx, qxp, qcov):
                               last_only=True)
 
 
-def kernel_values(spec: KernelSpec, qx, qxp, qcov) -> np.ndarray:
-    """Depth-L kernel values from first-layer covariances (vectorized)."""
-    return _last_layer(spec, qx, qxp, qcov).ntk[-1]
-
-
 def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
     """K^L of input pairs (x, x') in R^d from the squared norms |x|^2,
     |x'|^2 and the inner products x . x' (arrays of one shape).
@@ -134,7 +125,7 @@ def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
     p = spec.params
     qx, qxp, qcov = (first_layer_cov(p, a, d) for a in (sq_x, sq_xp, inner))
     if spec.activation.kind != "relu" or p.sigma_b != 0.0 or spec.depth < 2:
-        return kernel_values(spec, qx, qxp, qcov)
+        return _last_layer(spec, qx, qxp, qcov).ntk[-1]
     root = np.sqrt(qx * qxp)
     _reject_root(root)
     trace = _last_layer(spec, 1.0, 1.0, qcov / root)
@@ -187,7 +178,9 @@ def _decay_factors(state: TrainingState, t: float, n: int) -> np.ndarray:
     zero = lam <= _PINV_RTOL * state.max_eig
     if np.isinf(t):
         return np.where(zero, 1.0, 0.0)
-    return np.where(zero, 1.0, np.exp(-t * lam / n))
+    # -t lam overflows to -inf once lam nears DBL_MAX / t; exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        return np.where(zero, 1.0, np.exp(-t * lam / n))
 
 
 def evolve(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
@@ -211,24 +204,30 @@ def _response_factors(state: TrainingState, t: float) -> np.ndarray:
     return h
 
 
+def _mode_coeffs(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
+    """h U^T (Z - f_0(X)), h = (1 - e^{-t lambda / N}) / lambda per mode: the
+    coefficients of f_t - f_0 in the eigenbasis of KH."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    Z = np.asarray(Z, dtype=np.float64)
+    h = _response_factors(state, t)
+    return h[:, None] * (state.eigenvectors.T @ (Z - state.f0_train))
+
+
 def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
-            x_new: np.ndarray, t: float, f0_new: np.ndarray | None = None,
-            allow_singular: bool = True) -> np.ndarray:
+            x_new: np.ndarray, t: float, f0_new: np.ndarray | None = None) -> np.ndarray:
     """f_t at new inputs via the closed-form generalization formula.
 
     ``x_new`` is one input (d,) or a batch (m, d); the result is (o,) or
     (m, o), and ``f0_new`` has the same shape.  The kernel rows
     K^L(x_new, X) come from one recursion over the m*n cross pairs, run in
     chunks of (n+1)//2 rows so that a chunk never holds more pairs than the
-    Gram's n(n+1)/2.
+    Gram's n(n+1)/2.  A rank-deficient Gram gives the minimum-norm
+    solution.  The product is (K U)(h U^T (Z - f_0)); K a, with a from
+    :func:`rkhs_residual_coeffs`, is the same sum in another order and
+    differs in the last bits.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if state.rank_deficient and not allow_singular:
-        raise SingularMatrixError(
-            "Gram matrix is numerically singular; pass allow_singular=True "
-            "for the minimum-norm solution"
-        )
+    coeffs = _mode_coeffs(state, dataset.Z, t)
     x_new = np.asarray(x_new, dtype=np.float64)
     X_new = np.atleast_2d(x_new)
     X = dataset.X
@@ -243,10 +242,7 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
         K[chunk] = pair_kernel(spec, np.repeat(sq_new[chunk], n),
                                np.tile(sq, len(part)), (part @ X.T).ravel(),
                                d).reshape(-1, n)
-    U = state.eigenvectors
-    h = _response_factors(state, t)
-    B = U.T @ (dataset.Z - state.f0_train)
-    out = (K @ U) @ (h[:, None] * B)
+    out = (K @ state.eigenvectors) @ coeffs
     if f0_new is not None:
         out = out + np.asarray(f0_new, dtype=np.float64)
     return out[0] if x_new.ndim == 1 else out
@@ -258,13 +254,7 @@ def rkhs_residual_coeffs(state: TrainingState, Z: np.ndarray, t: float) -> np.nd
     a = KH^{-1} (I - e^{-t KH / N}) (Z - f_0(X)), through the
     eigendecomposition with the pseudo-inverse convention.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    Z = np.asarray(Z, dtype=np.float64)
-    U = state.eigenvectors
-    h = _response_factors(state, t)
-    B = U.T @ (Z - state.f0_train)
-    return U @ (h[:, None] * B)
+    return state.eigenvectors @ _mode_coeffs(state, Z, t)
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:

@@ -77,13 +77,6 @@ def legendre_table(d: int, k_max: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def legendre_poly(d: int, k: int, t) -> float | np.ndarray:
-    """Single d-dimensional Legendre polynomial P^d_k(t)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    vals = legendre_table(d, k, t_arr)[k]
-    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals
-
-
 @dataclass(frozen=True)
 class KernelConfig:
     """Which kernel to decompose: architecture, activation, init.
@@ -158,6 +151,8 @@ def decompose(profile: np.ndarray, d: int, k_max: int,
     """Funk-Hecke coefficients of a profile sampled on Gauss-Jacobi nodes."""
     if d < 3:
         raise ValueError("d must be >= 3")
+    if k_max < 0:
+        raise ValueError(f"k_max must be nonnegative, got {k_max}")
     rule = rule or jacobi_rule(d)
     if rule.kind != "jacobi" or rule.alpha_exponent != (d - 3) / 2.0:
         raise ValueError("rule must be Gauss-Jacobi with exponent (d-3)/2")
@@ -177,9 +172,9 @@ def decompose(profile: np.ndarray, d: int, k_max: int,
                                  kernel_id=kernel_id)
 
 
-def jacobi_rule(d: int, nodes: int = DEFAULT_NODES) -> QuadratureRule:
+def jacobi_rule(d: int) -> QuadratureRule:
     """The Funk-Hecke quadrature rule for dimension d."""
-    return gauss_jacobi(nodes, (d - 3) / 2.0)
+    return gauss_jacobi(DEFAULT_NODES, (d - 3) / 2.0)
 
 
 def decompose_kernel(config: KernelConfig, d: int, depth: int,

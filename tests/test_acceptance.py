@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from deepntk.activations import CorrelationMap, make_activation
-from deepntk.asymptotics import (ExpansionConstants,
-                                 check_expansion, default_depth_grid,
-                                 fit_rate, iterate_correlation)
+from deepntk.asymptotics import (ExpansionConstants, check_expansion,
+                                 default_depth_grid, depth_law, fit_rate)
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, limiting_kernel, normalize,
                              ntk_trace)
@@ -81,7 +80,7 @@ def test_criterion_01_relu_eoc_constant():
 def test_criterion_02_tanh_eoc_constant(tanh_eoc):
     t0 = time.time()
     params, cmap = tanh_eoc
-    gamma = iterate_correlation("ffnn", TANH, params, 0.5, 10**5, corr_map=cmap)[0]
+    gamma = depth_law("ffnn", TANH, params).iterate(0.5, 10**5)
     kappa = ExpansionConstants.kappa_tanh(cmap)  # 2 / f''(1), from the series row
     rel = abs(10**5 * gamma / kappa - 1.0)
     elapsed = time.time() - t0
@@ -110,13 +109,13 @@ def test_criterion_04_scaled_resnet_constant():
     # offset-free slope extraction in the module tests.
     t0 = time.time()
     sw = np.sqrt(10.0)
-    gamma = iterate_correlation("scaled_resnet_dense", RELU, InitParams(0.0, sw),
-                                0.5, 10**6)[0]
+    gamma = depth_law("scaled_resnet_dense", RELU,
+                      InitParams(0.0, sw)).iterate(0.5, 10**6)
     zeta = ExpansionConstants.zeta_scaled(sw)
     rel = abs(np.log(10**6) ** 2 * gamma / zeta - 1.0)
     elapsed = time.time() - t0
     # diagnostic at the sqrt(2) point (not asserted; pre-asymptotic there)
-    g2 = iterate_correlation("scaled_resnet_dense", RELU, EOC_RELU, 0.5, 10**6)[0]
+    g2 = depth_law("scaled_resnet_dense", RELU, EOC_RELU).iterate(0.5, 10**6)
     rel2 = abs(np.log(10**6) ** 2 * g2 / ExpansionConstants.zeta_scaled(SQRT2) - 1.0)
     ok = rel < 0.15 and elapsed < 60.0
     report(4, ok, f"sigma_w = sqrt(10): |log(l)^2(1-c)/zeta - 1| = {rel:.4f} "

@@ -4,11 +4,10 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
-                                 _diag_expectation, _relu_pair_maps,
-                                 layer_correlation, layer_expectations,
+                                 _diag_expectation, layer_correlation,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu, relu_f,
-                                 relu_f_prime, relu_one_minus_f, tanh_prime)
+                                 relu_one_minus_f, tanh_prime)
 from deepntk.gaussmath import expect1, expect2, expect2_pairs, gauss_hermite
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
@@ -23,6 +22,21 @@ def series_bound(g, q1, q2):
     second moments by the order-256 rule."""
     s1, s2 = (expect1(lambda u: g(u) ** 2, q, ORACLE) for q in (q1, q2))
     return SERIES_TOLERANCE * np.sqrt(s1 * s2)
+
+
+def relu_f_prime(c):
+    """f'(c) = asin(c)/pi + 1/2, twice E[relu'(u1) relu'(u2)] at unit
+    variances (the doubling is exact)."""
+    return 2.0 * phiprime_expectation(RELU, 1.0, 1.0, c)
+
+
+def engine_layer(activation, qx, qxp, qcov):
+    """(E[phi(u1) phi(u2)], E[phi'(u1) phi'(u2)]) of one layer: layer 2 of
+    the kernel engine at (sigma_b, sigma_w) = (0, 1), where its vcov and
+    qdot are the two expectations bit for bit."""
+    trace = dense_layer_arrays("ffnn", activation, InitParams(0.0, 1.0),
+                               qx, qxp, qcov, 2)
+    return trace.vcov[1], trace.qdot[1]
 
 
 def relu_phiphi_oracle(c: float) -> float:
@@ -236,7 +250,7 @@ class TestLayerExpectations:
         # f'(c) has square-root sensitivity at 1: within 1e-12 it is f'(1)
         qx = np.array([2.0, 2.0, 0.5])
         qcov = qx * np.array([1.0 - 1e-13, 1.0 + 1e-13, -1.0 + 1e-13])
-        phiphi, phiprime = layer_expectations(RELU, qx, qx, qcov)
+        phiphi, phiprime = engine_layer(RELU, qx, qx, qcov)
         np.testing.assert_array_equal(phiprime, [0.5, 0.5, 0.0])
         np.testing.assert_array_equal(phiphi, [1.0, 1.0, 0.0])
 
@@ -248,15 +262,19 @@ class TestLayerExpectations:
                       -0.7, 0.0, -1.0 + 5e-5])
         root = np.linspace(0.5, 3.0, c.size)
         got = layer_correlation(c * root, root)
-        f, f_prime = _relu_pair_maps(got)
+
+        def maps(c):
+            return relu_f(c), relu_f_prime(c)
+
+        f, f_prime = maps(got)
         for i in range(c.size):
             alone = layer_correlation(c[i] * root[i], root[i])
             assert got[i] == alone
-            assert (f[i], f_prime[i]) == _relu_pair_maps(alone)
+            assert (f[i], f_prime[i]) == maps(alone)
         past = 1.0 - got < 1e-4
         for part in (got[past], got[~past]):  # all, or none, on the series side
-            f, f_prime = _relu_pair_maps(part)
-            assert all((f[i], f_prime[i]) == _relu_pair_maps(part[i])
+            f, f_prime = maps(part)
+            assert all((f[i], f_prime[i]) == maps(part[i])
                        for i in range(part.size))
 
     def test_tanh_matches_scalar_quadrature(self):
@@ -264,7 +282,7 @@ class TestLayerExpectations:
         qx = np.array([0.4, 1.3, 2.0])
         qxp = np.array([0.9, 1.3, 0.3])
         c = np.array([-0.7, 0.2, 0.95])
-        phiphi, phiprime = layer_expectations(TANH, qx, qxp, c * np.sqrt(qx * qxp))
+        phiphi, phiprime = engine_layer(TANH, qx, qxp, c * np.sqrt(qx * qxp))
         for i in range(3):
             args = (qx[i], qxp[i], c[i], ORACLE)
             for got, g in ((phiphi[i], np.tanh), (phiprime[i], tanh_prime)):
@@ -273,13 +291,16 @@ class TestLayerExpectations:
     @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
     def test_is_the_kernel_engine_layer(self, activation):
         # both run activations.layer_maps, so layer 2 of the engine is
-        # sigma_b^2 + sigma_w^2 E[phi phi] and sigma_w^2 E[phi' phi'] bit for bit
+        # sigma_b^2 + sigma_w^2 E[phi phi] and sigma_w^2 E[phi' phi'] bit for
+        # bit, the pair functions taken at the engine's checked correlations
         qx = np.array([0.4, 1.3, 2.0, 0.7])
         qxp = np.array([0.9, 1.3, 0.3, 0.7])
         qcov = np.array([-0.7, 0.2, 0.95, 1.0 - 1e-13]) * np.sqrt(qx * qxp)
         p = InitParams(0.3, 1.2)
         trace = dense_layer_arrays("ffnn", activation, p, qx, qxp, qcov, 2)
-        phiphi, phiprime = layer_expectations(activation, qx, qxp, qcov)
+        c = layer_correlation(qcov, np.sqrt(qx * qxp))
+        phiphi = phiphi_expectation(activation, qx, qxp, c)
+        phiprime = phiprime_expectation(activation, qx, qxp, c)
         np.testing.assert_array_equal(trace.vcov[1],
                                       p.sigma_b**2 + p.sigma_w**2 * phiphi)
         np.testing.assert_array_equal(trace.qdot[1], p.sigma_w**2 * phiprime)
@@ -288,7 +309,7 @@ class TestLayerExpectations:
     def test_zero_variance_rejected(self, activation):
         with pytest.raises(ValueError, match="not finite"):
             with np.errstate(invalid="ignore"):
-                layer_expectations(activation, np.zeros(2), np.ones(2), np.zeros(2))
+                engine_layer(activation, np.zeros(2), np.ones(2), np.zeros(2))
 
 
 class TestTanhSeries:
@@ -387,7 +408,7 @@ class TestTanhSeries:
     @pytest.mark.parametrize("q", VARIANCES)
     def test_series_at_one_is_the_diagonal(self, q):
         one = np.array([q])
-        phiphi, _ = layer_expectations(TANH, one, one, one)
+        phiphi = phiphi_expectation(TANH, one, one, np.ones(1))
         assert phiphi[0] == _diag_expectation(TANH, one)[0]
         cmap = CorrelationMap(TANH, q, 0.2, 1.3)
         assert cmap(1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q

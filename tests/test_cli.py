@@ -28,7 +28,7 @@ class TestLoadDataset:
         path = write(tmp_path, "d.csv", "a,b,label\n1,0,0\n0,1,1\n0.5,-1,0\n")
         ds = load_dataset(path)
         assert ds.n == 3
-        assert ds.out_dim == 2
+        assert ds.Z.shape == (3, 2)
         np.testing.assert_allclose(ds.Z[:, 1], [0, 1, 0])
 
     def test_zero_row_under_unit_sphere_named(self, tmp_path):
@@ -363,6 +363,34 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "r.csv")
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--phase", "eoc", "--depth", "0", "--sphere-n", "12"],
+        ["train", "--phase", "eoc", "--depth", "-1", "--sphere-n", "12"],
+        ["kernel", "--phase", "eoc", "--depth", "0"],
+        ["spectrum", "--phase", "eoc", "--depths", "0"],
+        ["spectrum", "--phase", "eoc", "--depths", "3,-2"],
+    ], ids=["train_0", "train_negative", "kernel_0", "spectrum_0",
+            "spectrum_negative"])
+    def test_depth_below_one_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv + ["-o", str(out)])
+        assert rc == 2
+        assert "depth must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--phase", "eoc", "--kmax", "-1"],
+         "k_max must be nonnegative, got -1"),
+        (["kernel", "--arch", "cnn", "--channels", "0", "--phase", "eoc",
+          "--depth", "3"], "--channels must be at least 1, got 0"),
+    ], ids=["kmax_negative", "channels_0"])
+    def test_negative_sizes_are_config_errors(self, tmp_path, capsys, argv,
+                                              message):
+        rc = main(argv + ["-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_assumption1_violation_is_config_error(self, tmp_path, capsys):
         # the synthetic sphere points are not translation invariant

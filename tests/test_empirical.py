@@ -4,14 +4,20 @@ import pytest
 
 from deepntk.activations import make_activation
 from deepntk.empirical import (empirical_ntk, finite_difference_gradient,
-                               forward, mean_field_reference,
-                               parameter_gradient, sample_net,
-                               width_convergence_study)
+                               flat_params, forward, parameter_gradient,
+                               sample_net, width_convergence_study)
+from deepntk.kernels import Architecture, InputPair, ntk_trace
 from deepntk.phase import InitParams
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
 EOC = InitParams(0.0, np.sqrt(2.0))
+
+
+def mean_field_reference(arch, params, x, xp, depth):
+    """The infinite-width ReLU kernel of the pair (x, x') at ``depth``."""
+    return float(ntk_trace(Architecture(arch), InputPair(x, xp), RELU, params,
+                           depth).ntk[-1])
 
 
 class TestSampling:
@@ -64,7 +70,7 @@ class TestEmpiricalNtk:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(4)
         net = sample_net(arch, act, InitParams(0.4, 1.1), [4, 4, 4], 4, 77)
-        assert net.parameter_count(4) <= 100
+        assert flat_params(net).size <= 100
         g = parameter_gradient(net, x)
         fd = finite_difference_gradient(net, x, step=1e-5)
         rel = np.abs(g - fd).max() / np.abs(fd).max()
@@ -83,7 +89,7 @@ class TestMeanFieldAgreement:
     def test_ffnn_width_1024(self):
         rng = np.random.default_rng(0)
         x, xp = rng.standard_normal((2, 6))
-        ref = mean_field_reference("ffnn", RELU, EOC, x, xp, 3)
+        ref = mean_field_reference("ffnn", EOC, x, xp, 3)
         vals = np.array([
             empirical_ntk(sample_net("ffnn", RELU, EOC, [1024] * 3, 6, s), x, xp)
             for s in range(12)
@@ -94,7 +100,7 @@ class TestMeanFieldAgreement:
         rng = np.random.default_rng(3)
         x, xp = rng.standard_normal((2, 6))
         p = EOC
-        ref = mean_field_reference("resnet_dense", RELU, p, x, xp, 4)
+        ref = mean_field_reference("resnet_dense", p, x, xp, 4)
         vals = np.array([
             empirical_ntk(sample_net("resnet_dense", RELU, p, [2048] * 4, 6, s),
                           x, xp)

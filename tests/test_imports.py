@@ -2,7 +2,9 @@
 
 One fresh interpreter imports ``deepntk.cli`` and then runs one small op of
 each kind in turn; another runs ``deepntk selftest``, which must load no
-scipy module either (numpy is the only runtime dependency).  Start-up must
+scipy module either (numpy is the only runtime dependency).  A third
+installs the benchmark's span tracer and checks that its targets still
+exist and bind the arguments that its work counts read.  Start-up must
 not load ``scipy`` at all (the quadrature rules are numpy; ``scipy.linalg``
 and ``scipy.special`` cost 0.3 s and about 20 MB), nor ``scipy.optimize``
 in particular, and no op may load a
@@ -101,3 +103,53 @@ def test_op_loads_no_new_scipy_module(report, op):
 
 def test_selftest_loads_no_scipy_module():
     assert _probe(_SELFTEST_PROBE) == {"rc": 0, "scipy": []}
+
+
+_TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "perfbench", "tracer.py")
+
+_TRACER_PROBE = """
+import importlib.util, inspect, json, sys
+
+import deepntk
+import deepntk.cli
+import deepntk.empirical
+from deepntk.activations import make_activation
+from deepntk.asymptotics import check_expansion
+from deepntk.phase import InitParams
+
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Tracer().install()
+params = {}
+for module, name, work in tracer.TARGETS:
+    if work is not None:
+        fn = getattr(sys.modules["deepntk." + module], name)
+        params[module + "." + name] = list(inspect.signature(fn).parameters)
+# the call of the benchmark's expansion op
+inspect.signature(check_expansion).bind(
+    "ffnn", make_activation("relu"), InitParams(0.0, 2.0 ** 0.5), 100, gamma0=0.5)
+print(json.dumps(params))
+"""
+
+#: the arguments that each work-count function of the benchmark's tracer
+#: reads from its target's bound call
+_TRACED_ARGUMENTS = {
+    "gaussmath.expect2_pairs": ["q1", "q2", "c", "rule"],
+    "gaussmath.expect2": ["rule"],
+    "gaussmath.expect1": ["rule"],
+    "kernels.dense_layer_arrays": ["qx0", "qxp0", "qcov0", "L"],
+    "asymptotics.check_expansion": ["depth"],
+    "cli.load_dataset": ["path"],
+    "cli.write_csv": ["path"],
+}
+
+
+def test_benchmark_tracer_targets_bind():
+    # the tracer looks its targets up by name and binds their calls to count
+    # work, so a renamed function or argument fails only a traced run
+    params = _probe(_TRACER_PROBE, _TRACER)
+    assert sorted(params) == sorted(_TRACED_ARGUMENTS)
+    for target, names in _TRACED_ARGUMENTS.items():
+        assert set(names) <= set(params[target]), target

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from deepntk.activations import make_activation, relu_f, relu_f_prime
+from deepntk.activations import make_activation, phiprime_expectation, relu_f
 from deepntk.errors import AssumptionViolatedError, DivergenceError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, kind_law, limiting_kernel,
@@ -54,7 +54,8 @@ def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
                 v1, v2 = varx[a], varxp[ap]
                 c = min(1.0, max(-1.0, g[a][ap] / np.sqrt(v1 * v2)))
                 qhat[a][ap] = w * (sb2 + sw2 * 0.5 * np.sqrt(v1 * v2) * relu_f(c))
-                qdot[a][ap] = w * sw2 * 0.5 * relu_f_prime(c)
+                # E[relu' relu'] at unit variances is f'(c) / 2
+                qdot[a][ap] = w * sw2 * phiprime_expectation(RELU, 1.0, 1.0, c)
         return qhat, qdot
 
     for layer in range(2, L + 1):

@@ -146,12 +146,6 @@ class TestEocCurve:
         with pytest.raises(NoSolutionError):
             eoc_curve(TANH, 100.0)
 
-    def test_chi_target_placement(self):
-        sw = eoc_curve(TANH, 0.3, chi_target=0.99)
-        rep = classify(TANH, InitParams(0.3, sw))
-        assert abs(rep.chi - 0.99) < 1e-9
-        assert rep.phase == "ordered"
-
 
 class TestInvariants:
     def test_chi_monotone_in_sigma_w(self):

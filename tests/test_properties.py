@@ -12,7 +12,7 @@ from deepntk.activations import (_SNAP, _SNAP_EDGE, SERIES_TOLERANCE,
                                  _tanh_maps, make_activation,
                                  phiphi_expectation, phiprime_expectation,
                                  relu_one_minus_f)
-from deepntk.asymptotics import iterate_correlation
+from deepntk.asymptotics import depth_law
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams
 
@@ -50,16 +50,14 @@ def test_gamma_iterators_match_array_path(kind, gamma0, sigma_w):
     depth = 10**4
     alpha = sigma_w**2 / 2.0
     if kind == "relu":
-        got = iterate_correlation("ffnn", RELU, InitParams(0.0, np.sqrt(2.0)),
-                                  gamma0, depth)[0]
+        got = depth_law("ffnn", RELU, InitParams(0.0, np.sqrt(2.0))).iterate(gamma0, depth)
         step = lambda g, l: relu_one_minus_f(g)  # noqa: E731
     elif kind == "resnet":
-        got = iterate_correlation("resnet_dense", RELU, InitParams(0.0, sigma_w),
-                                  gamma0, depth)[0]
+        got = depth_law("resnet_dense", RELU, InitParams(0.0, sigma_w)).iterate(gamma0, depth)
         step = lambda g, l: (g + alpha * relu_one_minus_f(g)) / (1.0 + alpha)  # noqa: E731
     else:
-        got = iterate_correlation("scaled_resnet_dense", RELU, InitParams(0.0, sigma_w),
-                                  gamma0, depth)[0]
+        got = depth_law("scaled_resnet_dense", RELU,
+                        InitParams(0.0, sigma_w)).iterate(gamma0, depth)
 
         def step(g, l):
             al = alpha / l

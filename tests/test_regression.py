@@ -1,18 +1,26 @@
 """Closed-form kernel training: Gram assembly, dynamics, prediction."""
+import warnings
+
 import numpy as np
 import pytest
 
 from deepntk.activations import make_activation
-from deepntk.errors import InvalidDatasetError, SingularMatrixError
-from deepntk.kernels import Architecture, first_layer_cov
+from deepntk.errors import InvalidDatasetError
+from deepntk.kernels import Architecture, dense_layer_arrays, first_layer_cov
 from deepntk.phase import InitParams
 from deepntk.regression import (Dataset, KernelSpec, accuracy, build_gram,
-                                evolve, kernel_values, one_hot, pair_kernel,
-                                predict, rkhs_residual_coeffs)
+                                evolve, one_hot, pair_kernel, predict,
+                                rkhs_residual_coeffs)
 
 RELU = make_activation("relu")
 EOC = InitParams(0.0, np.sqrt(2.0))
 FFNN = Architecture("ffnn")
+
+
+def engine_kernel(spec, qx, qxp, qcov):
+    """K^L of the engine run on the first-layer triples themselves."""
+    return dense_layer_arrays(spec.architecture.kind, spec.activation, spec.params,
+                              qx, qxp, qcov, spec.depth, last_only=True).ntk[-1]
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +160,15 @@ class TestPredict:
         spec = KernelSpec(FFNN, RELU, InitParams(1.0, 0.1), 120)
         state = build_gram(ds, spec)
         assert state.rank_deficient
-        with pytest.raises(SingularMatrixError):
-            predict(state, ds, spec, X[0], np.inf, allow_singular=False)
         probe = rng.standard_normal(4)
         probe /= np.linalg.norm(probe)
         pred = predict(state, ds, spec, probe, np.inf)
         coeffs, *_ = np.linalg.lstsq(state.gram, Z, rcond=1e-11)
         p = spec.params
-        from deepntk.regression import kernel_values
         qx = np.full(5, p.sigma_b**2 + p.sigma_w**2 * (probe @ probe) / 4)
         qxp = p.sigma_b**2 + p.sigma_w**2 * np.sum(X * X, axis=1) / 4
         qcov = p.sigma_b**2 + p.sigma_w**2 * (X @ probe) / 4
-        k = kernel_values(spec, qx, qxp, qcov)
+        k = engine_kernel(spec, qx, qxp, qcov)
         np.testing.assert_allclose(pred, k @ coeffs, atol=1e-8)
 
     @pytest.mark.parametrize("act,depth", [("relu", 40), ("tanh", 5)])
@@ -205,8 +210,19 @@ def _direct_rows(spec, A, X):
     m, n = len(A), len(X)
     qa = first_layer_cov(p, np.sum(A * A, axis=1), d)
     qx = first_layer_cov(p, np.sum(X * X, axis=1), d)
-    return kernel_values(spec, np.repeat(qa, n), np.tile(qx, m),
+    return engine_kernel(spec, np.repeat(qa, n), np.tile(qx, m),
                          first_layer_cov(p, A @ X.T, d).ravel()).reshape(m, n)
+
+
+def _out_of_range_case(sigma_w, d, norm, depth):
+    """Six training rows and three probes (one a training row) of norm
+    ``norm`` in R^d, and the ffnn spec at (0, sigma_w) and ``depth``."""
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((6, d))
+    X *= norm / np.linalg.norm(X, axis=1, keepdims=True)
+    ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
+    probes = np.vstack([rng.standard_normal((2, d)) * norm / np.sqrt(d), X[1]])
+    return ds, probes, KernelSpec(FFNN, RELU, InitParams(0.0, sigma_w), depth)
 
 
 class TestHomogeneousGram:
@@ -260,16 +276,12 @@ class TestHomogeneousGram:
     ])
     def test_unit_kernel_out_of_range(self, sigma_w, d, norm, depth,
                                       gram_tol, pred_tol):
-        rng = np.random.default_rng(7)
-        X = rng.standard_normal((6, d))
-        X *= norm / np.linalg.norm(X, axis=1, keepdims=True)
-        ds = Dataset(X, one_hot((X[:, 0] > 0).astype(int)))
-        probes = np.vstack([rng.standard_normal((2, d)) * norm / np.sqrt(d), X[1]])
-        spec = KernelSpec(FFNN, RELU, InitParams(0.0, sigma_w), depth)
+        ds, probes, spec = _out_of_range_case(sigma_w, d, norm, depth)
+        X = ds.X
         iu, ju = np.triu_indices(len(X))
         q = first_layer_cov(spec.params, np.sum(X * X, axis=1), d)
         c0 = first_layer_cov(spec.params, (X[iu] * X[ju]).sum(axis=1), d) / np.sqrt(q[iu] * q[ju])
-        unit = np.abs(kernel_values(spec, 1.0, 1.0, c0))
+        unit = np.abs(engine_kernel(spec, 1.0, 1.0, c0))
         assert not np.all((unit >= np.finfo(float).tiny) & (unit <= np.finfo(float).max))
         state = build_gram(ds, spec)
         direct = _direct_rows(spec, X, X)
@@ -278,6 +290,19 @@ class TestHomogeneousGram:
         want = _direct_rows(spec, probes, X) @ rkhs_residual_coeffs(state, ds.Z, np.inf)
         got = predict(state, ds, spec, probes, np.inf)
         assert np.max(np.abs(got - want)) <= pred_tol * np.max(np.abs(want))
+
+    def test_decay_overflow_is_silent(self):
+        # every eigenvalue of the sigma_w = 3 Gram above is at least 3.1e307,
+        # so at t = 3 every e^{-t lambda / N} is 0, as at t = inf; -t lambda
+        # overflows to -inf for the largest (9.7e307), which must not warn
+        ds, probes, spec = _out_of_range_case(3.0, 50, 1.0, 469)
+        state = build_gram(ds, spec)
+        assert state.eigenvalues[0] > np.finfo(float).max / 3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = predict(state, ds, spec, probes, 3.0), evolve(state, ds.Z, 3.0)
+        np.testing.assert_array_equal(got[0], predict(state, ds, spec, probes, np.inf))
+        np.testing.assert_array_equal(got[1], evolve(state, ds.Z, np.inf))
 
     def test_self_pairs_keep_unit_correlation(self, data):
         # the Gram diagonal at the EOC is L q^1 (sigma_w^2 / 2)^(L-1): qdot is
@@ -309,7 +334,7 @@ class TestHomogeneousGram:
         sq, inner = np.sum(X * X, axis=1), (X[iu] * X[ju]).sum(axis=1)
         first = [first_layer_cov(EOC, a, d) for a in (sq[iu], sq[ju], inner)]
         homogeneous = pair_kernel(spec, sq[iu], sq[ju], inner, d)
-        per_pair = kernel_values(spec, *first)
+        per_pair = engine_kernel(spec, *first)
         ref = np.array([_mpmath_relu_kernel(mpmath, *triple, EOC.sigma_w, depth)
                         for triple in zip(*first)])
         err_h = np.max(np.abs(homogeneous - ref) / ref)
@@ -360,12 +385,11 @@ class TestRkhsCoefficients:
         probe /= np.linalg.norm(probe)
         t = 3.0
         a = rkhs_residual_coeffs(state, ds.Z, t)
-        from deepntk.regression import kernel_values
         p = spec.params
         qx = np.full(ds.n, p.sigma_b**2 + p.sigma_w**2 * (probe @ probe) / 5)
         qxp = p.sigma_b**2 + p.sigma_w**2 * np.sum(ds.X * ds.X, axis=1) / 5
         qcov = p.sigma_b**2 + p.sigma_w**2 * (ds.X @ probe) / 5
-        k = kernel_values(spec, qx, qxp, qcov)
+        k = engine_kernel(spec, qx, qxp, qcov)
         np.testing.assert_allclose(predict(state, ds, spec, probe, t),
                                    k @ a, atol=1e-8)
 

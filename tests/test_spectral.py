@@ -5,11 +5,12 @@ import pytest
 from deepntk.activations import make_activation
 from deepntk.errors import ResolutionError
 from deepntk.kernels import Architecture
+from deepntk.gaussmath import gauss_jacobi
 from deepntk.phase import InitParams
 from deepntk.spectral import (KernelConfig, decompose,
                               decompose_kernel, eigen_trend, harmonic_count,
-                              jacobi_rule, legendre_poly, legendre_table,
-                              surface_area, zonal_profile)
+                              jacobi_rule, legendre_table, surface_area,
+                              zonal_profile)
 
 RELU = make_activation("relu")
 ORDERED = InitParams(0.3, np.sqrt(2 * 0.9))
@@ -45,10 +46,10 @@ class TestLegendre:
             table = legendre_table(d, 3, t)
             np.testing.assert_allclose(table[0], 1.0)
             np.testing.assert_allclose(table[1], t)
-            assert abs(legendre_poly(d, 2, 1.0) - 1.0) < 1e-14
+            assert abs(legendre_table(d, 2, np.ones(1))[2, 0] - 1.0) < 1e-14
 
     def test_classical_p2_at_zero(self):
-        assert abs(legendre_poly(3, 2, 0.0) + 0.5) < 1e-15
+        assert abs(legendre_table(3, 2, np.zeros(1))[2, 0] + 0.5) < 1e-15
 
     def test_rodrigues_cross_check(self):
         # d=5, k=2: expanding Rodrigues' formula symbolically gives
@@ -93,7 +94,7 @@ class TestDecompose:
         assert abs(dec.weighted_mass[1] - 1.0) < 1e-12  # reconstructs t
 
     def test_resolution_guard(self):
-        rule = jacobi_rule(3, nodes=64)
+        rule = gauss_jacobi(64, 0.0)  # the d = 3 rule on 64 nodes
         with pytest.raises(ResolutionError):
             decompose(np.ones(64), 3, 64, rule)
 
@@ -110,7 +111,7 @@ class TestDecompose:
         # interior reconstruction improves with k_max but cannot reach 1e-6
         # at k_max = 64
         cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
-        rule = jacobi_rule(3, 1024)
+        rule = gauss_jacobi(1024, 0.0)  # the d = 3 rule on 1024 nodes
         prof = zonal_profile(cfg, 3, 300, rule.nodes)
         t = np.linspace(-0.99, 0.99, 301)
         g = zonal_profile(cfg, 3, 300, t)
