@@ -34,8 +34,10 @@ of its two variances, so the series at (q, q, 1) is exactly the diagonal.
 By Cauchy-Schwarz the omitted tail is at most
 |c|^{K+1} sqrt(R_K(q1) R_K(q2)).  A pair whose bound exceeds
 SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
-1) goes to ``expect2_pairs`` at the activation's rule instead, and an
-uncertified diagonal to ``expect1``.
+1) goes to ``expect2_pairs`` instead, and an uncertified diagonal to
+``expect1``, both on the same order-PROJECTION_ORDER rule: every Tanh
+expectation of the package, ``phase``'s moments included, uses that one
+rule.
 
 A layer looks its variances up once, for the pair sums and the diagonal
 together (``TanhSeriesTable.layer``).  Variances all equal, or a single
@@ -69,14 +71,13 @@ import numpy as np
 
 from .gaussmath import (
     CORRELATION_SLACK,
+    PROJECTION_ORDER,
     SERIES_DEGREE,
-    QuadratureRule,
-    _projection_basis,
     clamp_correlation,
-    default_hermite,
     expect1,
     expect2,
     expect2_pairs,
+    gauss_hermite,
     hermite_projection,
 )
 
@@ -117,15 +118,13 @@ def tanh_prime(u):
 
 @dataclass(frozen=True)
 class ActivationModel:
-    """An activation plus the quadrature backing its expectation maps.
+    """An activation and the state behind its expectation maps.
 
-    ReLU ignores the rule entirely (closed forms only); Tanh uses it for the
-    expectations its series cannot certify, and keeps the series of the
-    variances it met in ``series``.
+    ReLU has closed forms only; Tanh keeps the series of the variances it
+    met in ``series``.
     """
 
     kind: str
-    quadrature: QuadratureRule
     series: TanhSeriesTable = field(default_factory=lambda: TanhSeriesTable(),
                                     compare=False, repr=False)
 
@@ -142,8 +141,8 @@ class ActivationModel:
         return relu_prime if self.kind == "relu" else tanh_prime
 
 
-def make_activation(kind: str, rule: QuadratureRule | None = None) -> ActivationModel:
-    return ActivationModel(kind=kind, quadrature=rule or default_hermite())
+def make_activation(kind: str) -> ActivationModel:
+    return ActivationModel(kind=kind)
 
 
 def _relu_series(g, sqrt=np.sqrt):
@@ -405,7 +404,7 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
     m = 1 (shared by every pair): E[tanh^2] of each variance into ``diag``
     (2, m), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into ``prime``.
     The certified series, else ``expect2_pairs`` (pairs) and ``expect1``
-    (diagonals) at the activation's rule."""
+    (diagonals) on the order-PROJECTION_ORDER rule."""
     q = V.reshape(-1)
     layer = activation.series.layer(q)
     values, certified = _series_sum(*layer.terms, c)
@@ -415,23 +414,24 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
             m = ~certified[j]
             if m.any():
                 values[j, m] = expect2_pairs(g, qx[m], qxp[m], c[m],
-                                             activation.quadrature)
+                                             gauss_hermite(PROJECTION_ORDER))
     phiphi[...] = values[0]
     prime[...] = values[1]
     if layer.diagonal_certified:
         diag[...] = layer.diagonal
     else:
         flat = np.broadcast_to(layer.diagonal, diag.shape).flatten()
-        diag[...] = _certify_diagonal(activation, q, flat).reshape(diag.shape)
+        diag[...] = _certify_diagonal(q, flat).reshape(diag.shape)
 
 
-def _certify_diagonal(activation: ActivationModel, q, diag) -> np.ndarray:
-    """The series diagonals ``diag`` of the 1D variances q, with ``expect1``
-    at the activation's rule in place of the uncertified (NaN) ones."""
+def _certify_diagonal(q, diag) -> np.ndarray:
+    """The series diagonals ``diag`` of the 1D variances q, with
+    :func:`tanh_moment` (``phase``'s m(q)) in place of the uncertified
+    (NaN) ones."""
     uncertified = np.isnan(diag)
     if uncertified.any():
         values, inverse = np.unique(q[uncertified], return_inverse=True)
-        diag[uncertified] = np.array([expect1(_tanh_squared, v, activation.quadrature)
+        diag[uncertified] = np.array([tanh_moment(v)
                                       for v in values.tolist()])[inverse]
     return diag
 
@@ -473,13 +473,13 @@ class CorrelationMap:
     def __call__(self, c: float) -> float:
         """f(c): the certified series, summed by :func:`_series_sum` as
         one pair of :meth:`TanhSeriesTable.pairs` (and so to its value),
-        else ``expect2`` at the activation's rule."""
+        else ``expect2`` on the order-PROJECTION_ORDER rule."""
         c = clamp_correlation(c)
         values, certified = _series_sum(*self._terms, np.array([c]))
         if certified[0, 0]:
             e = float(values[0, 0])
         else:
-            e = expect2(np.tanh, self.q, self.q, c, self.activation.quadrature)
+            e = expect2(np.tanh, self.q, self.q, c, gauss_hermite(PROJECTION_ORDER))
         return (self.sigma_b**2 + self.sigma_w**2 * e) / self.q
 
     def deficit(self, gamma: float) -> float:
@@ -645,9 +645,9 @@ def _tanh_squared(u):
 
 def tanh_moment(q: float, prime: bool = False) -> float:
     """E[tanh(sqrt(q) Z)^2], or E[tanh'(sqrt(q) Z)^2] if ``prime``, on the
-    order-256 rule of the series projection."""
+    order-PROJECTION_ORDER rule of the series projection."""
     square = (lambda u: tanh_prime(u) ** 2) if prime else _tanh_squared
-    return expect1(square, q, _projection_basis()[0])
+    return expect1(square, q, gauss_hermite(PROJECTION_ORDER))
 
 
 def _diag_expectation(activation: ActivationModel, q, out=None) -> np.ndarray:
@@ -659,7 +659,7 @@ def _diag_expectation(activation: ActivationModel, q, out=None) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     flat = q.ravel()
     rows = activation.series.rows(flat)
-    diag = _certify_diagonal(activation, flat, activation.series.diagonal[rows])
+    diag = _certify_diagonal(flat, activation.series.diagonal[rows])
     if out is None:
         return diag.reshape(q.shape)
     out[...] = diag.reshape(q.shape)

@@ -190,10 +190,9 @@ def _linear_fit(x, y):
 
 
 def fit_rate(depths, residuals, model: str) -> RateFit:
-    """Fit residual decay vs depth under one of four laws.
+    """Fit residual decay vs depth under one of three laws.
 
     power:     r = A L^p          (log r vs log L)
-    power_log: r = A log(L) L^p   (log r - log log L vs log L)
     exp:       r = A e^{-gamma L} (log r vs L)
     inv_log:   r = A / log(L)^p   (log r vs log log L)
 
@@ -211,9 +210,6 @@ def fit_rate(depths, residuals, model: str) -> RateFit:
     if model == "power":
         slope, intercept, r2 = _linear_fit(np.log(depths), logr)
         return RateFit("power", slope, float(np.exp(intercept)), r2, rng)
-    if model == "power_log":
-        slope, intercept, r2 = _linear_fit(np.log(depths), logr - np.log(np.log(depths)))
-        return RateFit("power_log", slope, float(np.exp(intercept)), r2, rng)
     if model == "exp":
         slope, intercept, r2 = _linear_fit(depths, logr)
         return RateFit("exp", -slope, float(np.exp(intercept)), r2, rng)

@@ -38,7 +38,6 @@ from . import __version__
 from .activations import ActivationModel, make_activation
 from .asymptotics import default_depth_grid, fit_rate
 from .errors import DivergenceError, NumericError
-from .gaussmath import gauss_hermite
 from .kernels import (CONV_KINDS, Architecture, InputPair, KindLaw,
                       dense_layer_arrays, first_layer_cov, kind_law,
                       limiting_kernel, normalize, ntk_trace)
@@ -182,13 +181,6 @@ def sphere_dataset(d: int, n: int, seed: int) -> Dataset:
 # shared kernel construction
 # ---------------------------------------------------------------------------
 
-def _activation_from(args) -> ActivationModel:
-    if args.quadrature_order < 2:
-        raise ConfigError(
-            f"--quadrature-order must be at least 2, got {args.quadrature_order}")
-    return make_activation(args.activation, gauss_hermite(args.quadrature_order))
-
-
 def _params_from(args, act: ActivationModel) -> InitParams:
     if getattr(args, "phase", None) == "eoc" and args.sigma_w is None:
         sb = args.sigma_b if args.sigma_b is not None else 0.0
@@ -210,10 +202,12 @@ def _architecture_from(args) -> Architecture:
     return Architecture(kind)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
-    """'a:b:n' -> n evenly spaced values; 'v1,v2,...' -> explicit list."""
+def _parse_grid(spec: str, flag: str) -> np.ndarray:
+    """'a:b:n' -> n >= 1 evenly spaced values; 'v1,v2,...' -> explicit list."""
     if ":" in spec:
         a, b, n = spec.split(":")
+        if int(n) < 1:
+            raise ConfigError(f"{flag} needs a count of at least 1, got {spec!r}")
         return np.linspace(float(a), float(b), int(n))
     return np.array([float(v) for v in spec.split(",")])
 
@@ -225,8 +219,9 @@ def _parse_grid(spec: str) -> np.ndarray:
 def cmd_phase(args) -> int:
     act = make_activation(args.activation)
     rows = []
-    for sb in _parse_grid(args.sigma_b_grid):
-        for sw in _parse_grid(args.sigma_w_grid):
+    sigma_ws = _parse_grid(args.sigma_w_grid, "--sigma-w-grid")
+    for sb in _parse_grid(args.sigma_b_grid, "--sigma-b-grid"):
+        for sw in sigma_ws:
             try:
                 rep = classify(act, InitParams(float(sb), float(sw)))
                 rows.append((sb, sw, rep.q_fixed, rep.chi, rep.phase))
@@ -267,7 +262,7 @@ def _kernel_pair(args) -> InputPair:
 
 
 def cmd_kernel(args) -> int:
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     params = _params_from(args, act)
     pair = _kernel_pair(args)
     arch = _architecture_from(args)
@@ -305,7 +300,7 @@ def cmd_rates(args) -> int:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     if args.j_max < 7:  # fit_rate needs 8 depths, j = 0..7
         raise ConfigError(f"--j-max must be at least 7, got {args.j_max}")
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     params = _params_from(args, act)
     grid = default_depth_grid(args.j_max)
     L = grid[-1]
@@ -350,7 +345,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     params = _params_from(args, act)
     config = KernelConfig(Architecture(args.arch), act, params)
     depths = [int(v) for v in args.depths.split(",")]
@@ -371,7 +366,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_train(args) -> int:
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     params = _params_from(args, act)
     if args.data:
         ds_full = load_dataset(args.data, args.normalize)
@@ -417,7 +412,7 @@ def cmd_train(args) -> int:
 
 def cmd_empirical(args) -> int:
     from .empirical import width_convergence_study
-    act = _activation_from(args)
+    act = make_activation(args.activation)
     params = _params_from(args, act)
     X = synthetic_sphere(args.sphere_d, 2, args.seed)
     widths = [int(w) for w in args.widths.split(",")]
@@ -454,7 +449,6 @@ def _add_kernel_flags(p: argparse.ArgumentParser, archs) -> None:
     p.add_argument("--sigma-w", type=float, default=None)
     p.add_argument("--phase", choices=("eoc",), default=None,
                    help="derive (sigma_b, sigma_w) on the critical curve")
-    p.add_argument("--quadrature-order", type=int, default=64)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,15 +31,8 @@ import numpy as np
 
 from .errors import NumericError
 
-#: Default 1D order: the Tanh pairs and diagonals that the series cannot
-#: certify (see ``activations``) use it; ``phase`` reads its moments from
-#: the PROJECTION_ORDER rule instead.  The 64x64 tensor
-#: grid is accurate for small variances only: E[tanh tanh] at c = 0.999
-#: differs from order 256 by 6.2e-13 at q = 0.512, 1.7e-5 at q = 3,
-#: 2.8e-3 at q = 10, 2.5e-2 at q = 30.
-DEFAULT_ORDER = 64
-
-#: Order of the rule behind :func:`hermite_projection`.
+#: Order of the rule behind :func:`hermite_projection`, and the one rule of
+#: every Tanh expectation (see ``activations`` and ``phase``).
 PROJECTION_ORDER = 256
 
 #: Highest Hermite order: its smallest weight is 4.8e-300; at order 370 the
@@ -252,10 +245,11 @@ def expect2_pairs(g, q1, q2, c, rule: QuadratureRule) -> np.ndarray:
     Returns an array of the same shape as the broadcast inputs.  Used by the
     kernel recursions, which propagate many input pairs per layer.  The grid
     is laid out as (pair, i, j) and evaluated in blocks of
-    max(1, _BLOCK_POINTS // order^2) pairs (8 at order 64), so temporaries
-    stay cache-sized at any number of pairs.  Each block is reduced in
-    ``einsum``'s own loops, not BLAS, whose results depend on the number of
-    rows: a pair gets the same bits whatever the other pairs of its call.
+    max(1, _BLOCK_POINTS // order^2) pairs (one pair of 65,536 points at
+    order 256), so temporaries stay bounded at any number of pairs.  Each
+    block is reduced in ``einsum``'s own loops, not BLAS, whose results
+    depend on the number of rows: a pair gets the same bits whatever the
+    other pairs of its call.
     """
     if rule.kind != "hermite":
         raise ValueError("expect2_pairs requires a hermite rule")
@@ -336,8 +330,3 @@ def hermite_projection(g, q) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError("integrand evaluated to a non-finite value")
     return (np.einsum("vn,nk->vk", vals, basis),
             np.einsum("vn,n->v", vals * vals, rule.weights))
-
-
-def default_hermite() -> QuadratureRule:
-    """Shared order-DEFAULT_ORDER Hermite rule."""
-    return gauss_hermite(DEFAULT_ORDER)

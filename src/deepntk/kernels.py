@@ -93,7 +93,6 @@ from .activations import (
     ActivationModel,
     CorrelationMap,
     _correlation,
-    _diag_expectation,
     _reject_root,
     layer_correlation,
     layer_maps,
@@ -101,7 +100,7 @@ from .activations import (
 )
 from .errors import AssumptionViolatedError, DivergenceError
 from .gaussmath import clamp_correlation
-from .phase import InitParams, classify, variance_fixed_point
+from .phase import InitParams, classify
 
 _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
 #: same order as _DENSE_KINDS: under Assumption 1 each conv kind runs the
@@ -129,6 +128,9 @@ class Architecture:
         if self.is_conv:
             if self.positions is None or self.filter_half_width is None:
                 raise ValueError("conv architectures need positions and filter_half_width")
+            if self.filter_half_width < 0:
+                raise ValueError("filter half-width k must be nonnegative, "
+                                 f"got {self.filter_half_width}")
             if 2 * self.filter_half_width + 1 > self.positions:
                 raise ValueError("filter size 2k+1 must not exceed positions M")
 
@@ -575,15 +577,10 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
             q_lim = (alpha / (1.0 + alpha)) * np.sqrt(v_inf_x * v_inf_xp)
         return float(q_lim / share)
 
+    # classify's q* is the variance the recursion settles at: its Tanh
+    # diagonals and phase's m(q) come from the same order-256 rule
     report = classify(activation, params, input_variance=qx1)
     q = report.q_fixed
-    if activation.kind == "tanh":
-        # the variance the recursion settles at: past the certified range of
-        # the series its diagonals come from the activation's rule, whose
-        # fixed point is off classify's order-256 one (by 4.3e-4 at (1, 2.5))
-        q = variance_fixed_point(
-            activation, params,
-            moment=lambda v: float(_diag_expectation(activation, v)))
     if report.phase == "eoc":
         if activation.kind == "relu":  # every variance is fixed: q = q^1
             q = (sw2 * float(np.linalg.norm(pair.x)) * float(np.linalg.norm(pair.xp))

@@ -24,6 +24,7 @@ sigma_w^2 = 1 / p(q) and sigma_b^2 = q - m(q) / p(q)
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,10 @@ class InitParams:
     sigma_w: float
 
     def __post_init__(self):
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be nonnegative")
-        if self.sigma_w <= 0:
-            raise ValueError("sigma_w must be positive")
+        if not 0.0 <= self.sigma_b < math.inf:
+            raise ValueError(f"sigma_b must be finite and nonnegative, got {self.sigma_b}")
+        if not 0.0 < self.sigma_w < math.inf:
+            raise ValueError(f"sigma_w must be finite and positive, got {self.sigma_w}")
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,15 @@ class PhaseReport:
 
 
 def variance_fixed_point(activation: ActivationModel, params: InitParams,
-                         input_variance: float = 1.0, moment=None) -> float:
+                         input_variance: float = 1.0) -> float:
     """Limiting variance of the layer map q -> sigma_b^2 + sigma_w^2 E[phi^2].
 
     For ReLU with sigma_w > sqrt(2) the variance diverges; on the ReLU
     critical point (0, sqrt(2)) every variance is fixed, so the caller's
     ``input_variance`` is returned.  Tanh with sigma_b = 0 and sigma_w <= 1
     has the stable fixed point 0; otherwise the positive root of
-    h(q) = sigma_b^2 + sigma_w^2 m(q) - q, with m = ``moment`` (default
-    E[tanh^2] on the order-256 rule).
+    h(q) = sigma_b^2 + sigma_w^2 m(q) - q, with m(q) = E[tanh^2] on the
+    order-256 rule.
     """
     sb, sw = params.sigma_b, params.sigma_w
     if activation.kind == "relu":
@@ -119,13 +120,12 @@ def variance_fixed_point(activation: ActivationModel, params: InitParams,
             raise DivergenceError(f"ReLU variance diverges for sigma_w={sw} >= sqrt(2) "
                                   f"and sigma_b={sb}")
         return sb * sb / (1.0 - sw * sw / 2.0)
-    m = moment or tanh_moment
     sb2, sw2 = sb * sb, sw * sw
     if sb2 == 0.0 and sw <= 1.0:
         return 0.0
 
     def h(q):  # h(q) / q, which keeps its scale as q -> 0+
-        return (sb2 + sw2 * m(q)) / q - 1.0
+        return (sb2 + sw2 * tanh_moment(q)) / q - 1.0
 
     lo = sb2 or 1e-150  # with sigma_b = 0, h(q) / q -> sigma_w^2 - 1 > 0
     h_lo = h(lo)
@@ -190,8 +190,8 @@ def eoc_curve(activation: ActivationModel, sigma_b: float) -> float:
     moments loses q* to rounding: sigma_w is then within 2.5e-16 of
     mpmath down to sigma_b = 1e-14.
     """
-    if sigma_b < 0:
-        raise ValueError("sigma_b must be nonnegative")
+    if not 0.0 <= sigma_b < math.inf:
+        raise ValueError(f"sigma_b must be finite and nonnegative, got {sigma_b}")
     if activation.kind == "relu":
         if sigma_b != 0.0:
             raise NoSolutionError("ReLU critical set is the single point (0, sqrt(2))")

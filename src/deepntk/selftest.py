@@ -48,7 +48,7 @@ def _relu_quadrant_oracle(c: float) -> float:
 
 
 def checks_gaussmath():
-    rule = gm.default_hermite()
+    rule = gm.gauss_hermite(64)
     out = []
     # expect2 at c=1 equals expect1 of the square
     worst = max(
@@ -80,7 +80,7 @@ def checks_gaussmath():
 
 
 def checks_activations():
-    rule = gm.default_hermite()
+    rule = gm.gauss_hermite(64)
     relu = act.make_activation("relu")
     tanh = act.make_activation("tanh")
     out = []

@@ -106,10 +106,8 @@ class SpectralDecomposition:
     """Funk-Hecke coefficients of one zonal profile."""
 
     d: int
-    depth: int
     mu: np.ndarray
     multiplicities: np.ndarray
-    kernel_id: str
 
     @property
     def weighted_mass(self) -> np.ndarray:
@@ -146,8 +144,7 @@ def zonal_profile(config: KernelConfig, d: int, depth: int,
 
 
 def decompose(profile: np.ndarray, d: int, k_max: int,
-              rule: QuadratureRule | None = None,
-              kernel_id: str = "") -> SpectralDecomposition:
+              rule: QuadratureRule | None = None) -> SpectralDecomposition:
     """Funk-Hecke coefficients of a profile sampled on Gauss-Jacobi nodes."""
     if d < 3:
         raise ValueError("d must be >= 3")
@@ -168,8 +165,7 @@ def decompose(profile: np.ndarray, d: int, k_max: int,
     mu = ratio * table @ (rule.weights * profile)
     counts = np.array([harmonic_count(d, k) for k in range(k_max + 1)],
                       dtype=np.float64)
-    return SpectralDecomposition(d=d, depth=0, mu=mu, multiplicities=counts,
-                                 kernel_id=kernel_id)
+    return SpectralDecomposition(d=d, mu=mu, multiplicities=counts)
 
 
 def jacobi_rule(d: int) -> QuadratureRule:
@@ -182,14 +178,7 @@ def decompose_kernel(config: KernelConfig, d: int, depth: int,
                      rule: QuadratureRule | None = None) -> SpectralDecomposition:
     """Run the depth-L recursion on the quadrature nodes and decompose."""
     rule = rule or jacobi_rule(d)
-    profile = zonal_profile(config, d, depth, rule.nodes)
-    dec = decompose(profile, d, k_max, rule,
-                    kernel_id=f"{config.architecture.kind}/{config.activation.kind}"
-                              f"/sb={config.params.sigma_b}/sw={config.params.sigma_w}"
-                              f"/L={depth}")
-    return SpectralDecomposition(d=d, depth=depth, mu=dec.mu,
-                                 multiplicities=dec.multiplicities,
-                                 kernel_id=dec.kernel_id)
+    return decompose(zonal_profile(config, d, depth, rule.nodes), d, k_max, rule)
 
 
 def eigen_trend(config: KernelConfig, d: int, depths: list[int],

@@ -206,11 +206,6 @@ class TestFitRate:
         assert abs(fit.exponent - 0.3) < 1e-8
         assert abs(fit.r_squared - 1.0) < 1e-12
 
-    def test_power_log(self):
-        L = np.array(default_depth_grid())
-        fit = fit_rate(L, 5.0 * np.log(L) / L, "power_log")
-        assert abs(fit.exponent + 1.0) < 1e-10
-
     def test_inv_log(self):
         L = np.array(default_depth_grid())
         fit = fit_rate(L, 2.0 / np.log(L) ** 1.5, "inv_log")

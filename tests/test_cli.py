@@ -327,6 +327,51 @@ class TestExitCodes:
                 "finite") in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv,field", [
+        (["phase", "--activation", "relu", "--sigma-b-grid", "nan"], "sigma_b"),
+        (["phase", "--activation", "tanh", "--sigma-w-grid", "1,inf"], "sigma_w"),
+        (["kernel", "--sigma-b", "nan", "--sigma-w", "1", "--depth", "3"], "sigma_b"),
+        (["kernel", "--sigma-b", "0.1", "--sigma-w", "inf", "--depth", "3"], "sigma_w"),
+        (["kernel", "--activation", "tanh", "--phase", "eoc", "--sigma-b", "nan",
+          "--depth", "3"], "sigma_b"),
+    ], ids=["phase-nan-b", "phase-inf-w", "kernel-nan-b", "kernel-inf-w", "eoc-nan-b"])
+    def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, argv, field):
+        out = str(tmp_path / "o.csv")
+        assert main(argv + ["-o", out]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--sigma-b-grid", "--sigma-w-grid"])
+    @pytest.mark.parametrize("grid", ["0:1:0", "0:1:-2"])
+    def test_empty_phase_grid_is_config_error(self, tmp_path, capsys, flag, grid):
+        out = str(tmp_path / "p.csv")
+        assert main(["phase", "--activation", "relu", flag, grid, "-o", out]) == 2
+        assert f"{flag} needs a count of at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_negative_filter_half_width_is_config_error(self, tmp_path, capsys):
+        out = str(tmp_path / "k.csv")
+        rc = main(["kernel", "--arch", "cnn", "--phase", "eoc", "--depth", "3",
+                   "--filter-k", "-1", "-o", out])
+        assert rc == 2
+        assert "filter half-width k must be nonnegative" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_quadrature_order_is_not_an_option(self, tmp_path):
+        # every Tanh expectation uses the one projection rule: there is no
+        # order to choose, on the command line or in a config file
+        out = str(tmp_path / "k.csv")
+        argv = ["kernel", "--activation", "tanh", "--phase", "eoc", "--sigma-b", "0.2",
+                "--depth", "3", "-o", out]
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--quadrature-order", "64"] + argv[1:])
+        assert exc.value.code == 2
+        cfg = write(tmp_path, "cfg.txt", "quadrature_order = 64\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg] + argv)
+        assert exc.value.code == 2
+        assert not os.path.exists(out)
+
     def test_vanishing_variance_warns_nothing(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -334,16 +379,6 @@ class TestExitCodes:
                        "--sigma-w", "1e-200", "--depth", "5",
                        "-o", str(tmp_path / "k.csv")])
         assert rc == 2
-
-    @pytest.mark.parametrize("order", ["0", "1"])
-    def test_quadrature_order_below_two_is_config_error(self, tmp_path, capsys, order):
-        # order 0 is an error, not the default rule
-        rc = main(["kernel", "--activation", "tanh", "--quadrature-order", order,
-                   "--phase", "eoc", "--sigma-b", "0.2", "--depth", "3",
-                   "-o", str(tmp_path / "k.csv")])
-        assert rc == 2
-        assert "--quadrature-order" in capsys.readouterr().err
-        assert not os.path.exists(tmp_path / "k.csv")
 
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
         rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",

@@ -6,12 +6,11 @@ from scipy.special import beta, roots_jacobi, roots_legendre
 
 from deepntk.activations import relu
 from deepntk.errors import NumericError
-from deepntk.gaussmath import (SERIES_DEGREE, clamp_correlation,
-                               default_hermite, expect1, expect2,
-                               expect2_pairs, gauss_hermite, gauss_jacobi,
-                               hermite_projection)
+from deepntk.gaussmath import (SERIES_DEGREE, clamp_correlation, expect1,
+                               expect2, expect2_pairs, gauss_hermite,
+                               gauss_jacobi, hermite_projection)
 
-RULE = default_hermite()
+RULE = gauss_hermite(64)
 
 
 class TestGaussHermite:

@@ -7,7 +7,7 @@ from deepntk.errors import AssumptionViolatedError, DivergenceError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, kind_law, limiting_kernel,
                              normalize, ntk_trace, scaled_resnet_growth_constant)
-from deepntk.phase import InitParams, eoc_curve
+from deepntk.phase import InitParams, classify, eoc_curve
 from deepntk.spectral import KernelConfig, zonal_profile
 
 RELU = make_activation("relu")
@@ -201,6 +201,9 @@ class TestCnn:
     def test_filter_width_validation(self):
         with pytest.raises(ValueError):
             Architecture("cnn", positions=3, filter_half_width=2)
+        # a window of 2k + 1 = -1 positions would make every variance negative
+        with pytest.raises(ValueError, match="filter half-width"):
+            Architecture("cnn", positions=3, filter_half_width=-1)
 
 
 class TestResnetDense:
@@ -460,6 +463,16 @@ class TestLimitingKernel:
         with pytest.raises(DivergenceError):
             limiting_kernel(Architecture("ffnn"), RELU, InitParams(0.0, 1.8),
                             InputPair(x, xp))
+
+    @pytest.mark.parametrize("sigma_b,sigma_w", [(0.2, 1.8), (1.0, 2.5), (0.5, 3.0)])
+    def test_tanh_recursion_settles_at_classify_fixed_point(self, sigma_b, sigma_w):
+        # past q = 1.2 the series leaves diagonals uncertified: their
+        # fallback is phase's m(q) on the same rule, so the engine's fixed
+        # point is classify's
+        p = InitParams(sigma_b, sigma_w)
+        trace = dense_layer_arrays("ffnn", TANH, p, 1.0, 1.0, 0.5, 300, last_only=True)
+        q = classify(TANH, p).q_fixed
+        assert abs(float(trace.qx[-1]) / q - 1.0) <= 1e-14
 
     def test_chaotic_tanh_constant(self, rng):
         p = InitParams(0.2, 1.8)

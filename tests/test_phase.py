@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from deepntk.activations import CorrelationMap, make_activation, tanh_moment
 from deepntk.errors import DivergenceError, NoSolutionError
-from deepntk.gaussmath import expect1
+from deepntk.gaussmath import PROJECTION_ORDER, expect1, gauss_hermite
 from deepntk.phase import (PHASE_TOL, InitParams, classify, eoc_curve,
                            variance_fixed_point)
 
@@ -44,7 +44,7 @@ class TestVarianceFixedPoint:
         p = InitParams(0.2, TANH_EOC_SW_02)
         q = variance_fixed_point(TANH, p)
         resid = q - (p.sigma_b**2 + p.sigma_w**2 * expect1(
-            lambda u: np.tanh(u) ** 2, q, TANH.quadrature))
+            lambda u: np.tanh(u) ** 2, q, gauss_hermite(PROJECTION_ORDER)))
         assert abs(resid) < 1e-10
 
     def test_tanh_degenerate_zero_bias(self):
