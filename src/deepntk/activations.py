@@ -96,11 +96,6 @@ SERIES_TOLERANCE = 1e-13
 #: rows of a TanhSeriesTable, one per variance (about 4 KB each)
 _SERIES_TABLE_ROWS = 256
 
-#: lookups of at most this many variances run in Python lists: they skip
-#: np.unique, whose fixed cost (about 20 us) dominates a few-pair layer,
-#: and take their least and largest variance with min and max
-_SMALL_LOOKUP = 16
-
 
 def relu(u):
     return np.maximum(u, 0.0)
@@ -302,7 +297,8 @@ class TanhSeriesTable:
         self.diagonal = np.empty(capacity)
 
     def _find(self, keys: list[float]) -> list[int]:
-        """The row of each variance in ``keys``, adding the missing ones."""
+        """The row of each variance in ``keys``, adding the missing ones.
+        May replace the table's arrays: read them after the lookup."""
         missing = {v for v in keys if v not in self.index}
         if len(self.index) + len(missing) > self.degree.size:
             self.index.clear()  # start over, with every variance of keys
@@ -312,15 +308,6 @@ class TanhSeriesTable:
         if missing:
             self._add(sorted(missing))
         return [self.index[v] for v in keys]
-
-    def rows(self, q: np.ndarray) -> np.ndarray:
-        """The row of each entry of the 1D variance array q.  May replace
-        the table's arrays: read them after the lookup."""
-        inverse = None
-        if q.size > _SMALL_LOOKUP:
-            q, inverse = np.unique(q, return_inverse=True)
-        rows = np.array(self._find(q.tolist()), dtype=np.intp)
-        return rows if inverse is None else rows[inverse]
 
     def _add(self, missing: list[float]) -> None:
         m = len(missing)
@@ -372,20 +359,15 @@ class TanhSeriesTable:
         if key == self._key:
             return self._last
         n = q.size // 2
-        if q.size <= _SMALL_LOOKUP:
-            keys = q.tolist()
-            lo, hi = min(keys), max(keys)
-        else:
-            lo = float(np.minimum.reduce(q))
-            hi = float(np.maximum.reduce(q))
-        if n == 1 or lo == hi:
+        if n == 1 or np.minimum.reduce(q) == np.maximum.reduce(q):
             rows = self._find([float(q[0]), float(q[n])])
             terms = self._terms(np.array(rows[:1]), np.array(rows[1:]))[:3] + (None,)
             diagonal = self.diagonal[rows][:, None]
             self._last = _SeriesLayer(terms, diagonal, not np.isnan(diagonal).any())
             self._key = key
             return self._last
-        rows = self.rows(q)
+        values, inverse = np.unique(q, return_inverse=True)
+        rows = np.array(self._find(values.tolist()), dtype=np.intp)[inverse]
         diagonal = self.diagonal[rows].reshape(2, n)
         return _SeriesLayer(self._terms(rows[:n], rows[n:]), diagonal,
                             not np.isnan(diagonal).any())
@@ -405,8 +387,7 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
     (2, m), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into ``prime``.
     The certified series, else ``expect2_pairs`` (pairs) and ``expect1``
     (diagonals) on the order-PROJECTION_ORDER rule."""
-    q = V.reshape(-1)
-    layer = activation.series.layer(q)
+    layer = activation.series.layer(V.reshape(-1))
     values, certified = _series_sum(*layer.terms, c)
     if not np.logical_and.reduce(certified, axis=None):
         qx, qxp = np.broadcast_to(V, (2, c.size))
@@ -417,23 +398,12 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
                                              gauss_hermite(PROJECTION_ORDER))
     phiphi[...] = values[0]
     prime[...] = values[1]
-    if layer.diagonal_certified:
-        diag[...] = layer.diagonal
-    else:
-        flat = np.broadcast_to(layer.diagonal, diag.shape).flatten()
-        diag[...] = _certify_diagonal(q, flat).reshape(diag.shape)
-
-
-def _certify_diagonal(q, diag) -> np.ndarray:
-    """The series diagonals ``diag`` of the 1D variances q, with
-    :func:`tanh_moment` (``phase``'s m(q)) in place of the uncertified
-    (NaN) ones."""
-    uncertified = np.isnan(diag)
-    if uncertified.any():
-        values, inverse = np.unique(q[uncertified], return_inverse=True)
+    diag[...] = layer.diagonal
+    if not layer.diagonal_certified:  # phase's m(q) per distinct variance
+        uncertified = np.isnan(diag)
+        distinct, inverse = np.unique(V[uncertified], return_inverse=True)
         diag[uncertified] = np.array([tanh_moment(v)
-                                      for v in values.tolist()])[inverse]
-    return diag
+                                      for v in distinct.tolist()])[inverse]
 
 
 @dataclass(frozen=True)
@@ -461,7 +431,7 @@ class CorrelationMap:
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
         table = self.activation.series
-        r = int(table.rows(np.array([float(self.q)]))[0])
+        r = table._find([float(self.q)])[0]
         a = table.coef[:, 0, r]
         rows = np.array([r])
         for name, value in (("_terms", table._terms(rows, rows)[:3] + (None,)),
@@ -605,7 +575,7 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
         half_root = np.empty_like(root)
 
         def maps(c, lo, hi):
-            _diag_expectation(activation, V, diag)
+            np.divide(V, 2.0, out=diag)
             _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(0.5, root, out=half_root)
             np.multiply(half_root, phiphi, out=phiphi)
@@ -649,18 +619,3 @@ def tanh_moment(q: float, prime: bool = False) -> float:
     square = (lambda u: tanh_prime(u) ** 2) if prime else _tanh_squared
     return expect1(square, q, gauss_hermite(PROJECTION_ORDER))
 
-
-def _diag_expectation(activation: ActivationModel, q, out=None) -> np.ndarray:
-    """E[phi(sqrt(q) Z)^2], into ``out`` if given: q/2 for ReLU; for Tanh,
-    per distinct variance, the series at c = 1 where certified, else one 1D
-    quadrature."""
-    if activation.kind == "relu":
-        return np.divide(q, 2.0, out=out)
-    q = np.asarray(q, dtype=np.float64)
-    flat = q.ravel()
-    rows = activation.series.rows(flat)
-    diag = _certify_diagonal(flat, activation.series.diagonal[rows])
-    if out is None:
-        return diag.reshape(q.shape)
-    out[...] = diag.reshape(q.shape)
-    return out

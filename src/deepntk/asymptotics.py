@@ -178,7 +178,6 @@ class RateFit:
     exponent: float
     prefactor: float
     r_squared: float
-    fit_range: tuple[int, int]
 
 
 def _linear_fit(x, y):
@@ -205,20 +204,19 @@ def fit_rate(depths, residuals, model: str) -> RateFit:
         raise ValueError("need at least 8 depth samples")
     if np.any(residuals <= 0):
         raise ValueError("residuals must be positive (floor them upstream)")
-    rng = (int(depths.min()), int(depths.max()))
     logr = np.log(residuals)
     if model == "power":
         slope, intercept, r2 = _linear_fit(np.log(depths), logr)
-        return RateFit("power", slope, float(np.exp(intercept)), r2, rng)
+        return RateFit("power", slope, float(np.exp(intercept)), r2)
     if model == "exp":
         slope, intercept, r2 = _linear_fit(depths, logr)
-        return RateFit("exp", -slope, float(np.exp(intercept)), r2, rng)
+        return RateFit("exp", -slope, float(np.exp(intercept)), r2)
     if model == "inv_log":
         slope, intercept, r2 = _linear_fit(np.log(np.log(depths)), logr)
-        return RateFit("inv_log", -slope, float(np.exp(intercept)), r2, rng)
+        return RateFit("inv_log", -slope, float(np.exp(intercept)), r2)
     raise ValueError(f"unknown model {model!r}")
 
 
-def default_depth_grid(j_max: int = 8, base: int = 32) -> list[int]:
-    """Geometric depth grid base * 2^j, j = 0..j_max (transients below 32 excluded)."""
-    return [base * 2**j for j in range(j_max + 1)]
+def default_depth_grid(j_max: int = 8) -> list[int]:
+    """Geometric depth grid 32 * 2^j, j = 0..j_max (transients below 32 excluded)."""
+    return [32 * 2**j for j in range(j_max + 1)]

@@ -44,7 +44,7 @@ from .kernels import (CONV_KINDS, Architecture, InputPair, KindLaw,
 from .phase import InitParams, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
                          one_hot, predict)
-from .spectral import KernelConfig, eigen_trend
+from .spectral import MAX_DIMENSION, KernelConfig, eigen_trend
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -308,7 +308,7 @@ def cmd_rates(args) -> int:
     d = args.sphere_d
     x0 = synthetic_sphere(d, 2, args.seed)
     # pairs with first-layer correlations spread across [-0.9, 0.9]: a max
-    # over them approximates the sup over non-degenerate input pairs
+    # over them approximates the sup over input pairs that are not colinear
     targets = rng.uniform(-0.9, 0.9, args.pairs)
     qdiag = first_layer_cov(params, 1.0, d)
     qcov0 = first_layer_cov(params, targets, d)
@@ -345,6 +345,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if not 3 <= args.d <= MAX_DIMENSION:
+        raise ConfigError(f"--d must be in [3, {MAX_DIMENSION}], got {args.d}")
     act = make_activation(args.activation)
     params = _params_from(args, act)
     config = KernelConfig(Architecture(args.arch), act, params)
@@ -576,7 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:
+        # MemoryError: a size flag past what the machine can allocate
         print(f"deepntk [{args.command}]: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericError as exc:

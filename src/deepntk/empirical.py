@@ -28,6 +28,7 @@ from .kernels import Architecture, InputPair, ntk_trace
 from .phase import InitParams
 
 _ARCHS = ("ffnn", "resnet_dense")
+_FD_STEP = 1e-5  # step of the central differences of finite_difference_gradient
 
 
 @dataclass(frozen=True)
@@ -161,16 +162,15 @@ def flat_params(net: FiniteNet) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def finite_difference_gradient(net: FiniteNet, x: np.ndarray,
-                               step: float = 1e-5) -> np.ndarray:
+def finite_difference_gradient(net: FiniteNet, x: np.ndarray) -> np.ndarray:
     """Central finite differences of y^L_1(x) over all parameters."""
     theta = flat_params(net)
     grad = np.empty_like(theta)
     for i in range(theta.size):
-        up = theta.copy(); up[i] += step
-        dn = theta.copy(); dn[i] -= step
+        up = theta.copy(); up[i] += _FD_STEP
+        dn = theta.copy(); dn[i] -= _FD_STEP
         grad[i] = (output_for_flat_params(net, x, up)
-                   - output_for_flat_params(net, x, dn)) / (2 * step)
+                   - output_for_flat_params(net, x, dn)) / (2 * _FD_STEP)
     return grad
 
 

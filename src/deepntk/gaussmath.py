@@ -142,7 +142,7 @@ def gauss_jacobi(order: int, alpha_exponent: float) -> QuadratureRule:
     """
     if not 2 <= order <= MAX_JACOBI_ORDER:
         raise ValueError(f"order must be in [2, {MAX_JACOBI_ORDER}], got {order}")
-    if alpha_exponent <= -0.5:  # lambda = 0 (Chebyshev) degenerates C_k^lambda
+    if alpha_exponent <= -0.5:  # C_k^lambda vanishes at lambda = 0 (Chebyshev)
         raise ValueError("alpha_exponent must exceed -1/2")
     n, lam = order, alpha_exponent + 0.5
     k = np.arange(1.0, n)

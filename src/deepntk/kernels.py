@@ -76,10 +76,11 @@ Residual variances grow like (1 + sigma_w^2/2)^L and ReLU ones with
 sigma_b = 0 like (sigma_w^2/2)^L, so the state is renormalised: when the
 largest variance leaves [1e-150, 1e150] (_RENORM_LIMIT) the whole state is
 divided by it and its log is added to a per-layer ``scale_log``.  Raw values
-are state * exp(scale_log); the log fields of ``KernelTrace`` stay finite
-at any depth.  The renormalisation also keeps sqrt(q_x q_x') finite from
-layer 2 on, so the first layer's root is checked once, before the loop,
-and later roots only on the failure path of the correlation's range check.
+are state * exp(scale_log); ``ntk_log`` and ``corr`` of ``KernelTrace``
+stay finite at any depth.  The renormalisation also keeps sqrt(q_x q_x')
+finite from layer 2 on, so the first layer's root is checked once, before
+the loop, and later roots only on the failure path of the correlation's
+range check.
 """
 from __future__ import annotations
 
@@ -195,14 +196,14 @@ class KernelTrace:
     at each (alpha, alpha').  The stored state is the raw value divided by
     exp(scale_log[l]), for every kind; scale_log changes only when a
     variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT] (see the module
-    docstring).  ``qdot`` at layer 1 is NaN (there is no
-    previous layer).  The raw values ``qx``, ``qxp``, ``qcov`` and ``ntk`` overflow to inf (or
-    underflow to 0) once exp(scale_log) does; ``log_qx``, ``log_qxp``,
-    ``ntk_log``/``ntk_sign`` and ``corr`` stay finite.
+    docstring), and the recursion was renormalised where scale_log is not
+    0.  ``qdot`` at layer 1 is NaN (there is no previous layer).  The raw
+    values ``qx``, ``qxp``, ``qcov`` and ``ntk`` overflow to inf (or
+    underflow to 0) once exp(scale_log) does; ``ntk_log``/``ntk_sign`` and
+    ``corr`` stay finite.
     """
 
     architecture: Architecture
-    activation: str
     params: InitParams
     depth: int
     vx: np.ndarray
@@ -240,14 +241,6 @@ class KernelTrace:
         return layer_correlation(self.vcov, np.sqrt(self.vx * self.vxp))
 
     @property
-    def log_qx(self) -> np.ndarray:
-        return np.log(self.vx) + self._log_scale()
-
-    @property
-    def log_qxp(self) -> np.ndarray:
-        return np.log(self.vxp) + self._log_scale()
-
-    @property
     def ntk_log(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.wK)) + self._log_scale()
@@ -261,11 +254,6 @@ class KernelTrace:
         """Depths l of the stored layers, as floats."""
         return np.arange(self.depth - self.scale_log.size + 1, self.depth + 1,
                          dtype=np.float64)
-
-    @property
-    def overflow(self) -> bool:
-        """Whether the recursion was renormalised at some layer."""
-        return bool(np.any(self.scale_log))
 
 
 def first_layer_cov(params: InitParams, inner, dim):
@@ -415,7 +403,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         variances = full
     pair_rows = hist[:, 2 * m:].reshape(kept, 3, n)
     rows = (*variances.transpose(1, 0, 2), *pair_rows.transpose(1, 0, 2))
-    return KernelTrace(arch, activation.kind, params, L,
+    return KernelTrace(arch, params, L,
                        *(r.reshape((kept,) + shape) for r in rows), scale_log)
 
 
@@ -579,7 +567,7 @@ def limiting_kernel(architecture: Architecture, activation: ActivationModel,
 
     # classify's q* is the variance the recursion settles at: its Tanh
     # diagonals and phase's m(q) come from the same order-256 rule
-    report = classify(activation, params, input_variance=qx1)
+    report = classify(activation, params)
     q = report.q_fixed
     if report.phase == "eoc":
         if activation.kind == "relu":  # every variance is fixed: q = q^1

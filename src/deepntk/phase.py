@@ -84,10 +84,15 @@ class InitParams:
     sigma_w: float
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma_b < math.inf:
-            raise ValueError(f"sigma_b must be finite and nonnegative, got {self.sigma_b}")
-        if not 0.0 < self.sigma_w < math.inf:
-            raise ValueError(f"sigma_w must be finite and positive, got {self.sigma_w}")
+        # the squares enter every recursion; a Python float's ** raises
+        # OverflowError where its product is inf
+        sb, sw = float(self.sigma_b), float(self.sigma_w)
+        if not (0.0 <= sb and sb * sb < math.inf):
+            raise ValueError("sigma_b must be finite and nonnegative, with a finite "
+                             f"square, got {self.sigma_b}")
+        if not (0.0 < sw and sw * sw < math.inf):
+            raise ValueError("sigma_w must be finite and positive, with a finite "
+                             f"square, got {self.sigma_w}")
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,15 @@ class PhaseReport:
     q_fixed: float
     chi: float
     phase: str  # "ordered" | "chaotic" | "eoc"
-    degenerate: bool = False  # sigma_b = 0 with fixed point q = 0
 
 
-def variance_fixed_point(activation: ActivationModel, params: InitParams,
-                         input_variance: float = 1.0) -> float:
+def variance_fixed_point(activation: ActivationModel, params: InitParams) -> float:
     """Limiting variance of the layer map q -> sigma_b^2 + sigma_w^2 E[phi^2].
 
-    For ReLU with sigma_w > sqrt(2) the variance diverges; on the ReLU
-    critical point (0, sqrt(2)) every variance is fixed, so the caller's
-    ``input_variance`` is returned.  Tanh with sigma_b = 0 and sigma_w <= 1
+    For ReLU with sigma_w > sqrt(2), or a closed form past float max, the
+    variance diverges; on the ReLU critical point (0, sqrt(2)) every
+    variance is fixed, and 1.0 is returned (the kernel recursions carry
+    each input's own variance).  Tanh with sigma_b = 0 and sigma_w <= 1
     has the stable fixed point 0; otherwise the positive root of
     h(q) = sigma_b^2 + sigma_w^2 m(q) - q, with m(q) = E[tanh^2] on the
     order-256 rule.
@@ -115,11 +119,15 @@ def variance_fixed_point(activation: ActivationModel, params: InitParams,
     sb, sw = params.sigma_b, params.sigma_w
     if activation.kind == "relu":
         if abs(sw - _SQRT2) <= 1e-12 and sb == 0.0:
-            return float(input_variance)
+            return 1.0
         if sw >= _SQRT2 - 1e-12:
             raise DivergenceError(f"ReLU variance diverges for sigma_w={sw} >= sqrt(2) "
                                   f"and sigma_b={sb}")
-        return sb * sb / (1.0 - sw * sw / 2.0)
+        q = sb * sb / (1.0 - sw * sw / 2.0)
+        if q == math.inf:
+            raise DivergenceError(f"ReLU variance {sb}^2 / (1 - {sw}^2 / 2) "
+                                  "is past float max")
+        return q
     sb2, sw2 = sb * sb, sw * sw
     if sb2 == 0.0 and sw <= 1.0:
         return 0.0
@@ -129,8 +137,9 @@ def variance_fixed_point(activation: ActivationModel, params: InitParams,
 
     lo = sb2 or 1e-150  # with sigma_b = 0, h(q) / q -> sigma_w^2 - 1 > 0
     h_lo = h(lo)
-    if h_lo <= 0.0:  # sigma_b = 0 and sigma_w within rounding of 1
-        return 0.0
+    if h_lo <= 0.0:  # sigma_b = 0 and sigma_w within rounding of 1, or
+        # sigma_w^2 m(q) below the rounding of q = sigma_b^2
+        return lo if sb2 else 0.0
     hi = sb2 + sw2  # m < 1 there
     return _root(h, lo, hi, h_lo, h(hi))
 
@@ -147,10 +156,9 @@ def chi_coefficient(activation: ActivationModel, params: InitParams,
     return params.sigma_w**2 * tanh_moment(q_fixed, prime=True)
 
 
-def classify(activation: ActivationModel, params: InitParams,
-             input_variance: float = 1.0) -> PhaseReport:
+def classify(activation: ActivationModel, params: InitParams) -> PhaseReport:
     """PhaseReport for one initialization point."""
-    q = variance_fixed_point(activation, params, input_variance)
+    q = variance_fixed_point(activation, params)
     chi = chi_coefficient(activation, params, q)
     if abs(chi - 1.0) <= PHASE_TOL:
         phase = "eoc"
@@ -158,9 +166,7 @@ def classify(activation: ActivationModel, params: InitParams,
         phase = "ordered"
     else:
         phase = "chaotic"
-    degenerate = q == 0.0
-    return PhaseReport(params=params, q_fixed=q, chi=chi, phase=phase,
-                       degenerate=degenerate)
+    return PhaseReport(params=params, q_fixed=q, chi=chi, phase=phase)
 
 
 def _series_root(sb2: float) -> float:
@@ -199,16 +205,19 @@ def eoc_curve(activation: ActivationModel, sigma_b: float) -> float:
 
     sb2 = sigma_b * sigma_b
     if sb2 == 0.0:
-        # degenerate fixed point q = 0: chi = sigma_w^2 in the q -> 0+ limit,
+        # the fixed point q = 0: chi = sigma_w^2 in the q -> 0+ limit,
         # so the phase boundary sits at sigma_w = 1 exactly
         return 1.0
 
+    # past q = 3.7e4 tanh rounds to 1 at every node and p(q) to 0: m / p
+    # and 1 / p are inf there
     def h(q):
         p = tanh_moment(q, prime=True)
-        return q - tanh_moment(q) / p - sb2
+        return q - tanh_moment(q) / p - sb2 if p else -math.inf
 
     def critical_sigma_w(q):
-        return float(np.sqrt(1.0 / tanh_moment(q, prime=True)))
+        p = tanh_moment(q, prime=True)
+        return float(np.sqrt(1.0 / p)) if p else math.inf
 
     if sigma_b <= _SERIES_SIGMA_B:
         return critical_sigma_w(_series_root(sb2))

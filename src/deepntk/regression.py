@@ -36,6 +36,7 @@ from .kernels import Architecture, dense_layer_arrays, first_layer_cov
 from .phase import InitParams
 
 _PINV_RTOL = 1e-12
+_COLINEARITY_TOL = 1e-9  # rows with |cos angle| >= 1 - this are colinear
 _TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
 
 
@@ -60,14 +61,14 @@ class Dataset:
         return self.X.shape[0]
 
 
-def validate_no_colinearity(X: np.ndarray, tol: float = 1e-9) -> None:
-    """Reject duplicate or colinear input rows (|cos angle| >= 1 - tol)."""
+def validate_no_colinearity(X: np.ndarray) -> None:
+    """Reject duplicate or colinear input rows."""
     norms = np.linalg.norm(X, axis=1)
     if np.any(norms == 0):
         raise InvalidDatasetError("zero input row")
     G = (X / norms[:, None]) @ (X / norms[:, None]).T
     np.fill_diagonal(G, 0.0)
-    bad = np.argwhere(np.abs(G) >= 1.0 - tol)
+    bad = np.argwhere(np.abs(G) >= 1.0 - _COLINEARITY_TOL)
     if bad.size:
         i, j = bad[0]
         raise InvalidDatasetError(f"rows {i} and {j} are colinear")

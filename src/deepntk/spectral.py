@@ -34,6 +34,9 @@ from .phase import InitParams
 #: Gauss-Jacobi nodes used for the Funk-Hecke integrals.
 DEFAULT_NODES = 256
 DEFAULT_KMAX = 64
+#: the largest d whose sphere area Omega_d is a float: Gamma(d / 2) of
+#: surface_area overflows from d = 344
+MAX_DIMENSION = 343
 
 
 def surface_area(m: int) -> float:

@@ -4,7 +4,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
-                                 _diag_expectation, layer_correlation,
+                                 layer_correlation,
                                  make_activation, phiphi_expectation,
                                  phiprime_expectation, relu, relu_f,
                                  relu_one_minus_f, tanh_prime)
@@ -41,6 +41,14 @@ def engine_layer(activation, qx, qxp, qcov):
     trace = dense_layer_arrays("ffnn", activation, InitParams(0.0, 1.0),
                                qx, qxp, qcov, 2)
     return trace.vcov[1], trace.qdot[1]
+
+
+def engine_diagonal(activation, q):
+    """E[phi(sqrt(q) Z)^2] of each variance of q: layer 2's variance of the
+    kernel engine at (sigma_b, sigma_w) = (0, 1), bit for bit."""
+    q = np.asarray(q, dtype=np.float64)
+    return dense_layer_arrays("ffnn", activation, InitParams(0.0, 1.0),
+                              q, q, 0.0, 2).vx[1]
 
 
 def relu_phiphi_oracle(c: float) -> float:
@@ -235,7 +243,7 @@ class TestCovarianceStep:
     def test_tanh_diagonal_is_the_series_at_one_per_variance(self):
         # certified variances take the series at c = 1, the others expect1
         q = np.array([[0.5, 2.0, 0.5], [1.25, 2.0, 0.5]])
-        diag = _diag_expectation(TANH, q)
+        diag = engine_diagonal(TANH, q)
         assert diag.shape == q.shape
         kinds = set()
         for v, e in zip(q.ravel(), diag.ravel()):
@@ -392,8 +400,8 @@ class TestTanhSeries:
             np.testing.assert_array_equal(values, fresh_values)
             np.testing.assert_array_equal(certified, fresh_certified)
         # and the diagonals, looked up on a table of no rows yet
-        np.testing.assert_array_equal(_diag_expectation(make_activation("tanh"), q1),
-                                      _diag_expectation(TANH, q1))
+        np.testing.assert_array_equal(engine_diagonal(make_activation("tanh"), q1),
+                                      engine_diagonal(TANH, q1))
 
     def test_a_pair_through_a_fixed_point_is_a_fresh_tables_run(self):
         # at the edge of chaos q reaches a fixed point bit for bit, where a
@@ -411,7 +419,7 @@ class TestTanhSeries:
     def test_series_at_one_is_the_diagonal(self, q):
         one = np.array([q])
         phiphi = phiphi_expectation(TANH, one, one, np.ones(1))
-        assert phiphi[0] == _diag_expectation(TANH, one)[0]
+        assert phiphi[0] == engine_diagonal(TANH, one)[0]
         cmap = CorrelationMap(TANH, q, 0.2, 1.3)
         assert cmap(1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q
 

@@ -334,11 +334,51 @@ class TestExitCodes:
         (["kernel", "--sigma-b", "0.1", "--sigma-w", "inf", "--depth", "3"], "sigma_w"),
         (["kernel", "--activation", "tanh", "--phase", "eoc", "--sigma-b", "nan",
           "--depth", "3"], "sigma_b"),
-    ], ids=["phase-nan-b", "phase-inf-w", "kernel-nan-b", "kernel-inf-w", "eoc-nan-b"])
+        # finite, with a square past float max
+        (["kernel", "--sigma-b", "1e155", "--sigma-w", "1", "--depth", "3"], "sigma_b"),
+        (["kernel", "--arch", "resnet_dense", "--sigma-b", "0", "--sigma-w", "1e200",
+          "--depth", "3"], "sigma_w"),
+        (["phase", "--activation", "relu", "--sigma-b-grid", "1e160",
+          "--sigma-w-grid", "1"], "sigma_b"),
+    ], ids=["phase-nan-b", "phase-inf-w", "kernel-nan-b", "kernel-inf-w", "eoc-nan-b",
+            "kernel-huge-b", "resnet-huge-w", "phase-huge-b"])
     def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, argv, field):
         out = str(tmp_path / "o.csv")
         assert main(argv + ["-o", out]) == 2
         assert f"{field} must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_relu_variance_past_float_max_is_divergent(self, tmp_path):
+        # sigma_b^2 = 1e308 is finite, q = sigma_b^2 / (1 - 1/2) is not
+        out = str(tmp_path / "p.csv")
+        assert main(["phase", "--activation", "relu", "--sigma-b-grid", "1e154",
+                     "--sigma-w-grid", "1", "-o", out]) == 0
+        rows = [line for line in open(out) if not line.startswith("#")]
+        assert rows[1].strip() == "1e+154,1,inf,inf,divergent"
+
+    @pytest.mark.parametrize("d", [2, 344, 100000])
+    def test_spectrum_dimension_out_of_range_is_config_error(self, tmp_path, capsys, d):
+        # Gamma(d / 2) of the sphere area overflows from d = 344
+        out = str(tmp_path / "s.csv")
+        rc = main(["spectrum", "--activation", "relu", "--phase", "eoc",
+                   "--d", str(d), "--depths", "3", "--kmax", "4", "-o", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--d must be in [3, 343], got {d}" in err
+        assert "Warning" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv", [
+        ["rates", "--activation", "relu", "--phase", "eoc", "--j-max", "40"],
+        ["kernel", "--activation", "relu", "--phase", "eoc",
+         "--depth", "1000000000000000"],
+    ], ids=["rates-13-PiB", "kernel-35-PiB"])
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, argv):
+        # both requests exceed 2^52 bytes, more than a 64-bit process can
+        # map, so they fail at once whatever the overcommit policy
+        out = str(tmp_path / "o.csv")
+        assert main(argv + ["-o", out]) == 2
+        assert "config error: Unable to allocate" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--sigma-b-grid", "--sigma-w-grid"])

@@ -120,8 +120,8 @@ class TestFfnn:
     def test_chaotic_relu_overflow_flagged(self, rng):
         x, xp = rng.standard_normal((2, 6))
         tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 2.0), 3000)
-        assert tr.overflow
-        assert np.all(np.isfinite(tr.log_qx))
+        assert np.any(tr.scale_log)
+        assert np.all(np.isfinite(np.log(tr.vx) + tr.scale_log))
         assert np.isinf(tr.qx[-1])
 
     def test_chaotic_relu_renormalised_state_stays_finite(self, rng):
@@ -129,7 +129,7 @@ class TestFfnn:
         # sqrt(float max) the correlation's qx * qxp overflows near 1e154
         x, xp = rng.standard_normal((2, 6))
         tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 2.0), 3000)
-        assert tr.overflow
+        assert np.any(tr.scale_log)
         assert np.all(np.isfinite(tr.corr))
         assert np.all(np.isfinite(tr.qdot[1:]))
         assert np.all(np.isfinite(tr.ntk_log))
@@ -139,7 +139,8 @@ class TestFfnn:
         x, xp = rng.standard_normal((2, 6))
         tr = ntk_trace(FFNN, InputPair(x, xp), RELU, InitParams(0.0, 1.0), 3000)
         ls = np.arange(3000)
-        np.testing.assert_allclose(tr.log_qx, np.log(x @ x / 6) + ls * np.log(0.5),
+        np.testing.assert_allclose(np.log(tr.vx) + tr.scale_log,
+                                   np.log(x @ x / 6) + ls * np.log(0.5),
                                    rtol=1e-12)
         assert np.all(np.isfinite(tr.corr)) and np.all(np.isfinite(tr.ntk_log))
 
@@ -527,7 +528,7 @@ def test_conv_grid_renormalises_past_overflow(kind, params, L):
     x, xp = np.random.default_rng(8).standard_normal((2, 2, 8))
     arch = Architecture(kind, 8, 1, False)
     tr = ntk_trace(arch, InputPair(x, xp), RELU, params, L)
-    assert tr.overflow
+    assert np.any(tr.scale_log)
     assert np.all(np.isfinite(tr.ntk_log))
     if arch.is_residual:  # K^L / alpha_L converges; chaotic cnn K^L / L does not
         assert np.all(np.isfinite(normalize(tr)[-1]))

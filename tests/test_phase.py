@@ -28,9 +28,9 @@ class TestVarianceFixedPoint:
         q = variance_fixed_point(RELU, InitParams(1.0, 0.1))
         assert abs(q - 1.0 / (1.0 - 0.005)) < 1e-10
 
-    def test_relu_critical_returns_input_variance(self):
-        for v in (0.3, 1.0, 7.5):
-            assert variance_fixed_point(RELU, InitParams(0.0, np.sqrt(2.0)), v) == v
+    def test_relu_critical_returns_one(self):
+        # every variance is fixed there; the phase grid reports 1.0
+        assert variance_fixed_point(RELU, InitParams(0.0, np.sqrt(2.0))) == 1.0
 
     def test_relu_chaotic_diverges(self):
         with pytest.raises(DivergenceError):
@@ -49,6 +49,12 @@ class TestVarianceFixedPoint:
 
     def test_tanh_degenerate_zero_bias(self):
         assert variance_fixed_point(TANH, InitParams(0.0, 0.9)) == 0.0
+
+    def test_tanh_bias_past_the_rounding_of_the_moment(self):
+        # sigma_w^2 m(q) <= 1 is below half an ulp of sigma_b^2 = 1e308
+        q = variance_fixed_point(TANH, InitParams(1e154, 1.0))
+        assert q == 1e154 * 1e154
+        assert classify(TANH, InitParams(1e154, 1.0)).phase == "ordered"
 
     def test_tanh_zero_bias_chaotic_positive_fixed_point(self):
         q = variance_fixed_point(TANH, InitParams(0.0, 1.5))
@@ -79,7 +85,7 @@ class TestClassify:
         assert rep.phase == "chaotic"
 
     def test_degenerate_flagged(self):
-        assert classify(TANH, InitParams(0.0, 0.9)).degenerate
+        assert classify(TANH, InitParams(0.0, 0.9)).q_fixed == 0.0
 
 
 class TestEocCurve:
@@ -145,6 +151,12 @@ class TestEocCurve:
         # far out on the curve the critical sigma_w passes 10
         with pytest.raises(NoSolutionError):
             eoc_curve(TANH, 100.0)
+
+    @pytest.mark.parametrize("sigma_b", [1e10, 1e154])
+    def test_no_critical_sigma_w_where_p_underflows(self, sigma_b):
+        # the search starts past q = 3.7e4, where p(q) is 0 on the rule
+        with pytest.raises(NoSolutionError):
+            eoc_curve(TANH, sigma_b)
 
 
 class TestInvariants:
