@@ -164,7 +164,9 @@ def _relu_maps(c, lo, hi, f, f_prime):
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
     the closed form loses its increment over c to cancellation.  Each form
     runs only on the correlations that take it, so a batch gives every
-    correlation the bits of a lone call.
+    correlation the bits of a lone call.  At c = 1 exactly both forms give
+    f = 1, so a batch whose correlations above the threshold are all 1
+    (the self pairs of a Gram) skips the series.
     """
     asin = np.arcsin(c, out=f_prime)
     edge = 1.0 - _RELU_SERIES_THRESHOLD
@@ -174,8 +176,10 @@ def _relu_maps(c, lo, hi, f, f_prime):
         # |c| <= 1 here, so 1 - c c >= 0 without a clamp
         np.add((c * asin + np.sqrt(1.0 - c * c)) / np.pi, c / 2.0, out=f)
         if hi > edge:
-            near = c > edge
-            f[near] = 1.0 - _relu_series(1.0 - c[near])
+            near = np.flatnonzero(c > edge)
+            g = 1.0 - c[near]
+            if g.any():
+                f[near] = 1.0 - _relu_series(g)
     asin /= np.pi
     asin += 0.5
     return f, f_prime

@@ -272,9 +272,11 @@ def cmd_kernel(args) -> int:
         law = kind_law(arch, act, params)
     except DivergenceError:  # ReLU past sqrt(2): no variance fixed point
         law = KindLaw("chaotic", False, "exp")
-    values = normalize(trace) if law.normalized else trace.ntk
-    rows = [(l + 1, trace.qx[l], trace.qxp[l], trace.corr[l], trace.qdot[l],
-             trace.ntk[l], values[l]) for l in range(L)]
+    # each view builds its whole (L,) column: read it once, not per row
+    qx, qxp, corr, ntk = trace.qx, trace.qxp, trace.corr, trace.ntk
+    values = normalize(trace) if law.normalized else ntk
+    rows = [(l + 1, qx[l], qxp[l], corr[l], trace.qdot[l], ntk[l], values[l])
+            for l in range(L)]
     if law.normalized:
         meaning = ("K / alpha_l: alpha_l = l (ffnn, cnn), "
                    "l (1+sigma_w^2/2)^(l-1) (resnet kinds), "

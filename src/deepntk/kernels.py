@@ -47,7 +47,7 @@ floats and only the pair rows are P wide.  The variances of x and x'
 propagate on their own, so each pair gets the bits of its per-pair run
 either way, and the trace returns full (L, P) variance rows.  A layer
 costs a fixed number of numpy calls whatever P: a dense ReLU layer runs
-27-28 of them (two more for each side of +-1 that needs the snap), all
+25-28 of them (two more for each side of +-1 that needs the snap), all
 into buffers allocated once per call, and three of them are reductions
 (the least and largest correlation, which decide the range check, the
 snap at +-1 and the branch of the ReLU map, and the largest variance,
@@ -59,9 +59,13 @@ laid out as the state, E[phi phi] to its qcov row and E[phi' phi'] to
 the qdot row.  The first 2m + P entries of B become
 w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
 qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B) on the first
-2m + 2P entries of the state.  Every element goes through the ufunc
-expressions written above in that order, so a pair's trace does not
-depend on the other pairs of its batch.
+2m + 2P entries of the state.  Where sigma_b = 0 the bias add is skipped,
+and where s = 0 mix(B) is copied into S: the same bits as adding 0.0 and
+0 S for a finite state, but for the sign of a zero, which follows the
+layer's own terms, and a K that overflowed, which stays inf where 0 inf
+would be NaN.  Every element goes through the ufunc expressions written
+above in that order, so a pair's trace does not depend on the other
+pairs of its batch.
 
 A Tanh layer runs the same loop with the series maps of
 ``activations.TanhSeriesTable``: one table lookup per layer, one row pair
@@ -266,6 +270,24 @@ def first_layer_cov(params: InitParams, inner, dim):
     return params.sigma_b**2 + params.sigma_w**2 * inner / dim
 
 
+def first_layer_root(qx, qxp):
+    """sqrt(qx qxp) of first-layer variances, the root the correlation
+    divides by.  Finite variances whose product overflows (one of them
+    past about 1.3e154) are refused by name, with no numpy warning; a
+    root that is zero or not finite otherwise as
+    :func:`activations._reject_root` says."""
+    with np.errstate(over="ignore"):
+        product = np.multiply(qx, qxp)
+    if np.any(product == np.inf) and np.all(np.isfinite(qx)) and np.all(np.isfinite(qxp)):
+        raise ValueError("correlation not finite: the variances must be positive "
+                         "and finite, with a finite product; the first-layer "
+                         f"variances q1(x,x) = {np.max(qx):.6g} and "
+                         f"q1(x',x') = {np.max(qxp):.6g} multiply past the float maximum")
+    root = np.sqrt(product)
+    _reject_root(root)
+    return root
+
+
 def first_layer_dense(pair: InputPair, params: InitParams):
     """q^1 triplet (x.x, x'.x', x.x') for a dense first layer."""
     x, xp, d = pair.x, pair.xp, pair.dim
@@ -350,7 +372,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     maps = layer_maps(activation, V, root, B[:2 * m].reshape(2, m), block, qdot)
     sb2, sw2 = params.sigma_b**2, params.sigma_w**2
     sb2_l = sb2  # the bias in units of the renormalised state
-    skip = 1.0 if arch.is_residual else 0.0
+    skip = arch.is_residual
     scaled = arch.is_scaled
     kept = 1 if last_only else L
     # one allocation holds the trace: the state of each kept layer (one
@@ -367,7 +389,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         # the one root check of the run: from layer 2 on the largest
         # variance is at most _RENORM_LIMIT (or inf or NaN), so a zero,
         # infinite or NaN root shows in the correlation's range check
-        _reject_root(np.sqrt(V[0] * V[1]))
+        first_layer_root(V[0], V[1])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(L):
@@ -378,14 +400,16 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                 maps(*_correlation(qcov, root, c))
                 qdot *= w * sw2
                 E *= sw2
-                E += sb2_l
+                if sb2_l:
+                    E += sb2_l
                 if w != 1.0:
                     E *= w
                 np.multiply(qdot, wK, out=new_K)
                 new_K += block
-                if skip != 1.0:
-                    S *= skip
-                S += mix(B)
+                if skip:
+                    S += mix(B)
+                else:
+                    np.copyto(S, mix(B))
                 top = float(np.maximum.reduce(V, axis=None))
                 if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
                     S /= top

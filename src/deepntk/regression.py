@@ -19,20 +19,34 @@ which kernel-regime training fails for deep networks.
 Both the Gram and the prediction rows come from ``pair_kernel``.  For the
 dense ReLU kinds at sigma_b = 0 (the EOC point (0, sqrt 2) among them) and
 depth above 1, the kernel is positively homogeneous,
-K^L(x, x') = sqrt(q_x q_x') K^L_1(c^0), so the recursion runs once on
-shared unit variances for the whole batch, whatever the input norms
-(entries whose K^L_1 leaves the normal range come from its log);
-Tanh, sigma_b > 0 and depth 1 run on the first-layer triple of each pair.
+K^L(x, x') = sqrt(q_x q_x') K^L_1(c^0), one function of the first-layer
+correlation c^0 whatever the input norms (entries whose K^L_1 leaves the
+normal range come from its log).  Up to depth 1000 one recursion on
+shared unit variances tabulates K^L_1 in theta = arccos(c^0): 9 panels
+from arccos(1 - 1e-4) to pi, each twice as wide as the one before up to
+theta = 1.81 and two equal ones past it, with 20 Chebyshev points each.
+Every pair with 1 - c^0 >= 1e-4 takes its panel's barycentric
+interpolant.  The same run checks the interpolant at the panel edges and
+runs the pairs nearer c^0 = 1 (the self pairs among them), whose values
+it keeps.  A check point more than 1e-10 of its panel's largest value
+off the interpolant drops the table, and deeper Grams take none: then the
+recursion runs on every pair's c^0, as it does for the pairs near 1.
+``TrainingState.tables`` keeps the table of each spec, so ``predict``
+interpolates its rows and runs the recursion only for pairs near
+c^0 = 1.  Tanh, sigma_b > 0 and depth 1 run on the first-layer triple of
+each pair.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .activations import ActivationModel, _reject_root
+from .activations import ActivationModel
 from .errors import DivergenceError, InvalidDatasetError
-from .kernels import Architecture, dense_layer_arrays, first_layer_cov
+from .kernels import (Architecture, dense_layer_arrays, first_layer_cov,
+                      first_layer_root)
 from .phase import InitParams
 
 _PINV_RTOL = 1e-12
@@ -95,6 +109,9 @@ class TrainingState:
     min_eig: float
     max_eig: float
     rank_deficient: bool
+    #: the graded kernel table of each homogeneous spec (see
+    #: ``pair_kernel``), None where its check failed; filled on first use
+    tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -107,37 +124,144 @@ def _last_layer(spec: KernelSpec, qx, qxp, qcov):
                               last_only=True)
 
 
-def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int) -> np.ndarray:
+#: pairs with 1 - c^0 below this run the recursion, where its rounding
+#: in c (relative 1e-16 / (1 - c) in the gap) is largest; the table starts
+#: there, so its layer 2 takes the closed-form ReLU map throughout
+_TABLE_GAP = 1e-4
+#: a check point past this, relative to its panel's largest value, drops
+#: the table
+_TABLE_TOL = 1e-10
+#: deeper Grams run the recursion on every pair.  The engine's own
+#: rounding grows like L^2 (about 2e-11 of K at L = 1000 on the critical
+#: line), and the table, which interpolates node values that carry it,
+#: cannot follow a per-pair run closer than that noise: at 1085 layers of
+#: sigma_w = 1 it is 1.5e-11 from a 40-digit recursion and the per-pair
+#: run 2.0e-11, but the two are 2.4e-11 apart
+_TABLE_DEPTH = 1000
+
+
+def _graded_panels():
+    """The table's panel edges in theta, (10,), and, (9, 20) each, the
+    cosines its recursion runs, the node abscissae and their barycentric
+    weights.  Each abscissa is the arccos of the cosine the recursion
+    runs, as a pair's theta is of its c^0."""
+    graded = np.arccos(1.0 - _TABLE_GAP) * 2.0 ** np.arange(8.0)
+    edges = np.concatenate((graded, np.linspace(graded[-1], np.pi, 3)[1:]))
+    lo, hi = edges[:-1, None], edges[1:, None]
+    n = 20
+    t = -np.cos((np.arange(n) + 0.5) * np.pi / n)  # first kind, ascending
+    cosines = np.cos((lo + hi) / 2 + (hi - lo) / 2 * t)
+    nodes = np.arccos(cosines)
+    gaps = (nodes[:, :, None] - nodes[:, None, :]) / (hi - lo)[:, :, None]
+    gaps[:, np.arange(n), np.arange(n)] = 1.0
+    return edges, cosines, nodes, 1.0 / np.prod(gaps, axis=2)
+
+
+_EDGES, _NODE_C, _NODES, _WEIGHTS = _graded_panels()
+#: the cosines the table's recursion runs: the nodes, then the edges
+_TABLE_C = np.concatenate((_NODE_C.ravel(), np.cos(_EDGES)))
+
+
+class _Table(NamedTuple):
+    """K^L_1 of one homogeneous spec at the nodes: the renormalised
+    last-layer kernel, (9, 20), and the scale_log of its run."""
+
+    values: np.ndarray
+    scale_log: float
+
+    def __call__(self, theta: np.ndarray, panel: np.ndarray) -> np.ndarray:
+        """The barycentric interpolant at the angles theta, each on its
+        panel, summed node by node (memory linear in the pairs)."""
+        num, den = np.zeros_like(theta), np.zeros_like(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for j in range(_NODES.shape[1]):
+                r = _WEIGHTS[panel, j] / (theta - _NODES[panel, j])
+                num += r * self.values[panel, j]
+                den += r
+            out = num / den
+        hit = np.flatnonzero(np.isnan(out))  # theta on a node: inf / inf
+        if hit.size:
+            j = np.argmin(np.abs(theta[hit, None] - _NODES[panel[hit]]), axis=1)
+            out[hit] = self.values[panel[hit], j]
+        return out
+
+
+def _unit_run(spec: KernelSpec, c) -> tuple[np.ndarray, float]:
+    """The renormalised last-layer kernel of the recursion on shared unit
+    variances at the correlations c, and its scale_log."""
+    trace = _last_layer(spec, 1.0, 1.0, c)
+    return trace.wK[-1], float(trace.scale_log[-1])
+
+
+def _checked_table(wK: np.ndarray, scale_log: float) -> _Table | None:
+    """The table from a run of _TABLE_C, or None where the interpolant
+    misses a panel edge by more than _TABLE_TOL of the panel's largest
+    value (each edge is checked on both of its panels)."""
+    table = _Table(wK[:_NODES.size].reshape(_NODES.shape), scale_log)
+    panel = np.repeat(np.arange(_NODES.shape[0]), 2)
+    edge = panel + np.tile([0, 1], _NODES.shape[0])
+    want = wK[_NODES.size:][edge]
+    got = table(np.arccos(_TABLE_C[_NODES.size:])[edge], panel)
+    scale = np.max(np.abs(table.values), axis=1)[panel]
+    return table if np.all(np.abs(got - want) <= _TABLE_TOL * scale) else None
+
+
+def _scaled(wK: np.ndarray, scale_log: float, root: np.ndarray) -> np.ndarray:
+    """sqrt(q_x q_x') K^L_1 from the renormalised wK of K^L_1; entries
+    whose K^L_1 = wK exp(scale_log) leaves the normal range come from
+    sign exp(log |wK| + scale_log + log sqrt(q_x q_x'))."""
+    with np.errstate(over="ignore"):
+        unit = wK * np.exp(scale_log)
+    size = np.abs(unit)
+    lost = ~((size >= _TINY) & (size <= _HUGE))
+    if not np.any(lost):
+        return unit * root
+    with np.errstate(over="ignore", divide="ignore"):
+        logged = np.sign(wK) * np.exp(np.log(np.abs(wK)) + scale_log + np.log(root))
+    return np.where(lost, logged, unit * root)
+
+
+def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int,
+                tables: dict | None = None) -> np.ndarray:
     """K^L of input pairs (x, x') in R^d from the squared norms |x|^2,
     |x'|^2 and the inner products x . x' (arrays of one shape).
 
     Where the kernel is positively homogeneous, K^L(x, x') =
     sqrt(q_x q_x') K^L_1(c^0), with K^L_1 the kernel at unit first-layer
     variances and c^0 = q_cov / sqrt(q_x q_x'): dense ReLU kinds at
-    sigma_b = 0, depth above 1.  There the engine runs on the shared unit
-    variances (one pair of floats for the whole batch) and c^0, which is
-    the engine's own layer-2 division, so self pairs keep c = 1 exactly;
-    elsewhere it runs on the first-layer triple itself.
-
-    K^L_1 can overflow to inf (or fall below the normal range) where
-    sqrt(q_x q_x') K^L_1 does not; those entries are taken from the
-    trace's log fields, sign exp(log |K^L_1| + log sqrt(q_x q_x')).
+    sigma_b = 0, depth above 1.  There the pairs take the graded table of
+    K^L_1 (see the module docstring), which ``tables`` keeps by spec;
+    pairs with 1 - c^0 < 1e-4, and every pair where there is no table,
+    run the recursion on shared unit variances at c^0, the engine's own
+    layer-2 division, so self pairs keep c = 1 exactly.  Elsewhere the
+    recursion runs on the first-layer triple itself.
     """
     p = spec.params
     qx, qxp, qcov = (first_layer_cov(p, a, d) for a in (sq_x, sq_xp, inner))
     if spec.activation.kind != "relu" or p.sigma_b != 0.0 or spec.depth < 2:
         return _last_layer(spec, qx, qxp, qcov).ntk[-1]
-    root = np.sqrt(qx * qxp)
-    _reject_root(root)
-    trace = _last_layer(spec, 1.0, 1.0, qcov / root)
-    unit = trace.ntk[-1]
-    size = np.abs(unit)
-    lost = ~((size >= _TINY) & (size <= _HUGE))
-    if not np.any(lost):
-        return unit * root
-    with np.errstate(over="ignore"):
-        logged = trace.ntk_sign[-1] * np.exp(trace.ntk_log[-1] + np.log(root))
-    return np.where(lost, logged, unit * root)
+    root = first_layer_root(qx, qxp)
+    c0 = qcov / root
+    tables = {} if tables is None else tables
+    if spec.depth > _TABLE_DEPTH or (spec in tables and tables[spec] is None):
+        return _scaled(*_unit_run(spec, c0), root)
+    # NaN is direct too, and the run refuses it
+    direct = ~((c0 >= -1.0) & (1.0 - c0 >= _TABLE_GAP))
+    near, inverse = np.unique(c0[direct], return_inverse=True)
+    if spec in tables:
+        table = tables[spec]
+        wK_near = _unit_run(spec, near)[0] if near.size else near
+    else:
+        wK, scale_log = _unit_run(spec, np.concatenate((_TABLE_C, near)))
+        table = tables[spec] = _checked_table(wK, scale_log)
+        if table is None:
+            return _scaled(*_unit_run(spec, c0), root)
+        wK_near = wK[_TABLE_C.size:]
+    wK = np.empty_like(c0)
+    wK[direct] = wK_near[inverse]
+    theta = np.arccos(c0[~direct])
+    wK[~direct] = table(theta, np.searchsorted(_EDGES[1:-1], theta))
+    return _scaled(wK, table.scale_log, root)
 
 
 def build_gram(dataset: Dataset, spec: KernelSpec,
@@ -151,7 +275,9 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     n, d = X.shape
     sq = np.sum(X * X, axis=1)
     iu, ju = np.triu_indices(n)
-    vals = pair_kernel(spec, sq[iu], sq[ju], (X[iu] * X[ju]).sum(axis=1), d)
+    tables = {}
+    vals = pair_kernel(spec, sq[iu], sq[ju], (X[iu] * X[ju]).sum(axis=1), d,
+                       tables)
     if not np.all(np.isfinite(vals)):
         raise DivergenceError(
             f"Gram matrix has non-finite entries at depth {spec.depth}")
@@ -169,7 +295,7 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     return TrainingState(
         gram=gram, eigenvalues=eigvals, eigenvectors=eigvecs, f0_train=f0,
         min_eig=min_eig, max_eig=max_eig,
-        rank_deficient=bool(min_eig <= _PINV_RTOL * max_eig),
+        rank_deficient=bool(min_eig <= _PINV_RTOL * max_eig), tables=tables,
     )
 
 
@@ -242,7 +368,7 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
         part = X_new[chunk]
         K[chunk] = pair_kernel(spec, np.repeat(sq_new[chunk], n),
                                np.tile(sq, len(part)), (part @ X.T).ravel(),
-                               d).reshape(-1, n)
+                               d, state.tables).reshape(-1, n)
     out = (K @ state.eigenvectors) @ coeffs
     if f0_new is not None:
         out = out + np.asarray(f0_new, dtype=np.float64)

@@ -289,6 +289,23 @@ class TestLayerExpectations:
             assert all((f[i], f_prime[i]) == maps(part[i])
                        for i in range(part.size))
 
+    def test_exact_unit_correlations_skip_the_series(self, monkeypatch):
+        # c = 1 gives f = 1 from either form: a batch whose only entries
+        # past the threshold are exactly 1 (self pairs) runs no series, and
+        # one more entry near 1 brings the series back, with the same bits
+        from deepntk import activations
+        calls = []
+        series = activations._relu_series
+        monkeypatch.setattr(activations, "_relu_series",
+                            lambda g, *a: calls.append(g.size) or series(g, *a))
+        c = np.array([0.3, 1.0, -0.5, 1.0, 1.0 - 5e-5])
+        alone = [relu_f(np.array([v])) for v in c]
+        calls.clear()
+        np.testing.assert_array_equal(relu_f(c[:4]), np.concatenate(alone[:4]))
+        assert calls == []
+        np.testing.assert_array_equal(relu_f(c), np.concatenate(alone))
+        assert calls == [3]
+
     def test_tanh_matches_scalar_quadrature(self):
         # order-256 oracle; the tolerance is the series certificate's bound
         qx = np.array([0.4, 1.3, 2.0])

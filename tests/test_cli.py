@@ -272,6 +272,25 @@ class TestOutputs:
         assert not nan.any()
 
 
+class TestKernelRows:
+    @pytest.mark.parametrize("depth", [5, 400])
+    def test_each_view_is_read_once(self, tmp_path, monkeypatch, depth):
+        # each view of the trace builds its whole column: the rows read
+        # them once, whatever the depth
+        from deepntk.kernels import KernelTrace
+        reads = {}
+        for name in ("qx", "qxp", "qcov", "ntk", "corr", "ntk_log", "ntk_sign"):
+            def counted(self, view=getattr(KernelTrace, name).fget, name=name):
+                reads[name] = reads.get(name, 0) + 1
+                return view(self)
+            monkeypatch.setattr(KernelTrace, name, property(counted))
+        out = str(tmp_path / "k.csv")
+        assert main(["kernel", "--phase", "eoc", "--depth", str(depth),
+                     "--sphere-d", "3", "--sphere-n", "2", "-o", out]) == 0
+        assert reads == {"qx": 1, "qxp": 1, "corr": 1, "ntk": 1,
+                         "ntk_log": 1, "ntk_sign": 1}
+
+
 class TestExitCodes:
     def test_missing_sigma_is_config_error(self, tmp_path):
         rc = main(["train", "--activation", "relu", "--depth", "3",
@@ -419,6 +438,37 @@ class TestExitCodes:
                        "--sigma-w", "1e-200", "--depth", "5",
                        "-o", str(tmp_path / "k.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--sigma-b", "1e154", "--sigma-w", "1", "--depth", "3"],
+        ["train", "--activation", "relu", "--sigma-b", "0", "--sigma-w", "1e154",
+         "--depth", "3", "--sphere-d", "3"],
+    ], ids=["kernel-bias", "train-homogeneous"])
+    def test_first_layer_root_past_float_max_is_refused_by_name(
+            self, tmp_path, capsys, argv):
+        # q1 near 1e308: finite variances whose product is not
+        out = str(tmp_path / "o.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["-o", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "the first-layer variances q1(x,x) = " in err
+        assert "multiply past the float maximum" in err
+        assert not os.path.exists(out)
+
+    def test_overflowing_gram_is_numeric_error(self, tmp_path, capsys):
+        # K^500 at (0, 3) is about 4.5^499 q^1: the table's entries pass
+        # float max, with no warning
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--activation", "relu", "--sigma-b", "0",
+                       "--sigma-w", "3", "--depth", "500", "--sphere-n", "8",
+                       "--sphere-d", "3", "-o", out])
+        assert rc == 3
+        assert "non-finite entries" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
         rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",

@@ -385,6 +385,32 @@ class TestOneBadPairInABatch:
                 dense_layer_arrays("ffnn", RELU, InitParams(0.1, 1.2), *first, 3)
 
 
+class TestLayerPasses:
+    """A layer adds no zero bias and copies the block where there is no
+    skip; the bits agree with s S + mix(B) for finite states."""
+
+    def test_zero_covariance_sign_is_only_a_sign(self):
+        # a first-layer qcov of -0.0 at sigma_b = 0: its trace equals that
+        # of +0.0 as numbers, whatever sign the zeros keep
+        args = ("ffnn", TANH, InitParams(0.0, 1.5), 1.0, 1.0)
+        neg = dense_layer_arrays(*args, np.array([-0.0, 0.5]), 6)
+        pos = dense_layer_arrays(*args, np.array([0.0, 0.5]), 6)
+        for name in ("vx", "vxp", "vcov", "wK", "qdot"):
+            np.testing.assert_array_equal(getattr(neg, name), getattr(pos, name))
+        assert np.signbit(neg.wK[0, 0]) and not np.signbit(pos.wK[0, 0])
+
+    def test_overflowing_kernel_stays_infinite(self):
+        # the chaotic Tanh diagonal grows like chi^L (chi = 2.37) and passes
+        # float max at L = 821: K stays +inf after it, where 0 inf gave NaN
+        q = 0.04 + 16.0 / 3.0
+        with np.errstate(over="ignore"):
+            tr = dense_layer_arrays("ffnn", TANH, InitParams(0.2, 4.0), q, q, q, 900)
+        first = int(np.argmax(np.isinf(tr.wK)))
+        assert 700 < first < 900
+        assert np.all(tr.wK[first:] == np.inf)
+        assert np.all(np.isfinite(tr.vx))
+
+
 class TestNormalize:
     def test_average_critical_diagonal_constant(self):
         x = np.full(4, 1.0)

@@ -3,14 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from deepntk import regression
 from deepntk.activations import make_activation
 from deepntk.errors import InvalidDatasetError
 from deepntk.kernels import Architecture, dense_layer_arrays, first_layer_cov
 from deepntk.phase import InitParams
-from deepntk.regression import (Dataset, KernelSpec, accuracy, build_gram,
-                                evolve, one_hot, pair_kernel, predict,
-                                rkhs_residual_coeffs)
+from deepntk.regression import (Dataset, KernelSpec, TrainingState, accuracy,
+                                build_gram, evolve, one_hot, pair_kernel,
+                                predict, rkhs_residual_coeffs)
 
 RELU = make_activation("relu")
 EOC = InitParams(0.0, np.sqrt(2.0))
@@ -226,9 +229,9 @@ def _out_of_range_case(sigma_w, d, norm, depth):
 
 
 class TestHomogeneousGram:
-    """At sigma_b = 0 the dense ReLU kinds run the engine on shared unit
-    variances and scale by sqrt(q_x q_x'); the per-pair engine on the
-    first-layer triple is the reference."""
+    """At sigma_b = 0 the dense ReLU kinds take K^L_1 from the graded table
+    (or the engine on shared unit variances) and scale by sqrt(q_x q_x');
+    the per-pair engine on the first-layer triple is the reference."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -240,10 +243,10 @@ class TestHomogeneousGram:
         probes = np.vstack([rng.standard_normal((4, 5)), X[2], 2.5 * X[4]])
         return ds, probes
 
-    # measured relative gaps (Gram; prediction): 1.2e-10; 5.0e-11 at the
-    # EOC over 1000 layers, 2.2e-14; 9.3e-15 resnet, 1.8e-15; 7.0e-16
-    # scaled, 4.1e-13; 4.6e-14 ffnn at sigma_w = 3 (renormalised), 1.1e-14;
-    # 1.8e-15 ffnn at sigma_w = 1
+    # measured relative gaps (Gram; prediction) with the table: 1.3e-10;
+    # 3.9e-11 at the EOC over 1000 layers, 2.6e-14; 1.2e-14 resnet,
+    # 2.6e-15; 5.8e-16 scaled, 4.8e-13; 9.4e-14 ffnn at sigma_w = 3
+    # (renormalised), 9.7e-15; 6.8e-16 ffnn at sigma_w = 1
     @pytest.mark.parametrize("kind,sigma_w,depth,gram_tol,pred_tol", [
         ("ffnn", np.sqrt(2.0), 1000, 3e-10, 2e-10),
         ("resnet_dense", 1.0, 200, 1e-13, 5e-14),
@@ -269,7 +272,8 @@ class TestHomogeneousGram:
     # per-pair engine overflows too), and at norm 1e10 in R^5
     # (sqrt(q_x q_x') = 2e19) 1085 layers of sigma_w = 1 take it below
     # 5e-324 while the kernel is 3e-305.  Measured relative gaps (Gram;
-    # prediction): 3.3e-12; 7.2e-13 and 6.2e-12; 3.1e-12
+    # prediction): 4.3e-12; 1.2e-12 (the table) and 6.2e-12; 3.1e-12 (past
+    # 1000 layers, the recursion on every pair)
     @pytest.mark.parametrize("sigma_w,d,norm,depth,gram_tol,pred_tol", [
         (3.0, 50, 1.0, 469, 1e-11, 3e-12),
         (1.0, 5, 1e10, 1085, 2e-11, 1e-11),
@@ -319,8 +323,9 @@ class TestHomogeneousGram:
     @pytest.mark.parametrize("scale", ["unit", "none"])
     def test_no_less_accurate_than_the_per_pair_engine(self, scale):
         # 40-digit recursion of the same float inputs at depth 1000; measured
-        # max relative errors (homogeneous, per pair) 2.65e-11, 2.99e-11 on
-        # the sphere and 2.65e-11, 1.16e-10 at norms from 0.3 to 3
+        # max relative errors (homogeneous, per pair) 1.22e-11, 2.99e-11 on
+        # the sphere and 1.22e-11, 1.21e-10 at norms from 0.3 to 3 (the
+        # homogeneous path read 2.65e-11 on both before the table)
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(0)
         X = rng.standard_normal((8, 10))
@@ -340,6 +345,142 @@ class TestHomogeneousGram:
         err_h = np.max(np.abs(homogeneous - ref) / ref)
         err_p = np.max(np.abs(per_pair - ref) / ref)
         assert err_h <= err_p
+
+
+def _sphere_rows(seed, n, d):
+    X = np.random.default_rng(seed).standard_normal((n, d))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+def _rows(spec, A, X, tables):
+    """K^L(A[i], X[j]) from pair_kernel with the given tables."""
+    sq_a, sq_x = np.sum(A * A, axis=1), np.sum(X * X, axis=1)
+    return pair_kernel(spec, np.repeat(sq_a, len(X)), np.tile(sq_x, len(A)),
+                       (A @ X.T).ravel(), X.shape[1], tables).reshape(len(A), len(X))
+
+
+def _unit_path(spec, A, X, gram=False):
+    """The recursion on shared unit variances at every pair's c^0, scaled
+    by sqrt(q_x q_x'), for inputs whose K^L_1 stays in the normal range.
+    The inner products are summed as build_gram (``gram``) or predict
+    sums them."""
+    p, d = spec.params, X.shape[1]
+    qa = first_layer_cov(p, np.sum(A * A, axis=1), d)
+    qx = first_layer_cov(p, np.sum(X * X, axis=1), d)
+    root = np.sqrt(np.outer(qa, qx))
+    inner = (A[:, None, :] * X[None, :, :]).sum(axis=2) if gram else A @ X.T
+    c0 = first_layer_cov(p, inner, d) / root
+    unit = engine_kernel(spec, 1.0, 1.0, c0.ravel()).reshape(c0.shape)
+    assert np.all(np.isfinite(unit) & (unit > 1e-300))
+    return unit * root
+
+
+TABLE_CASES = [("ffnn", np.sqrt(2.0)), ("ffnn", 1.0), ("ffnn", 3.0),
+               ("resnet_dense", 1.0), ("scaled_resnet_dense", 1.5)]
+
+
+class TestGradedTable:
+    """The sigma_b = 0 ReLU Gram and prediction rows interpolate one table
+    of K^L_1 per spec (see ``regression``); the engine run on the
+    first-layer triple is the reference."""
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=150)
+    @given(case=st.sampled_from(TABLE_CASES),
+           depth=st.sampled_from([2, 3, 30, 300, 1000]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10),
+           d=st.integers(2, 10))
+    def test_table_matches_the_engine(self, case, depth, seed, n, d):
+        # the claim covers the tabulated pairs, 1 - c^0 >= 1e-4, and the
+        # self pairs; pairs nearer c^0 = 1 run the recursion themselves
+        # (test_near_pairs_run_the_recursion).  The floor, 1e-12 of the
+        # largest entry, is the engine's own rounding at L = 2 near
+        # c^0 = -1: K^2 vanishes like pi - theta there, and the closed-form
+        # map loses about 2e-18 / (pi - theta) to cancellation (2e-14 at
+        # pi - theta = 1e-4, where the table is 2e-15 from the exact value)
+        kind, sigma_w = case
+        # K^1000 at sigma_w = 3 passes float max (4.5^999): build_gram refuses it
+        assume(not (sigma_w == 3.0 and depth == 1000))
+        X = _sphere_rows(seed, n + 3, d)
+        try:
+            ds = Dataset(X[:n], one_hot(np.arange(n) % 2))
+        except InvalidDatasetError:
+            assume(False)
+        spec = KernelSpec(Architecture(kind), RELU, InitParams(0.0, sigma_w), depth)
+        state = build_gram(ds, spec)
+        assert state.tables[spec] is not None
+        probes = X[n:]
+        for A, got in ((ds.X, state.gram), (probes, _rows(spec, probes, ds.X, state.tables))):
+            want = _direct_rows(spec, A, ds.X)
+            c0 = A @ ds.X.T
+            served = (1.0 - c0 >= 1e-4) | (c0 == 1.0)
+            bound = 1e-10 * np.abs(want) + 1e-12 * np.abs(want).max()
+            assert np.all(np.abs(got - want)[served] <= bound[served])
+
+    def test_near_pairs_run_the_recursion(self):
+        # probes at 1 - c^0 = 1e-6 and 1e-5 and on a training row: their
+        # entries are the recursion's, bit for bit, and the rest of the
+        # row comes from the table with no other run
+        X = _sphere_rows(3, 8, 5)
+        ds = Dataset(X, one_hot(np.arange(8) % 2))
+        spec = KernelSpec(FFNN, RELU, EOC, 300)
+        state = build_gram(ds, spec)
+        u = np.random.default_rng(4).standard_normal(5)
+        u -= (u @ X[0]) * X[0]
+        u /= np.linalg.norm(u)
+        probes = np.array([X[0] * np.cos(t) + u * np.sin(t)
+                           for t in (np.arccos(1 - 1e-6), np.arccos(1 - 1e-5))] + [X[2]])
+        got = _rows(spec, probes, ds.X, state.tables)
+        near = np.abs(1.0 - probes @ ds.X.T) < 1e-4
+        assert near.sum() == 3
+        np.testing.assert_array_equal(got[near], _unit_path(spec, probes, ds.X)[near])
+
+    def test_predict_runs_no_recursion(self, monkeypatch):
+        X = _sphere_rows(5, 30, 6)
+        ds = Dataset(X[:20], one_hot(np.arange(20) % 2))
+        spec = KernelSpec(FFNN, RELU, EOC, 1000)
+        runs = []
+        engine = regression.dense_layer_arrays
+
+        def counted(*args, **kwargs):
+            runs.append(np.size(args[5]))
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(regression, "dense_layer_arrays", counted)
+        state = build_gram(ds, spec)
+        # one run: 180 nodes, 10 panel edges and the one distinct self pair
+        assert runs == [191]
+        pred = predict(state, ds, spec, X[20:], 2.0)
+        assert runs == [191]
+        # a state built by hand has no table: its first predict makes one
+        fields = {k: v for k, v in vars(state).items() if k != "tables"}
+        np.testing.assert_array_equal(
+            predict(TrainingState(**fields), ds, spec, X[20:], 2.0), pred)
+        assert runs == [191, 190]
+
+    def test_failed_check_runs_the_recursion_on_every_pair(self, monkeypatch):
+        # with no tolerance the check fails, and the Gram and the rows are
+        # the recursion's, bit for bit
+        monkeypatch.setattr(regression, "_TABLE_TOL", 0.0)
+        X = _sphere_rows(7, 12, 5)
+        ds = Dataset(X[:9], one_hot(np.arange(9) % 2))
+        spec = KernelSpec(Architecture("resnet_dense"), RELU, InitParams(0.0, 1.0), 30)
+        state = build_gram(ds, spec)
+        assert state.tables == {spec: None}
+        np.testing.assert_array_equal(state.gram, _unit_path(spec, ds.X, ds.X, True))
+        np.testing.assert_array_equal(_rows(spec, X[9:], ds.X, state.tables),
+                                      _unit_path(spec, X[9:], ds.X))
+
+    def test_deep_gram_is_the_recursion(self):
+        # past 1000 layers every pair runs the recursion, as before the
+        # table: bit for bit at L = 3000
+        X = _sphere_rows(11, 10, 5)
+        ds = Dataset(X[:8], one_hot(np.arange(8) % 2))
+        spec = KernelSpec(FFNN, RELU, EOC, 3000)
+        state = build_gram(ds, spec)
+        assert state.tables == {}
+        np.testing.assert_array_equal(state.gram, _unit_path(spec, ds.X, ds.X, True))
+        np.testing.assert_array_equal(_rows(spec, X[8:], ds.X, state.tables),
+                                      _unit_path(spec, X[8:], ds.X))
 
 
 def _mpmath_relu_kernel(mpmath, qx, qxp, qcov, sigma_w, depth):
