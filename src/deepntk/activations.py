@@ -384,13 +384,14 @@ class TanhSeriesTable:
         return values.T, certified.T
 
 
-def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
+def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime,
+               scale: float = 1.0) -> None:
     """The Tanh expectations of n pairs at the correlations c, from one
     table lookup of the variances V (2, m), the rows qx and qxp, m = n or
     m = 1 (shared by every pair): E[tanh^2] of each variance into ``diag``
-    (2, m), E[tanh tanh] into ``phiphi`` and E[tanh' tanh'] into ``prime``.
-    The certified series, else ``expect2_pairs`` (pairs) and ``expect1``
-    (diagonals) on the order-PROJECTION_ORDER rule."""
+    (2, m), E[tanh tanh] into ``phiphi`` and ``scale`` E[tanh' tanh'] into
+    ``prime``.  The certified series, else ``expect2_pairs`` (pairs) and
+    ``expect1`` (diagonals) on the order-PROJECTION_ORDER rule."""
     layer = activation.series.layer(V.reshape(-1))
     values, certified = _series_sum(*layer.terms, c)
     if not np.logical_and.reduce(certified, axis=None):
@@ -401,7 +402,7 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime) -> None:
                 values[j, m] = expect2_pairs(g, qx[m], qxp[m], c[m],
                                              gauss_hermite(PROJECTION_ORDER))
     phiphi[...] = values[0]
-    prime[...] = values[1]
+    np.multiply(values[1], scale, out=prime)
     diag[...] = layer.diagonal
     if not layer.diagonal_certified:  # phase's m(q) per distinct variance
         uncertified = np.isnan(diag)
@@ -484,8 +485,9 @@ class CorrelationMap:
 
 
 def _reject_root(root) -> None:
-    """Raise where sqrt(qx qxp) is zero or not finite (variances that
-    underflowed, overflowed or are NaN)."""
+    """Raise where sqrt(qx qxp), an array or a float, is zero or not
+    finite (variances that underflowed, overflowed or are NaN)."""
+    root = np.asarray(root)
     if not (root.min() > 0.0 and root.max() < np.inf):
         raise ValueError("correlation not finite: the variances must be "
                          f"positive and finite, got sqrt(qx qxp) = {root!r}")
@@ -561,32 +563,77 @@ def layer_correlation(qcov, root):
         return _correlation(qcov, root, out)[0]
 
 
+#: 0.5 s is exact for s at least this.  The ReLU maps scale f' by
+#: 0.5 scale in one product where it is: halving f' (0 or at least 2^-54,
+#: a sum of 0.5 and asin(c)/pi) is exact, so that product has the bits of
+#: 0.5 f' times scale, which :func:`_halve_then_scale` computes elsewhere
+_HALF_EXACT = 2.0 ** -1021
+
+
+def _halve_then_scale(prime, scale: float) -> None:
+    """prime = (0.5 prime) scale, in place, in two products."""
+    np.multiply(0.5, prime, out=prime)
+    np.multiply(prime, scale, out=prime)
+
+
 def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
     """The expectations of one layer, bound to the caller's buffers: the
     one implementation that the kernel engine and every pair function
     below run.
 
-    V holds the variances qx and qxp as rows, (2, m), and ``root`` holds
-    sqrt(qx qxp), (m,): m = n for n pairs with variances of their own, or
-    m = 1 for variances that every pair shares.  The returned
-    ``maps(c, lo, hi)`` takes the checked correlations of the n pairs
+    V holds the variances qx and qxp of n pairs as rows, (2, n), and
+    ``root`` holds sqrt(qx qxp), (n,).  The returned ``maps(c, lo, hi,
+    scale)`` takes the checked correlations of the pairs
     (:func:`_correlation`) and writes E[phi(u)^2] of each variance to
-    ``diag`` (2, m), E[phi(u1) phi(u2)] to ``phiphi`` (n,) and
+    ``diag`` (2, n), E[phi(u1) phi(u2)] to ``phiphi`` (n,) and ``scale``
     E[phi'(u1) phi'(u2)] to ``prime`` (n,): ReLU in place from one arcsin,
     Tanh from its certified series (see the module docstring).
+    :func:`shared_layer_maps` is the same for variances that every pair
+    shares.
     """
     if activation.kind == "relu":
         half_root = np.empty_like(root)
 
-        def maps(c, lo, hi):
+        def maps(c, lo, hi, scale):
             np.divide(V, 2.0, out=diag)
             _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(0.5, root, out=half_root)
             np.multiply(half_root, phiphi, out=phiphi)
-            np.multiply(0.5, prime, out=prime)
+            if scale >= _HALF_EXACT:
+                np.multiply(prime, 0.5 * scale, out=prime)
+            else:
+                _halve_then_scale(prime, scale)
     else:
-        def maps(c, lo, hi):
-            _tanh_maps(activation, V, c, diag, phiphi, prime)
+        def maps(c, lo, hi, scale):
+            _tanh_maps(activation, V, c, diag, phiphi, prime, scale)
+    return maps
+
+
+def shared_layer_maps(activation: ActivationModel, phiphi, prime):
+    """:func:`layer_maps` for n pairs that share their two variances,
+    given as Python floats: ``maps(x, y, root, c, lo, hi, scale)`` takes
+    the variances x and y, root = sqrt(x y) and the checked correlations,
+    writes E[phi(u1) phi(u2)] to ``phiphi`` and ``scale`` E[phi' phi'] to
+    ``prime``, and returns (E[phi(u)^2] of x, of y).  Float arithmetic is
+    IEEE arithmetic, so every value has the bits of :func:`layer_maps` on
+    (2, 1) variances."""
+    if activation.kind == "relu":
+        def maps(x, y, root, c, lo, hi, scale):
+            _relu_maps(c, lo, hi, phiphi, prime)
+            np.multiply(phiphi, 0.5 * root, out=phiphi)
+            if scale >= _HALF_EXACT:
+                np.multiply(prime, 0.5 * scale, out=prime)
+            else:
+                _halve_then_scale(prime, scale)
+            return x / 2.0, y / 2.0
+    else:
+        V, diag = np.empty(2), np.empty(2)
+        V2, diag2 = V.reshape(2, 1), diag.reshape(2, 1)
+
+        def maps(x, y, root, c, lo, hi, scale):
+            V[0], V[1] = x, y
+            _tanh_maps(activation, V2, c, diag2, phiphi, prime, scale)
+            return diag.tolist()
     return maps
 
 
@@ -599,7 +646,7 @@ def _pair_expectations(activation: ActivationModel, qx, qxp, c):
     root = np.sqrt(V[0] * V[1])
     diag, E = np.empty_like(V), np.empty((2, root.size))
     c = c.ravel()
-    layer_maps(activation, V, root, diag, *E)(c, c.min(), c.max())
+    layer_maps(activation, V, root, diag, *E)(c, c.min(), c.max(), 1.0)
     return E[0].reshape(qx.shape)[()], E[1].reshape(qx.shape)[()]
 
 

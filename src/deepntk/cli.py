@@ -52,6 +52,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _FLOAT_FMT = "%.17g"  # round-trip exact for 64-bit floats
+#: the largest --j-max of ``rates``: depth 32 * 2^20 = 33,554,432, about
+#: six minutes of layers at 10 us each.  The run stores its grid layers
+#: alone, so no allocation would refuse a deeper grid that cannot finish
+MAX_J = 20
 
 
 class ConfigError(ValueError):
@@ -302,6 +306,8 @@ def cmd_rates(args) -> int:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     if args.j_max < 7:  # fit_rate needs 8 depths, j = 0..7
         raise ConfigError(f"--j-max must be at least 7, got {args.j_max}")
+    if args.j_max > MAX_J:
+        raise ConfigError(f"--j-max must be at most {MAX_J}, got {args.j_max}")
     act = make_activation(args.activation)
     params = _params_from(args, act)
     grid = default_depth_grid(args.j_max)
@@ -315,12 +321,12 @@ def cmd_rates(args) -> int:
     qdiag = first_layer_cov(params, 1.0, d)
     qcov0 = first_layer_cov(params, targets, d)
     arch = Architecture(args.arch)
-    trace = dense_layer_arrays(arch, act, params, qdiag, qdiag, qcov0, L)
+    trace = dense_layer_arrays(arch, act, params, qdiag, qdiag, qcov0, L, keep=grid)
     lim = limiting_kernel(arch, act, params, InputPair(x0[0], x0[1]))
     law = kind_law(arch, act, params)
     values = normalize(trace) if law.normalized else trace.ntk
     resid = np.maximum(np.abs(values - lim), 1e-300)
-    r = resid[np.asarray(grid) - 1].max(axis=1)
+    r = resid.max(axis=1)  # one row per grid depth
     fit = fit_rate(grid, r, law.model)
     alt = fit_rate(grid, r, "exp" if law.model == "power" else "power")
     # every non-exp law is written as A L^p, inv_log included (whose law is
@@ -488,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rates", help="depth sweep of kernel residuals + fits")
     _add_kernel_flags(p, ("ffnn", "resnet_dense", "scaled_resnet_dense"))
     p.add_argument("--j-max", type=int, default=8,
-                   help="depth grid 32*2^j, j<=j_max (at least 7)")
+                   help=f"depth grid 32*2^j, j<=j_max (7 to {MAX_J})")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--sphere-d", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)

@@ -48,20 +48,34 @@ class FiniteNet:
         return len(self.weights)
 
 
-def sample_net(arch: str, activation: ActivationModel, params: InitParams,
-               widths: list[int], input_dim: int, seed: int) -> FiniteNet:
-    """Draw all weights and biases iid N(0,1)."""
+def _parameter_arrays(arch: str, widths: list[int], input_dim: int) -> tuple:
+    """Unfilled (weights, biases) of a net, each a tuple of one array per
+    layer; the net's architecture and widths checked."""
     if arch not in _ARCHS:
         raise ValueError(f"unsupported architecture {arch!r}")
     if any(w < 1 for w in widths):
         raise ValueError("widths must be >= 1")
     if arch == "resnet_dense" and len(set(widths)) > 1:
         raise ValueError("residual nets need constant width")
-    rng = default_rng(seed)
     dims = [input_dim] + list(widths)
-    weights = tuple(rng.standard_normal((dims[i + 1], dims[i]))
-                    for i in range(len(widths)))
-    biases = tuple(rng.standard_normal(dims[i + 1]) for i in range(len(widths)))
+    return (tuple(np.empty((dims[i + 1], dims[i])) for i in range(len(widths))),
+            tuple(np.empty(dims[i + 1]) for i in range(len(widths))))
+
+
+def _draw(seed: int, weights, biases) -> None:
+    """Fill the weights, then the biases, with iid N(0,1) draws of the
+    stream of ``seed``, in place: the values a fresh allocation of each
+    array, in the same order, would get."""
+    rng = default_rng(seed)
+    for a in (*weights, *biases):
+        rng.standard_normal(out=a)
+
+
+def sample_net(arch: str, activation: ActivationModel, params: InitParams,
+               widths: list[int], input_dim: int, seed: int) -> FiniteNet:
+    """Draw all weights and biases iid N(0,1)."""
+    weights, biases = _parameter_arrays(arch, widths, input_dim)
+    _draw(seed, weights, biases)
     return FiniteNet(arch=arch, activation=activation, params=params,
                      widths=tuple(widths), seed=seed, weights=weights,
                      biases=biases)
@@ -174,6 +188,22 @@ def finite_difference_gradient(net: FiniteNet, x: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _seed_kernels(arch: str, activation: ActivationModel, params: InitParams,
+                  x: np.ndarray, xp: np.ndarray, widths: tuple[int, ...],
+                  seeds: range) -> np.ndarray:
+    """empirical_ntk of the net of each seed, as sample_net draws them, bit
+    for bit: one set of arrays, refilled for each seed (and freed on
+    return, before the caller allocates the next set)."""
+    weights, biases = _parameter_arrays(arch, widths, np.asarray(x).size)
+    vals = np.empty(len(seeds))
+    for i, seed in enumerate(seeds):
+        _draw(seed, weights, biases)
+        net = FiniteNet(arch=arch, activation=activation, params=params,
+                        widths=widths, seed=seed, weights=weights, biases=biases)
+        vals[i] = empirical_ntk(net, x, xp)
+    return vals
+
+
 def width_convergence_study(arch: str, activation: ActivationModel,
                             params: InitParams, x: np.ndarray, xp: np.ndarray,
                             widths: list[int], depth: int, seeds: int,
@@ -193,13 +223,8 @@ def width_convergence_study(arch: str, activation: ActivationModel,
     means = []
     stds = []
     for iw, width in enumerate(widths):
-        vals = np.array([
-            empirical_ntk(
-                sample_net(arch, activation, params, [width] * depth,
-                           np.asarray(x).size, base_seed + 7919 * iw + s),
-                x, xp)
-            for s in range(seeds)
-        ])
+        vals = _seed_kernels(arch, activation, params, x, xp, (width,) * depth,
+                             range(base_seed + 7919 * iw, base_seed + 7919 * iw + seeds))
         deviations.append(float(np.mean(np.abs(vals - reference))))
         means.append(float(vals.mean()))
         stds.append(float(vals.std(ddof=1)))

@@ -40,23 +40,29 @@ the variance grids stay the diagonals of the x and x' covariance grids.
 The loop keeps its state in one buffer: the variances V = (q_x, q_x') as
 a (2, m) block, then the rows qcov and K of the P pairs (or the M^2 grid
 positions), then qdot.  m = P where the variances differ between pairs.
-Where every pair shares its two first-layer variances, m = 1: one pair,
-``rates`` and ``spectrum`` (inputs on a sphere) and the sigma_b = 0 ReLU
-Gram (see ``regression``).  Then the variance recursion runs once on two
-floats and only the pair rows are P wide.  The variances of x and x'
-propagate on their own, so each pair gets the bits of its per-pair run
-either way, and the trace returns full (L, P) variance rows.  A layer
-costs a fixed number of numpy calls whatever P: a dense ReLU layer runs
-25-28 of them (two more for each side of +-1 that needs the snap), all
-into buffers allocated once per call, and three of them are reductions
-(the least and largest correlation, which decide the range check, the
-snap at +-1 and the branch of the ReLU map, and the largest variance,
-which decides the renormalisation).  The expectations come from
-``activations.layer_maps``, the one implementation of a layer's
-expectations (its pair functions run it too), bound to those buffers: it
-writes the variance expectations to the first 2m entries of a buffer B
-laid out as the state, E[phi phi] to its qcov row and E[phi' phi'] to
-the qdot row.  The first 2m + P entries of B become
+Where every pair shares its two first-layer variances (one pair,
+``rates`` and ``spectrum`` (inputs on a sphere), the sigma_b = 0 ReLU
+Gram (see ``regression``)), m = 0: the variance recursion runs once, on
+two Python floats, and only the pair rows are P wide.  Float arithmetic
+and ``math.sqrt`` are the correctly rounded IEEE operations of the
+ufuncs, and the variances of x and x' propagate on their own, so each
+pair gets the bits of its per-pair run either way; the trace returns
+full (n, P) variance rows.  A layer costs a fixed number of numpy calls
+whatever P, all into buffers allocated once per call.  A dense ReLU layer
+runs 20 of them on shared variances and 25 on per-pair ones, one more for
+a bias (sigma_b > 0), one for the 1/l weight of the scaled kinds and two
+for each side of +-1 that needs the snap.  Two are reductions, the least
+and largest correlation, which decide the range check, the snap at +-1
+and the branch of the ReLU map; per-pair variances take a third, their
+largest, which decides the renormalisation (on two floats, a comparison).
+The expectations come from ``activations.layer_maps``, the one
+implementation of a layer's expectations (its pair functions run it
+too), bound to those buffers (``activations.shared_layer_maps`` on
+floats): it writes the variance expectations to the first 2m entries of
+a buffer B laid out as the state, E[phi phi] to its qcov row and
+w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, 1/2 f'(c) times
+w_l sigma_w^2 in one product, which is exact wherever 1/2 w_l sigma_w^2
+is).  The first 2m + P entries of B become
 w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
 qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B) on the first
 2m + 2P entries of the state.  Where sigma_b = 0 the bias add is skipped,
@@ -65,7 +71,10 @@ and where s = 0 mix(B) is copied into S: the same bits as adding 0.0 and
 layer's own terms, and a K that overflowed, which stays inf where 0 inf
 would be NaN.  Every element goes through the ufunc expressions written
 above in that order, so a pair's trace does not depend on the other
-pairs of its batch.
+pairs of its batch.  Only the depths the caller keeps are stored:
+``rates`` its depth grid, the Gram, ``predict`` and ``selftest`` layer
+L, ``spectrum`` each of its depths from one recursion to the deepest,
+``kernel`` every layer.
 
 A Tanh layer runs the same loop with the series maps of
 ``activations.TanhSeriesTable``: one table lookup per layer, one row pair
@@ -84,7 +93,12 @@ are state * exp(scale_log); ``ntk_log`` and ``corr`` of ``KernelTrace``
 stay finite at any depth.  The renormalisation also keeps sqrt(q_x q_x')
 finite from layer 2 on, so the first layer's root is checked once, before
 the loop, and later roots only on the failure path of the correlation's
-range check.
+range check.  A variance that passes float max is named by a
+``DivergenceError`` at its layer.  The kernel is renormalised with the
+variances, and where it grows faster (a chaotic Tanh diagonal grows like
+chi^L) it can pass float max: it stays inf, and with shared variances,
+whose float arithmetic numpy's overflow state does not govern, numpy
+warns of nothing.
 """
 from __future__ import annotations
 
@@ -102,6 +116,7 @@ from .activations import (
     layer_correlation,
     layer_maps,
     phiprime_expectation,
+    shared_layer_maps,
 )
 from .errors import AssumptionViolatedError, DivergenceError
 from .gaussmath import clamp_correlation
@@ -192,12 +207,12 @@ class InputPair:
 class KernelTrace:
     """Per-depth state of one kernel recursion.
 
-    State arrays have shape (n,) + the input shape for the last n layers,
-    ``layers``, of the depth-L recursion: n = L, or 1 for a last-layer
-    trace.  The input shape is () for one dense pair, (P,) for P pairs
-    given as arrays, (M, M) for full-grid conv kernels, whose full ``vx``
-    and ``vxp`` grids hold the variance of x at alpha and of x' at alpha'
-    at each (alpha, alpha').  The stored state is the raw value divided by
+    State arrays have shape (n,) + the input shape for the n stored depths
+    ``layers`` of the depth-L recursion (all L by default; see
+    :func:`dense_layer_arrays`).  The input shape is () for one dense
+    pair, (P,) for P pairs given as arrays, (M, M) for full-grid conv
+    kernels, whose full ``vx`` and ``vxp`` grids hold the variance of x at
+    alpha and of x' at alpha' at each (alpha, alpha').  The stored state is the raw value divided by
     exp(scale_log[l]), for every kind; scale_log changes only when a
     variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT] (see the module
     docstring), and the recursion was renormalised where scale_log is not
@@ -216,6 +231,7 @@ class KernelTrace:
     wK: np.ndarray
     qdot: np.ndarray
     scale_log: np.ndarray
+    layers: np.ndarray  # the stored depths l, as floats
 
     def _log_scale(self) -> np.ndarray:
         return self.scale_log.reshape((-1,) + (1,) * (self.vx.ndim - 1))
@@ -252,12 +268,6 @@ class KernelTrace:
     @property
     def ntk_sign(self) -> np.ndarray:
         return np.sign(self.wK)
-
-    @property
-    def layers(self) -> np.ndarray:
-        """Depths l of the stored layers, as floats."""
-        return np.arange(self.depth - self.scale_log.size + 1, self.depth + 1,
-                         dtype=np.float64)
 
 
 def first_layer_cov(params: InitParams, inner, dim):
@@ -316,23 +326,27 @@ def _circulant_average(grid: np.ndarray, k: int) -> np.ndarray:
 
 def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                        params: InitParams, qx0, qxp0, qcov0, L: int,
-                       last_only: bool = False) -> KernelTrace:
+                       keep=None) -> KernelTrace:
     """Run a kernel recursion from first-layer covariances.
 
     ``kind`` is a dense kind name or an :class:`Architecture`.  The
     first-layer variances and covariances may be scalars or arrays of one
-    shape (one entry per input pair); the trace arrays have shape (L,) +
-    that shape, or (1,) + that shape with ``last_only``, which keeps layer
-    L alone.  A full-grid conv architecture takes (M, M) grids, the
-    variances of x at alpha and of x' at alpha' broadcast over the grid,
-    and averages each layer's new terms over the filter window (see the
-    module docstring).  One layer step serves every kind.  Dense
-    variances that every pair shares, bit for bit (scalars, or arrays of
-    one value), run once for the whole batch.  The depth L must be at
-    least 1.
+    shape (one entry per input pair); the trace arrays have shape (n,) +
+    that shape for the n stored depths: ``keep``, depths in [1, L] (stored
+    once each, in increasing order), or every depth 1..L by default.  A
+    full-grid conv architecture takes (M, M) grids, the variances of x at
+    alpha and of x' at alpha' broadcast over the grid, and averages each
+    layer's new terms over the filter window (see the module docstring).
+    One layer step serves every kind.  Dense variances that every pair
+    shares, bit for bit (scalars, or arrays of one value), run once for
+    the whole batch, as two Python floats.  The depth L must be at least 1.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
+    # every depth, or the sorted distinct ones of keep (never a list of L)
+    depths = None if keep is None else sorted({int(l) for l in keep})
+    if depths is not None and not (depths and 1 <= depths[0] and depths[-1] <= L):
+        raise ValueError(f"kept depths must lie in [1, {L}], got {keep!r}")
     arch = kind if isinstance(kind, Architecture) else Architecture(kind)
     _require_relu(arch.kind, activation)
     first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
@@ -349,18 +363,20 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         def mix(a):
             return a
     n = first[0].size
-    # m = 1 where every pair shares its two variances, else m = n
-    m = 1 if not arch.is_conv and _shared(first[0]) and _shared(first[1]) else n
+    # variances that every pair shares run as the floats x and y; else the
+    # state buffer starts with their (2, n) rows
+    shared = not arch.is_conv and _shared(first[0]) and _shared(first[1])
+    m = 0 if shared else n
     # one buffer: the variances V (2, m), then vcov, wK (the state S) and qdot
     state = np.empty(2 * m + 3 * n)
     S, qdot = state[:2 * m + 2 * n], state[2 * m + 2 * n:]
     V = S[:2 * m].reshape(2, m)
+    vx, vxp = V
     qcov, wK = S[2 * m:].reshape(2, n)
-    # shared variances as 0-d views: numpy runs a 0-d operand against the
-    # pairs on its fast path, which a (1,) one misses
-    vshape = (n,) if m == n else ()
-    vx, vxp = V[0].reshape(vshape), V[1].reshape(vshape)
-    V[0], V[1] = (a.ravel()[:m] for a in first[:2])
+    if shared:
+        x, y = (float(a.flat[0]) for a in first[:2])
+    else:
+        V[0], V[1] = (a.ravel() for a in first[:2])
     qcov[:] = first[2].ravel()
     wK[:] = qcov
     qdot[:] = np.nan
@@ -368,37 +384,62 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     B = np.empty_like(S)
     E = B[:2 * m + n]  # w (sigma_b^2 + sigma_w^2 E), in place
     block, new_K = B[2 * m:].reshape(2, n)
-    root, c = np.empty(vshape), np.empty(n)
-    maps = layer_maps(activation, V, root, B[:2 * m].reshape(2, m), block, qdot)
-    sb2, sw2 = params.sigma_b**2, params.sigma_w**2
+    root, c = np.empty(m), np.empty(n)
+    if shared:
+        maps = shared_layer_maps(activation, block, qdot)
+    else:
+        maps = layer_maps(activation, V, root, B[:2 * m].reshape(2, m), block, qdot)
+    sb2, sw2 = float(params.sigma_b**2), float(params.sigma_w**2)
     sb2_l = sb2  # the bias in units of the renormalised state
     skip = arch.is_residual
     scaled = arch.is_scaled
-    kept = 1 if last_only else L
+    kept = L if depths is None else len(depths)
     # one allocation holds the trace: the state of each kept layer (one
-    # write per layer), then, where the variances are shared, their full
-    # (kept, 2, P) rows, about the 5 kept P floats of a (5, kept, P)
-    # history.  Split into two allocations, the trace raised the peak RSS
-    # of an `empirical` run after `rates` in the same process by 0.8 MB
-    # (glibc's malloc adapts its mmap threshold to the blocks freed).
-    store = np.empty(kept * (state.size + (2 * n if m < n else 0)))
+    # write per layer), then, where the variances are shared, their two
+    # floats per kept layer and their full (kept, 2, P) rows, about the 5
+    # kept P floats of a (5, kept, P) history.  Split into two
+    # allocations, the trace raised the peak RSS of an `empirical` run
+    # after `rates` in the same process by 0.8 MB (glibc's malloc adapts
+    # its mmap threshold to the blocks freed).
+    store = np.empty(kept * (state.size + (2 + 2 * n if shared else 0)))
     hist = store[:kept * state.size].reshape(kept, state.size)
+    shared_rows = store[kept * state.size:kept * (state.size + 2)].reshape(kept, -1)
     scale_log = np.zeros(kept)
     log_scale = 0.0
+    j, next_kept = 0, 1 if depths is None else depths[0]
     if L > 1:
         # the one root check of the run: from layer 2 on the largest
         # variance is at most _RENORM_LIMIT (or inf or NaN), so a zero,
-        # infinite or NaN root shows in the correlation's range check
-        first_layer_root(V[0], V[1])
+        # infinite or NaN root shows in the correlation's range check.
+        # Shared variances are checked as one (1,) row each
+        first_layer_root(*(a.ravel()[:m or 1] for a in first[:2]))
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(L):
-            if i:
-                w = 1.0 / (i + 1) if scaled else 1.0
-                np.multiply(vx, vxp, out=root)
-                np.sqrt(root, out=root)
-                maps(*_correlation(qcov, root, c))
-                qdot *= w * sw2
+    # a kernel that passes float max stays inf, with no warning where the
+    # variances are floats, whose overflow the renormalisation names;
+    # numpy's overflow state is left alone where it governs them
+    with np.errstate(divide="ignore", invalid="ignore",
+                     over="ignore" if shared else None):
+        for l in range(1, L + 1):
+            if l > 1:
+                w = 1.0 / l if scaled else 1.0
+                if shared:
+                    try:
+                        root = math.sqrt(x * y)
+                    except ValueError:  # a negative product: NaN, as np.sqrt
+                        root = math.nan
+                    dx, dy = maps(x, y, root, *_correlation(qcov, root, c), w * sw2)
+                    dx *= sw2
+                    dy *= sw2
+                    if sb2_l:
+                        dx += sb2_l
+                        dy += sb2_l
+                    if w != 1.0:
+                        dx *= w
+                        dy *= w
+                else:
+                    np.multiply(vx, vxp, out=root)
+                    np.sqrt(root, out=root)
+                    maps(*_correlation(qcov, root, c), w * sw2)
                 E *= sw2
                 if sb2_l:
                     E += sb2_l
@@ -410,25 +451,42 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                     S += mix(B)
                 else:
                     np.copyto(S, mix(B))
-                top = float(np.maximum.reduce(V, axis=None))
+                if shared:
+                    x, y = (x + dx, y + dy) if skip else (dx, dy)
+                    # np.maximum's choice: NaN if either is NaN
+                    top = x if x >= y or x != x else y
+                else:
+                    top = float(np.maximum.reduce(V, axis=None))
                 if top > _RENORM_LIMIT or 0.0 < top < 1.0 / _RENORM_LIMIT:
+                    if top == math.inf:
+                        raise DivergenceError(
+                            f"a field variance passed the float maximum at layer {l}")
                     S /= top
+                    if shared:
+                        x, y = x / top, y / top
                     log_scale += float(np.log(top))
-                    sb2_l = sb2 * np.exp(-log_scale) if sb2 else 0.0
-            j = i - (L - kept)
-            if j >= 0:
+                    sb2_l = float(sb2 * np.exp(-log_scale)) if sb2 else 0.0
+            if l == next_kept:
                 hist[j] = state
+                if shared:
+                    row = shared_rows[j]
+                    row[0], row[1] = x, y
                 scale_log[j] = log_scale
+                j += 1
+                next_kept = (l + 1 if depths is None
+                             else depths[j] if j < kept else 0)
 
-    variances = hist[:, :2 * m].reshape(kept, 2, m)
-    if m < n:  # full (kept, P) variance rows, as a per-pair run has them
-        full = store[kept * state.size:].reshape(kept, 2, n)
-        full[...] = variances
-        variances = full
+    if shared:  # full (kept, P) variance rows, as a per-pair run has them
+        variances = store[kept * (state.size + 2):].reshape(kept, 2, n)
+        variances[...] = shared_rows[:, :, None]
+    else:
+        variances = hist[:, :2 * m].reshape(kept, 2, m)
     pair_rows = hist[:, 2 * m:].reshape(kept, 3, n)
     rows = (*variances.transpose(1, 0, 2), *pair_rows.transpose(1, 0, 2))
     return KernelTrace(arch, params, L,
-                       *(r.reshape((kept,) + shape) for r in rows), scale_log)
+                       *(r.reshape((kept,) + shape) for r in rows), scale_log,
+                       np.arange(1, L + 1, dtype=np.float64) if depths is None
+                       else np.array(depths, dtype=np.float64))
 
 
 def _shared(a: np.ndarray) -> bool:

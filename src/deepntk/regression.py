@@ -121,7 +121,7 @@ class TrainingState:
 def _last_layer(spec: KernelSpec, qx, qxp, qcov):
     return dense_layer_arrays(spec.architecture.kind, spec.activation,
                               spec.params, qx, qxp, qcov, spec.depth,
-                              last_only=True)
+                              keep=[spec.depth])
 
 
 #: pairs with 1 - c^0 below this run the recursion, where its rounding
@@ -279,8 +279,12 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
     vals = pair_kernel(spec, sq[iu], sq[ju], (X[iu] * X[ju]).sum(axis=1), d,
                        tables)
     if not np.all(np.isfinite(vals)):
+        # the kernel, renormalised with the variances, can still pass float
+        # max (a chaotic diagonal grows like chi^L); the engine keeps it inf
+        overflow = np.any(np.isinf(vals))
         raise DivergenceError(
-            f"Gram matrix has non-finite entries at depth {spec.depth}")
+            f"Gram matrix has non-finite entries at depth {spec.depth}"
+            + (": K^L passed the float maximum" if overflow else ""))
     gram = np.zeros((n, n))
     gram[iu, ju] = vals
     gram = gram + gram.T - np.diag(np.diag(gram))

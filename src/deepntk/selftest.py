@@ -91,7 +91,7 @@ def checks_activations():
         qx, qxp = rng.uniform(0.1, 3.0, (2, 50))
         qcov = rng.uniform(-1.0, 1.0, 50) * np.sqrt(qx * qxp)
         step = ker.dense_layer_arrays("ffnn", a, InitParams(0.3, 1.2),
-                                      qx, qxp, qcov, 2, last_only=True)
+                                      qx, qxp, qcov, 2, keep=[2])
         ok = ok and bool(np.all(step.qcov**2 <= step.qx * step.qxp + 1e-10))
     out.append(("activations.cauchy_schwarz_step", bool(ok), ""))
     # f nondecreasing and convex on [0, 1]
@@ -391,7 +391,7 @@ def checks_empirical():
     xs = x / np.linalg.norm(x)
     q1 = ker.first_layer_cov(p, 1.0, xs.size)
     qx = float(ker.dense_layer_arrays("ffnn", tanh, p, q1, q1, q1, 3,
-                                      last_only=True).qx[0])
+                                      keep=[3]).qx[0])
     samples = []
     for s in range(24):
         net = emp.sample_net("ffnn", tanh, p, [1024] * 3, 4, 100 + s)

@@ -130,20 +130,35 @@ class SpectralDecomposition:
 
 def zonal_profile(config: KernelConfig, d: int, depth: int,
                   grid: np.ndarray) -> np.ndarray:
-    """g_L(t) on the given t grid, by running the depth-L recursion per node.
+    """g_L(t) on the given t grid at L = ``depth``: the one row of
+    :func:`zonal_profiles`."""
+    return zonal_profiles(config, d, [depth], grid)[0]
+
+
+def zonal_profiles(config: KernelConfig, d: int, depths: list[int],
+                   grid: np.ndarray) -> np.ndarray:
+    """g_L(t) on the given t grid at each depth L of ``depths``, one row
+    per entry, from one recursion per node to the largest depth that keeps
+    the layers asked for.
 
     g_L is K^L / alpha_L if ``config.law`` is normalized, else K^L.
     Inputs live on S^{d-1}: first-layer covariances are
     q^1(x,x) = sigma_b^2 + sigma_w^2 / d and
-    q^1(x,x') = sigma_b^2 + sigma_w^2 t / d.
+    q^1(x,x') = sigma_b^2 + sigma_w^2 t / d, so every node shares its
+    variances.  Each row has the bits of a recursion to its own depth.
     """
+    for L in depths:
+        if L < 1:
+            raise ValueError(f"depth must be >= 1, got {L}")
     grid = np.asarray(grid, dtype=np.float64)
     p = config.params
     qdiag = first_layer_cov(p, 1.0, d)
     qcov = first_layer_cov(p, grid, d)
     trace = dense_layer_arrays(config.architecture, config.activation, p,
-                               qdiag, qdiag, qcov, depth, last_only=True)
-    return (normalize(trace) if config.law.normalized else trace.ntk)[-1]
+                               qdiag, qdiag, qcov, max(depths), keep=depths)
+    values = normalize(trace) if config.law.normalized else trace.ntk
+    stored = trace.layers.tolist()
+    return values[[stored.index(L) for L in depths]]
 
 
 def decompose(profile: np.ndarray, d: int, k_max: int,
@@ -186,6 +201,10 @@ def decompose_kernel(config: KernelConfig, d: int, depth: int,
 
 def eigen_trend(config: KernelConfig, d: int, depths: list[int],
                 k_max: int = DEFAULT_KMAX) -> dict[int, SpectralDecomposition]:
-    """mu_k^L per requested depth."""
+    """mu_k^L per requested depth, from one recursion to the largest."""
     rule = jacobi_rule(d)
-    return {L: decompose_kernel(config, d, L, k_max, rule) for L in depths}
+    depths = list(dict.fromkeys(depths))  # a repeated depth is one entry
+    if not depths:
+        return {}
+    profiles = zonal_profiles(config, d, depths, rule.nodes)
+    return {L: decompose(g, d, k_max, rule) for L, g in zip(depths, profiles)}

@@ -207,13 +207,13 @@ class TestCovarianceStep:
     def test_relu_critical_fixed_triple(self):
         v = np.array([0.5, 1.0, 3.0])
         tr = dense_layer_arrays("ffnn", RELU, InitParams(0.0, np.sqrt(2.0)),
-                                v, v, v, 2, last_only=True)
+                                v, v, v, 2, keep=[2])
         for out in (tr.qx, tr.qxp, tr.qcov):
             np.testing.assert_allclose(out[0], v, rtol=1e-14)
 
     def test_relu_ordered_variance_limit(self):
         tr = dense_layer_arrays("ffnn", RELU, InitParams(1.0, 0.1),
-                                5.0, 5.0, 5.0, 201, last_only=True)
+                                5.0, 5.0, 5.0, 201, keep=[201])
         assert abs(tr.qx[0] - 1.0 / 0.995) < 1e-12
 
     def test_tanh_step_vs_wide_random_layer(self):
@@ -229,7 +229,7 @@ class TestCovarianceStep:
         est = sb**2 + sw**2 * prods.mean()
         se = sw**2 * prods.std(ddof=1) / np.sqrt(n)
         qcov = dense_layer_arrays("ffnn", TANH, InitParams(sb, sw),
-                                  1.0, 1.0, 0.5, 2, last_only=True).qcov[0]
+                                  1.0, 1.0, 0.5, 2, keep=[2]).qcov[0]
         assert abs(qcov - est) < 3 * se
 
     def test_nonpositive_variance_rejected(self):

@@ -387,17 +387,21 @@ class TestExitCodes:
         assert "Warning" not in err
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("argv", [
-        ["rates", "--activation", "relu", "--phase", "eoc", "--j-max", "40"],
-        ["kernel", "--activation", "relu", "--phase", "eoc",
-         "--depth", "1000000000000000"],
+    @pytest.mark.parametrize("argv,message", [
+        (["rates", "--activation", "relu", "--phase", "eoc", "--j-max", "40"],
+         "config error: --j-max must be at most 20, got 40"),
+        (["kernel", "--activation", "relu", "--phase", "eoc",
+          "--depth", "1000000000000000"], "config error: Unable to allocate"),
     ], ids=["rates-13-PiB", "kernel-35-PiB"])
-    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, argv):
-        # both requests exceed 2^52 bytes, more than a 64-bit process can
-        # map, so they fail at once whatever the overcommit policy
+    def test_unallocatable_size_is_config_error(self, tmp_path, capsys, argv,
+                                                message):
+        # the kernel request exceeds 2^52 bytes, more than a 64-bit process
+        # can map, so it fails at once whatever the overcommit policy.
+        # rates keeps its grid layers alone (13 PiB for every layer of
+        # depth 32 * 2^40), so its grid is refused by size before it runs
         out = str(tmp_path / "o.csv")
         assert main(argv + ["-o", out]) == 2
-        assert "config error: Unable to allocate" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flag", ["--sigma-b-grid", "--sigma-w-grid"])
@@ -470,6 +474,21 @@ class TestExitCodes:
         assert "non-finite entries" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_overflowing_tanh_gram_is_numeric_error(self, tmp_path, capsys):
+        # the chaotic Tanh diagonal (chi = 2.37) passes float max near
+        # L = 821: the shared-variance run keeps it inf with no warning
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--activation", "tanh", "--sigma-b", "0.2",
+                       "--sigma-w", "4", "--depth", "900", "--sphere-n", "4",
+                       "--sphere-d", "3", "-o", out])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "non-finite entries at depth 900: K^L passed the float maximum" in err
+        assert "Warning" not in err
+        assert not os.path.exists(out)
+
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):
         rc = main(["kernel", "--phase", "eoc", "--depth", "3", "--sphere-d", "0",
                    "-o", str(tmp_path / "k.csv")])
@@ -481,7 +500,8 @@ class TestExitCodes:
         (["--pairs", "0"], "--pairs must be at least 1, got 0"),
         (["--pairs", "-2"], "--pairs must be at least 1, got -2"),
         (["--j-max", "3"], "--j-max must be at least 7, got 3"),
-    ], ids=["pairs_0", "pairs_negative", "j_max_3"])
+        (["--j-max", "21"], "--j-max must be at most 20, got 21"),
+    ], ids=["pairs_0", "pairs_negative", "j_max_3", "j_max_21"])
     def test_rates_size_flags_are_config_errors(self, tmp_path, capsys,
                                                 flags, message):
         rc = main(["rates", "--phase", "eoc", *flags, "-o", str(tmp_path / "r.csv")])

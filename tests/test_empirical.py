@@ -27,6 +27,26 @@ class TestSampling:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
+    def test_draws_are_the_seed_stream(self):
+        # weights layer by layer, then biases, as fresh arrays would be drawn
+        net = sample_net("ffnn", RELU, EOC, [6, 5], 4, 11)
+        rng = np.random.default_rng(11)
+        for a in (*net.weights, *net.biases):
+            assert np.array_equal(a, rng.standard_normal(a.shape))
+
+    def test_study_refills_the_nets_of_sample_net(self):
+        x, xp = np.array([1.0, 0.0, 0.5]), np.array([0.2, 1.0, -0.3])
+        widths, depth, seeds = [8, 16], 3, 4
+        study = width_convergence_study("resnet_dense", RELU, EOC, x, xp, widths,
+                                        depth, seeds, base_seed=5)
+        for iw, width in enumerate(widths):
+            vals = np.array([
+                empirical_ntk(sample_net("resnet_dense", RELU, EOC, [width] * depth,
+                                         x.size, 5 + 7919 * iw + s), x, xp)
+                for s in range(seeds)])
+            assert study["mean"][iw] == float(vals.mean())
+            assert study["std"][iw] == float(vals.std(ddof=1))
+
     def test_single_unit_forward(self):
         p = InitParams(0.7, 1.1)
         net = sample_net("ffnn", RELU, p, [1], 3, 5)

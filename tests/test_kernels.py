@@ -1,4 +1,6 @@
 """Kernel recursions: dense, conv, residual, scaled; limits and normalization."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -385,6 +387,33 @@ class TestOneBadPairInABatch:
                 dense_layer_arrays("ffnn", RELU, InitParams(0.1, 1.2), *first, 3)
 
 
+class TestSharedVariancesAsFloats:
+    """Variances that every pair shares run as two Python floats, with the
+    errors of the (1,) rows that ran before."""
+
+    @pytest.mark.parametrize("activation", [RELU, TANH], ids=["relu", "tanh"])
+    @pytest.mark.parametrize("value,shown", [(np.nan, "array([nan])"),
+                                             (np.inf, "array([inf])")],
+                             ids=["nan", "inf"])
+    def test_non_finite_variance_message(self, activation, value, shown):
+        want = ("correlation not finite: the variances must be positive and "
+                f"finite, got sqrt(qx qxp) = {shown}")
+        for first in ((value, 1.0, 0.5), (1.0, value, 0.5),
+                      (value, value, np.array([0.5, 0.2]))):
+            with pytest.raises(ValueError) as err:
+                dense_layer_arrays("ffnn", activation, InitParams(0.1, 1.2), *first, 3)
+            assert str(err.value) == want
+
+    def test_overflowing_variance_is_named(self):
+        # layer 2 of q = 1e10 at sigma_w^2 = 1e300 passes float max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="variance passed the float maximum at layer 2"):
+                dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1e150),
+                                   1e10, 1e10, 5e9, 3)
+
+
 class TestLayerPasses:
     """A layer adds no zero bias and copies the block where there is no
     skip; the bits agree with s S + mix(B) for finite states."""
@@ -450,11 +479,16 @@ class TestNormalize:
         qcov = rng.uniform(-0.9, 0.9, 6) * np.sqrt(q[0] * q[1])
         args = (arch.kind, RELU, InitParams(0.0, 2.0), q[0], q[1], qcov, 700)
         full = dense_layer_arrays(*args)
-        last = dense_layer_arrays(*args, last_only=True)
+        last = dense_layer_arrays(*args, keep=[700])
         for name in ("vx", "vxp", "vcov", "wK", "qdot", "scale_log", "layers"):
             np.testing.assert_array_equal(getattr(last, name),
                                           getattr(full, name)[-1:])
         np.testing.assert_array_equal(normalize(last), normalize(full)[-1:])
+
+    @pytest.mark.parametrize("keep", [[], [0, 3], [3, 6]], ids=["none", "zero", "past_L"])
+    def test_kept_depths_outside_the_run_are_refused(self, keep):
+        with pytest.raises(ValueError, match=r"kept depths must lie in \[1, 5\]"):
+            dense_layer_arrays("ffnn", RELU, EOC_RELU, 1.0, 1.0, 0.5, 5, keep=keep)
 
 
 class TestLimitingKernel:
@@ -497,7 +531,7 @@ class TestLimitingKernel:
         # fallback is phase's m(q) on the same rule, so the engine's fixed
         # point is classify's
         p = InitParams(sigma_b, sigma_w)
-        trace = dense_layer_arrays("ffnn", TANH, p, 1.0, 1.0, 0.5, 300, last_only=True)
+        trace = dense_layer_arrays("ffnn", TANH, p, 1.0, 1.0, 0.5, 300, keep=[300])
         q = classify(TANH, p).q_fixed
         assert abs(float(trace.qx[-1]) / q - 1.0) <= 1e-14
 

@@ -333,3 +333,49 @@ def test_series_pairs_are_the_in_order_sum(pairs, data):
                                     shuffled[1][order == i][0])):
             assert list(np.ravel(got)) == want
             assert list(np.ravel(got_certified)) == want_certified
+
+
+# ---------------------------------------------------------------------------
+# kept layers: a trace that keeps some depths is those rows of the full one
+# ---------------------------------------------------------------------------
+
+_TRACE_FIELDS = ("vx", "vxp", "vcov", "wK", "qdot", "scale_log")
+
+
+def _assert_kept_rows(full, part, keep):
+    rows = sorted(set(keep))
+    assert part.layers.tolist() == [float(l) for l in rows]
+    for name in _TRACE_FIELDS:
+        assert np.array_equal(getattr(part, name),
+                              getattr(full, name)[np.array(rows) - 1], equal_nan=True)
+
+
+@pytest.mark.parametrize("kind,activation,depth", [
+    pytest.param(kind, RELU, 60, id=f"relu-{kind}") for kind in DENSE_KINDS]
+    + [pytest.param("ffnn", TANH, 12, id="tanh-ffnn")])
+@pytest.mark.parametrize("shared", [True, False], ids=["m1", "mn"])
+@settings(PROPERTY, max_examples=8)
+@given(sigma_b=st.floats(0.0, 1.0), sigma_w=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_kept_layers_are_rows_of_the_full_trace(kind, activation, depth, shared,
+                                                sigma_b, sigma_w, seed, data):
+    keep = data.draw(st.lists(st.integers(1, depth), min_size=1, max_size=6))
+    first = _branch_pairs(seed)
+    if shared:  # every pair at the correlations of the batch, variance q: m = 1
+        q = first[0][0]
+        first = (q, q, first[2] / np.sqrt(first[0] * first[1]) * q)
+    p = InitParams(sigma_b, sigma_w)
+    full = dense_layer_arrays(kind, activation, p, *first, depth)
+    _assert_kept_rows(full, dense_layer_arrays(kind, activation, p, *first, depth,
+                                               keep=keep), keep)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["m1", "mn"])
+def test_kept_layers_past_the_first_renormalisation(shared):
+    # resnet_dense at (0.1, 1) first renormalises at layer 852 or 853
+    q = (1.0, 1.0) if shared else (np.array([0.5, 1.5]), np.array([1.5, 0.5]))
+    args = ("resnet_dense", RELU, InitParams(0.1, 1.0), *q, np.array([0.3, -0.2]), 900)
+    full = dense_layer_arrays(*args)
+    assert full.scale_log[850] == 0.0 and full.scale_log[-1] > 0.0
+    keep = [900, 851, 1, 853, 852, 851, 899]
+    _assert_kept_rows(full, dense_layer_arrays(*args, keep=keep), keep)

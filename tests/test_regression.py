@@ -23,7 +23,7 @@ FFNN = Architecture("ffnn")
 def engine_kernel(spec, qx, qxp, qcov):
     """K^L of the engine run on the first-layer triples themselves."""
     return dense_layer_arrays(spec.architecture.kind, spec.activation, spec.params,
-                              qx, qxp, qcov, spec.depth, last_only=True).ntk[-1]
+                              qx, qxp, qcov, spec.depth, keep=[spec.depth]).ntk[-1]
 
 
 @pytest.fixture(scope="module")

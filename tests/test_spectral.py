@@ -171,3 +171,39 @@ class TestSpectraTrends:
         with pytest.raises(ValueError):
             KernelConfig(Architecture("cnn", positions=4, filter_half_width=1),
                          RELU, EOC)
+
+
+class TestOneRecursion:
+    def test_spectrum_runs_one_recursion_to_the_deepest_depth(self, tmp_path,
+                                                              monkeypatch):
+        # unsorted and repeated depths: one engine call, L = 30, and every
+        # row that of a recursion to its own depth
+        from deepntk import cli, spectral
+        calls = []
+        engine = spectral.dense_layer_arrays
+
+        def spy(*args, **kwargs):
+            calls.append(args[6])
+            return engine(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "dense_layer_arrays", spy)
+        out = str(tmp_path / "s.csv")
+        assert cli.main(["spectrum", "--arch", "ffnn", "--activation", "relu",
+                         "--phase", "eoc", "--d", "3", "--depths", "30,3,30,12",
+                         "--kmax", "8", "-o", out]) == 0
+        monkeypatch.undo()
+        assert calls == [30]
+        rows = np.loadtxt(out, delimiter=",", skiprows=3, ndmin=2)  # comments, header
+        assert rows[:, 0].tolist() == [float(L) for L in (30, 3, 30, 12) for _ in range(9)]
+        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
+        rule = jacobi_rule(3)
+        for i, L in enumerate((30, 3, 30, 12)):
+            dec = decompose(zonal_profile(cfg, 3, L, rule.nodes), 3, 8, rule)
+            block = rows[9 * i:9 * (i + 1)]
+            assert np.array_equal(block[:, 2], dec.mu)
+            assert np.array_equal(block[:, 3], dec.normalized_mass())
+
+    def test_eigen_trend_keys_follow_the_first_occurrence(self):
+        cfg = KernelConfig(Architecture("ffnn"), RELU, EOC)
+        assert list(eigen_trend(cfg, 3, [12, 3, 12], k_max=4)) == [12, 3]
+        assert eigen_trend(cfg, 3, [], k_max=4) == {}
