@@ -10,10 +10,14 @@ train      closed-form kernel training on a dataset -> JSON (+ CSV)
 empirical  finite-width Monte-Carlo vs the mean-field kernel -> CSV
 selftest   run all module invariant suites
 
-Every emitted CSV starts with a reproducibility header (version, full
-config, seed) and gets a ``<name>.schema.json`` sidecar describing its
-columns and giving the time it was written, so that identical runs give
-byte-identical CSVs.  Outputs are written atomically (temp file + rename).
+Every emitted CSV comes from one table writer, ``write_csv``, which takes
+whole columns (name -> values and description, in file order): floats are
+written with %.17g, everything else with ``str``.  The CSV starts with a
+reproducibility header (version, full config, seed) and gets a
+``<name>.schema.json`` sidecar describing its columns and giving the time
+it was written, so that identical runs give byte-identical CSVs.  Outputs
+are written atomically (temp file + rename).  ``rates``, ``spectrum`` and
+``train`` run at most MAX_DEPTH = 33,554,432 layers.
 Exit codes: 0 ok, 2 config error, 3 numeric error, 4 io error.
 
 Config precedence: command-line flags > --config file (flat ``key = value``
@@ -38,13 +42,12 @@ from . import __version__
 from .activations import ActivationModel, make_activation
 from .asymptotics import default_depth_grid, fit_rate
 from .errors import DivergenceError, NumericError
-from .kernels import (CONV_KINDS, Architecture, InputPair, KindLaw,
-                      dense_layer_arrays, first_layer_cov, kind_law,
+from .kernels import (CONV_KINDS, Architecture, InputPair, KindLaw, kind_law,
                       limiting_kernel, normalize, ntk_trace)
-from .phase import InitParams, classify, eoc_curve
+from .phase import InitParams, PhaseReport, classify, eoc_curve
 from .regression import (Dataset, KernelSpec, accuracy, build_gram, evolve,
                          one_hot, predict)
-from .spectral import MAX_DIMENSION, KernelConfig, eigen_trend
+from .spectral import MAX_DIMENSION, KernelConfig, eigen_trend, zonal_profiles
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +55,14 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _FLOAT_FMT = "%.17g"  # round-trip exact for 64-bit floats
-#: the largest --j-max of ``rates``: depth 32 * 2^20 = 33,554,432, about
-#: six minutes of layers at 10 us each.  The run stores its grid layers
-#: alone, so no allocation would refuse a deeper grid that cannot finish
+#: rows formatted and written per step: the text of a block, not of the file
+_BLOCK_ROWS = 4096
+#: the largest --j-max of ``rates``, and MAX_DEPTH = 32 * 2^20 = 33,554,432
+#: the deepest layer that ``rates``, ``spectrum`` and ``train`` run, about
+#: six minutes of layers at 10 us each.  They store a few layers alone, so
+#: no allocation would refuse a deeper run that cannot finish
 MAX_J = 20
+MAX_DEPTH = default_depth_grid(MAX_J)[-1]
 
 
 class ConfigError(ValueError):
@@ -66,12 +73,13 @@ class ConfigError(ValueError):
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of ``chunks`` to ``path`` through a temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".deepntk-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -85,30 +93,37 @@ def _config_echo(args: argparse.Namespace) -> str:
     return " ".join(f"{k}={v}" for k, v in items.items())
 
 
-def write_csv(path: str, args: argparse.Namespace, columns: list[str],
-              rows, schema: dict[str, str]) -> None:
-    """Write rows as a CSV with a ``.schema.json`` sidecar.
+def _csv_lines(args: argparse.Namespace, columns: dict[str, np.ndarray]):
+    """The header lines, then one line per row: each block of rows formats
+    each column once, %.17g for float columns and ``str`` for the others."""
+    yield f"# deepntk {__version__}\n# config: {_config_echo(args)}\n"
+    yield ",".join(columns) + "\n"
+    formats = [_FLOAT_FMT.__mod__ if a.dtype.kind == "f" else str
+               for a in columns.values()]
+    for start in range(0, max(map(len, columns.values())), _BLOCK_ROWS):
+        cells = [map(fmt, a[start:start + _BLOCK_ROWS].tolist())
+                 for fmt, a in zip(formats, columns.values())]
+        yield "\n".join(map(",".join, zip(*cells, strict=True))) + "\n"
 
-    The time stamp goes in the sidecar only, so identical runs give
-    byte-identical CSVs.
+
+def write_csv(path: str, args: argparse.Namespace,
+              table: dict[str, tuple[object, str]]) -> None:
+    """Write ``table`` as a CSV with a ``.schema.json`` sidecar.
+
+    ``table`` maps each column name, in file order, to its values (an
+    array or list, one entry per row) and its description; columns of
+    unequal lengths raise ValueError and leave no file.  The time stamp
+    goes in the sidecar only, so identical runs give byte-identical CSVs.
     """
-    lines = [f"# deepntk {__version__}", f"# config: {_config_echo(args)}",
-             ",".join(columns)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float | np.floating):
-                cells.append(_FLOAT_FMT % v)
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    columns = {name: np.asarray(values) for name, (values, _) in table.items()}
+    _atomic_write(path, _csv_lines(args, columns))
     sidecar = {
         "file": os.path.basename(path),
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "columns": [{"name": c, "description": schema[c]} for c in columns],
+        "columns": [{"name": name, "description": text}
+                    for name, (_, text) in table.items()],
     }
-    _atomic_write(path + ".schema.json", json.dumps(sidecar, indent=2) + "\n")
+    _atomic_write(path + ".schema.json", [json.dumps(sidecar, indent=2) + "\n"])
 
 
 def write_json(path: str, args: argparse.Namespace, payload: dict) -> None:
@@ -118,7 +133,7 @@ def write_json(path: str, args: argparse.Namespace, payload: dict) -> None:
         text = json.dumps(payload, indent=2, sort_keys=False, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"{path}: {exc}") from None
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, [text + "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +213,6 @@ def _params_from(args, act: ActivationModel) -> InitParams:
     return InitParams(args.sigma_b, args.sigma_w)
 
 
-def _architecture_from(args) -> Architecture:
-    kind = args.arch
-    if kind in CONV_KINDS:
-        return Architecture(kind, positions=args.positions,
-                            filter_half_width=args.filter_k)
-    return Architecture(kind)
-
-
 def _parse_grid(spec: str, flag: str) -> np.ndarray:
     """'a:b:n' -> n >= 1 evenly spaced values; 'v1,v2,...' -> explicit list."""
     if ":" in spec:
@@ -220,28 +227,32 @@ def _parse_grid(spec: str, flag: str) -> np.ndarray:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _classify_or_divergent(act: ActivationModel, params: InitParams) -> PhaseReport:
+    try:
+        return classify(act, params)
+    except NumericError:
+        return PhaseReport(params, float("inf"), float("inf"), "divergent")
+
+
 def cmd_phase(args) -> int:
     act = make_activation(args.activation)
-    rows = []
-    sigma_ws = _parse_grid(args.sigma_w_grid, "--sigma-w-grid")
-    for sb in _parse_grid(args.sigma_b_grid, "--sigma-b-grid"):
-        for sw in sigma_ws:
-            try:
-                rep = classify(act, InitParams(float(sb), float(sw)))
-                rows.append((sb, sw, rep.q_fixed, rep.chi, rep.phase))
-            except NumericError:
-                rows.append((sb, sw, float("inf"), float("inf"), "divergent"))
-    write_csv(args.output, args, ["sigma_b", "sigma_w", "q", "chi", "phase"], rows, {
-        "sigma_b": "bias scale",
-        "sigma_w": "weight scale",
-        "q": "limiting layer variance (inf if divergent)",
-        "chi": "sigma_w^2 E[phi'(sqrt(q) Z)^2]",
-        "phase": "ordered | chaotic | eoc | divergent",
+    grid = np.meshgrid(_parse_grid(args.sigma_b_grid, "--sigma-b-grid"),
+                       _parse_grid(args.sigma_w_grid, "--sigma-w-grid"), indexing="ij")
+    sb, sw = (a.ravel() for a in grid)  # sigma_b-major, as the file lists them
+    reports = [_classify_or_divergent(act, InitParams(b, w))
+               for b, w in zip(sb.tolist(), sw.tolist())]
+    write_csv(args.output, args, {
+        "sigma_b": (sb, "bias scale"),
+        "sigma_w": (sw, "weight scale"),
+        "q": ([r.q_fixed for r in reports], "limiting layer variance (inf if divergent)"),
+        "chi": ([r.chi for r in reports], "sigma_w^2 E[phi'(sqrt(q) Z)^2]"),
+        "phase": ([r.phase for r in reports], "ordered | chaotic | eoc | divergent"),
     })
     return EXIT_OK
 
 
-def _kernel_pair(args) -> InputPair:
+def _kernel_pair(args) -> tuple[InputPair, Architecture]:
+    """The pair of ``kernel`` and its architecture (conv: M = dim / --channels)."""
     if args.input:
         ds = load_dataset(args.input,
                           "unit_sphere" if args.normalize == "unit_sphere" else "none")
@@ -251,36 +262,29 @@ def _kernel_pair(args) -> InputPair:
     else:
         X = synthetic_sphere(args.sphere_d, max(args.sphere_n, 2), args.seed)
         x, xp = X[0], X[1]
-    if args.arch in CONV_KINDS:
-        n0 = args.channels
-        if n0 < 1:
-            raise ConfigError(f"--channels must be at least 1, got {n0}")
-        if x.size % n0:
-            raise ConfigError("input dimension must be divisible by --channels")
-        m = x.size // n0
-        if args.positions is not None and args.positions != m:
-            raise ConfigError(f"--positions {args.positions} != inferred {m}")
-        args.positions = m
-        return InputPair(x.reshape(n0, m), xp.reshape(n0, m))
-    return InputPair(x, xp)
+    if args.arch not in CONV_KINDS:
+        return InputPair(x, xp), Architecture(args.arch)
+    n0 = args.channels
+    if n0 < 1:
+        raise ConfigError(f"--channels must be at least 1, got {n0}")
+    if x.size % n0:
+        raise ConfigError("input dimension must be divisible by --channels")
+    m = x.size // n0
+    return (InputPair(x.reshape(n0, m), xp.reshape(n0, m)),
+            Architecture(args.arch, positions=m, filter_half_width=args.filter_k))
 
 
 def cmd_kernel(args) -> int:
     act = make_activation(args.activation)
     params = _params_from(args, act)
-    pair = _kernel_pair(args)
-    arch = _architecture_from(args)
-    L = args.depth
-    trace = ntk_trace(arch, pair, act, params, L)
+    pair, arch = _kernel_pair(args)
+    trace = ntk_trace(arch, pair, act, params, args.depth)
     try:
         law = kind_law(arch, act, params)
     except DivergenceError:  # ReLU past sqrt(2): no variance fixed point
         law = KindLaw("chaotic", False, "exp")
-    # each view builds its whole (L,) column: read it once, not per row
-    qx, qxp, corr, ntk = trace.qx, trace.qxp, trace.corr, trace.ntk
-    values = normalize(trace) if law.normalized else ntk
-    rows = [(l + 1, qx[l], qxp[l], corr[l], trace.qdot[l], ntk[l], values[l])
-            for l in range(L)]
+    # each view builds its whole (L,) column: read it once
+    ntk = trace.ntk
     if law.normalized:
         meaning = ("K / alpha_l: alpha_l = l (ffnn, cnn), "
                    "l (1+sigma_w^2/2)^(l-1) (resnet kinds), "
@@ -288,16 +292,16 @@ def cmd_kernel(args) -> int:
     else:
         meaning = "K itself: off the critical curve no depth normalisation applies"
     law_name = f"{law.model} law" + (f", {law.phase} phase" if law.phase else "")
-    write_csv(args.output, args,
-              ["l", "qx", "qxp", "c", "qdot", "K", "K_normalized"], rows, {
-                  "l": "layer index (1-based)",
-                  "qx": "variance of the first input's field",
-                  "qxp": "variance of the second input's field",
-                  "c": "field correlation",
-                  "qdot": "kernel multiplier sigma_w^2 E[phi' phi'] (NaN at l=1)",
-                  "K": "kernel value",
-                  "K_normalized": f"{meaning} ({law_name}; see kernels.kind_law)",
-              })
+    write_csv(args.output, args, {
+        "l": (np.arange(1, args.depth + 1), "layer index (1-based)"),
+        "qx": (trace.qx, "variance of the first input's field"),
+        "qxp": (trace.qxp, "variance of the second input's field"),
+        "c": (trace.corr, "field correlation"),
+        "qdot": (trace.qdot, "kernel multiplier sigma_w^2 E[phi' phi'] (NaN at l=1)"),
+        "K": (ntk, "kernel value"),
+        "K_normalized": (normalize(trace) if law.normalized else ntk,
+                         f"{meaning} ({law_name}; see kernels.kind_law)"),
+    })
     return EXIT_OK
 
 
@@ -310,36 +314,29 @@ def cmd_rates(args) -> int:
         raise ConfigError(f"--j-max must be at most {MAX_J}, got {args.j_max}")
     act = make_activation(args.activation)
     params = _params_from(args, act)
+    config = KernelConfig(Architecture(args.arch), act, params)
     grid = default_depth_grid(args.j_max)
-    L = grid[-1]
     rng = default_rng(args.seed)
     d = args.sphere_d
     x0 = synthetic_sphere(d, 2, args.seed)
     # pairs with first-layer correlations spread across [-0.9, 0.9]: a max
     # over them approximates the sup over input pairs that are not colinear
     targets = rng.uniform(-0.9, 0.9, args.pairs)
-    qdiag = first_layer_cov(params, 1.0, d)
-    qcov0 = first_layer_cov(params, targets, d)
-    arch = Architecture(args.arch)
-    trace = dense_layer_arrays(arch, act, params, qdiag, qdiag, qcov0, L, keep=grid)
-    lim = limiting_kernel(arch, act, params, InputPair(x0[0], x0[1]))
-    law = kind_law(arch, act, params)
-    values = normalize(trace) if law.normalized else trace.ntk
-    resid = np.maximum(np.abs(values - lim), 1e-300)
-    r = resid.max(axis=1)  # one row per grid depth
+    values = zonal_profiles(config, d, grid, targets)
+    lim = limiting_kernel(config.architecture, act, params, InputPair(x0[0], x0[1]))
+    law = config.law
+    r = np.maximum(np.abs(values - lim), 1e-300).max(axis=1)  # one per grid depth
     fit = fit_rate(grid, r, law.model)
     alt = fit_rate(grid, r, "exp" if law.model == "power" else "power")
     # every non-exp law is written as A L^p, inv_log included (whose law is
     # A / log(L)^p): the seed-0 reference in perfbench pins this column
-    theory = fit.prefactor * (
-        np.exp(-fit.exponent * np.asarray(grid, dtype=float))
-        if law.model == "exp"
-        else np.asarray(grid, dtype=float) ** fit.exponent)
-    rows = list(zip(grid, r, theory))
-    write_csv(args.output, args, ["L", "residual", "theory_residual"], rows, {
-        "L": "depth",
-        "residual": "max over pairs of |K_normalized^L - limit|",
-        "theory_residual": f"fitted {fit.model} law evaluated at L",
+    depths = np.asarray(grid, dtype=float)
+    theory = fit.prefactor * (np.exp(-fit.exponent * depths) if law.model == "exp"
+                              else depths ** fit.exponent)
+    write_csv(args.output, args, {
+        "L": (grid, "depth"),
+        "residual": (r, "max over pairs of |K_normalized^L - limit|"),
+        "theory_residual": (theory, f"fitted {fit.model} law evaluated at L"),
     })
     write_json(os.path.splitext(args.output)[0] + ".fit.json", args, {
         "phase": law.phase or args.arch,
@@ -352,30 +349,34 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+def _check_depth(depth: int, flag: str) -> None:
+    if depth > MAX_DEPTH:
+        raise ConfigError(f"{flag} must be at most {MAX_DEPTH}, got {depth}")
+
+
 def cmd_spectrum(args) -> int:
     if not 3 <= args.d <= MAX_DIMENSION:
         raise ConfigError(f"--d must be in [3, {MAX_DIMENSION}], got {args.d}")
+    depths = [int(v) for v in args.depths.split(",")]
+    _check_depth(max(depths), "--depths")
     act = make_activation(args.activation)
     params = _params_from(args, act)
     config = KernelConfig(Architecture(args.arch), act, params)
-    depths = [int(v) for v in args.depths.split(",")]
     table = eigen_trend(config, args.d, depths, args.kmax)
-    rows = []
-    for L in depths:
-        dec = table[L]
-        masses = dec.normalized_mass()
-        for k in range(args.kmax + 1):
-            rows.append((L, k, dec.mu[k], masses[k]))
-    write_csv(args.output, args, ["L", "k", "mu_k", "mu_k_normalized"], rows, {
-        "L": "depth",
-        "k": "harmonic degree",
-        "mu_k": "Funk-Hecke coefficient of the normalized kernel",
-        "mu_k_normalized": "mu_k N(d,k) / sum_j mu_j N(d,j)",
+    decs = [table[L] for L in depths]
+    write_csv(args.output, args, {
+        "L": (np.repeat(depths, args.kmax + 1), "depth"),
+        "k": (np.tile(np.arange(args.kmax + 1), len(depths)), "harmonic degree"),
+        "mu_k": (np.concatenate([dec.mu for dec in decs]),
+                 "Funk-Hecke coefficient of the normalized kernel"),
+        "mu_k_normalized": (np.concatenate([dec.normalized_mass() for dec in decs]),
+                            "mu_k N(d,k) / sum_j mu_j N(d,j)"),
     })
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
+    _check_depth(args.depth, "--depth")
     act = make_activation(args.activation)
     params = _params_from(args, act)
     if args.data:
@@ -392,15 +393,13 @@ def cmd_train(args) -> int:
                               f"--test-fraction {args.test_fraction})")
     test_idx, train_idx = perm[:n_test], perm[n_test:]
     ds = Dataset(ds_full.X[train_idx], ds_full.Z[train_idx])
-    spec = KernelSpec(_architecture_from(args), act, params, args.depth)
+    spec = KernelSpec(Architecture(args.arch), act, params, args.depth)
     state = build_gram(ds, spec)
     t = np.inf if args.time == "infinity" else float(args.time)
     train_pred = evolve(state, ds.Z, t)
     train_acc = accuracy(train_pred, ds.Z)
     preds = predict(state, ds, spec, ds_full.X[test_idx], t)
     test_acc = accuracy(preds, ds_full.Z[test_idx])
-    test_rows = [(int(i), int(np.argmax(p)), int(np.argmax(ds_full.Z[i])))
-                 for i, p in zip(test_idx, preds)]
     write_json(args.output, args, {
         "min_eig": state.min_eig,
         "max_eig": state.max_eig,
@@ -411,12 +410,11 @@ def cmd_train(args) -> int:
         "n_test": int(n_test),
     })
     if args.predictions:
-        write_csv(args.predictions, args, ["index", "predicted", "label"],
-                  test_rows, {
-                      "index": "row index in the input dataset",
-                      "predicted": "argmax class of f_t(x)",
-                      "label": "true class",
-                  })
+        write_csv(args.predictions, args, {
+            "index": (test_idx, "row index in the input dataset"),
+            "predicted": (np.argmax(preds, axis=1), "argmax class of f_t(x)"),
+            "label": (np.argmax(ds_full.Z[test_idx], axis=1), "true class"),
+        })
     return EXIT_OK
 
 
@@ -429,17 +427,14 @@ def cmd_empirical(args) -> int:
     study = width_convergence_study(args.arch, act, params, X[0], X[1],
                                     widths, args.depth, args.seeds,
                                     base_seed=args.seed)
-    rows = [(w, study["mean"][i], study["std"][i], study["reference"],
-             abs(study["mean"][i] - study["reference"]) / abs(study["reference"]))
-            for i, w in enumerate(widths)]
-    write_csv(args.output, args,
-              ["width", "mean_K", "std_K", "meanfield_K", "rel_err"], rows, {
-                  "width": "hidden width",
-                  "mean_K": "seed-mean empirical kernel",
-                  "std_K": "seed standard deviation",
-                  "meanfield_K": "infinite-width kernel value",
-                  "rel_err": "|mean_K - meanfield_K| / |meanfield_K|",
-              })
+    mean, ref = np.asarray(study["mean"]), study["reference"]
+    write_csv(args.output, args, {
+        "width": (widths, "hidden width"),
+        "mean_K": (mean, "seed-mean empirical kernel"),
+        "std_K": (study["std"], "seed standard deviation"),
+        "meanfield_K": (np.full(len(widths), ref), "infinite-width kernel value"),
+        "rel_err": (np.abs(mean - ref) / abs(ref), "|mean_K - meanfield_K| / |meanfield_K|"),
+    })
     return EXIT_OK
 
 
@@ -486,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sphere-n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=1, help="n0 for conv inputs")
-    p.add_argument("--positions", type=int, default=None)
     p.add_argument("--filter-k", type=int, default=1)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_kernel)

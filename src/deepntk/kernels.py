@@ -414,11 +414,9 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         # Shared variances are checked as one (1,) row each
         first_layer_root(*(a.ravel()[:m or 1] for a in first[:2]))
 
-    # a kernel that passes float max stays inf, with no warning where the
-    # variances are floats, whose overflow the renormalisation names;
-    # numpy's overflow state is left alone where it governs them
-    with np.errstate(divide="ignore", invalid="ignore",
-                     over="ignore" if shared else None):
+    # a kernel that passes float max stays inf, with no warning: a
+    # variance past it is the renormalisation's named DivergenceError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for l in range(1, L + 1):
             if l > 1:
                 w = 1.0 / l if scaled else 1.0

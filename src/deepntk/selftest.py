@@ -240,41 +240,37 @@ def checks_asymptotics():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((4, d))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    c1 = np.array([-0.3, -0.1, 0.1, 0.3])  # sphere pairs concentrate here
+    grid = asy.default_depth_grid()
+
+    def residuals(kind, params, c1, depths):
+        # max over sphere pairs at first-layer correlations c1 of |g_L -
+        # limit| per depth, g_L the law-normalised profile; the pairs lie on
+        # the sphere, so the off-diagonal limit of one pair is every pair's
+        config = spec.KernelConfig(ker.Architecture(kind), relu, params)
+        limit = ker.limiting_kernel(config.architecture, relu, params,
+                                    ker.InputPair(X[0], X[1]))
+        return np.abs(spec.zonal_profiles(config, d, depths, c1) - limit).max(axis=1)
 
     # ordered phase: exponential fit beats power fit (sigma_b = 0 keeps the
-    # whole depth range in the exponential regime; see notes on criterion 5)
-    po = InitParams(0.0, np.sqrt(2 * 0.99))
-    grid = asy.default_depth_grid()
-    qd = ker.first_layer_cov(po, 1.0, d)
-    trace = ker.dense_layer_arrays("ffnn", relu, po, qd, qd,
-                                   ker.first_layer_cov(po, c1, d), grid[-1])
-    lam = ker.limiting_kernel(
-        ker.Architecture("ffnn"), relu, po,
-        ker.InputPair(X[0], X[1]))
-    resid = np.abs(trace.ntk - lam)[np.array(grid) - 1].max(axis=1)
+    # whole depth range in the exponential regime; see notes on criterion 5);
+    # sphere pairs concentrate at these correlations
+    resid = residuals("ffnn", InitParams(0.0, np.sqrt(2 * 0.99)),
+                      np.array([-0.3, -0.1, 0.1, 0.3]), grid)
     fe = asy.fit_rate(grid, resid, "exp")
     fp = asy.fit_rate(grid, resid, "power")
     out.append(("asymptotics.ordered_exp_beats_power",
                 fe.r_squared > 0.99 and fe.r_squared > fp.r_squared,
                 f"r2 exp={fe.r_squared:.4f} pow={fp.r_squared:.4f}"))
 
-    # critical phase: power fit is excellent and exp-rate shrinks with depth;
-    # the pairs lie on the sphere, so the off-diagonal limit of one pair is
-    # that of every pair
-    pe = InitParams(0.0, np.sqrt(2))
-    qd = ker.first_layer_cov(pe, 1.0, d)
+    # critical phase: power fit is excellent and exp-rate shrinks with depth
     c1e = np.array([-0.5, 0.1, 0.6, 0.9])
-    trace = ker.dense_layer_arrays("ffnn", relu, pe, qd, qd, qd * c1e, grid[-1])
-    ak = ker.normalize(trace)
-    lim = ker.limiting_kernel(ker.Architecture("ffnn"), relu, pe,
-                              ker.InputPair(X[0], X[1]))
-    resid = np.abs(ak - lim)[np.array(grid) - 1].max(axis=1)
-    fp = asy.fit_rate(grid, resid, "power")
     dense1024 = np.unique(np.geomspace(32, 1024, 12).astype(int))
     dense8192 = np.unique(np.geomspace(32, 8192, 12).astype(int))
-    r1 = np.abs(ak - lim)[dense1024 - 1].max(axis=1)
-    r2 = np.abs(ak - lim)[dense8192 - 1].max(axis=1)
+    resid, r1, r2 = np.split(
+        residuals("ffnn", InitParams(0.0, np.sqrt(2)), c1e,
+                  [*grid, *dense1024, *dense8192]),
+        [len(grid), len(grid) + len(dense1024)])
+    fp = asy.fit_rate(grid, resid, "power")
     g1 = asy.fit_rate(dense1024, r1, "exp").exponent
     g2 = asy.fit_rate(dense8192, r2, "exp").exponent
     out.append(("asymptotics.eoc_power_fits_and_gamma_shrinks",
@@ -283,13 +279,9 @@ def checks_asymptotics():
 
     # scaled residual kernel decays slower than any L^{-p}, p >= 0.2,
     # against its limit under the depth normalisation L^{sw^2/2} log L
-    ps = InitParams(0.0, np.sqrt(2))
-    scaled = ker.Architecture("scaled_resnet_dense")
     depths = np.unique(np.geomspace(100, 10000, 10).astype(int))
-    trace = ker.dense_layer_arrays(scaled, relu, ps, qd, qd, qd * c1e,
-                                   int(depths[-1]))
-    limit = ker.limiting_kernel(scaled, relu, ps, ker.InputPair(X[0], X[1]))
-    resid = np.abs(ker.normalize(trace) - limit)[depths - 1].max(axis=1)
+    resid = residuals("scaled_resnet_dense", InitParams(0.0, np.sqrt(2)), c1e,
+                      depths.tolist())
     fp = asy.fit_rate(depths, resid, "power")
     out.append(("asymptotics.scaled_resnet_slower_than_power",
                 0.0 < -fp.exponent < 0.2 and resid[-1] < resid[0],

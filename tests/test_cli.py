@@ -1,4 +1,5 @@
 """CLI: dataset ingestion, output contracts, exit codes."""
+import argparse
 import hashlib
 import json
 import os
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from deepntk.activations import make_activation
-from deepntk.cli import (ConfigError, build_parser, load_dataset, main,
-                         synthetic_sphere, write_json)
+from deepntk import __version__, cli
+from deepntk.cli import (MAX_DEPTH, ConfigError, build_parser, load_dataset,
+                         main, synthetic_sphere, write_csv, write_json)
 from deepntk.errors import InvalidDatasetError, NumericError
 from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_cov, kind_law, normalize, ntk_trace)
@@ -115,6 +117,39 @@ class TestOutputs:
         assert sorted(runs[0]) == ["k.csv", "p.csv", "r.csv", "r.fit.json",
                                    "s.csv", "t.csv", "t.json"]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    def test_write_csv_bytes(self, tmp_path, monkeypatch, block_rows):
+        # whole columns: %.17g for floats (nan, inf, -0 and a subnormal
+        # included), str for ints and strings, in blocks of rows or not
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        out = str(tmp_path / "t.csv")
+        write_csv(out, argparse.Namespace(seed=3, name="t", skipped=None), {
+            "x": (np.array([np.nan, np.inf, -0.0, 5e-324, 0.1]), "floats"),
+            "n": (np.arange(-1, 4), "ints"),
+            "y": ([1.0, -np.inf, 2.5e-310, 1e300, 3.0], "float list"),
+            "s": (["eoc", "a b", "", "divergent", "z"], "strings"),
+        })
+        assert open(out, "rb").read() == (
+            f"# deepntk {__version__}\n# config: name=t seed=3\nx,n,y,s\n"
+            "nan,-1,1,eoc\n"
+            "inf,0,-inf,a b\n"
+            "-0,1,2.5000000000000171e-310,\n"
+            "4.9406564584124654e-324,2,1.0000000000000001e+300,divergent\n"
+            "0.10000000000000001,3,3,z\n").encode()
+        schema = json.load(open(out + ".schema.json"))
+        assert schema["columns"] == [
+            {"name": "x", "description": "floats"},
+            {"name": "n", "description": "ints"},
+            {"name": "y", "description": "float list"},
+            {"name": "s", "description": "strings"}]
+        assert schema["file"] == "t.csv"
+
+    def test_write_csv_refuses_ragged_columns(self, tmp_path):
+        out = str(tmp_path / "t.csv")
+        with pytest.raises(ValueError, match="shorter than"):
+            write_csv(out, argparse.Namespace(), {"a": ([1, 2], "a"), "b": ([1], "b")})
+        assert not os.path.exists(out)
 
     def test_schema_sidecar_columns_match(self, tmp_path):
         out = str(tmp_path / "phase.csv")
@@ -275,8 +310,8 @@ class TestOutputs:
 class TestKernelRows:
     @pytest.mark.parametrize("depth", [5, 400])
     def test_each_view_is_read_once(self, tmp_path, monkeypatch, depth):
-        # each view of the trace builds its whole column: the rows read
-        # them once, whatever the depth
+        # each view of the trace builds its whole column, which the table
+        # writer reads as it is: once, whatever the depth
         from deepntk.kernels import KernelTrace
         reads = {}
         for name in ("qx", "qxp", "qcov", "ntk", "corr", "ntk_log", "ntk_sign"):
@@ -487,6 +522,49 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "non-finite entries at depth 900: K^L passed the float maximum" in err
         assert "Warning" not in err
+        assert not os.path.exists(out)
+
+    def test_overflowing_per_pair_tanh_gram_is_numeric_error(self, tmp_path, capsys):
+        # unnormalised inputs give every pair its own variances: the
+        # chaotic Tanh kernel passes float max there too with no warning
+        rng = np.random.default_rng(0)
+        data = write(tmp_path, "d.csv", "a,b,c,label\n" + "".join(
+            ",".join(map(repr, x.tolist())) + f",{i % 2}\n"
+            for i, x in enumerate(rng.standard_normal((8, 3)))))
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--activation", "tanh", "--sigma-b", "0.2",
+                       "--sigma-w", "4", "--depth", "900", "--data", data, "-o", out])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "K^L passed the float maximum" in err
+        assert "Warning" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("argv,flag,depth", [
+        (["spectrum", "--phase", "eoc", "--depths", "3,1000000000000"],
+         "--depths", 10**12),
+        (["train", "--phase", "eoc", "--depth", str(MAX_DEPTH + 1),
+          "--sphere-n", "12"], "--depth", MAX_DEPTH + 1),
+    ], ids=["spectrum", "train"])
+    def test_depth_past_the_bound_is_config_error(self, tmp_path, capsys, argv,
+                                                  flag, depth):
+        # rates' deepest grid depth bounds every run that stores few layers
+        assert MAX_DEPTH == 32 * 2**20
+        rc = main(argv + ["-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"config error: {flag} must be at most {MAX_DEPTH}, got {depth}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_positions_is_not_an_option(self, tmp_path):
+        # a conv pair's positions follow from its input and --channels
+        out = str(tmp_path / "k.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--arch", "cnn", "--phase", "eoc", "--depth", "3",
+                  "--positions", "10", "-o", out])
+        assert exc.value.code == 2
         assert not os.path.exists(out)
 
     def test_zero_sphere_dimension_is_config_error(self, tmp_path, capsys):

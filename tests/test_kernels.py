@@ -439,6 +439,26 @@ class TestLayerPasses:
         assert np.all(tr.wK[first:] == np.inf)
         assert np.all(np.isfinite(tr.vx))
 
+    def test_per_pair_overflowing_kernel_warns_nothing(self):
+        # variances that differ between pairs run as numpy rows: the kernel
+        # still passes float max with no warning, as on shared variances
+        q = np.array([16.0 / 3.0 + 0.04, 16.0 / 3.0 + 0.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = dense_layer_arrays("ffnn", TANH, InitParams(0.2, 4.0), q, q, q, 900)
+        assert np.all(np.isinf(tr.ntk[-1]))
+        assert np.all(np.isfinite(tr.vx))
+
+    def test_per_pair_overflowing_variance_is_named(self):
+        # ignoring numpy's overflow state hides no variance: one past float
+        # max is the named divergence on per-pair rows too
+        q = np.array([1e10, 2e10])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="variance passed the float maximum at layer 2"):
+                dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1e150), q, q, q / 2, 3)
+
 
 class TestNormalize:
     def test_average_critical_diagonal_constant(self):

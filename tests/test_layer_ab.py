@@ -2,7 +2,6 @@
 import importlib.util
 import os
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -23,7 +22,6 @@ def test_times_a_three_layer_case_of_this_tree():
     try:
         pkg = ab.load(os.path.join(ROOT, "src"), name)
         first = ab.first_layer(np.random.default_rng(0), "relu", 10, True)
-        assert ab.last_layer_keyword(pkg, 3) == {"keep": [3]}
         seconds = ab.time_call(pkg, pkg.make_activation("relu"),
                                pkg.InitParams(0.0, 2.0 ** 0.5), first, 3)
         assert 0.0 < seconds < 10.0
@@ -31,11 +29,3 @@ def test_times_a_three_layer_case_of_this_tree():
         for module in [m for m in sys.modules if m.split(".")[0] == name]:
             del sys.modules[module]
 
-
-def test_an_engine_before_keep_is_passed_last_only():
-    def dense_layer_arrays(kind, activation, params, qx0, qxp0, qcov0, L,
-                           last_only=False):
-        return None
-
-    pkg = SimpleNamespace(kernels=SimpleNamespace(dense_layer_arrays=dense_layer_arrays))
-    assert _layer_ab().last_layer_keyword(pkg, 3) == {"last_only": True}

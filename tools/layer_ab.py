@@ -6,9 +6,8 @@ Usage (from the repository root):
 
 Loads the ``deepntk`` package of two source trees into one process (as
 ``deepntk_a`` and ``deepntk_b``) and times ``kernels.dense_layer_arrays``
-storing the last layer alone on each case (``keep=[L]``, or
-``last_only=True`` for an engine that predates ``keep``), alternating which
-tree runs first.
+storing the last layer alone on each case (``keep=[L]``), alternating
+which tree runs first.
 Cases: ReLU at (sigma_b, sigma_w) = (0, sqrt 2) and Tanh at sigma_b = 0.2 on
 its critical sigma_w, ffnn, at P = 1, 10, 256, 1875 and 2850 pairs, with
 shared first-layer variances (qx = qxp = 1 given as scalars, as ``rates``,
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import inspect
 import json
 import os
 import statistics
@@ -91,17 +89,10 @@ def layers_for(activation: str, size: int) -> int:
     return max(20, min(LAYERS, LAYERS * 64 // max(cost, 1)))
 
 
-def last_layer_keyword(pkg, depth: int) -> dict:
-    """The keyword that makes the engine of ``pkg`` store layer ``depth``
-    alone: ``keep`` where it takes one, else ``last_only``."""
-    names = inspect.signature(pkg.kernels.dense_layer_arrays).parameters
-    return {"keep": [depth]} if "keep" in names else {"last_only": True}
-
-
 def time_call(pkg, activation, params, first, depth) -> float:
-    last = last_layer_keyword(pkg, depth)
     start = time.perf_counter()
-    pkg.kernels.dense_layer_arrays("ffnn", activation, params, *first, depth, **last)
+    pkg.kernels.dense_layer_arrays("ffnn", activation, params, *first, depth,
+                                   keep=[depth])
     return time.perf_counter() - start
 
 
