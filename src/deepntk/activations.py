@@ -52,9 +52,11 @@ outer axis in order but a contiguous one pairwise, and only the in-order
 sum gives every pair the bits it has alone in any batch, where the powers
 of a pair of lower degree are zero past its K and add exact zeros.
 
-``CorrelationMap`` copies the tanh row of its variance and keeps the
-terms of the row pair (q, q), which it sums with the pairs' own
-``_series_sum``.  As f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
+``CorrelationMap`` takes f(c) = (sigma_b^2 + sigma_w^2 E[tanh tanh]) / q
+from the pair (q, q, c) of ``phiphi_expectation``, so every Tanh pair
+value, f included, is the certified series, else ``expect2_pairs``.  It
+projects the tanh row of q once, the table's row bit for bit.  As
+f(c) = (sigma_b^2 + sigma_w^2 sum_k a_k(q)^2 c^k) / q, its
 derivatives at 1 are weighted sums over the whole row (k <= SERIES_DEGREE),
 
     f^(j)(1) = (sigma_w^2 / q) sum_k k (k-1) ... (k-j+1) a_k(q)^2,
@@ -75,7 +77,6 @@ from .gaussmath import (
     SERIES_DEGREE,
     clamp_correlation,
     expect1,
-    expect2,
     expect2_pairs,
     gauss_hermite,
     hermite_projection,
@@ -416,11 +417,12 @@ class CorrelationMap:
     """Tanh correlation function f at a variance fixed point q.
 
     Satisfies f(1) = 1 when q solves q = sigma_b^2 + sigma_w^2 E[tanh(sqrt(q)Z)^2].
-    Copies out of the activation's series table once the tanh row of q,
-    a_k^2 for k <= SERIES_DEGREE, and the terms of the row pair (q, q):
-    the products to the degree K, the tail factor and the bound.  ReLU
-    has the closed forms :func:`relu_f` and :func:`relu_one_minus_f`;
-    :meth:`deficit` is the Tanh counterpart of the latter.
+    f(c) is the engine's pair value E[tanh tanh] at (q, q, c), through
+    :func:`phiphi_expectation`; the tanh row of q, a_k^2 for
+    k <= SERIES_DEGREE, which the table holds bit for bit, serves
+    :meth:`deficit` and :meth:`derivative_at_one`.  ReLU has the closed
+    forms :func:`relu_f` and :func:`relu_one_minus_f`; :meth:`deficit` is
+    the Tanh counterpart of the latter.
     """
 
     activation: ActivationModel
@@ -435,26 +437,15 @@ class CorrelationMap:
             raise ValueError("fixed-point variance must be positive")
         if self.sigma_w <= 0:
             raise ValueError("sigma_w must be positive")
-        table = self.activation.series
-        r = table._find([float(self.q)])[0]
-        a = table.coef[:, 0, r]
-        rows = np.array([r])
-        for name, value in (("_terms", table._terms(rows, rows)[:3] + (None,)),
-                            ("_squares", a * a),
+        a = hermite_projection(np.tanh, [self.q])[0][0]
+        for name, value in (("_squares", a * a),
                             ("_weights", self.sigma_w**2 * a[1:] ** 2 / self.q),
                             ("_orders", np.arange(1.0, a.size))):
             object.__setattr__(self, name, value)
 
     def __call__(self, c: float) -> float:
-        """f(c): the certified series, summed by :func:`_series_sum` as
-        one pair of :meth:`TanhSeriesTable.pairs` (and so to its value),
-        else ``expect2`` on the order-PROJECTION_ORDER rule."""
-        c = clamp_correlation(c)
-        values, certified = _series_sum(*self._terms, np.array([c]))
-        if certified[0, 0]:
-            e = float(values[0, 0])
-        else:
-            e = expect2(np.tanh, self.q, self.q, c, gauss_hermite(PROJECTION_ORDER))
+        """f(c) = (sigma_b^2 + sigma_w^2 E[tanh tanh]) / q at (q, q, c)."""
+        e = float(phiphi_expectation(self.activation, self.q, self.q, c))
         return (self.sigma_b**2 + self.sigma_w**2 * e) / self.q
 
     def deficit(self, gamma: float) -> float:

@@ -69,8 +69,7 @@ class ExpansionConstants:
 class DepthLaw:
     """One deficit recursion and its limit gamma^l ~ constant / rescale(l).
 
-    ``deficit`` is D(gamma) = 1 - f(1 - gamma) of the layer map;
-    ``correction`` is the next-order term of c^l where known (ReLU ``ffnn``).
+    ``deficit`` is D(gamma) = 1 - f(1 - gamma) of the layer map.
     """
 
     skip: float
@@ -79,7 +78,6 @@ class DepthLaw:
     deficit: Callable[[float], float]
     constant: float
     rescale: Callable[[float], float]
-    correction: Callable[[float], float] | None = None
 
     def iterate(self, gamma0: float, depth: int) -> float:
         """gamma at ``depth``.
@@ -123,22 +121,10 @@ def depth_law(architecture_kind: str, activation: ActivationModel,
     if report.phase != "eoc":
         raise ValueError("expansion is critical-initialization only")
     if activation.kind == "relu":
-        return DepthLaw(0.0, 1.0, False, relu_one_minus_f, KAPPA_RELU, lambda l: l**2,
-                        lambda l: 3.0 * np.sqrt(KAPPA_RELU) * np.log(l) / l**3)
+        return DepthLaw(0.0, 1.0, False, relu_one_minus_f, KAPPA_RELU, lambda l: l**2)
     cmap = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
     return DepthLaw(0.0, 1.0, False, cmap.deficit,
                     ExpansionConstants.kappa_tanh(cmap), lambda l: l)
-
-
-def theoretical_correlation(architecture_kind: str, activation: ActivationModel,
-                            params: InitParams, depth: int) -> float:
-    """Leading-order prediction of c^l on the critical initialization."""
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
-    law = depth_law(architecture_kind, activation, params)
-    l = float(depth)
-    c = 1.0 - law.constant / law.rescale(l)
-    return c if law.correction is None else c + law.correction(l)
 
 
 def check_expansion(architecture_kind: str, activation: ActivationModel,

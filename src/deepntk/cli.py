@@ -231,7 +231,7 @@ def _classify_or_divergent(act: ActivationModel, params: InitParams) -> PhaseRep
     try:
         return classify(act, params)
     except NumericError:
-        return PhaseReport(params, float("inf"), float("inf"), "divergent")
+        return PhaseReport(float("inf"), float("inf"), "divergent")
 
 
 def cmd_phase(args) -> int:
@@ -260,7 +260,7 @@ def _kernel_pair(args) -> tuple[InputPair, Architecture]:
             raise ConfigError("need at least two inputs for a pair")
         x, xp = ds.X[0], ds.X[1]
     else:
-        X = synthetic_sphere(args.sphere_d, max(args.sphere_n, 2), args.seed)
+        X = synthetic_sphere(args.sphere_d, 2, args.seed)
         x, xp = X[0], X[1]
     if args.arch not in CONV_KINDS:
         return InputPair(x, xp), Architecture(args.arch)
@@ -478,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="CSV dataset; first two rows form the pair")
     p.add_argument("--normalize", choices=("none", "unit_sphere"), default="none")
     p.add_argument("--sphere-d", type=int, default=10)
-    p.add_argument("--sphere-n", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--channels", type=int, default=1, help="n0 for conv inputs")
     p.add_argument("--filter-k", type=int, default=1)

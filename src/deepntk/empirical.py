@@ -33,13 +33,12 @@ _FD_STEP = 1e-5  # step of the central differences of finite_difference_gradient
 
 @dataclass(frozen=True)
 class FiniteNet:
-    """One sampled network; a deterministic function of its seed."""
+    """One sampled network: its architecture and weights."""
 
     arch: str
     activation: ActivationModel
     params: InitParams
     widths: tuple[int, ...]
-    seed: int
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
 
@@ -77,8 +76,7 @@ def sample_net(arch: str, activation: ActivationModel, params: InitParams,
     weights, biases = _parameter_arrays(arch, widths, input_dim)
     _draw(seed, weights, biases)
     return FiniteNet(arch=arch, activation=activation, params=params,
-                     widths=tuple(widths), seed=seed, weights=weights,
-                     biases=biases)
+                     widths=tuple(widths), weights=weights, biases=biases)
 
 
 def forward(net: FiniteNet, x: np.ndarray) -> list[np.ndarray]:
@@ -164,8 +162,7 @@ def output_for_flat_params(net: FiniteNet, x: np.ndarray,
         biases.append(flat[pos:pos + dims[l + 1]])
         pos += dims[l + 1]
     clone = FiniteNet(arch=net.arch, activation=net.activation, params=net.params,
-                      widths=net.widths, seed=net.seed,
-                      weights=tuple(weights), biases=tuple(biases))
+                      widths=net.widths, weights=tuple(weights), biases=tuple(biases))
     return float(forward(clone, x)[-1][0])
 
 
@@ -199,7 +196,7 @@ def _seed_kernels(arch: str, activation: ActivationModel, params: InitParams,
     for i, seed in enumerate(seeds):
         _draw(seed, weights, biases)
         net = FiniteNet(arch=arch, activation=activation, params=params,
-                        widths=widths, seed=seed, weights=weights, biases=biases)
+                        widths=widths, weights=weights, biases=biases)
         vals[i] = empirical_ntk(net, x, xp)
     return vals
 
@@ -230,7 +227,6 @@ def width_convergence_study(arch: str, activation: ActivationModel,
         stds.append(float(vals.std(ddof=1)))
     slope = np.polyfit(np.log(widths), np.log(deviations), 1)[0]
     return {
-        "widths": list(widths),
         "deviation": deviations,
         "mean": means,
         "std": stds,

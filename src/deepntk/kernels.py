@@ -224,7 +224,6 @@ class KernelTrace:
 
     architecture: Architecture
     params: InitParams
-    depth: int
     vx: np.ndarray
     vxp: np.ndarray
     vcov: np.ndarray
@@ -481,7 +480,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
         variances = hist[:, :2 * m].reshape(kept, 2, m)
     pair_rows = hist[:, 2 * m:].reshape(kept, 3, n)
     rows = (*variances.transpose(1, 0, 2), *pair_rows.transpose(1, 0, 2))
-    return KernelTrace(arch, params, L,
+    return KernelTrace(arch, params,
                        *(r.reshape((kept,) + shape) for r in rows), scale_log,
                        np.arange(1, L + 1, dtype=np.float64) if depths is None
                        else np.array(depths, dtype=np.float64))

@@ -99,7 +99,6 @@ class InitParams:
 class PhaseReport:
     """Classification of one (sigma_b, sigma_w) point."""
 
-    params: InitParams
     q_fixed: float
     chi: float
     phase: str  # "ordered" | "chaotic" | "eoc"
@@ -166,7 +165,7 @@ def classify(activation: ActivationModel, params: InitParams) -> PhaseReport:
         phase = "ordered"
     else:
         phase = "chaotic"
-    return PhaseReport(params=params, q_fixed=q, chi=chi, phase=phase)
+    return PhaseReport(q_fixed=q, chi=chi, phase=phase)
 
 
 def _series_root(sb2: float) -> float:

@@ -1,13 +1,14 @@
 """Closed-form kernel-regime training dynamics and prediction.
 
 With a quadratic loss, the infinite-width training dynamics of the network
-outputs on the training set X are linear in the Gram matrix KH = K^L(X, X):
+outputs on the training set X are linear in the Gram matrix KH = K^L(X, X).
+From the initial outputs f_0 = 0 (the mean of the infinite-width prior),
 
-    f_t(X) = e^{-t KH / N} f_0(X) + (I - e^{-t KH / N}) Z,
+    f_t(X) = (I - e^{-t KH / N}) Z,
 
 and for a general input x,
 
-    f_t(x) = f_0(x) + K^L(x, X) KH^{-1} (I - e^{-t KH / N}) (Z - f_0(X)).
+    f_t(x) = K^L(x, X) KH^{-1} (I - e^{-t KH / N}) Z.
 
 Everything is computed through the symmetric eigendecomposition of KH;
 no explicit inverse is formed.  Eigenvalues below 1e-12 of the largest are
@@ -105,7 +106,6 @@ class TrainingState:
     gram: np.ndarray
     eigenvalues: np.ndarray   # nonincreasing
     eigenvectors: np.ndarray  # columns match eigenvalues
-    f0_train: np.ndarray
     min_eig: float
     max_eig: float
     rank_deficient: bool
@@ -264,8 +264,7 @@ def pair_kernel(spec: KernelSpec, sq_x, sq_xp, inner, d: int,
     return _scaled(wK, table.scale_log, root)
 
 
-def build_gram(dataset: Dataset, spec: KernelSpec,
-               f0_train: np.ndarray | None = None) -> TrainingState:
+def build_gram(dataset: Dataset, spec: KernelSpec) -> TrainingState:
     """Assemble K^L(X, X) and its symmetric eigendecomposition.
 
     The infinite-width kernel is diagonal in the output channels, so the
@@ -285,76 +284,70 @@ def build_gram(dataset: Dataset, spec: KernelSpec,
         raise DivergenceError(
             f"Gram matrix has non-finite entries at depth {spec.depth}"
             + (": K^L passed the float maximum" if overflow else ""))
-    gram = np.zeros((n, n))
+    gram = np.empty((n, n))
     gram[iu, ju] = vals
-    gram = gram + gram.T - np.diag(np.diag(gram))
+    gram[ju, iu] = vals
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    f0 = np.zeros_like(dataset.Z) if f0_train is None else np.asarray(f0_train, dtype=np.float64)
-    if f0.shape != dataset.Z.shape:
-        raise ValueError("f0_train must match the target shape")
     max_eig = float(eigvals[0])
     min_eig = float(eigvals[-1])
     return TrainingState(
-        gram=gram, eigenvalues=eigvals, eigenvectors=eigvecs, f0_train=f0,
+        gram=gram, eigenvalues=eigvals, eigenvectors=eigvecs,
         min_eig=min_eig, max_eig=max_eig,
         rank_deficient=bool(min_eig <= _PINV_RTOL * max_eig), tables=tables,
     )
 
 
-def _decay_factors(state: TrainingState, t: float, n: int) -> np.ndarray:
-    """e^{-t lambda / N} per eigenvalue; zeroed modes do not move."""
+def _decay_factors(state: TrainingState, t: float) -> np.ndarray:
+    """e^{-t lambda / N} per eigenvalue; zeroed modes do not move.  The one
+    check of the training time t, which every function of t runs."""
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     lam = state.eigenvalues
     zero = lam <= _PINV_RTOL * state.max_eig
     if np.isinf(t):
         return np.where(zero, 1.0, 0.0)
     # -t lam overflows to -inf once lam nears DBL_MAX / t; exp(-inf) = 0
     with np.errstate(over="ignore"):
-        return np.where(zero, 1.0, np.exp(-t * lam / n))
+        return np.where(zero, 1.0, np.exp(-t * lam / state.n))
 
 
 def evolve(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
     """Training-set outputs f_t(X); t may be inf for the t -> oo limit."""
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
     Z = np.asarray(Z, dtype=np.float64)
     U = state.eigenvectors
-    decay = _decay_factors(state, t, state.n)
-    A = U.T @ (state.f0_train - Z)
-    return Z + U @ (decay[:, None] * A)
+    decay = _decay_factors(state, t)
+    return Z - U @ (decay[:, None] * (U.T @ Z))
 
 
 def _response_factors(state: TrainingState, t: float) -> np.ndarray:
     """(1 - e^{-t lambda / N}) / lambda per mode; zeroed modes contribute 0."""
     lam = state.eigenvalues
     zero = lam <= _PINV_RTOL * state.max_eig
-    decay = _decay_factors(state, t, state.n)
+    decay = _decay_factors(state, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(zero, 0.0, (1.0 - decay) / lam)
     return h
 
 
 def _mode_coeffs(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
-    """h U^T (Z - f_0(X)), h = (1 - e^{-t lambda / N}) / lambda per mode: the
-    coefficients of f_t - f_0 in the eigenbasis of KH."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    Z = np.asarray(Z, dtype=np.float64)
+    """h U^T Z, h = (1 - e^{-t lambda / N}) / lambda per mode: the
+    coefficients of f_t in the eigenbasis of KH."""
     h = _response_factors(state, t)
-    return h[:, None] * (state.eigenvectors.T @ (Z - state.f0_train))
+    Z = np.asarray(Z, dtype=np.float64)
+    return h[:, None] * (state.eigenvectors.T @ Z)
 
 
 def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
-            x_new: np.ndarray, t: float, f0_new: np.ndarray | None = None) -> np.ndarray:
+            x_new: np.ndarray, t: float) -> np.ndarray:
     """f_t at new inputs via the closed-form generalization formula.
 
     ``x_new`` is one input (d,) or a batch (m, d); the result is (o,) or
-    (m, o), and ``f0_new`` has the same shape.  The kernel rows
-    K^L(x_new, X) come from one recursion over the m*n cross pairs, run in
-    chunks of (n+1)//2 rows so that a chunk never holds more pairs than the
-    Gram's n(n+1)/2.  A rank-deficient Gram gives the minimum-norm
-    solution.  The product is (K U)(h U^T (Z - f_0)); K a, with a from
+    (m, o).  The kernel rows K^L(x_new, X) come from one recursion over
+    the m*n cross pairs, run in chunks of (n+1)//2 rows so that a chunk
+    never holds more pairs than the Gram's n(n+1)/2.  A rank-deficient Gram gives the minimum-norm
+    solution.  The product is (K U)(h U^T Z); K a, with a from
     :func:`rkhs_residual_coeffs`, is the same sum in another order and
     differs in the last bits.
     """
@@ -374,15 +367,13 @@ def predict(state: TrainingState, dataset: Dataset, spec: KernelSpec,
                                np.tile(sq, len(part)), (part @ X.T).ravel(),
                                d, state.tables).reshape(-1, n)
     out = (K @ state.eigenvectors) @ coeffs
-    if f0_new is not None:
-        out = out + np.asarray(f0_new, dtype=np.float64)
     return out[0] if x_new.ndim == 1 else out
 
 
 def rkhs_residual_coeffs(state: TrainingState, Z: np.ndarray, t: float) -> np.ndarray:
-    """Coefficients a with f_t(x) - f_0(x) = sum_i a_i K^L(x_i, x).
+    """Coefficients a with f_t(x) = sum_i a_i K^L(x_i, x).
 
-    a = KH^{-1} (I - e^{-t KH / N}) (Z - f_0(X)), through the
+    a = KH^{-1} (I - e^{-t KH / N}) Z, through the
     eigendecomposition with the pseudo-inverse convention.
     """
     return state.eigenvectors @ _mode_coeffs(state, Z, t)

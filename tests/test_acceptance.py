@@ -266,7 +266,6 @@ def test_criterion_09_closed_form_training():
     Z = rng.standard_normal((3, 2))
     st3 = TrainingState(gram=gram, eigenvalues=eigvals[order],
                         eigenvectors=eigvecs[:, order],
-                        f0_train=np.zeros((3, 2)),
                         min_eig=float(eigvals.min()),
                         max_eig=float(eigvals.max()), rank_deficient=False)
     f = np.zeros((3, 2))

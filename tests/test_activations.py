@@ -447,6 +447,19 @@ class TestTanhSeries:
         e = phiphi_expectation(TANH, np.full(c.size, q), np.full(c.size, q), c)
         assert [cmap(v) * q for v in c] == list(e)
 
+    @pytest.mark.parametrize("sigma_b, sigma_w", [
+        (0.2, None), (1.0, 1.0), (0.5, 2.5)], ids=["eoc", "ordered", "chaotic"])
+    def test_map_is_the_engine_pair_bit_for_bit(self, sigma_b, sigma_w):
+        # f(c) = (sigma_b^2 + sigma_w^2 E[tanh tanh]) / q at the fixed point,
+        # certified or not: near c = 1 at the larger variances the pair is
+        # the quadrature, as the engine's is
+        sigma_w = eoc_curve(TANH, sigma_b) if sigma_w is None else sigma_w
+        q = variance_fixed_point(TANH, InitParams(sigma_b, sigma_w))
+        cmap = CorrelationMap(TANH, q, sigma_b, sigma_w)
+        for c in [*np.linspace(-1.0, 1.0, 41), 1.0 - 1e-9, 1.0 - 1e-6, 0.999]:
+            e = phiphi_expectation(TANH, q, q, c)
+            assert cmap(c) == (sigma_b**2 + sigma_w**2 * e) / q
+
 
 class TestInvariants:
     def test_relu_f_matches_quadrature_expectation(self):
@@ -460,7 +473,9 @@ class TestInvariants:
 
     def test_tanh_map_uncertified_branch_is_the_quadrature(self):
         # at q = 5.2 and c near 1 the series is not certified: the map is
-        # the bivariate quadrature on the projection rule, bit for bit
+        # the engine's bivariate quadrature on the projection rule, bit for bit
         q, c, sb, sw = 5.2, 1.0 - 1e-12, 0.2, 1.3
         got = CorrelationMap(TANH, q, sb, sw)(c)
-        assert got == (sb**2 + sw**2 * expect2(np.tanh, q, q, c, PROJECTION)) / q
+        e = expect2_pairs(np.tanh, np.array([q]), np.array([q]), np.array([c]),
+                          PROJECTION)[0]
+        assert got == (sb**2 + sw**2 * e) / q

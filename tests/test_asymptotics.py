@@ -5,7 +5,7 @@ import pytest
 from deepntk.activations import B_RELU, CorrelationMap, make_activation
 from deepntk.asymptotics import (ExpansionConstants, KAPPA_RELU, S_RELU,
                                  check_expansion, default_depth_grid,
-                                 depth_law, fit_rate, theoretical_correlation)
+                                 depth_law, fit_rate)
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
@@ -44,27 +44,34 @@ class TestConstants:
 
 
 class TestTheoreticalCorrelation:
-    def test_relu_leading_term(self):
-        l = 10**4
-        pred = theoretical_correlation("ffnn", RELU, EOC_RELU, l)
-        expect = 1.0 - KAPPA_RELU / l**2 + 3 * np.sqrt(KAPPA_RELU) * np.log(l) / l**3
-        assert pred == expect
+    """The law's leading term 1 - c^l = constant / rescale(l), and the next
+    order of the ReLU law, which the iterated deficit reaches."""
+
+    def test_relu_next_order(self):
+        # gamma_l = kappa/l^2 - 3 kappa log(l)/l^3 + O(1/l^3): between two
+        # depths (gamma_l - kappa/l^2) l^3 changes by -3 kappa log(l2/l1)
+        law = depth_law("ffnn", RELU, EOC_RELU)
+        l1, l2 = 10**4, 10**5
+        g1, g2 = (law.iterate(0.5, l) for l in (l1, l2))
+        change = (g2 - KAPPA_RELU / l2**2) * l2**3 - (g1 - KAPPA_RELU / l1**2) * l1**3
+        assert abs(change / (-3.0 * KAPPA_RELU * np.log(l2 / l1)) - 1.0) < 0.02
 
     def test_tanh_deficit_scales_to_kappa(self, tanh_eoc):
         p, cmap = tanh_eoc
         l = 10**5
-        pred = theoretical_correlation("ffnn", TANH, p, l)
-        assert abs(l * (1.0 - pred) - ExpansionConstants.kappa_tanh(cmap)) < 1e-10
+        law = depth_law("ffnn", TANH, p)
+        assert abs(l * law.constant / law.rescale(l)
+                   - ExpansionConstants.kappa_tanh(cmap)) < 1e-10
 
     def test_scaled_resnet_form(self):
         l = 10**4
-        pred = theoretical_correlation("scaled_resnet_dense", RELU, EOC_RELU, l)
-        assert abs((1.0 - pred) * np.log(l) ** 2
+        law = depth_law("scaled_resnet_dense", RELU, EOC_RELU)
+        assert abs(law.constant / law.rescale(l) * np.log(l) ** 2
                    - ExpansionConstants.zeta_scaled(np.sqrt(2.0))) < 1e-10
 
     def test_rejected_off_criticality(self):
         with pytest.raises(ValueError):
-            theoretical_correlation("ffnn", RELU, InitParams(1.0, 0.1), 100)
+            depth_law("ffnn", RELU, InitParams(1.0, 0.1))
 
 
 class TestIterators:
@@ -161,7 +168,7 @@ class TestLawRefusals:
         with pytest.raises(ValueError, match="relu only"):
             check_expansion(kind, TANH, p, 100)
         with pytest.raises(ValueError, match="relu only"):
-            theoretical_correlation(kind, TANH, p, 100)
+            depth_law(kind, TANH, p)
 
     @pytest.mark.parametrize("dense,conv", [("resnet_dense", "resnet_conv"),
                                             ("scaled_resnet_dense", "scaled_resnet_conv")])
@@ -174,7 +181,7 @@ class TestLawRefusals:
         with pytest.raises(ValueError, match="critical"):
             check_expansion("ffnn", RELU, p, 1000)
         with pytest.raises(ValueError, match="critical"):
-            theoretical_correlation("ffnn", RELU, p, 1000)
+            depth_law("ffnn", RELU, p)
 
     @pytest.mark.parametrize("args,name", [
         pytest.param({"depth": 0}, "depth", id="depth-0"),

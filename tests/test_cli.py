@@ -321,7 +321,7 @@ class TestKernelRows:
             monkeypatch.setattr(KernelTrace, name, property(counted))
         out = str(tmp_path / "k.csv")
         assert main(["kernel", "--phase", "eoc", "--depth", str(depth),
-                     "--sphere-d", "3", "--sphere-n", "2", "-o", out]) == 0
+                     "--sphere-d", "3", "-o", out]) == 0
         assert reads == {"qx": 1, "qxp": 1, "corr": 1, "ntk": 1,
                          "ntk_log": 1, "ntk_sign": 1}
 
@@ -523,6 +523,25 @@ class TestExitCodes:
         assert "non-finite entries at depth 900: K^L passed the float maximum" in err
         assert "Warning" not in err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("depth", [820, 821])
+    def test_tanh_gram_at_the_float_maximum(self, tmp_path, capsys, depth):
+        # at L = 820 the chaotic Tanh diagonal is 1.687e308, finite, and the
+        # Gram holds it as it is; one layer more passes float max
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--activation", "tanh", "--sigma-b", "0.2",
+                       "--sigma-w", "4", "--depth", str(depth), "--sphere-n", "8",
+                       "--sphere-d", "3", "-o", out])
+        err = capsys.readouterr().err
+        if depth == 820:
+            assert rc == 0, err
+            with open(out) as fh:
+                assert json.load(fh)["min_eig"] > 1.68e308
+        else:
+            assert rc == 3
+            assert "K^L passed the float maximum" in err
 
     def test_overflowing_per_pair_tanh_gram_is_numeric_error(self, tmp_path, capsys):
         # unnormalised inputs give every pair its own variances: the

@@ -95,8 +95,7 @@ class TestBuildGram:
 class TestEvolve:
     def test_time_zero_returns_f0(self, small):
         ds, _, state = small
-        np.testing.assert_allclose(evolve(state, ds.Z, 0.0), state.f0_train,
-                                   atol=1e-14)
+        np.testing.assert_allclose(evolve(state, ds.Z, 0.0), 0.0, atol=1e-14)
 
     def test_infinite_time_interpolates(self, small):
         ds, _, state = small
@@ -114,7 +113,6 @@ class TestEvolve:
         Z = rng.standard_normal((3, 2))
         state = TrainingState(gram=gram, eigenvalues=eigvals[order],
                               eigenvectors=eigvecs[:, order],
-                              f0_train=np.zeros((3, 2)),
                               min_eig=float(eigvals.min()),
                               max_eig=float(eigvals.max()),
                               rank_deficient=False)
@@ -130,6 +128,15 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(state, ds.Z, -1.0)
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    def test_every_function_of_time_rejects_a_bad_time(self, small, t):
+        ds, spec, state = small
+        for run in (lambda: evolve(state, ds.Z, t),
+                    lambda: predict(state, ds, spec, ds.X[0], t),
+                    lambda: rkhs_residual_coeffs(state, ds.Z, t)):
+            with pytest.raises(ValueError, match=f"t must be nonnegative, got {t}"):
+                run()
+
 
 class TestPredict:
     def test_training_points_interpolated_at_infinity(self, small):
@@ -138,11 +145,10 @@ class TestPredict:
             pred = predict(state, ds, spec, ds.X[i], np.inf)
             assert np.abs(pred - ds.Z[i]).max() < 1e-6
 
-    def test_time_zero_returns_f0_new(self, small):
+    def test_time_zero_returns_zero(self, small):
         ds, spec, state = small
-        out = predict(state, ds, spec, np.ones(5) / np.sqrt(5), 0.0,
-                      f0_new=np.array([0.3, -0.1]))
-        np.testing.assert_allclose(out, [0.3, -0.1], atol=1e-12)
+        out = predict(state, ds, spec, np.ones(5) / np.sqrt(5), 0.0)
+        np.testing.assert_allclose(out, [0.0, 0.0], atol=1e-12)
 
     def test_matches_evolve_at_all_times(self, small):
         ds, spec, state = small
@@ -185,10 +191,9 @@ class TestPredict:
         spec = KernelSpec(FFNN, make_activation(act), InitParams(0.2, 1.3), depth)
         state = build_gram(ds, spec)
         probes = rng.standard_normal((11, 5))
-        f0 = rng.standard_normal((11, 2))
         for t in (0.7, np.inf):
-            batch = predict(state, ds, spec, probes, t, f0_new=f0)
-            single = np.array([predict(state, ds, spec, probes[i], t, f0_new=f0[i])
+            batch = predict(state, ds, spec, probes, t)
+            single = np.array([predict(state, ds, spec, probes[i], t)
                                for i in range(11)])
             assert batch.shape == (11, 2)
             np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
@@ -516,7 +521,7 @@ class TestRkhsCoefficients:
         ds, _, state = small
         for t in (0.5, 4.0, np.inf):
             a = rkhs_residual_coeffs(state, ds.Z, t)
-            lhs = state.gram @ a + state.f0_train
+            lhs = state.gram @ a
             np.testing.assert_allclose(lhs, evolve(state, ds.Z, t), atol=1e-8)
 
     def test_predict_expands_in_kernel_rows(self, small):
