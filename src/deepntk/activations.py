@@ -30,14 +30,14 @@ R_K(q) = E[g^2] - sum_{k<=K} a_k^2.  The activation model keeps them in a
 for bit.  Each variance keeps the
 first degree K at which the remainders of both maps are at most
 SERIES_TOLERANCE E[g^2] (else SERIES_DEGREE).  A pair sums to the larger K
-of its two variances, so the series at (q, q, 1) is exactly the diagonal.
-By Cauchy-Schwarz the omitted tail is at most
+of its two variances.  By Cauchy-Schwarz the omitted tail is at most
 |c|^{K+1} sqrt(R_K(q1) R_K(q2)).  A pair whose bound exceeds
 SERIES_TOLERANCE sqrt(E[g(u1)^2] E[g(u2)^2]) (large variances, |c| near
-1) goes to ``expect2_pairs`` instead, and an uncertified diagonal to
-``expect1``, both on the same order-PROJECTION_ORDER rule: every Tanh
-expectation of the package, ``phase``'s moments included, uses that one
-rule.
+1) goes to ``expect2_pairs`` instead, on the same order-PROJECTION_ORDER
+rule: every Tanh expectation of the package, ``phase``'s moments included,
+uses that one rule.  The diagonal E[tanh(u)^2] of every variance is the
+rule's second moment, which the projection computes with the
+coefficients, certified or not.
 
 A layer looks its variances up once, for the pair sums and the diagonal
 together (``TanhSeriesTable.layer``).  Variances all equal, or a single
@@ -261,10 +261,9 @@ class _SeriesLayer(NamedTuple):
     #: (products, tail, bound, k) of :func:`_series_sum`, which overwrites
     #: the products of many row pairs: those are summed once
     terms: tuple
-    #: E[tanh^2] of q1 (row 0) and q2 (row 1), (2, n), or (2, 1) where one
-    #: row pair serves every pair; NaN where not certified
+    #: E[tanh^2] of q1 (row 0) and q2 (row 1), the rule's second moments,
+    #: (2, n), or (2, 1) where one row pair serves every pair
     diagonal: np.ndarray
-    diagonal_certified: bool
 
 
 class TanhSeriesTable:
@@ -273,11 +272,11 @@ class TanhSeriesTable:
     Row r holds the coefficients ``coef[:, 0, r]`` (tanh) and
     ``coef[:, 1, r]`` (tanh'), stored k-major so that a lookup gathers its
     pairs' products in the layout the sums read, the Parseval remainders
-    ``remainder[r]`` (clipped at 0), the second moments ``second[r]``, the
-    degree K and the tanh diagonal sum_{k<=K} a_k^2 (NaN where its
-    remainder is not certified).  Unseen variances are projected in one
-    batch; when the table is full it starts over.  Every
-    :class:`ActivationModel` owns one, which only Tanh fills.
+    ``remainder[r]`` (clipped at 0), the second moments ``second[r]``
+    (``second[r, 0]`` is the tanh diagonal E[tanh^2]) and the degree K.
+    Unseen variances are projected in one batch; when the table is full it
+    starts over.  Every :class:`ActivationModel` owns one, which only Tanh
+    fills.
 
     :meth:`layer` looks up a layer's pairs once for their sums and their
     diagonal, and keeps the last lookup that one row pair serves: its
@@ -299,7 +298,6 @@ class TanhSeriesTable:
         self.remainder = np.empty((capacity, 2, SERIES_DEGREE + 1))
         self.second = np.empty((capacity, 2))
         self.degree = np.empty(capacity, dtype=np.intp)
-        self.diagonal = np.empty(capacity)
 
     def _find(self, keys: list[float]) -> list[int]:
         """The row of each variance in ``keys``, adding the missing ones.
@@ -331,10 +329,6 @@ class TanhSeriesTable:
         degree = np.where(certified.any(axis=1), certified.argmax(axis=1),
                           SERIES_DEGREE)
         self.degree[new] = degree
-        rows = np.arange(m)
-        squares = np.cumsum(a * a, axis=1)[rows, degree]
-        self.diagonal[new] = np.where(
-            remainder[rows, 0, degree] <= SERIES_TOLERANCE * s, squares, np.nan)
         self.index.update(zip(missing, range(new.start, new.stop)))
 
     def _terms(self, r1: np.ndarray, r2: np.ndarray) -> tuple:
@@ -367,15 +361,13 @@ class TanhSeriesTable:
         if n == 1 or np.minimum.reduce(q) == np.maximum.reduce(q):
             rows = self._find([float(q[0]), float(q[n])])
             terms = self._terms(np.array(rows[:1]), np.array(rows[1:]))[:3] + (None,)
-            diagonal = self.diagonal[rows][:, None]
-            self._last = _SeriesLayer(terms, diagonal, not np.isnan(diagonal).any())
+            self._last = _SeriesLayer(terms, self.second[rows, :1])
             self._key = key
             return self._last
         values, inverse = np.unique(q, return_inverse=True)
         rows = np.array(self._find(values.tolist()), dtype=np.intp)[inverse]
-        diagonal = self.diagonal[rows].reshape(2, n)
-        return _SeriesLayer(self._terms(rows[:n], rows[n:]), diagonal,
-                            not np.isnan(diagonal).any())
+        return _SeriesLayer(self._terms(rows[:n], rows[n:]),
+                            self.second[rows, 0].reshape(2, n))
 
     def pairs(self, q1: np.ndarray, q2: np.ndarray, c: np.ndarray):
         """Series values of (E[tanh tanh], E[tanh' tanh']) for 1D arrays of
@@ -391,8 +383,9 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime,
     table lookup of the variances V (2, m), the rows qx and qxp, m = n or
     m = 1 (shared by every pair): E[tanh^2] of each variance into ``diag``
     (2, m), E[tanh tanh] into ``phiphi`` and ``scale`` E[tanh' tanh'] into
-    ``prime``.  The certified series, else ``expect2_pairs`` (pairs) and
-    ``expect1`` (diagonals) on the order-PROJECTION_ORDER rule."""
+    ``prime``: the diagonals are the table's second moments, the pairs the
+    certified series, else ``expect2_pairs`` on the order-PROJECTION_ORDER
+    rule."""
     layer = activation.series.layer(V.reshape(-1))
     values, certified = _series_sum(*layer.terms, c)
     if not np.logical_and.reduce(certified, axis=None):
@@ -405,11 +398,6 @@ def _tanh_maps(activation: ActivationModel, V, c, diag, phiphi, prime,
     phiphi[...] = values[0]
     np.multiply(values[1], scale, out=prime)
     diag[...] = layer.diagonal
-    if not layer.diagonal_certified:  # phase's m(q) per distinct variance
-        uncertified = np.isnan(diag)
-        distinct, inverse = np.unique(V[uncertified], return_inverse=True)
-        diag[uncertified] = np.array([tanh_moment(v)
-                                      for v in distinct.tolist()])[inverse]
 
 
 @dataclass(frozen=True)
@@ -554,19 +542,6 @@ def layer_correlation(qcov, root):
         return _correlation(qcov, root, out)[0]
 
 
-#: 0.5 s is exact for s at least this.  The ReLU maps scale f' by
-#: 0.5 scale in one product where it is: halving f' (0 or at least 2^-54,
-#: a sum of 0.5 and asin(c)/pi) is exact, so that product has the bits of
-#: 0.5 f' times scale, which :func:`_halve_then_scale` computes elsewhere
-_HALF_EXACT = 2.0 ** -1021
-
-
-def _halve_then_scale(prime, scale: float) -> None:
-    """prime = (0.5 prime) scale, in place, in two products."""
-    np.multiply(0.5, prime, out=prime)
-    np.multiply(prime, scale, out=prime)
-
-
 def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
     """The expectations of one layer, bound to the caller's buffers: the
     one implementation that the kernel engine and every pair function
@@ -590,10 +565,7 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
             _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(0.5, root, out=half_root)
             np.multiply(half_root, phiphi, out=phiphi)
-            if scale >= _HALF_EXACT:
-                np.multiply(prime, 0.5 * scale, out=prime)
-            else:
-                _halve_then_scale(prime, scale)
+            np.multiply(prime, 0.5 * scale, out=prime)
     else:
         def maps(c, lo, hi, scale):
             _tanh_maps(activation, V, c, diag, phiphi, prime, scale)
@@ -612,10 +584,7 @@ def shared_layer_maps(activation: ActivationModel, phiphi, prime):
         def maps(x, y, root, c, lo, hi, scale):
             _relu_maps(c, lo, hi, phiphi, prime)
             np.multiply(phiphi, 0.5 * root, out=phiphi)
-            if scale >= _HALF_EXACT:
-                np.multiply(prime, 0.5 * scale, out=prime)
-            else:
-                _halve_then_scale(prime, scale)
+            np.multiply(prime, 0.5 * scale, out=prime)
             return x / 2.0, y / 2.0
     else:
         V, diag = np.empty(2), np.empty(2)

@@ -46,9 +46,10 @@ Gram (see ``regression``)), m = 0: the variance recursion runs once, on
 two Python floats, and only the pair rows are P wide.  Float arithmetic
 and ``math.sqrt`` are the correctly rounded IEEE operations of the
 ufuncs, and the variances of x and x' propagate on their own, so each
-pair gets the bits of its per-pair run either way; the trace returns
-full (n, P) variance rows.  A layer costs a fixed number of numpy calls
-whatever P, all into buffers allocated once per call.  A dense ReLU layer
+pair gets the bits of its per-pair run either way.  The trace stores the
+two floats per kept layer and returns the (n, P) variance rows as
+read-only broadcast views of them.  A layer costs a fixed number of numpy
+calls whatever P, all into buffers allocated once per call.  A dense ReLU layer
 runs 20 of them on shared variances and 25 on per-pair ones, one more for
 a bias (sigma_b > 0), one for the 1/l weight of the scaled kinds and two
 for each side of +-1 that needs the snap.  Two are reductions, the least
@@ -60,9 +61,8 @@ implementation of a layer's expectations (its pair functions run it
 too), bound to those buffers (``activations.shared_layer_maps`` on
 floats): it writes the variance expectations to the first 2m entries of
 a buffer B laid out as the state, E[phi phi] to its qcov row and
-w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, 1/2 f'(c) times
-w_l sigma_w^2 in one product, which is exact wherever 1/2 w_l sigma_w^2
-is).  The first 2m + P entries of B become
+w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, f'(c) times
+1/2 w_l sigma_w^2 in one product).  The first 2m + P entries of B become
 w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
 qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B) on the first
 2m + 2P entries of the state.  Where sigma_b = 0 the bias add is skipped,
@@ -88,8 +88,11 @@ projection, about 0.4 ms per batch of 20.
 Residual variances grow like (1 + sigma_w^2/2)^L and ReLU ones with
 sigma_b = 0 like (sigma_w^2/2)^L, so the state is renormalised: when the
 largest variance leaves [1e-150, 1e150] (_RENORM_LIMIT) the whole state is
-divided by it and its log is added to a per-layer ``scale_log``.  Raw values
-are state * exp(scale_log); ``ntk_log`` and ``corr`` of ``KernelTrace``
+divided by it and its log is added to a per-layer ``scale_log``.  That is
+exact only for positively homogeneous maps, so it is ReLU's alone: a Tanh
+variance that leaves the range (sigma_b = 0 and sigma_w < 1, or a huge
+sigma_w) is a ``DivergenceError`` naming its layer.  Raw values are
+state * exp(scale_log); ``ntk_log`` and ``corr`` of ``KernelTrace``
 stay finite at any depth.  The renormalisation also keeps sqrt(q_x q_x')
 finite from layer 2 on, so the first layer's root is checked once, before
 the loop, and later roots only on the failure path of the correlation's
@@ -212,7 +215,9 @@ class KernelTrace:
     :func:`dense_layer_arrays`).  The input shape is () for one dense
     pair, (P,) for P pairs given as arrays, (M, M) for full-grid conv
     kernels, whose full ``vx`` and ``vxp`` grids hold the variance of x at
-    alpha and of x' at alpha' at each (alpha, alpha').  The stored state is the raw value divided by
+    alpha and of x' at alpha' at each (alpha, alpha').  Where every pair
+    shares its variances, ``vx`` and ``vxp`` are read-only broadcast views
+    of one value per depth.  The stored state is the raw value divided by
     exp(scale_log[l]), for every kind; scale_log changes only when a
     variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT] (see the module
     docstring), and the recursion was renormalised where scale_log is not
@@ -393,16 +398,10 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     skip = arch.is_residual
     scaled = arch.is_scaled
     kept = L if depths is None else len(depths)
-    # one allocation holds the trace: the state of each kept layer (one
-    # write per layer), then, where the variances are shared, their two
-    # floats per kept layer and their full (kept, 2, P) rows, about the 5
-    # kept P floats of a (5, kept, P) history.  Split into two
-    # allocations, the trace raised the peak RSS of an `empirical` run
-    # after `rates` in the same process by 0.8 MB (glibc's malloc adapts
-    # its mmap threshold to the blocks freed).
-    store = np.empty(kept * (state.size + (2 + 2 * n if shared else 0)))
-    hist = store[:kept * state.size].reshape(kept, state.size)
-    shared_rows = store[kept * state.size:kept * (state.size + 2)].reshape(kept, -1)
+    # the trace: the state of each kept layer (one write per layer) and,
+    # where the variances are shared, their two floats per kept layer
+    hist = np.empty((kept, state.size))
+    shared_rows = np.empty((kept, 2)) if shared else None
     scale_log = np.zeros(kept)
     log_scale = 0.0
     j, next_kept = 0, 1 if depths is None else depths[0]
@@ -458,6 +457,10 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                     if top == math.inf:
                         raise DivergenceError(
                             f"a field variance passed the float maximum at layer {l}")
+                    if activation.kind != "relu":
+                        raise DivergenceError(
+                            f"a field variance left [1e-150, 1e150] at layer {l}: "
+                            "only the ReLU recursion can be renormalised")
                     S /= top
                     if shared:
                         x, y = x / top, y / top
@@ -466,16 +469,14 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
             if l == next_kept:
                 hist[j] = state
                 if shared:
-                    row = shared_rows[j]
-                    row[0], row[1] = x, y
+                    shared_rows[j] = x, y
                 scale_log[j] = log_scale
                 j += 1
                 next_kept = (l + 1 if depths is None
                              else depths[j] if j < kept else 0)
 
-    if shared:  # full (kept, P) variance rows, as a per-pair run has them
-        variances = store[kept * (state.size + 2):].reshape(kept, 2, n)
-        variances[...] = shared_rows[:, :, None]
+    if shared:  # read-only (kept, P) views, as a per-pair run has the rows
+        variances = np.broadcast_to(shared_rows[:, :, None], (kept, 2, n))
     else:
         variances = hist[:, :2 * m].reshape(kept, 2, m)
     pair_rows = hist[:, 2 * m:].reshape(kept, 3, n)

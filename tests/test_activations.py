@@ -9,7 +9,7 @@ from deepntk.activations import (SERIES_TOLERANCE, CorrelationMap,
                                  phiprime_expectation, relu, relu_f,
                                  relu_one_minus_f, tanh_prime)
 from deepntk.gaussmath import (PROJECTION_ORDER, expect1, expect2,
-                               expect2_pairs, gauss_hermite)
+                               expect2_pairs, gauss_hermite, hermite_projection)
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
@@ -240,20 +240,17 @@ class TestCovarianceStep:
         with pytest.raises(ValueError):
             dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1.0), 1.0, 1.0, 1.1, 2)
 
-    def test_tanh_diagonal_is_the_series_at_one_per_variance(self):
-        # certified variances take the series at c = 1, the others expect1
+    def test_tanh_diagonal_is_the_rules_second_moment(self):
+        # every variance, its series certified or not, takes E[tanh^2] from
+        # the order-256 projection, bit for bit
         q = np.array([[0.5, 2.0, 0.5], [1.25, 2.0, 0.5]])
         diag = engine_diagonal(TANH, q)
         assert diag.shape == q.shape
         kinds = set()
         for v, e in zip(q.ravel(), diag.ravel()):
             one = np.array([v])
-            series, certified = TANH.series.pairs(one, one, np.ones(1))
-            kinds.add(bool(certified[0, 0]))
-            if certified[0, 0]:
-                assert e == series[0, 0]
-            else:
-                assert e == expect1(lambda u: np.tanh(u) ** 2, v, PROJECTION)
+            kinds.add(bool(TANH.series.pairs(one, one, np.ones(1))[1][0, 0]))
+            assert e == hermite_projection(np.tanh, [v])[1][0]
         assert kinds == {True, False}
 
 
@@ -436,9 +433,22 @@ class TestTanhSeries:
     def test_series_at_one_is_the_diagonal(self, q):
         one = np.array([q])
         phiphi = phiphi_expectation(TANH, one, one, np.ones(1))
-        assert phiphi[0] == engine_diagonal(TANH, one)[0]
         cmap = CorrelationMap(TANH, q, 0.2, 1.3)
         assert cmap(1.0) == (0.2**2 + 1.3**2 * phiphi[0]) / q
+
+    @pytest.mark.parametrize("sigma_b, sigma_w", [
+        (0.2, None), (1.0, 2.5), (0.5, 3.0), (0.2, 1.2)],
+        ids=["eoc", "chaotic", "chaotic_wide", "ordered"])
+    def test_self_pair_correlation_stays_one(self, sigma_b, sigma_w):
+        # a self pair's covariance is the series at c = 1 (or the
+        # quadrature), its variance the rule's second moment: their gap sits
+        # inside the snap, so c is 1 at every layer, per pair and shared
+        sigma_w = eoc_curve(TANH, sigma_b) if sigma_w is None else sigma_w
+        p = InitParams(sigma_b, sigma_w)
+        q = np.array([0.3, 1.0, 4.0])
+        for first in (q, *q):
+            trace = dense_layer_arrays("ffnn", TANH, p, first, first, first, 300)
+            assert np.all(trace.corr == 1.0)
 
     def test_map_takes_the_pair_value(self):
         q = 0.5  # f(c) = e / q, and back, without rounding

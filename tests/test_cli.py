@@ -561,6 +561,25 @@ class TestExitCodes:
         assert "Warning" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("argv,layer", [
+        (["kernel", "--sigma-b", "0", "--sigma-w", "0.5", "--depth", "300"], 248),
+        (["kernel", "--sigma-b", "0.1", "--sigma-w", "1e76", "--depth", "5"], 2),
+        (["rates", "--sigma-b", "0", "--sigma-w", "0.5", "--j-max", "7"], 248),
+        (["train", "--sigma-b", "0", "--sigma-w", "0.5", "--depth", "300"], 248),
+    ], ids=["kernel_underflow", "kernel_overflow", "rates", "train"])
+    def test_tanh_variance_out_of_the_renormalisation_range_is_numeric_error(
+            self, tmp_path, capsys, argv, layer):
+        # the Tanh maps do not scale with the variances, so a run whose
+        # variance leaves [1e-150, 1e150] is refused, not renormalised
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv + ["--activation", "tanh", "-o", out])
+        assert rc == 3
+        assert (f"left [1e-150, 1e150] at layer {layer}: only the ReLU recursion"
+                in capsys.readouterr().err)
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("argv,flag,depth", [
         (["spectrum", "--phase", "eoc", "--depths", "3,1000000000000"],
          "--depths", 10**12),

@@ -413,6 +413,23 @@ class TestSharedVariancesAsFloats:
                 dense_layer_arrays("ffnn", RELU, InitParams(0.0, 1e150),
                                    1e10, 1e10, 5e9, 3)
 
+    @pytest.mark.parametrize("first,params,layer", [
+        ((1.0, 1.0, 0.5), (0.0, 0.5), 250),
+        ((np.array([1.0, 2.0]), np.array([1.0, 0.5]), np.array([0.5, 0.3])),
+         (0.0, 0.5), 250),
+        ((1.0, 1.0, 0.5), (0.1, 1e76), 2)],
+        ids=["shared_underflow", "per_pair_underflow", "overflow"])
+    def test_tanh_variance_out_of_the_renormalisation_range_is_named(
+            self, first, params, layer):
+        # dividing the state by its largest variance is exact only for
+        # homogeneous maps: a Tanh variance that leaves [1e-150, 1e150] is
+        # refused at its layer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match=f"left \\[1e-150, 1e150\\] at layer {layer}:"):
+                dense_layer_arrays("ffnn", TANH, InitParams(*params), *first, 300)
+
 
 class TestLayerPasses:
     """A layer adds no zero bias and copies the block where there is no
@@ -545,15 +562,19 @@ class TestLimitingKernel:
             limiting_kernel(Architecture("ffnn"), RELU, InitParams(0.0, 1.8),
                             InputPair(x, xp))
 
-    @pytest.mark.parametrize("sigma_b,sigma_w", [(0.2, 1.8), (1.0, 2.5), (0.5, 3.0)])
+    @pytest.mark.parametrize("sigma_b,sigma_w", [
+        (0.05, None), (0.2, None), (1.0, None), (0.2, 1.2), (0.5, 1.0),
+        (0.2, 1.8), (1.0, 2.5), (0.5, 3.0)])
     def test_tanh_recursion_settles_at_classify_fixed_point(self, sigma_b, sigma_w):
-        # past q = 1.2 the series leaves diagonals uncertified: their
-        # fallback is phase's m(q) on the same rule, so the engine's fixed
-        # point is classify's
+        # the engine's diagonal and phase's m(q) are the second moment on
+        # one rule, certified series or not (summed in other orders), so
+        # the engine's fixed point is classify's, on the critical curve and
+        # off it
+        sigma_w = eoc_curve(TANH, sigma_b) if sigma_w is None else sigma_w
         p = InitParams(sigma_b, sigma_w)
-        trace = dense_layer_arrays("ffnn", TANH, p, 1.0, 1.0, 0.5, 300, keep=[300])
+        trace = dense_layer_arrays("ffnn", TANH, p, 1.0, 1.0, 0.5, 400, keep=[400])
         q = classify(TANH, p).q_fixed
-        assert abs(float(trace.qx[-1]) / q - 1.0) <= 1e-14
+        assert abs(float(trace.qx[-1]) / q - 1.0) <= 1e-15
 
     def test_chaotic_tanh_constant(self, rng):
         p = InitParams(0.2, 1.8)

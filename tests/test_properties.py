@@ -260,6 +260,8 @@ def test_engine_is_the_reference_loop(data):
     for row, name in enumerate(("vx", "vxp", "vcov", "wK", "qdot")):
         got = getattr(trace, name)
         assert got.shape == shape  # shared variances come back full width
+        if row < 2:  # as read-only views where they are shared
+            assert got.flags.writeable == (np.unique(qx).size + np.unique(qxp).size > 2)
         assert np.array_equal(got, hist[row].reshape(shape), equal_nan=True)
         assert got.tobytes() == hist[row].tobytes()  # signed zeros too
     assert np.array_equal(trace.scale_log, scale_log)
