@@ -494,6 +494,13 @@ def _snap(x: float) -> float:
     return math.copysign(1.0, x) if 1.0 - abs(x) < _SNAP else x
 
 
+def _reject_correlation(c, root) -> None:
+    """The failure path of the range check of the correlations c = qcov /
+    root: a root that is zero or not finite is named first."""
+    _reject_root(root)
+    raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
+
+
 def _correlation(qcov, root, out):
     """(c, lo, hi): c = qcov / root, written into ``out``, checked and
     snapped as :func:`layer_correlation` says, with its least and largest
@@ -512,8 +519,7 @@ def _correlation(qcov, root, out):
     lo = float(np.minimum.reduce(c, axis=None))
     hi = float(np.maximum.reduce(c, axis=None))
     if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
-        _reject_root(root)
-        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
+        _reject_correlation(c, root)
     # the snap of each side, in place, only where that extreme needs it
     if hi >= _SNAP_EDGE:
         np.copyto(c, 1.0, where=c >= _SNAP_EDGE)
@@ -574,25 +580,81 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
 
 def shared_layer_maps(activation: ActivationModel, phiphi, prime):
     """:func:`layer_maps` for n pairs that share their two variances,
-    given as Python floats: ``maps(x, y, root, c, lo, hi, scale)`` takes
-    the variances x and y, root = sqrt(x y) and the checked correlations,
-    writes E[phi(u1) phi(u2)] to ``phiphi`` and ``scale`` E[phi' phi'] to
-    ``prime``, and returns (E[phi(u)^2] of x, of y).  Float arithmetic is
-    IEEE arithmetic, so every value has the bits of :func:`layer_maps` on
-    (2, 1) variances."""
+    given as Python floats: ``maps(x, y, root, qcov, scale)`` takes the
+    variances x and y, root = sqrt(x y) and the pairs' covariances
+    ``qcov``, checks and snaps their correlations qcov / root as
+    :func:`_correlation` does, writes E[phi(u1) phi(u2)] to ``phiphi`` and
+    ``scale`` E[phi' phi'] to ``prime``, and returns (E[phi(u)^2] of x, of
+    y).  ``qcov`` is read before anything is written, so ``phiphi`` may be
+    ``qcov`` itself.  Float arithmetic is IEEE arithmetic, so every value
+    has the bits of :func:`layer_maps` on (2, 1) variances.
+
+    The ReLU hook is :func:`_correlation`, :func:`_relu_maps` and
+    :func:`_relu_series` written out in one frame: the same ufunc
+    expressions in the same order, into buffers allocated once, so a layer
+    of the deep shared-variance runs (``rates``, ``spectrum``, the
+    sigma_b = 0 ReLU Gram) calls no other Python function.  The snap leaves
+    the extremes on their side of the series threshold, so the branch reads
+    them unsnapped."""
+    c = np.empty_like(phiphi)
     if activation.kind == "relu":
-        def maps(x, y, root, c, lo, hi, scale):
-            _relu_maps(c, lo, hi, phiphi, prime)
-            np.multiply(phiphi, 0.5 * root, out=phiphi)
-            np.multiply(prime, 0.5 * scale, out=prime)
+        t, u = np.empty_like(c), np.empty_like(c)
+        edge = 1.0 - _RELU_SERIES_THRESHOLD
+        # 0-d arrays of the constants and of the layer's two scalars:
+        # numpy reads them faster than Python floats, to the same values
+        one, two, half, pi, s_relu, b_relu, r, h = (np.array(v) for v in (
+            1.0, 2.0, 0.5, np.pi, S_RELU, B_RELU, 0.0, 0.0))
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+
+        def maps(x, y, root, qcov, scale):
+            div(qcov, root, c)
+            lo = float(np.minimum.reduce(c, axis=None))
+            hi = float(np.maximum.reduce(c, axis=None))
+            if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
+                _reject_correlation(c, root)
+            if hi >= _SNAP_EDGE:
+                np.copyto(c, 1.0, where=c >= _SNAP_EDGE)
+            if lo <= -_SNAP_EDGE:
+                np.copyto(c, -1.0, where=c <= -_SNAP_EDGE)
+            asin = np.arcsin(c, prime)
+            if lo > edge:  # f = 1 - (g - g sqrt(g) (s + b g)), g = 1 - c
+                sub(one, c, t)
+                np.sqrt(t, u)
+                mul(t, u, u)
+                mul(b_relu, t, phiphi)
+                add(s_relu, phiphi, phiphi)
+                mul(u, phiphi, u)
+                sub(t, u, u)
+                sub(one, u, phiphi)
+            else:  # f = (c asin(c) + sqrt(1 - c c)) / pi + c / 2
+                mul(c, asin, t)
+                mul(c, c, u)
+                sub(one, u, u)
+                np.sqrt(u, u)
+                add(t, u, t)
+                div(t, pi, t)
+                div(c, two, u)
+                add(t, u, phiphi)
+                if hi > edge:
+                    near = np.flatnonzero(c > edge)
+                    g = 1.0 - c[near]
+                    if g.any():
+                        phiphi[near] = 1.0 - (g - g * np.sqrt(g) * (S_RELU + B_RELU * g))
+            r[()] = 0.5 * root
+            mul(phiphi, r, phiphi)
+            div(asin, pi, asin)
+            add(asin, half, asin)
+            h[()] = 0.5 * scale
+            mul(asin, h, asin)
             return x / 2.0, y / 2.0
     else:
         V, diag = np.empty(2), np.empty(2)
         V2, diag2 = V.reshape(2, 1), diag.reshape(2, 1)
 
-        def maps(x, y, root, c, lo, hi, scale):
+        def maps(x, y, root, qcov, scale):
             V[0], V[1] = x, y
-            _tanh_maps(activation, V2, c, diag2, phiphi, prime, scale)
+            _tanh_maps(activation, V2, _correlation(qcov, root, c)[0], diag2,
+                       phiphi, prime, scale)
             return diag.tolist()
     return maps
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -456,7 +457,10 @@ def _add_kernel_flags(p: argparse.ArgumentParser, archs) -> None:
                    help="derive (sigma_b, sigma_w) on the critical curve")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never
+    changes it, and config-file values enter as argv tokens, not defaults."""
     parser = argparse.ArgumentParser(prog="deepntk", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", default=None,

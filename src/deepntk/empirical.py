@@ -190,11 +190,28 @@ def _seed_kernels(arch: str, activation: ActivationModel, params: InitParams,
                   seeds: range) -> np.ndarray:
     """empirical_ntk of the net of each seed, as sample_net draws them, bit
     for bit: one set of arrays, refilled for each seed (and freed on
-    return, before the caller allocates the next set)."""
+    return, before the caller allocates the next set).
+
+    The kernel of output unit 1 reads only row 0 of W^L: the backward pass
+    starts from delta^L = e_1, so it reads W^L^T e_1, and the layer-L term
+    multiplies by e_1.  At sigma_b = 0 the biases enter only as 0 b.
+    sample_net draws W^1 ... W^L and then the biases from one stream, so
+    there the read weights, W^1 ... W^{L-1} and row 0 of W^L, are a prefix
+    of that stream: each seed draws only them.  The other rows of W^L and
+    the biases are zeros, set once.  A zero row adds exact zeros to
+    W^L^T e_1, and 0 b is a zero either way, so every kernel has the bits
+    of the net sample_net draws.  At sigma_b > 0 the biases come after all
+    of W^L, and each seed draws every array."""
     weights, biases = _parameter_arrays(arch, widths, np.asarray(x).size)
+    drawn = (*weights, *biases)
+    if params.sigma_b == 0.0:
+        weights[-1][1:] = 0.0
+        for b in biases:
+            b.fill(0.0)
+        drawn = (*weights[:-1], weights[-1][0])
     vals = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
-        _draw(seed, weights, biases)
+        _draw(seed, drawn, ())
         net = FiniteNet(arch=arch, activation=activation, params=params,
                         widths=widths, weights=weights, biases=biases)
         vals[i] = empirical_ntk(net, x, xp)

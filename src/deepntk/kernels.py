@@ -49,32 +49,40 @@ ufuncs, and the variances of x and x' propagate on their own, so each
 pair gets the bits of its per-pair run either way.  The trace stores the
 two floats per kept layer and returns the (n, P) variance rows as
 read-only broadcast views of them.  A layer costs a fixed number of numpy
-calls whatever P, all into buffers allocated once per call.  A dense ReLU layer
-runs 20 of them on shared variances and 25 on per-pair ones, one more for
-a bias (sigma_b > 0), one for the 1/l weight of the scaled kinds and two
-for each side of +-1 that needs the snap.  Two are reductions, the least
-and largest correlation, which decide the range check, the snap at +-1
-and the branch of the ReLU map; per-pair variances take a third, their
-largest, which decides the renormalisation (on two floats, a comparison).
-The expectations come from ``activations.layer_maps``, the one
-implementation of a layer's expectations (its pair functions run it
-too), bound to those buffers (``activations.shared_layer_maps`` on
-floats): it writes the variance expectations to the first 2m entries of
-a buffer B laid out as the state, E[phi phi] to its qcov row and
-w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, f'(c) times
-1/2 w_l sigma_w^2 in one product).  The first 2m + P entries of B become
-w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
-qdot^l K^{l-1} + block^l, and the layer is S = s S + mix(B) on the first
-2m + 2P entries of the state.  Where sigma_b = 0 the bias add is skipped,
-and where s = 0 mix(B) is copied into S: the same bits as adding 0.0 and
-0 S for a finite state, but for the sign of a zero, which follows the
-layer's own terms, and a K that overflowed, which stays inf where 0 inf
-would be NaN.  Every element goes through the ufunc expressions written
-above in that order, so a pair's trace does not depend on the other
-pairs of its batch.  Only the depths the caller keeps are stored:
-``rates`` its depth grid, the Gram, ``predict`` and ``selftest`` layer
-L, ``spectrum`` each of its depths from one recursion to the deepest,
-``kernel`` every layer.
+calls whatever P, all into buffers allocated once per call.  A dense ReLU
+layer runs 19 of them on shared variances and 24 on per-pair ones, one
+more for a bias (sigma_b > 0), one for the skip of the residual kinds,
+one for the 1/l weight of the scaled kinds and two for each side of +-1
+that needs the snap, as an ndarray subclass that counts its ufunc and
+function calls sees them (numpy 2.4).  A batch with correlations on both
+sides of the ReLU series threshold adds six, and seven more for the
+series where one of those above it is not exactly 1.  Two are
+reductions, the least and largest correlation, which decide the range
+check, the snap at +-1 and the branch of the ReLU map; per-pair
+variances take a third, their largest, which decides the
+renormalisation (on two floats, a comparison).  The expectations come
+from ``activations.layer_maps``, the one implementation of a layer's
+expectations (its pair functions run it too), bound to those buffers.
+On shared variances ``activations.shared_layer_maps`` takes its place:
+for ReLU one frame that checks the correlations and writes the same
+ufunc expressions, so the layer calls no other Python function.  The
+hook writes the variance expectations to the first 2m entries of a
+buffer B laid out as the state, E[phi phi] to its qcov row and
+w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, f'(c) times 1/2 w_l sigma_w^2 in one product).  The
+first 2m + P entries of B become w_l (sigma_b^2 + sigma_w^2 E) in place,
+its K row is qdot^l K^{l-1} + block^l, and the layer is
+S = s S + mix(B) on the first 2m + 2P entries of the state.  Where
+sigma_b = 0 the bias add is skipped, and where s = 0 a dense B is the
+state itself (a full grid copies mix(B) into S): each term is written
+over the state once the old values it reads are read, K last.  That has
+the bits of adding 0.0 and 0 S for a finite state, but for the sign of a
+zero, which follows the layer's own terms, and a K that overflowed,
+which stays inf where 0 inf would be NaN.  Every element goes through
+the ufunc expressions written above in that order, so a pair's trace
+does not depend on the other pairs of its batch.  Only the depths the
+caller keeps are stored: ``rates`` its depth grid, the Gram, ``predict``
+and ``selftest`` layer L, ``spectrum`` each of its depths from one
+recursion to the deepest, ``kernel`` every layer.
 
 A Tanh layer runs the same loop with the series maps of
 ``activations.TanhSeriesTable``: one table lookup per layer, one row pair
@@ -356,20 +364,19 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
                                   for a in (qx0, qxp0, qcov0)))
     shape = first[0].shape
-    if arch.is_conv:
+    grid = arch.is_conv  # a full-grid conv state, window-averaged
+    if grid:
         if shape != (arch.positions,) * 2:
             raise ValueError(f"conv kernels need (M, M) grids, got {shape}")
         k = arch.filter_half_width
 
         def mix(a):
             return _circulant_average(a.reshape((-1,) + shape), k).reshape(a.shape)
-    else:
-        def mix(a):
-            return a
+    skip = arch.is_residual
     n = first[0].size
     # variances that every pair shares run as the floats x and y; else the
     # state buffer starts with their (2, n) rows
-    shared = not arch.is_conv and _shared(first[0]) and _shared(first[1])
+    shared = not grid and _shared(first[0]) and _shared(first[1])
     m = 0 if shared else n
     # one buffer: the variances V (2, m), then vcov, wK (the state S) and qdot
     state = np.empty(2 * m + 3 * n)
@@ -384,18 +391,22 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     qcov[:] = first[2].ravel()
     wK[:] = qcov
     qdot[:] = np.nan
-    # the new variance terms, the block and the new kernel term, laid out as S
-    B = np.empty_like(S)
+    # the new variance terms, the block and the new kernel term, laid out as
+    # S; with no skip and no window average they are the new state, so they
+    # are written over it (each term reads the old state before it is
+    # written, and K last)
+    B = np.empty_like(S) if skip or grid else S
     E = B[:2 * m + n]  # w (sigma_b^2 + sigma_w^2 E), in place
     block, new_K = B[2 * m:].reshape(2, n)
-    root, c = np.empty(m), np.empty(n)
     if shared:
         maps = shared_layer_maps(activation, block, qdot)
     else:
+        root, c = np.empty(m), np.empty(n)
         maps = layer_maps(activation, V, root, B[:2 * m].reshape(2, m), block, qdot)
     sb2, sw2 = float(params.sigma_b**2), float(params.sigma_w**2)
     sb2_l = sb2  # the bias in units of the renormalised state
-    skip = arch.is_residual
+    # the same two as 0-d arrays, which the ufuncs read faster than floats
+    sw2_0, sb2_0 = np.array(sw2), np.array(sb2)
     scaled = arch.is_scaled
     kept = L if depths is None else len(depths)
     # the trace: the state of each kept layer (one write per layer) and,
@@ -423,7 +434,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                         root = math.sqrt(x * y)
                     except ValueError:  # a negative product: NaN, as np.sqrt
                         root = math.nan
-                    dx, dy = maps(x, y, root, *_correlation(qcov, root, c), w * sw2)
+                    dx, dy = maps(x, y, root, qcov, w * sw2)
                     dx *= sw2
                     dy *= sw2
                     if sb2_l:
@@ -436,16 +447,16 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                     np.multiply(vx, vxp, out=root)
                     np.sqrt(root, out=root)
                     maps(*_correlation(qcov, root, c), w * sw2)
-                E *= sw2
+                np.multiply(E, sw2_0, E)
                 if sb2_l:
-                    E += sb2_l
+                    np.add(E, sb2_0, E)
                 if w != 1.0:
                     E *= w
-                np.multiply(qdot, wK, out=new_K)
-                new_K += block
+                np.multiply(qdot, wK, new_K)
+                np.add(new_K, block, new_K)
                 if skip:
-                    S += mix(B)
-                else:
+                    np.add(S, mix(B) if grid else B, S)
+                elif grid:
                     np.copyto(S, mix(B))
                 if shared:
                     x, y = (x + dx, y + dy) if skip else (dx, dy)
@@ -465,7 +476,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                     if shared:
                         x, y = x / top, y / top
                     log_scale += float(np.log(top))
-                    sb2_l = float(sb2 * np.exp(-log_scale)) if sb2 else 0.0
+                    sb2_l = sb2_0[()] = float(sb2 * np.exp(-log_scale)) if sb2 else 0.0
             if l == next_kept:
                 hist[j] = state
                 if shared:

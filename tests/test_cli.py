@@ -270,6 +270,17 @@ class TestOutputs:
         rows = [ln for ln in open(out).read().splitlines() if not ln.startswith("#")]
         assert len(rows) == 1 + 2  # explicit flag wins
 
+    def test_config_file_values_do_not_outlive_their_call(self, tmp_path):
+        # one parser serves every call of the process: a call without
+        # --config gets the built-in defaults back
+        cfg = write(tmp_path, "cfg.txt", "sphere-d = 8\nseed = 3\n")
+        out = str(tmp_path / "k.csv")
+        argv = ["kernel", "--phase", "eoc", "--depth", "2", "-o", out]
+        for config, echo in ((["--config", cfg], "seed=3 sphere_d=8"),
+                             ([], "seed=0 sphere_d=10")):
+            assert main(config + argv) == 0
+            assert open(out).read().splitlines()[1].endswith(echo)
+
     def test_config_file_with_equals_form(self, tmp_path):
         cfg = write(tmp_path, "cfg.txt", "depth = 4\n")
         out = str(tmp_path / "k.csv")

@@ -34,14 +34,20 @@ class TestSampling:
         for a in (*net.weights, *net.biases):
             assert np.array_equal(a, rng.standard_normal(a.shape))
 
-    def test_study_refills_the_nets_of_sample_net(self):
+    # at sigma_b = 0 the study draws only the prefix of each seed's stream
+    # that the kernel reads; depth 1 reads its one matrix by row 0 alone
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.3])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("arch", ["ffnn", "resnet_dense"])
+    def test_study_refills_the_nets_of_sample_net(self, arch, depth, sigma_b):
         x, xp = np.array([1.0, 0.0, 0.5]), np.array([0.2, 1.0, -0.3])
-        widths, depth, seeds = [8, 16], 3, 4
-        study = width_convergence_study("resnet_dense", RELU, EOC, x, xp, widths,
-                                        depth, seeds, base_seed=5)
+        p = InitParams(sigma_b, np.sqrt(2.0))
+        widths, seeds = [8, 16], 4
+        study = width_convergence_study(arch, RELU, p, x, xp, widths, depth, seeds,
+                                        base_seed=5)
         for iw, width in enumerate(widths):
             vals = np.array([
-                empirical_ntk(sample_net("resnet_dense", RELU, EOC, [width] * depth,
+                empirical_ntk(sample_net(arch, RELU, p, [width] * depth,
                                          x.size, 5 + 7919 * iw + s), x, xp)
                 for s in range(seeds)])
             assert study["mean"][iw] == float(vals.mean())

@@ -15,6 +15,7 @@ from deepntk.activations import (_SNAP, _SNAP_EDGE, SERIES_TOLERANCE,
 from deepntk.asymptotics import depth_law
 from deepntk.kernels import dense_layer_arrays
 from deepntk.phase import InitParams
+from deepntk.regression import _TABLE_C
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
@@ -265,6 +266,21 @@ def test_engine_is_the_reference_loop(data):
         assert np.array_equal(got, hist[row].reshape(shape), equal_nan=True)
         assert got.tobytes() == hist[row].tobytes()  # signed zeros too
     assert np.array_equal(trace.scale_log, scale_log)
+
+
+def test_engine_is_the_reference_loop_on_the_gram_table():
+    # the batch of the sigma_b = 0 ReLU Gram table as train runs it: the
+    # table's correlations and the self pair (c = 1) on shared unit
+    # variances.  Beside the snapped self pair the other pairs cross the
+    # series threshold one by one (the mixed branch, layers 2-655), and
+    # from layer 656 on every pair takes the series
+    c = np.append(_TABLE_C, 1.0)
+    p = InitParams(0.0, math.sqrt(2.0))
+    trace = dense_layer_arrays("ffnn", RELU, p, 1.0, 1.0, c, 1000)
+    hist, scale_log = _reference_trace("ffnn", RELU, p, 1.0, 1.0, c, 1000)
+    for row, name in enumerate(("vx", "vxp", "vcov", "wK", "qdot")):
+        assert getattr(trace, name).tobytes() == hist[row].tobytes()
+    assert trace.scale_log.tobytes() == scale_log.tobytes()
 
 
 @PROPERTY
