@@ -157,32 +157,55 @@ def _relu_deficit(g):
     ) / np.pi
 
 
-def _relu_maps(c, lo, hi, f, f_prime):
+#: the ReLU map's constants as 0-d arrays, which ufuncs read faster than
+#: floats (to the same values), and its ufuncs as globals, read faster too
+_ONE, _TWO, _HALF, _PI, _S, _B = (np.array(v) for v in (
+    1.0, 2.0, 0.5, np.pi, S_RELU, B_RELU))
+_mul, _add, _sub, _div = np.multiply, np.add, np.subtract, np.divide
+
+
+def _relu_maps(c, lo, hi, f, f_prime, t, u):
     """(f(c), f'(c)) on the correlations c in [-1, 1], from one arcsin,
-    written into the arrays f and f_prime; lo and hi are c's least and
-    largest entries.
+    written into the arrays f and f_prime, with t and u scratch arrays of
+    c's shape; lo and hi are c's least and largest entries, or any values
+    on the same sides of the series threshold.
 
     f takes the series of 1 - f above 1 - _RELU_SERIES_THRESHOLD, where
     the closed form loses its increment over c to cancellation.  Each form
     runs only on the correlations that take it, so a batch gives every
     correlation the bits of a lone call.  At c = 1 exactly both forms give
     f = 1, so a batch whose correlations above the threshold are all 1
-    (the self pairs of a Gram) skips the series.
+    (the self pairs of a Gram) skips the series.  Every operation writes
+    into the given arrays, so a layer allocates nothing but the series
+    rows of a mixed batch.
     """
-    asin = np.arcsin(c, out=f_prime)
+    asin = np.arcsin(c, f_prime)
     edge = 1.0 - _RELU_SERIES_THRESHOLD
-    if lo > edge:
-        np.subtract(1.0, _relu_series(1.0 - c), out=f)
-    else:
-        # |c| <= 1 here, so 1 - c c >= 0 without a clamp
-        np.add((c * asin + np.sqrt(1.0 - c * c)) / np.pi, c / 2.0, out=f)
+    if lo > edge:  # f = 1 - (g - g sqrt(g) (s + b g)), g = 1 - c
+        _sub(_ONE, c, t)
+        np.sqrt(t, u)
+        _mul(t, u, u)
+        _mul(_B, t, f)
+        _add(_S, f, f)
+        _mul(u, f, u)
+        _sub(t, u, u)
+        _sub(_ONE, u, f)
+    else:  # f = (c asin(c) + sqrt(1 - c c)) / pi + c / 2
+        _mul(c, asin, t)
+        _mul(c, c, u)
+        _sub(_ONE, u, u)  # |c| <= 1: 1 - c c >= 0 without a clamp
+        np.sqrt(u, u)
+        _add(t, u, t)
+        _div(t, _PI, t)
+        _div(c, _TWO, u)
+        _add(t, u, f)
         if hi > edge:
             near = np.flatnonzero(c > edge)
             g = 1.0 - c[near]
             if g.any():
                 f[near] = 1.0 - _relu_series(g)
-    asin /= np.pi
-    asin += 0.5
+    _div(asin, _PI, asin)
+    _add(asin, _HALF, asin)
     return f, f_prime
 
 
@@ -219,7 +242,7 @@ def relu_one_minus_f(gamma):
 def relu_f(c):
     """ReLU correlation map f(c) = (c asin c + sqrt(1-c^2))/pi + c/2."""
     c = np.asarray(clamp_correlation(c))
-    out = _relu_maps(c, c.min(), c.max(), np.empty_like(c), np.empty_like(c))[0]
+    out = _relu_maps(c, c.min(), c.max(), *(np.empty_like(c) for _ in range(4)))[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -490,42 +513,33 @@ def _snap_edge() -> float:
 _SNAP_EDGE = _snap_edge()
 
 
-def _snap(x: float) -> float:
-    return math.copysign(1.0, x) if 1.0 - abs(x) < _SNAP else x
-
-
-def _reject_correlation(c, root) -> None:
-    """The failure path of the range check of the correlations c = qcov /
-    root: a root that is zero or not finite is named first."""
-    _reject_root(root)
-    raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
-
-
 def _correlation(qcov, root, out):
     """(c, lo, hi): c = qcov / root, written into ``out``, checked and
     snapped as :func:`layer_correlation` says, with its least and largest
-    entries.
+    entries before the snap.
 
     The two extremes are the only reductions: they decide the range check,
     whether any entry needs the snap (which is monotone, so it maps the
-    extremes to the extremes) and, for ReLU, the branch of the map.  A zero
-    or NaN root makes c infinite or NaN and fails the range check, whose
-    failure path names the root first.  A root of inf next to a finite
-    qcov gives c = 0 and passes; callers rule it out (call under
-    ``np.errstate(divide="ignore", invalid="ignore")``).
+    extremes to the extremes) and, for ReLU, the branch of the map, which
+    reads them unsnapped: the snap moves no value across the series
+    threshold.  A zero or NaN root makes c infinite or NaN and fails the
+    range check, whose failure path names the root first.  A root of inf
+    next to a finite qcov gives c = 0 and passes; callers rule it out
+    (call under ``np.errstate(divide="ignore", invalid="ignore")``).
     """
-    c = np.divide(qcov, root, out=out)
+    c = np.divide(qcov, root, out)
     # the ufuncs' own reductions skip ndarray.min's Python frame
     lo = float(np.minimum.reduce(c, axis=None))
     hi = float(np.maximum.reduce(c, axis=None))
     if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
-        _reject_correlation(c, root)
+        _reject_root(root)
+        raise ValueError(f"correlation not finite or out of range [-1,1]: {c!r}")
     # the snap of each side, in place, only where that extreme needs it
     if hi >= _SNAP_EDGE:
         np.copyto(c, 1.0, where=c >= _SNAP_EDGE)
     if lo <= -_SNAP_EDGE:
         np.copyto(c, -1.0, where=c <= -_SNAP_EDGE)
-    return c, _snap(lo), _snap(hi)
+    return c, lo, hi
 
 
 def layer_correlation(qcov, root):
@@ -555,23 +569,23 @@ def layer_maps(activation: ActivationModel, V, root, diag, phiphi, prime):
 
     V holds the variances qx and qxp of n pairs as rows, (2, n), and
     ``root`` holds sqrt(qx qxp), (n,).  The returned ``maps(c, lo, hi,
-    scale)`` takes the checked correlations of the pairs
-    (:func:`_correlation`) and writes E[phi(u)^2] of each variance to
-    ``diag`` (2, n), E[phi(u1) phi(u2)] to ``phiphi`` (n,) and ``scale``
-    E[phi'(u1) phi'(u2)] to ``prime`` (n,): ReLU in place from one arcsin,
-    Tanh from its certified series (see the module docstring).
-    :func:`shared_layer_maps` is the same for variances that every pair
-    shares.
+    scale)`` takes the checked correlations of the pairs and their
+    extremes (:func:`_correlation`) and writes E[phi(u)^2] of each
+    variance to ``diag`` (2, n), E[phi(u1) phi(u2)] to ``phiphi`` (n,) and
+    ``scale`` E[phi'(u1) phi'(u2)] to ``prime`` (n,): ReLU in place from
+    :func:`_relu_maps`, Tanh from its certified series (see the module
+    docstring).  :func:`shared_layer_maps` is the same for variances that
+    every pair shares.
     """
     if activation.kind == "relu":
-        half_root = np.empty_like(root)
+        t, u = np.empty_like(root), np.empty_like(root)
 
         def maps(c, lo, hi, scale):
-            np.divide(V, 2.0, out=diag)
-            _relu_maps(c, lo, hi, phiphi, prime)
-            np.multiply(0.5, root, out=half_root)
-            np.multiply(half_root, phiphi, out=phiphi)
-            np.multiply(prime, 0.5 * scale, out=prime)
+            _div(V, _TWO, diag)
+            _relu_maps(c, lo, hi, phiphi, prime, t, u)
+            _mul(_HALF, root, t)
+            _mul(t, phiphi, phiphi)
+            _mul(prime, 0.5 * scale, prime)
     else:
         def maps(c, lo, hi, scale):
             _tanh_maps(activation, V, c, diag, phiphi, prime, scale)
@@ -582,70 +596,24 @@ def shared_layer_maps(activation: ActivationModel, phiphi, prime):
     """:func:`layer_maps` for n pairs that share their two variances,
     given as Python floats: ``maps(x, y, root, qcov, scale)`` takes the
     variances x and y, root = sqrt(x y) and the pairs' covariances
-    ``qcov``, checks and snaps their correlations qcov / root as
-    :func:`_correlation` does, writes E[phi(u1) phi(u2)] to ``phiphi`` and
+    ``qcov``, checks and snaps their correlations qcov / root with
+    :func:`_correlation`, writes E[phi(u1) phi(u2)] to ``phiphi`` and
     ``scale`` E[phi' phi'] to ``prime``, and returns (E[phi(u)^2] of x, of
     y).  ``qcov`` is read before anything is written, so ``phiphi`` may be
     ``qcov`` itself.  Float arithmetic is IEEE arithmetic, so every value
-    has the bits of :func:`layer_maps` on (2, 1) variances.
-
-    The ReLU hook is :func:`_correlation`, :func:`_relu_maps` and
-    :func:`_relu_series` written out in one frame: the same ufunc
-    expressions in the same order, into buffers allocated once, so a layer
-    of the deep shared-variance runs (``rates``, ``spectrum``, the
-    sigma_b = 0 ReLU Gram) calls no other Python function.  The snap leaves
-    the extremes on their side of the series threshold, so the branch reads
-    them unsnapped."""
+    has the bits of :func:`layer_maps` on (2, 1) variances."""
     c = np.empty_like(phiphi)
     if activation.kind == "relu":
         t, u = np.empty_like(c), np.empty_like(c)
-        edge = 1.0 - _RELU_SERIES_THRESHOLD
-        # 0-d arrays of the constants and of the layer's two scalars:
-        # numpy reads them faster than Python floats, to the same values
-        one, two, half, pi, s_relu, b_relu, r, h = (np.array(v) for v in (
-            1.0, 2.0, 0.5, np.pi, S_RELU, B_RELU, 0.0, 0.0))
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        # the layer's two scalars as 0-d arrays, as _relu_maps's constants
+        r, h = np.array(0.0), np.array(0.0)
 
         def maps(x, y, root, qcov, scale):
-            div(qcov, root, c)
-            lo = float(np.minimum.reduce(c, axis=None))
-            hi = float(np.maximum.reduce(c, axis=None))
-            if not (-1.0 - CORRELATION_SLACK <= lo and hi <= 1.0 + CORRELATION_SLACK):
-                _reject_correlation(c, root)
-            if hi >= _SNAP_EDGE:
-                np.copyto(c, 1.0, where=c >= _SNAP_EDGE)
-            if lo <= -_SNAP_EDGE:
-                np.copyto(c, -1.0, where=c <= -_SNAP_EDGE)
-            asin = np.arcsin(c, prime)
-            if lo > edge:  # f = 1 - (g - g sqrt(g) (s + b g)), g = 1 - c
-                sub(one, c, t)
-                np.sqrt(t, u)
-                mul(t, u, u)
-                mul(b_relu, t, phiphi)
-                add(s_relu, phiphi, phiphi)
-                mul(u, phiphi, u)
-                sub(t, u, u)
-                sub(one, u, phiphi)
-            else:  # f = (c asin(c) + sqrt(1 - c c)) / pi + c / 2
-                mul(c, asin, t)
-                mul(c, c, u)
-                sub(one, u, u)
-                np.sqrt(u, u)
-                add(t, u, t)
-                div(t, pi, t)
-                div(c, two, u)
-                add(t, u, phiphi)
-                if hi > edge:
-                    near = np.flatnonzero(c > edge)
-                    g = 1.0 - c[near]
-                    if g.any():
-                        phiphi[near] = 1.0 - (g - g * np.sqrt(g) * (S_RELU + B_RELU * g))
+            _relu_maps(*_correlation(qcov, root, c), phiphi, prime, t, u)
             r[()] = 0.5 * root
-            mul(phiphi, r, phiphi)
-            div(asin, pi, asin)
-            add(asin, half, asin)
+            _mul(phiphi, r, phiphi)
             h[()] = 0.5 * scale
-            mul(asin, h, asin)
+            _mul(prime, h, prime)
             return x / 2.0, y / 2.0
     else:
         V, diag = np.empty(2), np.empty(2)

@@ -350,6 +350,14 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every seed option, which names the flag of a
+    value it refuses: numpy's generators take integers >= 0 only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _check_depth(depth: int, flag: str) -> None:
     if depth > MAX_DEPTH:
         raise ConfigError(f"{flag} must be at most {MAX_DEPTH}, got {depth}")
@@ -378,6 +386,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_train(args) -> int:
     _check_depth(args.depth, "--depth")
+    if not np.isfinite(args.test_fraction):
+        raise ConfigError(f"--test-fraction must be finite, got {args.test_fraction}")
     act = make_activation(args.activation)
     params = _params_from(args, act)
     if args.data:
@@ -482,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="CSV dataset; first two rows form the pair")
     p.add_argument("--normalize", choices=("none", "unit_sphere"), default="none")
     p.add_argument("--sphere-d", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--channels", type=int, default=1, help="n0 for conv inputs")
     p.add_argument("--filter-k", type=int, default=1)
     p.add_argument("--output", "-o", required=True)
@@ -494,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"depth grid 32*2^j, j<=j_max (7 to {MAX_J})")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--sphere-d", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_rates)
 
@@ -513,10 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize", choices=("none", "unit_sphere"), default="none")
     p.add_argument("--sphere-d", type=int, default=10)
     p.add_argument("--sphere-n", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--time", default="infinity", help="training time t or 'infinity'")
     p.add_argument("--test-fraction", type=float, default=0.25)
-    p.add_argument("--split-seed", type=int, default=0)
+    p.add_argument("--split-seed", type=_seed, default=0)
     p.add_argument("--predictions", default=None, help="optional per-example CSV")
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_train)
@@ -527,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", default="64,128,256,512,1024")
     p.add_argument("--seeds", type=int, default=30)
     p.add_argument("--sphere-d", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--output", "-o", required=True)
     p.set_defaults(func=cmd_empirical)
 

@@ -222,12 +222,10 @@ def width_convergence_study(arch: str, activation: ActivationModel,
                             params: InitParams, x: np.ndarray, xp: np.ndarray,
                             widths: list[int], depth: int, seeds: int,
                             base_seed: int = 0) -> dict:
-    """Mean absolute deviation from the mean-field kernel, per width.
-
-    Returns the per-width deviations and the slope of log(deviation) vs
-    log(width); the Monte-Carlo error of one sampled network decays like
-    width^{-1/2}.
-    """
+    """Mean absolute deviation from the mean-field kernel per width, with
+    the seed means and standard deviations and the mean-field kernel.  The
+    Monte-Carlo error of one sampled network decays like width^{-1/2}; at
+    depth 1 the kernel does not depend on the weights, and it is 0."""
     if seeds < 2:
         raise ValueError(f"need at least 2 seeds for the seed standard deviation, got {seeds}")
     pair = InputPair(np.asarray(x, dtype=np.float64), np.asarray(xp, dtype=np.float64))
@@ -242,11 +240,9 @@ def width_convergence_study(arch: str, activation: ActivationModel,
         deviations.append(float(np.mean(np.abs(vals - reference))))
         means.append(float(vals.mean()))
         stds.append(float(vals.std(ddof=1)))
-    slope = np.polyfit(np.log(widths), np.log(deviations), 1)[0]
     return {
         "deviation": deviations,
         "mean": means,
         "std": stds,
         "reference": reference,
-        "slope": float(slope),
     }

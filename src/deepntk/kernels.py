@@ -7,9 +7,9 @@ Dense feedforward (depth-L) kernel, per input pair:
 
 with q^l = sigma_b^2 + sigma_w^2 E[phi phi] and
 qdot^l = sigma_w^2 E[phi' phi'] evaluated on the layer-(l-1) Gaussian
-field.  Convolutional kernels replace the scalars by (alpha, alpha') grids
-with a circulant average over the filter window; residual kernels gain a
-skip term
+field.  Under Assumption 1 (first-layer covariance grids constant over
+the position pairs (alpha, alpha')) a convolutional kernel is the dense
+recursion from those constants.  Residual kernels gain a skip term
 
     K^l = K^{l-1} (qdot^l + 1) + qhat^l,
 
@@ -20,60 +20,50 @@ q^l = q^{l-1} + qhat^l is what propagates forward).  Scaled residual
 blocks carry a 1/sqrt(l) factor, so their kernel contributions scale
 by 1/l.
 
-Every kind runs one layer step.  With the layer weight w_l (1/l for
-scaled residual kinds, 1 otherwise), the skip weight s (1 for residual
-kinds, 0 otherwise) and a mixing operator ``mix``, the layer is
+Every kind runs one layer step, on one entry per input pair.  With the
+layer weight w_l (1/l for scaled residual kinds, 1 otherwise) and the
+skip weight s (1 for residual kinds, 0 otherwise), the layer is
 
     block^l = w_l (sigma_b^2 + sigma_w^2 E[phi phi]),   qdot^l = w_l sigma_w^2 E[phi' phi'],
-    q^l     = s q^{l-1} + mix(w_l (sigma_b^2 + sigma_w^2 E[phi^2]))   (each variance),
-    qcov^l  = s qcov^{l-1} + mix(block^l),
-    K^l     = s K^{l-1} + mix(qdot^l K^{l-1} + block^l).
-
-``mix`` is the identity for dense kinds, whose state is one entry per
-input pair.  A full-grid conv state has one entry per position pair
-(alpha, alpha'): the variance of x at alpha, that of x' at alpha', their
-covariance and the kernel, and ``mix`` is the circulant window average
-(1/(2k+1)) sum_{|beta| <= k} G[alpha+beta, alpha'+beta].  The window
-average of a grid that depends on alpha alone depends on alpha alone, so
-the variance grids stay the diagonals of the x and x' covariance grids.
+    q^l     = s q^{l-1} + w_l (sigma_b^2 + sigma_w^2 E[phi^2])   (each variance),
+    qcov^l  = s qcov^{l-1} + block^l,
+    K^l     = s K^{l-1} + qdot^l K^{l-1} + block^l.
 
 The loop keeps its state in one buffer: the variances V = (q_x, q_x') as
-a (2, m) block, then the rows qcov and K of the P pairs (or the M^2 grid
-positions), then qdot.  m = P where the variances differ between pairs.
-Where every pair shares its two first-layer variances (one pair,
-``rates`` and ``spectrum`` (inputs on a sphere), the sigma_b = 0 ReLU
-Gram (see ``regression``)), m = 0: the variance recursion runs once, on
-two Python floats, and only the pair rows are P wide.  Float arithmetic
-and ``math.sqrt`` are the correctly rounded IEEE operations of the
-ufuncs, and the variances of x and x' propagate on their own, so each
-pair gets the bits of its per-pair run either way.  The trace stores the
-two floats per kept layer and returns the (n, P) variance rows as
-read-only broadcast views of them.  A layer costs a fixed number of numpy
-calls whatever P, all into buffers allocated once per call.  A dense ReLU
-layer runs 19 of them on shared variances and 24 on per-pair ones, one
-more for a bias (sigma_b > 0), one for the skip of the residual kinds,
-one for the 1/l weight of the scaled kinds and two for each side of +-1
-that needs the snap, as an ndarray subclass that counts its ufunc and
-function calls sees them (numpy 2.4).  A batch with correlations on both
-sides of the ReLU series threshold adds six, and seven more for the
-series where one of those above it is not exactly 1.  Two are
-reductions, the least and largest correlation, which decide the range
-check, the snap at +-1 and the branch of the ReLU map; per-pair
-variances take a third, their largest, which decides the
-renormalisation (on two floats, a comparison).  The expectations come
-from ``activations.layer_maps``, the one implementation of a layer's
-expectations (its pair functions run it too), bound to those buffers.
-On shared variances ``activations.shared_layer_maps`` takes its place:
-for ReLU one frame that checks the correlations and writes the same
-ufunc expressions, so the layer calls no other Python function.  The
-hook writes the variance expectations to the first 2m entries of a
-buffer B laid out as the state, E[phi phi] to its qcov row and
-w_l sigma_w^2 E[phi' phi'] to the qdot row (for ReLU, f'(c) times 1/2 w_l sigma_w^2 in one product).  The
-first 2m + P entries of B become w_l (sigma_b^2 + sigma_w^2 E) in place,
-its K row is qdot^l K^{l-1} + block^l, and the layer is
-S = s S + mix(B) on the first 2m + 2P entries of the state.  Where
-sigma_b = 0 the bias add is skipped, and where s = 0 a dense B is the
-state itself (a full grid copies mix(B) into S): each term is written
+a (2, m) block, then the rows qcov and K of the P pairs, then qdot.
+m = P where the variances differ between pairs.  Where every pair shares
+its two first-layer variances (one pair, ``rates`` and ``spectrum``
+(inputs on a sphere), the sigma_b = 0 ReLU Gram (see ``regression``)),
+m = 0: the variance recursion runs once, on two Python floats, and only
+the pair rows are P wide.  Float arithmetic and ``math.sqrt`` are the
+correctly rounded IEEE operations of the ufuncs, and the variances of x
+and x' propagate on their own, so each pair gets the bits of its
+per-pair run either way.  The trace stores the two floats per kept layer
+and returns the (n, P) variance rows as read-only broadcast views of
+them.  A layer costs a fixed number of numpy calls whatever P, all into
+buffers allocated once per call.  A dense ReLU layer runs 19 of them on
+shared variances and 24 on per-pair ones, one more for a bias
+(sigma_b > 0), one for the skip of the residual kinds, one for the 1/l
+weight of the scaled kinds and two for each side of +-1 that needs the
+snap, as an ndarray subclass that counts its ufunc and function calls
+sees them (numpy 2.4).  A batch with correlations on both sides of the
+ReLU series threshold adds four, and seven more for the series where one
+of those above it is not exactly 1.  Two are reductions, the least and
+largest correlation, which decide the range check, the snap at +-1 and
+the branch of the ReLU map; per-pair variances take a third, their
+largest, which decides the renormalisation (on two floats, a
+comparison).  The expectations come from ``activations.layer_maps``, the
+one implementation of a layer's expectations (its pair functions run it
+too), bound to those buffers, or on shared variances from
+``activations.shared_layer_maps``; for ReLU both run the one map
+``activations._relu_maps``.  The hook writes the variance expectations
+to the first 2m entries of a buffer B laid out as the state, E[phi phi]
+to its qcov row and w_l sigma_w^2 E[phi' phi'] to the qdot row (for
+ReLU, f'(c) times 1/2 w_l sigma_w^2 in one product).  The first 2m + P
+entries of B become w_l (sigma_b^2 + sigma_w^2 E) in place, its K row is
+qdot^l K^{l-1} + block^l, and the layer is S = s S + B on the first
+2m + 2P entries of the state.  Where sigma_b = 0 the bias add is
+skipped, and where s = 0 B is the state itself: each term is written
 over the state once the old values it reads are read, K last.  That has
 the bits of adding 0.0 and 0 S for a finite state, but for the sign of a
 zero, which follows the layer's own terms, and a K that overflowed,
@@ -114,7 +104,7 @@ warns of nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -134,8 +124,7 @@ from .gaussmath import clamp_correlation
 from .phase import InitParams, classify
 
 _DENSE_KINDS = ("ffnn", "resnet_dense", "scaled_resnet_dense")
-#: same order as _DENSE_KINDS: under Assumption 1 each conv kind runs the
-#: recursion of the dense kind at its index
+#: under Assumption 1 each conv kind runs the recursion of its dense kind
 CONV_KINDS = ("cnn", "resnet_conv", "scaled_resnet_conv")
 
 #: a variance above this or below its inverse is divided out of the
@@ -151,7 +140,6 @@ class Architecture:
     kind: str
     positions: int | None = None          # M, neurons per channel
     filter_half_width: int | None = None  # k, filter = [-k, k]
-    assumption1: bool = True
 
     def __post_init__(self):
         if self.kind not in _DENSE_KINDS + CONV_KINDS:
@@ -220,12 +208,10 @@ class KernelTrace:
 
     State arrays have shape (n,) + the input shape for the n stored depths
     ``layers`` of the depth-L recursion (all L by default; see
-    :func:`dense_layer_arrays`).  The input shape is () for one dense
-    pair, (P,) for P pairs given as arrays, (M, M) for full-grid conv
-    kernels, whose full ``vx`` and ``vxp`` grids hold the variance of x at
-    alpha and of x' at alpha' at each (alpha, alpha').  Where every pair
-    shares its variances, ``vx`` and ``vxp`` are read-only broadcast views
-    of one value per depth.  The stored state is the raw value divided by
+    :func:`dense_layer_arrays`).  The input shape is () for one pair and
+    (P,) for P pairs given as arrays.  Where every pair shares its
+    variances, ``vx`` and ``vxp`` are read-only broadcast views of one
+    value per depth.  The stored state is the raw value divided by
     exp(scale_log[l]), for every kind; scale_log changes only when a
     variance leaves [1/_RENORM_LIMIT, _RENORM_LIMIT] (see the module
     docstring), and the recursion was renormalised where scale_log is not
@@ -324,34 +310,24 @@ def _require_relu(kind: str, activation: ActivationModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the layer recursion, vectorized over input pairs or conv position pairs
+# the layer recursion, vectorized over input pairs
 # ---------------------------------------------------------------------------
-
-def _circulant_average(grid: np.ndarray, k: int) -> np.ndarray:
-    """(1/(2k+1)) sum_beta grid[..., a+beta, a'+beta] with circular
-    wraparound, over the last two axes (one grid or a stack of them)."""
-    acc = np.zeros_like(grid)
-    for beta in range(-k, k + 1):
-        acc += np.roll(grid, (-beta, -beta), axis=(-2, -1))
-    return acc / (2 * k + 1)
-
 
 def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                        params: InitParams, qx0, qxp0, qcov0, L: int,
                        keep=None) -> KernelTrace:
     """Run a kernel recursion from first-layer covariances.
 
-    ``kind`` is a dense kind name or an :class:`Architecture`.  The
-    first-layer variances and covariances may be scalars or arrays of one
-    shape (one entry per input pair); the trace arrays have shape (n,) +
-    that shape for the n stored depths: ``keep``, depths in [1, L] (stored
-    once each, in increasing order), or every depth 1..L by default.  A
-    full-grid conv architecture takes (M, M) grids, the variances of x at
-    alpha and of x' at alpha' broadcast over the grid, and averages each
-    layer's new terms over the filter window (see the module docstring).
-    One layer step serves every kind.  Dense variances that every pair
-    shares, bit for bit (scalars, or arrays of one value), run once for
-    the whole batch, as two Python floats.  The depth L must be at least 1.
+    ``kind`` is a dense kind name or an :class:`Architecture`; a conv
+    kind runs the recursion of its dense kind, which is its kernel under
+    Assumption 1.  The first-layer variances and covariances may be
+    scalars or arrays of one shape (one entry per input pair); the trace
+    arrays have shape (n,) + that shape for the n stored depths: ``keep``,
+    depths in [1, L] (stored once each, in increasing order), or every
+    depth 1..L by default.  One layer step serves every kind.  Variances
+    that every pair shares, bit for bit (scalars, or arrays of one value),
+    run once for the whole batch, as two Python floats.  The depth L must
+    be at least 1.
     """
     if L < 1:
         raise ValueError(f"depth must be >= 1, got {L}")
@@ -364,19 +340,11 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     first = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64)
                                   for a in (qx0, qxp0, qcov0)))
     shape = first[0].shape
-    grid = arch.is_conv  # a full-grid conv state, window-averaged
-    if grid:
-        if shape != (arch.positions,) * 2:
-            raise ValueError(f"conv kernels need (M, M) grids, got {shape}")
-        k = arch.filter_half_width
-
-        def mix(a):
-            return _circulant_average(a.reshape((-1,) + shape), k).reshape(a.shape)
     skip = arch.is_residual
     n = first[0].size
     # variances that every pair shares run as the floats x and y; else the
     # state buffer starts with their (2, n) rows
-    shared = not grid and _shared(first[0]) and _shared(first[1])
+    shared = _shared(first[0]) and _shared(first[1])
     m = 0 if shared else n
     # one buffer: the variances V (2, m), then vcov, wK (the state S) and qdot
     state = np.empty(2 * m + 3 * n)
@@ -392,10 +360,9 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
     wK[:] = qcov
     qdot[:] = np.nan
     # the new variance terms, the block and the new kernel term, laid out as
-    # S; with no skip and no window average they are the new state, so they
-    # are written over it (each term reads the old state before it is
-    # written, and K last)
-    B = np.empty_like(S) if skip or grid else S
+    # S; with no skip they are the new state, so they are written over it
+    # (each term reads the old state before it is written, and K last)
+    B = np.empty_like(S) if skip else S
     E = B[:2 * m + n]  # w (sigma_b^2 + sigma_w^2 E), in place
     block, new_K = B[2 * m:].reshape(2, n)
     if shared:
@@ -455,9 +422,7 @@ def dense_layer_arrays(kind: str | Architecture, activation: ActivationModel,
                 np.multiply(qdot, wK, new_K)
                 np.add(new_K, block, new_K)
                 if skip:
-                    np.add(S, mix(B) if grid else B, S)
-                elif grid:
-                    np.copyto(S, mix(B))
+                    np.add(S, B, S)
                 if shared:
                     x, y = (x + dx, y + dy) if skip else (dx, dy)
                     # np.maximum's choice: NaN if either is NaN
@@ -511,9 +476,9 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
     """Depth-L NTK trace of one input pair for any architecture kind.
 
     Dense kinds take vector inputs and return length-L arrays.  Conv kinds
-    take (n0, M) inputs; under ``arch.assumption1`` they reduce to the
-    matching dense recursion, otherwise they return (L, M, M) grids from
-    the same layer step with the circulant window average.
+    take (n0, M) inputs whose first-layer covariance grids are constant
+    (Assumption 1), else raise AssumptionViolatedError, and return the
+    length-L arrays of the dense recursion from those constants.
     """
     if arch.is_conv:
         return _conv_trace(pair, activation, params, arch, L)
@@ -524,38 +489,28 @@ def ntk_trace(arch: Architecture, pair: InputPair, activation: ActivationModel,
 
 
 # ---------------------------------------------------------------------------
-# convolutional first layer (full (alpha, alpha') grids, circular indexing)
+# convolutional first layer ((alpha, alpha') grids, circular indexing)
 # ---------------------------------------------------------------------------
 
 def _conv_trace(pair: InputPair, activation: ActivationModel, params: InitParams,
                 arch: Architecture, L: int) -> KernelTrace:
+    """The recursion of the pair's dense kind from its first-layer
+    covariances, whose (alpha, alpha') grids Assumption 1 holds constant."""
     if not pair.is_conv:
         raise ValueError("conv kernels need (n0, M) inputs")
-    M, k = arch.positions, arch.filter_half_width
     n0, m = pair.x.shape
-    if m != M:
-        raise ValueError(f"input has {m} positions, architecture expects {M}")
-    norm = n0 * (2 * k + 1)
-
-    # first-layer covariance grids for the three input combinations
-    Cxx = first_layer_cov(params, InputPair(pair.x, pair.x).conv_inner(k), norm)
-    Cpp = first_layer_cov(params, InputPair(pair.xp, pair.xp).conv_inner(k), norm)
-    Cxp = first_layer_cov(params, pair.conv_inner(k), norm)
-
-    if arch.assumption1:
-        for name, g in (("q1(x,x)", Cxx), ("q1(x',x')", Cpp), ("q1(x,x')", Cxp)):
-            if np.ptp(g) > 1e-9:
-                raise AssumptionViolatedError(
-                    f"first-layer grid {name} varies by {np.ptp(g):.2e} > 1e-9"
-                )
-        trace = dense_layer_arrays(_DENSE_KINDS[CONV_KINDS.index(arch.kind)],
-                                   activation, params,
-                                   Cxx[0, 0], Cpp[0, 0], Cxp[0, 0], L)
-        return replace(trace, architecture=arch)
-    # only the diagonals of the x and x' grids feed the recursion: the
-    # window average keeps diag(Cxx)[alpha] a function of alpha alone
-    return dense_layer_arrays(arch, activation, params, np.diag(Cxx)[:, None],
-                              np.diag(Cpp)[None, :], Cxp, L)
+    if m != arch.positions:
+        raise ValueError(f"input has {m} positions, architecture expects {arch.positions}")
+    k = arch.filter_half_width
+    first = []
+    for name, u, v in (("q1(x,x)", pair.x, pair.x), ("q1(x',x')", pair.xp, pair.xp),
+                       ("q1(x,x')", pair.x, pair.xp)):
+        g = first_layer_cov(params, InputPair(u, v).conv_inner(k), n0 * (2 * k + 1))
+        if np.ptp(g) > 1e-9:
+            raise AssumptionViolatedError(
+                f"first-layer grid {name} varies by {np.ptp(g):.2e} > 1e-9")
+        first.append(g[0, 0])
+    return dense_layer_arrays(arch, activation, params, *first, L)
 
 
 # ---------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def checks_kernels():
     cx = np.repeat(base[:, None], M, axis=1)
     cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
     cpair = ker.InputPair(cx, cxp)
-    tr_c = ker.ntk_trace(ker.Architecture("cnn", M, kf, True), cpair, relu, po, 20)
+    tr_c = ker.ntk_trace(ker.Architecture("cnn", M, kf), cpair, relu, po, 20)
     # matched dense recursion from the conv first-layer covariances
     norm = n0 * (2 * kf + 1)
     g_xp = ker.first_layer_cov(po, cpair.conv_inner(kf), norm)[0, 0]

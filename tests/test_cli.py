@@ -685,6 +685,45 @@ class TestExitCodes:
         assert "the test split is empty" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.json")
 
+    @pytest.mark.parametrize("fraction", ["nan", "inf", "-inf"])
+    def test_non_finite_test_fraction_is_config_error(self, tmp_path, capsys,
+                                                       fraction):
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--phase", "eoc", "--depth", "3", "--sphere-n", "12",
+                       f"--test-fraction={fraction}", "-o", out])
+        assert rc == 2
+        assert "--test-fraction must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["kernel", "--depth", "3"], "--seed"),
+        (["rates"], "--seed"),
+        (["train", "--depth", "3", "--sphere-n", "12"], "--seed"),
+        (["train", "--depth", "3", "--sphere-n", "12"], "--split-seed"),
+        (["empirical", "--widths", "8,16", "--seeds", "2"], "--seed"),
+    ], ids=["kernel", "rates", "train", "train-split", "empirical"])
+    def test_negative_seed_names_its_flag(self, tmp_path, capsys, argv, flag):
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--phase", "eoc", flag, "-1", "-o", out])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer >= 0, got '-1'" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_depth_one_study_warns_nothing(self, tmp_path):
+        # the depth-1 kernel does not depend on the weights: every
+        # deviation from the mean-field kernel is exactly 0
+        out = str(tmp_path / "e.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["empirical", "--phase", "eoc", "--depth", "1",
+                       "--widths", "8,16", "--seeds", "2", "-o", out])
+        assert rc == 0
+        assert os.path.exists(out)
+
     def test_single_seed_study_is_config_error(self, tmp_path, capsys):
         rc = main(["empirical", "--phase", "eoc", "--seeds", "1", "--widths", "8,16",
                    "-o", str(tmp_path / "e.csv")])

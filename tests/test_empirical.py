@@ -137,7 +137,9 @@ class TestMeanFieldAgreement:
     def test_width_study_monotone_and_slope(self):
         rng = np.random.default_rng(4)
         x, xp = rng.standard_normal((2, 6))
+        widths = [64, 256, 1024]
         study = width_convergence_study("ffnn", RELU, EOC, x, xp,
-                                        [64, 256, 1024], depth=3, seeds=16)
+                                        widths, depth=3, seeds=16)
         assert study["deviation"][-1] < study["deviation"][0]
-        assert -0.9 < study["slope"] < -0.2
+        slope = np.polyfit(np.log(widths), np.log(study["deviation"]), 1)[0]
+        assert -0.9 < slope < -0.2

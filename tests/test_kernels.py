@@ -26,10 +26,14 @@ def rng():
 
 
 def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
-    """Loop/dict re-implementation of the conv recursions, no vectorization.
+    """Loop/dict implementation of the full-grid conv recursions, no
+    vectorization: K^l at every position pair (alpha, alpha') of every
+    layer, shape (L, M, M).
 
-    Independent oracle for the circulant code paths: ReLU expectations via
-    the closed forms, every (alpha, alpha') pair handled by explicit loops.
+    Independent oracle for the conv kinds: ReLU expectations via the closed
+    forms, every (alpha, alpha') pair handled by explicit loops, and each
+    layer's new terms averaged over the filter window,
+    (1/(2k+1)) sum_{|beta| <= k} G[alpha+beta, alpha'+beta], circularly.
     ``kind`` is "cnn", "resnet_conv" or "scaled_resnet_conv"; the scaled
     kind weights layer l's block terms by 1/l.
     """
@@ -47,6 +51,7 @@ def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
         grids[name] = [[sb2 + sw2 * window(u, v, a, ap) / norm
                         for ap in range(M)] for a in range(M)]
     K = [row[:] for row in grids["xp"]]
+    Ks = [K]
 
     def qhat_and_qdot(g, varx, varxp, w):
         qhat = [[0.0] * M for _ in range(M)]
@@ -60,6 +65,10 @@ def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
                 qdot[a][ap] = w * sw2 * phiprime_expectation(RELU, 1.0, 1.0, c)
         return qhat, qdot
 
+    def circ(g):
+        return [[sum(g[(a + b) % M][(ap + b) % M] for b in range(-k, k + 1))
+                 / (2 * k + 1) for ap in range(M)] for a in range(M)]
+
     for layer in range(2, L + 1):
         w = 1.0 / layer if kind == "scaled_resnet_conv" else 1.0
         varx = [grids["xx"][a][a] for a in range(M)]
@@ -67,24 +76,20 @@ def brute_force_conv_ntk(x, xp, params, M, k, L, kind):
         qh_xx, _ = qhat_and_qdot(grids["xx"], varx, varx, w)
         qh_pp, _ = qhat_and_qdot(grids["pp"], varxp, varxp, w)
         qh_xp, qd_xp = qhat_and_qdot(grids["xp"], varx, varxp, w)
-        psi = [[qd_xp[a][ap] * K[a][ap] + qh_xp[a][ap] for ap in range(M)]
-               for a in range(M)]
-
-        def circ(g):
-            return [[sum(g[(a + b) % M][(ap + b) % M] for b in range(-k, k + 1))
-                     / (2 * k + 1) for ap in range(M)] for a in range(M)]
-
+        psi = circ([[qd_xp[a][ap] * K[a][ap] + qh_xp[a][ap] for ap in range(M)]
+                    for a in range(M)])
         if residual:
-            K = [[K[a][ap] + circ(psi)[a][ap] for ap in range(M)] for a in range(M)]
+            K = [[K[a][ap] + psi[a][ap] for ap in range(M)] for a in range(M)]
             for name, qh in (("xx", qh_xx), ("pp", qh_pp), ("xp", qh_xp)):
                 cg = circ(qh)
                 grids[name] = [[grids[name][a][ap] + cg[a][ap] for ap in range(M)]
                                for a in range(M)]
         else:
-            K = circ(psi)
+            K = psi
             for name, qh in (("xx", qh_xx), ("pp", qh_pp), ("xp", qh_xp)):
                 grids[name] = circ(qh)
-    return np.array(K)
+        Ks.append(K)
+    return np.array(Ks)
 
 
 class TestFfnn:
@@ -165,40 +170,29 @@ class TestCnn:
         cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
         pair = InputPair(cx, cxp)
         p = InitParams(0.3, 1.2)
-        full = ntk_trace(Architecture("cnn", M, k, False), pair, RELU, p, 50)
-        scalar = ntk_trace(Architecture("cnn", M, k, True), pair, RELU, p, 50)
-        dev = np.abs(full.ntk - scalar.ntk[:, None, None]).max()
+        full = brute_force_conv_ntk(cx, cxp, p, M, k, 50, "cnn")
+        scalar = ntk_trace(Architecture("cnn", M, k), pair, RELU, p, 50)
+        dev = np.abs(full - scalar.ntk[:, None, None]).max()
         assert dev < 1e-10
 
     def test_first_layer_window_formula(self, rng):
+        # conv_inner, which the Assumption-1 check reads, against the
+        # oracle's explicit window sums
         n0, M, k = 2, 5, 1
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         p = InitParams(0.4, 1.3)
-        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU, p, 1)
         expected = (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
                     / (n0 * (2 * k + 1)) + p.sigma_b**2)
-        np.testing.assert_allclose(tr.ntk[0], expected, atol=1e-14)
-
-    def test_full_filter_averages_within_offset(self, rng):
-        # 2k+1 = M: the circulant average runs over every shift, so each
-        # kernel entry depends only on the offset alpha - alpha'
-        n0, M, k = 2, 5, 2
-        x = rng.standard_normal((n0, M))
-        xp = rng.standard_normal((n0, M))
-        tr = ntk_trace(Architecture("cnn", M, k, False), InputPair(x, xp), RELU,
-                       InitParams(0.2, 1.1), 4)
-        K2 = tr.ntk[1]
-        for off in range(M):
-            diag = [K2[a, (a + off) % M] for a in range(M)]
-            assert np.ptp(diag) < 1e-12
+        np.testing.assert_allclose(brute_force_conv_ntk(x, xp, p, M, k, 1, "cnn")[0],
+                                   expected, atol=1e-14)
 
     def test_assumption1_violation_raises(self, rng):
         n0, M, k = 2, 4, 1
         x = rng.standard_normal((n0, M))
         xp = rng.standard_normal((n0, M))
         with pytest.raises(AssumptionViolatedError):
-            ntk_trace(Architecture("cnn", M, k, True), InputPair(x, xp), RELU,
+            ntk_trace(Architecture("cnn", M, k), InputPair(x, xp), RELU,
                       InitParams(0.3, 1.1), 3)
 
     def test_filter_width_validation(self):
@@ -267,25 +261,14 @@ class TestResnetConv:
         cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
         pair = InputPair(cx, cxp)
         p = InitParams(0.2, 1.2)
-        full = ntk_trace(Architecture("resnet_conv", M, k, False), pair, RELU, p, 30)
-        dense = ntk_trace(RESNET, InputPair(cx[:, 0], cxp[:, 0]), RELU, p, 30)
+        full = brute_force_conv_ntk(cx, cxp, p, M, k, 30, "resnet_conv")
+        dense = ntk_trace(Architecture("resnet_conv", M, k), pair, RELU, p, 30)
         # first-layer covariances coincide for constant channels, so the
         # scalar recursions must agree at every position pair; kernels grow
         # geometrically here, so compare relative to the depth scale
-        rel = (np.abs(full.ntk - dense.ntk[:, None, None])
+        rel = (np.abs(full - dense.ntk[:, None, None])
                / np.abs(dense.ntk)[:, None, None]).max()
         assert rel < 1e-10
-
-    def test_first_layer_formula(self, rng):
-        n0, M, k = 2, 4, 1
-        x = rng.standard_normal((n0, M))
-        xp = rng.standard_normal((n0, M))
-        p = InitParams(0.5, 0.9)
-        tr = ntk_trace(Architecture("resnet_conv", M, k, False), InputPair(x, xp),
-                       RELU, p, 1)
-        expected = (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
-                    / (n0 * (2 * k + 1)) + p.sigma_b**2)
-        np.testing.assert_allclose(tr.ntk[0], expected, atol=1e-14)
 
 
 class TestScaledResnet:
@@ -340,11 +323,9 @@ class TestScaledResnet:
         cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
         pair = InputPair(cx, cxp)
         p = InitParams(0.2, 1.2)
-        arch = Architecture("scaled_resnet_conv", positions=M,
-                            filter_half_width=k, assumption1=False)
-        full = ntk_trace(arch, pair, RELU, p, 25)
-        dense = ntk_trace(SCALED, InputPair(cx[:, 0], cxp[:, 0]), RELU, p, 25)
-        rel = (np.abs(full.ntk - dense.ntk[:, None, None])
+        full = brute_force_conv_ntk(cx, cxp, p, M, k, 25, "scaled_resnet_conv")
+        dense = ntk_trace(Architecture("scaled_resnet_conv", M, k), pair, RELU, p, 25)
+        rel = (np.abs(full - dense.ntk[:, None, None])
                / np.abs(dense.ntk)[:, None, None]).max()
         assert rel < 1e-12
 
@@ -606,33 +587,6 @@ class TestGramPsd:
         for p, act in ((EOC_RELU, RELU), (InitParams(0.3, 1.4), TANH)):
             state = build_gram(ds, KernelSpec(Architecture("ffnn"), act, p, 6))
             assert state.min_eig >= -1e-8 * state.max_eig
-
-
-@pytest.mark.parametrize("kind", ["cnn", "resnet_conv", "scaled_resnet_conv"])
-def test_brute_force_conv_oracle(kind, rng):
-    n0, M, k, L = 2, 4, 1, 5
-    x = rng.standard_normal((n0, M))
-    xp = rng.standard_normal((n0, M))
-    p = InitParams(0.3, 1.1)
-    tr = ntk_trace(Architecture(kind, M, k, False), InputPair(x, xp), RELU, p, L)
-    oracle = brute_force_conv_ntk(x, xp, p, M, k, L, kind)
-    np.testing.assert_allclose(tr.ntk[-1], oracle, atol=1e-12)
-
-
-@pytest.mark.parametrize("kind,params,L", [
-    ("cnn", InitParams(0.0, 2.0), 1200),
-    ("resnet_conv", InitParams(0.1, 1.0), 3000),
-], ids=["cnn", "resnet_conv"])
-def test_conv_grid_renormalises_past_overflow(kind, params, L):
-    # the variances grow like 2^l (cnn) and 1.5^l (resnet_conv): the raw
-    # grids pass float max, the renormalised state does not
-    x, xp = np.random.default_rng(8).standard_normal((2, 2, 8))
-    arch = Architecture(kind, 8, 1, False)
-    tr = ntk_trace(arch, InputPair(x, xp), RELU, params, L)
-    assert np.any(tr.scale_log)
-    assert np.all(np.isfinite(tr.ntk_log))
-    if arch.is_residual:  # K^L / alpha_L converges; chaotic cnn K^L / L does not
-        assert np.all(np.isfinite(normalize(tr)[-1]))
 
 
 class TestKindLawLimits:

@@ -8,8 +8,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from deepntk.activations import (_SNAP, _SNAP_EDGE, SERIES_TOLERANCE,
-                                 _relu_series, _snap,
-                                 _tanh_maps, make_activation,
+                                 _relu_series, _tanh_maps, make_activation,
                                  phiphi_expectation, phiprime_expectation,
                                  relu_one_minus_f)
 from deepntk.asymptotics import depth_law
@@ -138,6 +137,10 @@ def test_a_pair_alone_is_its_row_in_a_batch(kind, activation, depth,
 # one stacked (4, P) state with per-pair variances throughout, the ReLU maps
 # on temporaries and the snap in five full-width passes
 # ---------------------------------------------------------------------------
+
+def _snap(x):
+    return math.copysign(1.0, x) if 1.0 - abs(x) < _SNAP else x
+
 
 def _reference_correlation(qcov, root):
     c = qcov / root
