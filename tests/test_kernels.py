@@ -270,6 +270,27 @@ class TestResnetConv:
                / np.abs(dense.ntk)[:, None, None]).max()
         assert rel < 1e-10
 
+    def test_first_layer_formula(self, rng):
+        n0, M, k = 2, 4, 1
+        p = InitParams(0.5, 0.9)
+
+        def expected(x, xp):
+            return (p.sigma_w**2 * InputPair(x, xp).conv_inner(k)
+                    / (n0 * (2 * k + 1)) + p.sigma_b**2)
+
+        # the oracle's resnet_conv layer 1 at every position pair
+        x = rng.standard_normal((n0, M))
+        xp = rng.standard_normal((n0, M))
+        np.testing.assert_allclose(
+            brute_force_conv_ntk(x, xp, p, M, k, 1, "resnet_conv")[0],
+            expected(x, xp), atol=1e-14)
+        # the engine's one entry per pair on translation-invariant inputs
+        cx = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
+        cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
+        tr = ntk_trace(Architecture("resnet_conv", M, k), InputPair(cx, cxp),
+                       RELU, p, 1)
+        np.testing.assert_allclose(tr.ntk[0], expected(cx, cxp), atol=1e-14)
+
 
 class TestScaledResnet:
     def test_variance_product_formula(self):
