@@ -104,12 +104,14 @@ warns of nothing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .activations import (
+    S_RELU,
     ActivationModel,
     CorrelationMap,
     _correlation,
@@ -117,6 +119,7 @@ from .activations import (
     layer_correlation,
     layer_maps,
     phiprime_expectation,
+    relu_one_minus_f,
     shared_layer_maps,
 )
 from .errors import AssumptionViolatedError, DivergenceError
@@ -540,28 +543,95 @@ def normalize(trace: KernelTrace) -> np.ndarray:
         trace.ntk_log - log_alpha(trace.architecture, trace.params.sigma_w, ls))
 
 
+#: the 1/l^2 constant of the critical ReLU feedforward deficit
+KAPPA_RELU = 9.0 * np.pi**2 / 2.0
+
+
 class KindLaw(NamedTuple):
-    """How the kernel of one kind and initialization behaves at depth."""
+    """How the kernel of one kind and initialization behaves at depth.
+
+    The critical laws (residual kinds with ReLU, ffnn on the critical
+    curve) also carry the law of the correlation deficit gamma = 1 - c,
+    which keeps its digits long after 1 - c falls below the rounding of c:
+    the engine's layer step gamma' = (skip gamma + b_l D(gamma)) / (skip + b_l),
+    b_l = ``block`` (1 for ffnn, sigma_w^2/2 for residual kinds) over l
+    where ``scaled``, D = ``deficit`` (``relu_one_minus_f`` or the Tanh
+    map's; D(0) = 0).  Its leading term gamma^l ~ ``constant`` / ``rescale``(l)
+    is 9 pi^2/2 / l^2 (ReLU ffnn), (2 / f''(1)) / l (Tanh ffnn),
+    (9 pi^2/2)(1 + 2/sigma_w^2)^2 / l^2 (resnet) and 16 / (s^2 sigma_w^4) /
+    log(l)^2 (scaled), s = 2 sqrt(2)/(3 pi) the (1 - c)^{3/2} coefficient of
+    the ReLU map.  Other laws have no ``deficit``; ``refusal`` says why.
+
+    A measured hypothesis for the next order: for every off-diagonal pair
+    of the critical ReLU ffnn, L (K^L / L - limit) = limit (a + (3/2) ln L
+    + b / L + ...): a 40-digit recursion gives 1.501 for the ln L
+    coefficient at L = 32768..131072, the engine's fit over L = 256..8192
+    is within 2e-3 of 3/2.  ``rates`` still fits a power.
+    """
 
     phase: str | None  # classify's phase for feedforward kinds, else None
     normalized: bool   # whether K^L / alpha_L, not K^L, has the limit
     model: str         # decay law of the residual: "exp", "power" or "inv_log"
+    skip: float = 0.0  # 1 for residual kinds
+    block: float = 1.0
+    scaled: bool = False
+    deficit: Callable[[float], float] | None = None
+    constant: float = math.nan
+    rescale: Callable[[float], float] | None = None
+    refusal: str = "expansion is critical-initialization only"
+
+    def iterate(self, gamma0: float, depth: int) -> float:
+        """gamma at ``depth``, the (depth-1)-fold image of gamma0."""
+        if self.deficit is None:
+            raise ValueError(self.refusal)
+        if depth < 2:
+            raise ValueError("depth must be >= 2")
+        if not 0.0 < gamma0 <= 2.0:
+            raise ValueError(f"gamma0 must lie in (0, 2], got {gamma0!r}")
+        skip, block, scaled, deficit = self.skip, self.block, self.scaled, self.deficit
+        g = float(gamma0)
+        for l in range(2, depth + 1):
+            b = block / l if scaled else block
+            g = (skip * g + b * deficit(g)) / (skip + b)
+        return g
 
 
 def kind_law(arch: Architecture, activation: ActivationModel,
              params: InitParams) -> KindLaw:
     """The depth law of ``arch`` at ``params``.
 
-    Residual kinds converge after the depth normalisation at every
-    sigma_w, at a power rate (resnet) or like 1/log L (scaled).  Feedforward
-    kinds route on the phase: on the critical curve K^L / L converges at a
-    power rate; off it K^L itself converges exponentially fast.
+    Residual kinds (ReLU only) converge after the depth normalisation at
+    every sigma_w, at a power rate (resnet) or like 1/log L (scaled).
+    Feedforward kinds route on the phase: on the critical curve K^L / L
+    converges at a power rate (the Tanh deficit is the map's at
+    ``classify``'s q*); off it K^L itself converges exponentially fast.
     """
+    sw = params.sigma_w
     if arch.is_residual:
-        return KindLaw(None, True, "inv_log" if arch.is_scaled else "power")
-    phase = classify(activation, params).phase
-    eoc = phase == "eoc"
-    return KindLaw(phase, eoc, "power" if eoc else "exp")
+        _require_relu(arch.kind, activation)
+        # sigma_b-free, so at sigma_b > 0 not the engine's network (CHANGES.md
+        # FOUND on the residual law): the seed-0 `expansion` reference pins it
+        if arch.is_scaled:
+            constant, rescale = 16.0 / (S_RELU**2 * sw**4), lambda l: np.log(l) ** 2
+        else:
+            constant, rescale = KAPPA_RELU * (1.0 + 2.0 / sw**2) ** 2, lambda l: l**2
+        return KindLaw(None, True, "inv_log" if arch.is_scaled else "power", 1.0,
+                       sw**2 / 2.0, arch.is_scaled, relu_one_minus_f, constant, rescale)
+    report = classify(activation, params)
+    eoc = report.phase == "eoc"
+    law = KindLaw(report.phase, eoc, "power" if eoc else "exp")
+    if arch.is_conv:
+        return law._replace(refusal=f"unsupported architecture {arch.kind!r}")
+    if not eoc:
+        return law
+    if activation.kind == "relu":
+        return law._replace(deficit=relu_one_minus_f, constant=KAPPA_RELU,
+                            rescale=lambda l: l**2)
+    if report.q_fixed <= 0.0:  # Tanh at sigma_b = 0: the variance falls to 0
+        return law._replace(refusal="fixed-point variance must be positive")
+    cmap = CorrelationMap(activation, report.q_fixed, params.sigma_b, sw)
+    return law._replace(deficit=cmap.deficit, constant=2.0 / cmap.derivative_at_one(2),
+                        rescale=lambda l: l)
 
 
 def scaled_resnet_growth_constant(params: InitParams) -> float:

@@ -287,7 +287,14 @@ def build_gram(dataset: Dataset, spec: KernelSpec) -> TrainingState:
     gram = np.empty((n, n))
     gram[iu, ju] = vals
     gram[ju, iu] = vals
+    # a kernel decaying like (sigma_w^2/2)^L goes subnormal on the diagonal
+    # first, and eigh of entries near float max can overflow
+    if np.min(gram.diagonal()) < _TINY:
+        raise DivergenceError("Gram matrix has a diagonal entry below the smallest "
+                              f"normal float at depth {spec.depth}")
     eigvals, eigvecs = np.linalg.eigh(gram)
+    if not np.all(np.isfinite(eigvals)):
+        raise DivergenceError(f"Gram matrix has non-finite eigenvalues at depth {spec.depth}")
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     max_eig = float(eigvals[0])

@@ -206,19 +206,13 @@ def checks_kernels():
     t2 = ker.ntk_trace(ffnn, swapped, relu, po, 16).ntk
     out.append(("kernels.pair_swap_symmetry", bool(np.array_equal(t1, t2)), ""))
 
-    # Assumption-1 CNN trace equals the FFNN trace with matched first layer
+    # Assumption-1 CNN trace equals the FFNN trace of the dense pair whose
+    # x . x' / d matches: constant channels give each window (2k+1) base . base'
     n0, M, kf = 3, 8, 2
-    base = rng.standard_normal(n0)
-    cx = np.repeat(base[:, None], M, axis=1)
-    cxp = np.repeat(rng.standard_normal(n0)[:, None], M, axis=1)
-    cpair = ker.InputPair(cx, cxp)
+    base, base_p = rng.standard_normal(n0), rng.standard_normal(n0)
+    cpair = ker.InputPair(*(np.repeat(b[:, None], M, axis=1) for b in (base, base_p)))
     tr_c = ker.ntk_trace(ker.Architecture("cnn", M, kf), cpair, relu, po, 20)
-    # matched dense recursion from the conv first-layer covariances
-    norm = n0 * (2 * kf + 1)
-    g_xp = ker.first_layer_cov(po, cpair.conv_inner(kf), norm)[0, 0]
-    g_xx = ker.first_layer_cov(po, ker.InputPair(cx, cx).conv_inner(kf), norm)[0, 0]
-    g_pp = ker.first_layer_cov(po, ker.InputPair(cxp, cxp).conv_inner(kf), norm)[0, 0]
-    dense = ker.dense_layer_arrays("ffnn", relu, po, g_xx, g_pp, g_xp, 20)
+    dense = ker.ntk_trace(ffnn, ker.InputPair(base, base_p), relu, po, 20)
     dev = np.abs(dense.ntk - tr_c.ntk).max()
     out.append(("kernels.assumption1_matches_ffnn", dev < 1e-10, f"{dev:.2e}"))
 

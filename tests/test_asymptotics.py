@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
-from deepntk.activations import B_RELU, CorrelationMap, make_activation
-from deepntk.asymptotics import (ExpansionConstants, KAPPA_RELU, S_RELU,
-                                 check_expansion, default_depth_grid,
-                                 depth_law, fit_rate)
+from deepntk.activations import B_RELU, S_RELU, CorrelationMap, make_activation
+from deepntk.asymptotics import check_expansion, default_depth_grid, fit_rate
+from deepntk.kernels import KAPPA_RELU, Architecture, kind_law
 from deepntk.phase import InitParams, eoc_curve, variance_fixed_point
 
 RELU = make_activation("relu")
@@ -13,9 +12,16 @@ TANH = make_activation("tanh")
 EOC_RELU = InitParams(0.0, np.sqrt(2.0))
 
 
+def law(kind, activation, params):
+    """The kind's record from ``kind_law`` (a conv kind with a geometry
+    that Assumption 1 allows)."""
+    arch = Architecture(kind, 4, 1) if "conv" in kind else Architecture(kind)
+    return kind_law(arch, activation, params)
+
+
 @pytest.fixture(scope="module")
 def tanh_eoc():
-    # the map that depth_law builds for this point: the same fixed point q
+    # the map that kind_law builds for this point: the same fixed point q
     sw = eoc_curve(TANH, 0.2)
     p = InitParams(0.2, sw)
     q = variance_fixed_point(TANH, p)
@@ -32,15 +38,16 @@ class TestConstants:
 
     def test_kappa_resnet_at_sqrt2(self):
         # (9 pi^2/2)(1 + 2/sigma_w^2)^2 with sigma_w^2 = 2 gives 18 pi^2
-        assert abs(ExpansionConstants.kappa_resnet(np.sqrt(2.0)) - 18 * np.pi**2) < 1e-12
+        assert abs(law("resnet_dense", RELU, EOC_RELU).constant - 18 * np.pi**2) < 1e-12
 
     def test_zeta_scaled_at_sqrt2(self):
         # 16/(s^2 * 4) = 4/s^2
-        assert abs(ExpansionConstants.zeta_scaled(np.sqrt(2.0)) - 4.0 / S_RELU**2) < 1e-10
+        assert abs(law("scaled_resnet_dense", RELU, EOC_RELU).constant
+                   - 4.0 / S_RELU**2) < 1e-10
 
     def test_kappa_tanh_positive(self, tanh_eoc):
-        _, cmap = tanh_eoc
-        assert ExpansionConstants.kappa_tanh(cmap) > 0
+        p, _ = tanh_eoc
+        assert law("ffnn", TANH, p).constant > 0
 
 
 class TestTheoreticalCorrelation:
@@ -50,28 +57,28 @@ class TestTheoreticalCorrelation:
     def test_relu_next_order(self):
         # gamma_l = kappa/l^2 - 3 kappa log(l)/l^3 + O(1/l^3): between two
         # depths (gamma_l - kappa/l^2) l^3 changes by -3 kappa log(l2/l1)
-        law = depth_law("ffnn", RELU, EOC_RELU)
+        relu_law = law("ffnn", RELU, EOC_RELU)
         l1, l2 = 10**4, 10**5
-        g1, g2 = (law.iterate(0.5, l) for l in (l1, l2))
+        g1, g2 = (relu_law.iterate(0.5, l) for l in (l1, l2))
         change = (g2 - KAPPA_RELU / l2**2) * l2**3 - (g1 - KAPPA_RELU / l1**2) * l1**3
         assert abs(change / (-3.0 * KAPPA_RELU * np.log(l2 / l1)) - 1.0) < 0.02
 
     def test_tanh_deficit_scales_to_kappa(self, tanh_eoc):
         p, cmap = tanh_eoc
         l = 10**5
-        law = depth_law("ffnn", TANH, p)
-        assert abs(l * law.constant / law.rescale(l)
-                   - ExpansionConstants.kappa_tanh(cmap)) < 1e-10
+        tanh_law = law("ffnn", TANH, p)
+        assert abs(l * tanh_law.constant / tanh_law.rescale(l)
+                   - 2.0 / cmap.derivative_at_one(2)) < 1e-10
 
     def test_scaled_resnet_form(self):
         l = 10**4
-        law = depth_law("scaled_resnet_dense", RELU, EOC_RELU)
-        assert abs(law.constant / law.rescale(l) * np.log(l) ** 2
-                   - ExpansionConstants.zeta_scaled(np.sqrt(2.0))) < 1e-10
+        scaled = law("scaled_resnet_dense", RELU, EOC_RELU)
+        assert abs(scaled.constant / scaled.rescale(l) * np.log(l) ** 2
+                   - 16.0 / (S_RELU**2 * np.sqrt(2.0) ** 4)) < 1e-10
 
     def test_rejected_off_criticality(self):
         with pytest.raises(ValueError):
-            depth_law("ffnn", RELU, InitParams(1.0, 0.1))
+            law("ffnn", RELU, InitParams(1.0, 0.1)).iterate(0.5, 10)
 
 
 class TestIterators:
@@ -81,12 +88,12 @@ class TestIterators:
         c = 0.5
         for _ in range(50):
             c = relu_f(c)
-        gs = depth_law("ffnn", RELU, EOC_RELU).iterate(1.0 - 0.5, 51)
+        gs = law("ffnn", RELU, EOC_RELU).iterate(1.0 - 0.5, 51)
         assert abs((1.0 - c) - gs) < 1e-13
 
     def test_relu_deficit_positive_and_decreasing(self):
-        law = depth_law("ffnn", RELU, EOC_RELU)
-        gs = [law.iterate(0.5, depth) for depth in (10, 100, 1000, 10**4)]
+        relu_law = law("ffnn", RELU, EOC_RELU)
+        gs = [relu_law.iterate(0.5, depth) for depth in (10, 100, 1000, 10**4)]
         assert all(g > 0 for g in gs)
         assert all(a > b for a, b in zip(gs, gs[1:]))
 
@@ -96,7 +103,7 @@ class TestIterators:
         c = 0.3
         for _ in range(20):
             c = (c + alpha * relu_f(c)) / (1.0 + alpha)
-        g = depth_law("resnet_dense", RELU, EOC_RELU).iterate(0.7, 21)
+        g = law("resnet_dense", RELU, EOC_RELU).iterate(0.7, 21)
         assert abs((1.0 - c) - g) < 1e-13
 
     def test_tanh_iterator_matches_map(self, tanh_eoc):
@@ -104,7 +111,7 @@ class TestIterators:
         c = 0.4
         for _ in range(10):
             c = cmap(c)
-        g = depth_law("ffnn", TANH, p).iterate(1.0 - 0.4, 11)
+        g = law("ffnn", TANH, p).iterate(1.0 - 0.4, 11)
         assert abs((1.0 - c) - g) < 1e-14
 
     def test_tanh_deficit_is_one_minus_the_map(self, tanh_eoc):
@@ -122,7 +129,7 @@ class TestIterators:
         mpmath = pytest.importorskip("mpmath")
         p, cmap = tanh_eoc
         depth = 10**4
-        got = depth_law("ffnn", TANH, p).iterate(0.5, depth)
+        got = law("ffnn", TANH, p).iterate(0.5, depth)
         with mpmath.workdps(40):
             b = [mpmath.mpf(float(v)) for v in cmap._weights]  # b_1, b_2, ...
             total = mpmath.fsum(b)
@@ -153,11 +160,11 @@ class TestCheckExpansion:
         # sigma_w = sqrt(2); the slope of gamma^{-1/2} in log l cancels the
         # offending constant and recovers zeta at l <= 1e6
         sw = np.sqrt(2.0)
-        law = depth_law("scaled_resnet_dense", RELU, InitParams(0.0, sw))
-        g1, g2 = law.iterate(0.5, 10**3), law.iterate(0.5, 10**6)
+        scaled = law("scaled_resnet_dense", RELU, InitParams(0.0, sw))
+        g1, g2 = scaled.iterate(0.5, 10**3), scaled.iterate(0.5, 10**6)
         slope = (g2**-0.5 - g1**-0.5) / (np.log(10**6) - np.log(10**3))
         zeta_hat = 1.0 / slope**2
-        assert abs(zeta_hat / ExpansionConstants.zeta_scaled(sw) - 1.0) < 0.02
+        assert abs(zeta_hat / scaled.constant - 1.0) < 0.02
 
 
 class TestLawRefusals:
@@ -168,7 +175,7 @@ class TestLawRefusals:
         with pytest.raises(ValueError, match="relu only"):
             check_expansion(kind, TANH, p, 100)
         with pytest.raises(ValueError, match="relu only"):
-            depth_law(kind, TANH, p)
+            law(kind, TANH, p)
 
     @pytest.mark.parametrize("dense,conv", [("resnet_dense", "resnet_conv"),
                                             ("scaled_resnet_dense", "scaled_resnet_conv")])
@@ -181,7 +188,7 @@ class TestLawRefusals:
         with pytest.raises(ValueError, match="critical"):
             check_expansion("ffnn", RELU, p, 1000)
         with pytest.raises(ValueError, match="critical"):
-            depth_law("ffnn", RELU, p)
+            law("ffnn", RELU, p).iterate(0.5, 1000)
 
     @pytest.mark.parametrize("args,name", [
         pytest.param({"depth": 0}, "depth", id="depth-0"),
@@ -194,7 +201,7 @@ class TestLawRefusals:
     def test_bad_arguments_rejected(self, args, name):
         kw = {"gamma0": 0.5, "depth": 10} | args
         with pytest.raises(ValueError, match=name):
-            depth_law("resnet_dense", RELU, EOC_RELU).iterate(**kw)
+            law("resnet_dense", RELU, EOC_RELU).iterate(**kw)
         with pytest.raises(ValueError, match=name):
             check_expansion("ffnn", RELU, EOC_RELU, kw["depth"], gamma0=kw["gamma0"])
 

@@ -535,6 +535,23 @@ class TestExitCodes:
         assert "Warning" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("depth", [2200, 2300])
+    def test_underflowing_gram_is_numeric_error(self, tmp_path, capsys, depth):
+        # K^L decays like 0.72^L at (0, 1.2): at L = 2200 the smallest
+        # diagonal entry is subnormal (5.96e-312), and by 2300 the Gram is 0
+        out = str(tmp_path / "t.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--activation", "relu", "--sigma-b", "0",
+                       "--sigma-w", "1.2", "--depth", str(depth), "--sphere-n", "40",
+                       "-o", out])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert (f"diagonal entry below the smallest normal float at depth {depth}"
+                in err)
+        assert "Warning" not in err
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("depth", [820, 821])
     def test_tanh_gram_at_the_float_maximum(self, tmp_path, capsys, depth):
         # at L = 820 the chaotic Tanh diagonal is 1.687e308, finite, and the

@@ -10,7 +10,7 @@ from deepntk.kernels import (Architecture, InputPair, dense_layer_arrays,
                              first_layer_dense, kind_law, limiting_kernel,
                              normalize, ntk_trace, scaled_resnet_growth_constant)
 from deepntk.phase import InitParams, classify, eoc_curve
-from deepntk.spectral import KernelConfig, zonal_profile
+from deepntk.spectral import KernelConfig, zonal_profile, zonal_profiles
 
 RELU = make_activation("relu")
 TANH = make_activation("tanh")
@@ -613,7 +613,8 @@ class TestGramPsd:
 class TestKindLawLimits:
     """Each law's limit against the engine at depth 10^4: K^L / alpha_L
     where the law is normalized, else K^L, for an off-diagonal and (off
-    the chaotic phase) a diagonal pair on the sphere."""
+    the chaotic phase) a diagonal pair on the sphere; and the next-order
+    term of the critical ReLU law."""
 
     @staticmethod
     def gaps(kind, activation, p, depths):
@@ -648,3 +649,18 @@ class TestKindLawLimits:
                          [10**2, 10**3, 10**4])
         assert np.all(np.diff(gaps, axis=0) < 0)
         assert gaps[-1].max() < 0.2
+
+    @pytest.mark.parametrize("d,seed", [(3, 1), (10, 0), (20, 2)])
+    def test_critical_relu_residual_has_the_three_halves_log_term(self, d, seed):
+        # the measured hypothesis in KindLaw's docstring:
+        # L (K^L / L - limit) = limit (a + (3/2) ln L + b / L + ...) per pair
+        config = KernelConfig(FFNN, RELU, EOC_RELU)
+        depths = [256 * 2**j for j in range(6)]
+        values = zonal_profiles(config, d, depths,
+                                np.random.default_rng(seed).uniform(-0.9, 0.9, 10))
+        e = np.eye(d)
+        limit = limiting_kernel(FFNN, RELU, EOC_RELU, InputPair(e[0], e[1]))
+        L = np.array(depths, dtype=float)
+        basis = np.stack([np.ones_like(L), np.log(L), 1.0 / L], axis=1)
+        coef = np.linalg.lstsq(basis, L[:, None] * (values / limit - 1.0), rcond=None)[0]
+        assert np.abs(coef[1] - 1.5).max() <= 5e-3

@@ -11,8 +11,7 @@ from deepntk.activations import (_SNAP, _SNAP_EDGE, SERIES_TOLERANCE,
                                  _relu_series, _tanh_maps, make_activation,
                                  phiphi_expectation, phiprime_expectation,
                                  relu_one_minus_f)
-from deepntk.asymptotics import depth_law
-from deepntk.kernels import dense_layer_arrays
+from deepntk.kernels import Architecture, dense_layer_arrays, kind_law
 from deepntk.phase import InitParams
 from deepntk.regression import _TABLE_C
 
@@ -50,19 +49,18 @@ def test_gamma_iterators_match_array_path(kind, gamma0, sigma_w):
     depth = 10**4
     alpha = sigma_w**2 / 2.0
     if kind == "relu":
-        got = depth_law("ffnn", RELU, InitParams(0.0, np.sqrt(2.0))).iterate(gamma0, depth)
+        law = kind_law(Architecture("ffnn"), RELU, InitParams(0.0, np.sqrt(2.0)))
         step = lambda g, l: relu_one_minus_f(g)  # noqa: E731
     elif kind == "resnet":
-        got = depth_law("resnet_dense", RELU, InitParams(0.0, sigma_w)).iterate(gamma0, depth)
+        law = kind_law(Architecture("resnet_dense"), RELU, InitParams(0.0, sigma_w))
         step = lambda g, l: (g + alpha * relu_one_minus_f(g)) / (1.0 + alpha)  # noqa: E731
     else:
-        got = depth_law("scaled_resnet_dense", RELU,
-                        InitParams(0.0, sigma_w)).iterate(gamma0, depth)
+        law = kind_law(Architecture("scaled_resnet_dense"), RELU, InitParams(0.0, sigma_w))
 
         def step(g, l):
             al = alpha / l
             return (g + al * relu_one_minus_f(g)) / (1.0 + al)
-    assert got == _array_iteration(step, gamma0, depth)
+    assert law.iterate(gamma0, depth) == _array_iteration(step, gamma0, depth)
 
 
 def _first_layer(seed, pairs):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from deepntk import regression
 from deepntk.activations import make_activation
-from deepntk.errors import InvalidDatasetError
+from deepntk.cli import sphere_dataset
+from deepntk.errors import DivergenceError, InvalidDatasetError
 from deepntk.kernels import Architecture, dense_layer_arrays, first_layer_cov
 from deepntk.phase import InitParams
 from deepntk.regression import (Dataset, KernelSpec, TrainingState, accuracy,
@@ -90,6 +91,21 @@ class TestBuildGram:
         state = build_gram(ds, KernelSpec(FFNN, RELU, InitParams(1.0, 0.1), 200))
         assert state.min_eig / state.max_eig < 1e-6
         assert state.rank_deficient
+
+    def test_infinite_eigenvalue_of_a_finite_gram_is_divergent(self):
+        # at L = 1740 every resnet Gram entry is finite, the largest near
+        # float max, but eigh returns an infinite largest eigenvalue
+        ds = sphere_dataset(10, 40, 0)
+        spec = KernelSpec(Architecture("resnet_dense"), RELU, InitParams(0.0, 1.0), 1740)
+        sq = np.sum(ds.X * ds.X, axis=1)
+        iu, ju = np.triu_indices(ds.n)
+        vals = pair_kernel(spec, sq[iu], sq[ju], (ds.X[iu] * ds.X[ju]).sum(axis=1), 10)
+        assert np.all(np.isfinite(vals))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError,
+                               match="non-finite eigenvalues at depth 1740"):
+                build_gram(ds, spec)
 
 
 class TestEvolve:

@@ -11,12 +11,14 @@ which tree runs first.
 Cases: ReLU at (sigma_b, sigma_w) = (0, sqrt 2) and Tanh at sigma_b = 0.2 on
 its critical sigma_w, ffnn, at P = 1, 10, 256, 1875 and 2850 pairs, with
 shared first-layer variances (qx = qxp = 1 given as scalars, as ``rates``,
-``spectrum`` and the sigma_b = 0 ReLU Gram pass them) and with per-pair
-variances.  P = 2850 is the Gram of 75 points (75 self pairs, c = 1) and
-P = 1875 the cross pairs of 25 test rows with them; the smaller P draw
-correlations uniform in [-0.9, 0.9].  Per-pair variances are uniform in
-[0.2, 2] for ReLU; Tanh takes 8 distinct values in [0.5, 1.5], so that its
-series table stays small.  Each case takes 12 runs per tree at seed 0;
+``spectrum`` and the sigma_b = 0 ReLU Gram pass them) and, from P = 10 on,
+with per-pair variances: ``dense_layer_arrays`` runs any one-pair batch
+on the shared-variance path, so a per-pair case at P = 1 would time the
+shared one again.  P = 2850 is the Gram of 75 points (75 self pairs,
+c = 1) and P = 1875 the cross pairs of 25 test rows with them; the
+smaller P draw correlations uniform in [-0.9, 0.9].  Per-pair variances
+are uniform in [0.2, 2] for ReLU; Tanh takes 8 distinct values in
+[0.5, 1.5], so that its series table stays small.  Each case takes 12 runs per tree at seed 0;
 each run is a fresh call over 400 layers (fewer at large P) after one
 warm-up call per tree, so a Tanh run starts from a table that holds its
 variances.
@@ -108,7 +110,7 @@ def run(src_a: str, src_b: str) -> dict:
         params = [pkg.InitParams(sb, w) for pkg, w in zip(pkgs, sw)]
         for size in SIZES:
             depth = layers_for(activation, size)
-            for shared in (True, False):
+            for shared in (True,) if size == 1 else (True, False):
                 rng = np.random.default_rng([SEED, size, int(shared)])
                 first = first_layer(rng, activation, size, shared)
                 models = [pkg.make_activation(activation) for pkg in pkgs]
